@@ -9,7 +9,7 @@ Keys (defaults in parentheses):
   R                 potential support radius, in (0, 1/4] on the unit torus
   cutoff_K          single-sum momentum cutoff (40*pi); `cutoff_K_over_2pi`
                     may be given instead
-  cutoff_K2         double-sum cutoff <= cutoff_K (20*pi); or
+  cutoff_K2         double-sum cutoff in [2*pi, cutoff_K] (20*pi); or
                     `cutoff_K2_over_2pi`
   scattering        {"tol": 1e-11, "max_iter": 200}
   oracle            {"modes": {"nsq_max": int} | {"vectors": [[i,j,k],...]},
@@ -75,6 +75,32 @@ def _as_tuple_of_ints(x, what: str) -> tuple:
     return tuple(out)
 
 
+def _number(x, what: str) -> float:
+    """x as a finite float; RejectedConfig for anything else."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        raise RejectedConfig(f"{what} must be a number, got {x!r}") from None
+    if not math.isfinite(v):
+        raise RejectedConfig(f"{what} must be finite, got {x!r}")
+    return v
+
+
+def _integer(x, what: str) -> int:
+    """x as an int (by Python's int()); RejectedConfig for anything else."""
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise RejectedConfig(f"{what} must be an integer, got {x!r}") from None
+
+
+def _block(raw: dict, key: str) -> dict:
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise RejectedConfig(f"{key} block must be an object")
+    return block
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document; raises RejectedConfig on any
     structural problem."""
@@ -92,13 +118,13 @@ def parse_config(raw: dict) -> RunConfig:
             raise RejectedConfig(f"missing required key {key!r}")
 
     n_values = _as_tuple_of_ints(raw["N"], "N")
-    beta = float(raw["beta"])
+    beta = _number(raw["beta"], "beta")
     if not 0.0 < beta < 1.0:
         raise RejectedConfig(f"beta must lie in (0, 1), got {beta}")
-    kappa = float(raw["kappa"])
+    kappa = _number(raw["kappa"], "kappa")
     if kappa < 0.0:
         raise RejectedConfig(f"kappa must be nonnegative, got {kappa}")
-    R = float(raw["R"])
+    R = _number(raw["R"], "R")
     if not 0.0 < R <= 0.25:
         raise RejectedConfig(
             f"R must lie in (0, 1/4] so the potential fits the torus, got {R}"
@@ -106,42 +132,54 @@ def parse_config(raw: dict) -> RunConfig:
 
     if "cutoff_K" in raw and "cutoff_K_over_2pi" in raw:
         raise RejectedConfig("give cutoff_K or cutoff_K_over_2pi, not both")
-    K = float(raw.get("cutoff_K", 0.0)) or 2.0 * math.pi * float(
-        raw.get("cutoff_K_over_2pi", 0.0)
+    K = _number(raw.get("cutoff_K", 0.0), "cutoff_K") or 2.0 * math.pi * _number(
+        raw.get("cutoff_K_over_2pi", 0.0), "cutoff_K_over_2pi"
     )
     K = K or DEFAULT_K
     if "cutoff_K2" in raw and "cutoff_K2_over_2pi" in raw:
         raise RejectedConfig("give cutoff_K2 or cutoff_K2_over_2pi, not both")
-    K2 = float(raw.get("cutoff_K2", 0.0)) or 2.0 * math.pi * float(
-        raw.get("cutoff_K2_over_2pi", 0.0)
+    K2 = _number(raw.get("cutoff_K2", 0.0), "cutoff_K2") or 2.0 * math.pi * _number(
+        raw.get("cutoff_K2_over_2pi", 0.0), "cutoff_K2_over_2pi"
     )
     K2 = K2 or min(DEFAULT_K2, K)
     if K < 2.0 * math.pi:
         raise RejectedConfig(f"cutoff_K below the first shell: {K}")
+    if K2 < 2.0 * math.pi:
+        raise RejectedConfig(f"cutoff_K2 below the first shell: {K2}")
     if K2 > K * (1.0 + 1e-12):
         raise RejectedConfig(f"cutoff_K2 = {K2} exceeds cutoff_K = {K}")
 
-    scat = raw.get("scattering", {})
-    if not isinstance(scat, dict):
-        raise RejectedConfig("scattering block must be an object")
-    tol = float(scat.get("tol", 1e-11))
-    max_iter = int(scat.get("max_iter", 200))
+    scat = _block(raw, "scattering")
+    tol = _number(scat.get("tol", 1e-11), "scattering.tol")
+    max_iter = _integer(scat.get("max_iter", 200), "scattering.max_iter")
     if tol <= 0.0 or max_iter < 1:
         raise RejectedConfig("scattering tol must be > 0 and max_iter >= 1")
 
-    ob = raw.get("oracle", {})
-    if not isinstance(ob, dict):
-        raise RejectedConfig("oracle block must be an object")
+    ob = _block(raw, "oracle")
     modes = ob.get("modes", {"nsq_max": 1})
+    if not isinstance(modes, dict):
+        raise RejectedConfig("oracle.modes must be an object")
+    vectors = modes.get("vectors", [])
+    n_max = ob.get("n_max", [5, 7, 9])
+    if not isinstance(vectors, list) or not all(
+        isinstance(v, list) and len(v) == 3 for v in vectors
+    ):
+        raise RejectedConfig("oracle.modes.vectors must be a list of [i, j, k]")
+    if not isinstance(n_max, list) or not n_max:
+        raise RejectedConfig("oracle.n_max must be a non-empty list")
     oracle = OracleConfig(
-        modes_nsq_max=int(modes.get("nsq_max", 0)) if "vectors" not in modes else 0,
-        modes_vectors=tuple(
-            tuple(int(c) for c in v) for v in modes.get("vectors", [])
+        modes_nsq_max=(
+            _integer(modes.get("nsq_max", 0), "oracle.modes.nsq_max")
+            if "vectors" not in modes else 0
         ),
-        n_max_list=tuple(int(n) for n in ob.get("n_max", [5, 7, 9])),
-        N=int(ob["N"]) if "N" in ob else None,
-        rel_tol_pert=float(ob.get("rel_tol_pert", 1e-5)),
-        rel_tol_g2=float(ob.get("rel_tol_g2", 1e-6)),
+        modes_vectors=tuple(
+            tuple(_integer(c, "oracle.modes.vectors entry") for c in v)
+            for v in vectors
+        ),
+        n_max_list=tuple(_integer(n, "oracle.n_max entry") for n in n_max),
+        N=_integer(ob["N"], "oracle.N") if "N" in ob else None,
+        rel_tol_pert=_number(ob.get("rel_tol_pert", 1e-5), "oracle.rel_tol_pert"),
+        rel_tol_g2=_number(ob.get("rel_tol_g2", 1e-6), "oracle.rel_tol_g2"),
     )
 
     warnings = []
@@ -154,6 +192,9 @@ def parse_config(raw: dict) -> RunConfig:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise RejectedConfig(f"out must be a path, got {out!r}")
     threads = raw.get("threads")
     return RunConfig(
         N_values=n_values,
@@ -165,8 +206,8 @@ def parse_config(raw: dict) -> RunConfig:
         tol=tol,
         max_iter=max_iter,
         oracle=oracle,
-        out=raw.get("out"),
-        threads=int(threads) if threads is not None else None,
+        out=out,
+        threads=_integer(threads, "threads") if threads is not None else None,
         warnings=tuple(warnings),
         config_hash=digest,
     )

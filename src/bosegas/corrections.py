@@ -28,8 +28,9 @@ from .bogoliubov import (
     e00,
     e01,
     sc_minus_eta,
+    sub_ball_convolver,
 )
-from .errors import InconsistentLattice, ZeroMomentumArgument
+from .errors import InconsistentLattice, NotCubicInvariant, ZeroMomentumArgument
 from .lattice_potential import born2_sum
 from .scattering import scattering_length
 from .sums import det_rows, det_sum
@@ -221,7 +222,9 @@ class EPertTilde(NamedTuple):
     tail: float
 
 
-def e_pert_tilde(tables: BogoliubovTables, K2: float) -> EPertTilde:
+def e_pert_tilde(
+    tables: BogoliubovTables, K2: float, c2: float | None = None
+) -> EPertTilde:
     """Second-order energy of the cubic channel:
 
         -(6/N) sum_{p,q, p+q != 0} f(p,q)^2 / (e(p+q) + e(p) + e(q)) .
@@ -229,20 +232,41 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> EPertTilde:
     Pair sum over the K2-ball; p+q resolves through the tables inside the
     ball and through the first-Born closure with closed-form dispersion
     outside (tail policy).  The |p| > K2 continuum tail factors through
-    the reduced pair weight and is included in the value.
+    the reduced pair weight C2 (`c_constant`; pass `c2` to reuse a value
+    already computed) and is included in the value.
+
+    The tables are constant on cubic orbits (checked) and the K2-ball is a
+    union of whole orbits, so the q-sum of row p depends on p's orbit
+    only: its terms are those of any other member, permuted.  One row per
+    orbit is summed exactly, and the rows, each repeated by its orbit
+    size, are summed exactly again: the result is bitwise the full row
+    sum.
     """
     ctx = _PairContext(tables, K2)
+    lat = tables.lattice
+    for name in ("c", "s", "ct", "st", "e"):
+        gap = lat.orbit_spread(getattr(tables, name))
+        if gap > 0.0:
+            raise NotCubicInvariant(
+                f"table {name} varies within a cubic orbit by {gap:.3e}"
+            )
+    # orbits are numbered by first appearance, so the prefix holds 0..n-1
+    n_orbits = int(np.searchsorted(lat.orbit_first, ctx.M2))
+    reps = lat.orbit_first[:n_orbits]
+    sizes = lat.orbit_size[:n_orbits]
 
-    def row(i: int):
+    def row(k: int):
+        i = int(reps[k])
         f, zero, epq = _f_rows(ctx, i)
         denom = epq + ctx.e[i] + ctx.e
         denom[zero] = 1.0
         return (det_sum(f * f / denom),)
 
-    rows = det_rows(row, ctx.M2, 1)
-    ball = -(6.0 / tables.N) * det_sum(rows[:, 0])
+    rows = det_rows(row, n_orbits, 1)
+    ball = -(6.0 / tables.N) * det_sum(np.repeat(rows[:, 0], sizes))
     _, t2x = born2_sum(tables.table, K2)
-    c2 = c_constant(tables).C2
+    if c2 is None:
+        c2 = c_constant(tables).C2
     tail = c2 * (-t2x / (2.0 * tables.N))
     return EPertTilde(value=ball + tail, ball=ball, tail=tail)
 
@@ -260,22 +284,21 @@ def g2_expectation(tables: BogoliubovTables, K2: float) -> G2Expectation:
 
     evaluated over pairs (p, p+r) in the K2-ball (outside it the squeezed
     weight st vanishes under the tail policy, so the pair form is the
-    whole sum).  The second Wick pairing, quartic in the squeezing, is
-    negligible at physical couplings but kept for exactness against the
-    Fock oracle.
+    whole sum).  With q = p+r it is (1/2N) sum_p [w_p (vhat * w)_p +
+    w2_p (vhat * w2)_p], w = c^2 st ct and w2 = c^2 st^2, the
+    convolutions over q != p running on the FFT convolver of the K2
+    sub-ball (`bogoliubov.sub_ball_convolver`; both weights are
+    cubic-invariant) and the p-sums exactly.  The second Wick pairing,
+    quartic in the squeezing, is negligible at physical couplings but kept
+    for exactness against the Fock oracle.
     """
     ctx = _PairContext(tables, K2)
+    convolve, _ = sub_ball_convolver(tables, K2)
     w = ctx.c * ctx.c * ctx.st * ctx.ct
     w2 = ctx.c * ctx.c * ctx.st * ctx.st
-
-    def row(i: int):
-        r = ctx.pts - ctx.pts[i]
-        vr = tables.table.value_at(r)
-        vr[i] = 0.0  # r = 0 excluded
-        return (w[i] * det_sum(vr * w) + w2[i] * det_sum(vr * w2),)
-
-    rows = det_rows(row, ctx.M2, 1)
-    value = det_sum(rows[:, 0]) / (2.0 * tables.N)
+    value = det_sum(
+        [det_sum(w * convolve(w)), det_sum(w2 * convolve(w2))]
+    ) / (2.0 * tables.N)
     lat = tables.lattice
     last_sl = lat.shells[-1][1]
     psq_last = lat.psq[last_sl]
@@ -394,7 +417,7 @@ def assemble_report(
     cc = c_constant(tables)
     ec = e_corr(cc.value, tables)
     g2 = g2_expectation(tables, K2)
-    ept = e_pert_tilde(tables, K2)
+    ept = e_pert_tilde(tables, K2, c2=cc.C2)
     e0 = bogoliubov_ground_energy(tables)
     big_c = constant_C(tables)
     depl = depletion(tables)

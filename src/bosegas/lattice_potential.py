@@ -101,13 +101,21 @@ class LatticeBall:
 
     Ordering is ascending |n|^2 with lexicographic tie-break on n; the set
     is closed under negation and excludes the zero mode.
+
+    The ball is also closed under the 48-element cubic group (coordinate
+    permutations and sign flips).  Two points share an orbit exactly when
+    their sorted |n| components agree; `orbit` numbers the orbits in order
+    of first appearance, so every prefix of whole shells holds exactly the
+    orbits 0..k-1.
     """
 
     cutoff_K: float
     points: np.ndarray          # (M, 3) int64, canonical order
     nsq: np.ndarray             # (M,) int64, |n|^2 per point
-    index: dict = field(repr=False)
     shells: tuple = field(repr=False)   # ((nsq, slice), ...) in shell order
+    orbit: np.ndarray = field(repr=False)        # (M,) cubic-orbit id per point
+    orbit_first: np.ndarray = field(repr=False)  # (n_orbits,) first member
+    orbit_size: np.ndarray = field(repr=False)   # (n_orbits,) member count
     _grid: np.ndarray = field(repr=False)   # dense (2L+1)^3 index lookup
     _L: int = field(repr=False)
 
@@ -142,6 +150,37 @@ class LatticeBall:
         """Index of -p for every p (always valid)."""
         return self.lookup(-self.points)
 
+    def orbit_spread(self, values: np.ndarray) -> float:
+        """Largest |values_p - values_rep(p)| over the ball, rep(p) being
+        the first member of p's cubic orbit; 0 for cubic-invariant input."""
+        values = np.asarray(values)
+        return float(np.max(np.abs(values - values[self.orbit_first[self.orbit]])))
+
+    def orbit_mean(self, values: np.ndarray) -> np.ndarray:
+        """Replace every entry by the mean over its cubic orbit.
+
+        Each orbit's mean is accumulated once, over its members in
+        canonical order, and written to every member, so the result is
+        bitwise constant on orbits.
+        """
+        sums = np.bincount(self.orbit, weights=values, minlength=len(self.orbit_size))
+        return (sums / self.orbit_size)[self.orbit]
+
+
+def _cubic_orbits(pts: np.ndarray, L: int):
+    """Orbit id (numbered by first appearance), first member and size of
+    every cubic orbit of the canonically ordered points."""
+    a = np.sort(np.abs(pts), axis=1)
+    base = L + 1
+    key = (a[:, 0] * base + a[:, 1]) * base + a[:, 2]
+    _, first, inverse, size = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order], size[order]
+
 
 def enumerate_lattice(K: float) -> LatticeBall:
     """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K."""
@@ -160,7 +199,6 @@ def enumerate_lattice(K: float) -> LatticeBall:
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], nsq))
     pts, nsq = pts[order], nsq[order]
 
-    index = {tuple(int(c) for c in p): i for i, p in enumerate(pts)}
     shells = []
     start = 0
     for i in range(1, len(nsq) + 1):
@@ -173,12 +211,15 @@ def enumerate_lattice(K: float) -> LatticeBall:
     dense[(shifted[:, 0] * side + shifted[:, 1]) * side + shifted[:, 2]] = (
         np.arange(len(pts), dtype=np.int64)
     )
+    orbit, orbit_first, orbit_size = _cubic_orbits(pts, L)
     return LatticeBall(
         cutoff_K=float(K),
         points=pts,
         nsq=nsq,
-        index=index,
         shells=tuple(shells),
+        orbit=orbit,
+        orbit_first=orbit_first,
+        orbit_size=orbit_size,
         _grid=dense,
         _L=L,
     )

@@ -20,7 +20,7 @@ def run_tables(cfg: RunConfig, N: int, conv_method: str | None = None):
         conv_method=conv_method,
     )
     t_scatter = (time.perf_counter() - t0) * 1000.0
-    return build_tables(sol, conv_method), t_scatter
+    return build_tables(sol), t_scatter
 
 
 def run_pipeline(cfg: RunConfig, N: int | None = None) -> EnergyReport:

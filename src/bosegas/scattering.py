@@ -20,13 +20,13 @@ contracts with a factor O(N^(beta-1)) in the targeted regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .errors import NonConvergence
+from .errors import NonConvergence, NotCubicInvariant
 from .lattice_potential import (
     TWO_PI,
     LatticeBall,
@@ -62,11 +62,15 @@ class _FFTConvolver:
     """Zero-padded cubic-grid linear convolution with a cached kernel FFT.
 
     The transform covers q = p too; that term, vhat(0) * values_p, is
-    subtracted after the transform.  Every physical input here is even in
-    p (eta, c*s), but the raw transform output is not bitwise even, so it
-    is averaged with its negation (a change below the 1e-12
-    path-agreement budget); every downstream table then inherits exact
-    negation symmetry.
+    subtracted after the transform.  Input must be invariant under the
+    cubic group of the lattice (every physical input is: eta, c*s and the
+    pair-sum weights are functions of |p| and of tables that are), and is
+    checked in O(M); anything else raises NotCubicInvariant.  For such
+    input the exact convolution is cubic-invariant too, but the raw
+    transform output is not bitwise so: it is replaced by its mean over
+    each cubic orbit (a change below the 1e-12 path-agreement budget).
+    The orbits contain -p, so every downstream table inherits exact
+    negation and cubic symmetry, which the orbit-reduced pair sums rely on.
     """
 
     def __init__(self, table: ScaledPotentialTable):
@@ -85,22 +89,31 @@ class _FFTConvolver:
         self._grid_idx = (
             (flat_idx[:, 0] * side + flat_idx[:, 1]) * side + flat_idx[:, 2]
         )
-        self._neg = lat.negation_index()
         self.side = side
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        gap = self.table.lattice.orbit_spread(values)
+        if gap > 0.0:  # NaN passes: a diverging solve reports NonConvergence
+            raise NotCubicInvariant(
+                f"convolution input varies within a cubic orbit by {gap:.3e}"
+            )
         side, L = self.side, self.L
         sig = np.zeros(side * side * side, dtype=float)
         sig[self._grid_idx] = values
         sig = sig.reshape(side, side, side)
         full = irfftn(self.kern_fft * rfftn(sig, s=self.shape), s=self.shape)
         center = full[2 * L : 4 * L + 1, 2 * L : 4 * L + 1, 2 * L : 4 * L + 1]
-        out = np.ascontiguousarray(center.reshape(-1)[self._grid_idx])
-        return 0.5 * (out + out[self._neg]) - self.table.at_zero * values
+        out = center.reshape(-1)[self._grid_idx]
+        return self.table.lattice.orbit_mean(out) - self.table.at_zero * values
 
 
 def make_convolver(table: ScaledPotentialTable, method: str | None = None):
-    """Return a callable computing the potential convolution over q != p."""
+    """Return a callable computing the potential convolution over q != p.
+
+    Without `method`, tables up to DIRECT_CONV_MAX_POINTS points use the
+    exact O(M^2) `conv_direct` and larger ones the O(M log M) FFT path,
+    which accepts cubic-invariant input only (see `_FFTConvolver`).
+    """
     if method is None:
         method = "direct" if len(table.lattice) <= DIRECT_CONV_MAX_POINTS else "fft"
     if method == "direct":
@@ -116,6 +129,8 @@ class ScatteringSolution:
 
     The zero mode is fixed to eta_0 = 0 by convention; beyond the cutoff
     the first Born term serves as the tail rule (see `eta_tail`).
+    `convolve` is the solver's convolver on `table`, kept so the table
+    build reuses it instead of setting up another.
     """
 
     table: ScaledPotentialTable
@@ -125,6 +140,7 @@ class ScatteringSolution:
     tol: float
     iterations: int
     residual_norm: float
+    convolve: Callable = field(repr=False, compare=False)
     tail_rule: str = "first Born: -vhat(p/N^beta)/(2 p^2)"
 
     @property
@@ -176,6 +192,7 @@ def solve_eta(
                 tol=tol,
                 iterations=it,
                 residual_norm=best_res,
+                convolve=convolve,
             )
         if res > prev_res:
             # residual oscillation: marginal contraction, damp the step
@@ -185,7 +202,7 @@ def solve_eta(
     if best_res <= tol:
         return ScatteringSolution(
             table=table, eta=best_eta, N=int(N), beta=float(beta), tol=tol,
-            iterations=max_iter, residual_norm=best_res,
+            iterations=max_iter, residual_norm=best_res, convolve=convolve,
         )
     raise NonConvergence(max_iter, best_res)
 

@@ -69,6 +69,15 @@ def run_verify(cfg: RunConfig) -> list[Check]:
         for arr in (tables.s, tables.c, tables.F, tables.G, tables.tau, tables.e)
     )
     checks.append(Check("tables_negation_symmetric", tbl_gap == 0.0, tbl_gap))
+    orbit_gap = max(
+        lat.orbit_spread(arr)
+        for arr in (sol.eta, tables.s, tables.c, tables.cs_conv, tables.F,
+                    tables.G, tables.tau, tables.st, tables.ct, tables.e)
+    )
+    checks.append(
+        Check("tables_cubic_symmetric", orbit_gap == 0.0, orbit_gap,
+              "orbit-reduced e_pert_tilde relies on it")
+    )
 
     hyp = float(np.max(np.abs(tables.c**2 - tables.s**2 - 1.0)))
     hyp_t = float(np.max(np.abs(tables.ct**2 - tables.st**2 - 1.0)))

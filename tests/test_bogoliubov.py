@@ -114,7 +114,7 @@ class TestCoefficients:
         psq = lat.psq
         eta = tb.sol.eta
         c2s2 = tb.c**2 + tb.s**2
-        conv_eta = cs_convolution(eta, np.ones_like(eta), tb.table)
+        conv_eta = cs_convolution(eta, np.ones_like(eta), tb.sol.convolve)
         main = 2.0 * psq * eta + tb.table.values + conv_eta / tb.N
         g_rem = (
             2.0 * psq * sc_minus_eta(eta)
@@ -257,6 +257,36 @@ class TestE01:
         expected_ball = -acc1 / (2 * tb.N) + acc2 / tb.N
         res = e01(tb, K2)
         assert res.ball == pytest.approx(expected_ball, rel=1e-12)
+
+    @pytest.mark.parametrize("fixture, k2_units", [
+        ("tables_small", 3.0),
+        ("tables_small", math.sqrt(17.0)),
+        ("tables_first_shell", 3.0),
+    ])
+    def test_convolution_matches_row_loop(self, request, fixture, k2_units):
+        # the row loop e01 ran before its q-sums became convolutions; a
+        # few ulps of FFT rounding apart, relative to the sum
+        tb = request.getfixturevalue(fixture)
+        K2 = TWO_PI * k2_units
+        lat = tb.lattice
+        M2 = ball_prefix(lat, K2)
+        pts = lat.points[:M2]
+        psq = lat.psq[:M2]
+        v = tb.table.values[:M2]
+        scm = sc_minus_eta(tb.sol.eta[:M2])
+        sc = (tb.s * tb.c)[:M2]
+        S = np.sqrt(psq * (psq + 2.0 * v))
+        w2 = v * v / (S * (psq + S))
+        bracket = sc + v / psq
+        rows1, rows2 = [], []
+        for i in range(M2):
+            kern = tb.table.value_at(pts[i] - pts)
+            kern[i] = 0.0
+            rows1.append(scm[i] * det_sum(kern * bracket))
+            rows2.append(w2[i] * det_sum(kern * sc))
+        expected = det_sum([-det_sum(rows1) / (2.0 * tb.N), det_sum(rows2) / tb.N])
+        got = e01(tb, K2).ball
+        assert abs(got - expected) <= 1e-13 * abs(expected)
 
     def test_certificate(self, tables_small):
         res = e01(tables_small, TWO_PI * 3)

@@ -49,6 +49,38 @@ class TestConfigValidation:
         with pytest.raises(RejectedConfig):
             parse_config(dict(BASE, cutoff_K2_over_2pi=5))
 
+    @pytest.mark.parametrize("k2", [{"cutoff_K2_over_2pi": 0.5}, {"cutoff_K2": -3}])
+    def test_k2_below_first_shell_exits_2(self, tmp_path, k2):
+        doc = {k: v for k, v in BASE.items() if k != "cutoff_K2_over_2pi"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(doc, **k2)))
+        assert main(["energy", "--config", str(path)]) == 2
+
+    def test_non_numeric_tol_exits_2(self, tmp_path):
+        path = write_config(tmp_path, scattering={"tol": "abc"})
+        assert main(["energy", "--config", path]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"beta": "abc"},
+        {"kappa": None},
+        {"kappa": float("nan")},
+        {"R": [0.25]},
+        {"cutoff_K_over_2pi": "x"},
+        {"cutoff_K2_over_2pi": {}},
+        {"scattering": {"max_iter": "many"}},
+        {"oracle": {"n_max": ["five"]}},
+        {"oracle": {"n_max": []}},
+        {"oracle": {"N": "x"}},
+        {"oracle": {"rel_tol_g2": "x"}},
+        {"oracle": {"modes": {"nsq_max": "x"}}},
+        {"oracle": {"modes": {"vectors": [[1, "a", 0]]}}},
+        {"threads": "x"},
+        {"out": 5},
+    ])
+    def test_malformed_numeric_field_rejected(self, override):
+        with pytest.raises(RejectedConfig):
+            parse_config(dict(BASE, **override))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(RejectedConfig):
             parse_config(dict(BASE, junk=1))

@@ -5,6 +5,8 @@ import pytest
 
 from bosegas.bogoliubov import ball_prefix, build_tables
 from bosegas.corrections import (
+    _f_rows,
+    _PairContext,
     assemble_report,
     c1_resolvent_summand,
     c_constant,
@@ -15,15 +17,49 @@ from bosegas.corrections import (
     g2_expectation,
     pair_weight,
 )
-from bosegas.errors import InconsistentLattice, ZeroMomentumArgument
+from bosegas.errors import InconsistentLattice, NotCubicInvariant, ZeroMomentumArgument
 from bosegas.lattice_potential import TWO_PI, Potential, born2_sum, enumerate_lattice
 from bosegas.scattering import eta_tail, solve_eta
+from bosegas.sums import det_sum
+
+# convolution pair sums against their explicit row loops: a few ulps of
+# FFT rounding, relative to the sum
+CONV_RTOL = 1e-13
 
 
 @pytest.fixture(scope="module")
 def zero_tables(lat3):
     sol = solve_eta(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
     return build_tables(sol)
+
+
+@pytest.fixture(scope="module")
+def tables_fft(pot_coupled, lat6):
+    # the FFT convolver on a small ball: orbit-averaged tables
+    return build_tables(solve_eta(pot_coupled, lat6, 500, 0.75, conv_method="fft"))
+
+
+# (tables fixture, K2 in units of 2 pi): sqrt(17) > 6/2 lets p + q leave
+# the ball and ends on a shell of two cubic orbits, (4,1,0) and (3,2,2);
+# the first-shell tables run at K2 = K = 3, again two orbits in the last
+# shell, (3,0,0) and (2,2,1)
+PAIR_CASES = [
+    ("tables_small", math.sqrt(17.0)),
+    ("tables_fft", math.sqrt(17.0)),
+    ("tables_first_shell", 3.0),
+]
+
+
+def e_pert_tilde_row_loop(tb, K2):
+    """Reference: the ball part of e_pert_tilde with one row per point."""
+    ctx = _PairContext(tb, K2)
+    rows = []
+    for i in range(ctx.M2):
+        f, zero, epq = _f_rows(ctx, i)
+        denom = epq + ctx.e[i] + ctx.e
+        denom[zero] = 1.0
+        rows.append(det_sum(f * f / denom))
+    return -(6.0 / tb.N) * det_sum(rows)
 
 
 class TestVertex:
@@ -69,9 +105,9 @@ class TestVertex:
 
         tb = tables_small
         lat = tb.lattice
-        i = lat.index[(1, 0, 0)]
-        j = lat.index[(0, 1, 0)]
-        k = lat.index[(1, 1, 0)]
+        i = int(lat.lookup((1, 0, 0)))
+        j = int(lat.lookup((0, 1, 0)))
+        k = int(lat.lookup((1, 1, 0)))
         v, c, s = tb.table.values, tb.c, tb.s
         one, zero = 1.0, 0.0
         got = symmetrized_vertex(
@@ -122,6 +158,20 @@ class TestEPertTilde:
         res = e_pert_tilde(tb, K2)
         assert res.ball == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("fixture, k2_units", PAIR_CASES)
+    def test_orbit_rows_equal_full_row_loop(self, request, fixture, k2_units):
+        tb = request.getfixturevalue(fixture)
+        K2 = TWO_PI * k2_units
+        assert e_pert_tilde(tb, K2).ball == e_pert_tilde_row_loop(tb, K2)
+
+    def test_tables_not_cubic_invariant_rejected(self, tables_small):
+        from dataclasses import replace
+
+        e = tables_small.e.copy()
+        e[int(tables_small.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-15
+        with pytest.raises(NotCubicInvariant):
+            e_pert_tilde(replace(tables_small, e=e), TWO_PI * 2)
+
     def test_out_of_ball_policy_uses_born_closure(self, tables_first_shell):
         # p + q outside the ball: hyperbolics from the tail rule, squeezing
         # absent; verified through the scalar vertex path
@@ -133,7 +183,7 @@ class TestEPertTilde:
         from bosegas.corrections import symmetrized_vertex
 
         lat = tb.lattice
-        i, j = lat.index[(1, 0, 0)], lat.index[(0, 1, 0)]
+        i, j = lat.lookup([[1, 0, 0], [0, 1, 0]])
         s = p + q
         psq = TWO_PI**2 * 2.0
         vs = float(tb.table.value_at(s[None, :])[0])
@@ -171,6 +221,24 @@ class TestG2Expectation:
         got = g2_expectation(tb, K2)
         assert got.value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("fixture, k2_units", PAIR_CASES)
+    def test_convolution_matches_row_loop(self, request, fixture, k2_units):
+        tb = request.getfixturevalue(fixture)
+        K2 = TWO_PI * k2_units
+        M2 = ball_prefix(tb.lattice, K2)
+        pts = tb.lattice.points[:M2]
+        c, st, ct = tb.c[:M2], tb.st[:M2], tb.ct[:M2]
+        w = c * c * st * ct
+        w2 = c * c * st * st
+        rows = []
+        for i in range(M2):
+            vr = tb.table.value_at(pts - pts[i])
+            vr[i] = 0.0
+            rows.append(w[i] * det_sum(vr * w) + w2[i] * det_sum(vr * w2))
+        expected = det_sum(rows) / (2.0 * tb.N)
+        got = g2_expectation(tb, K2).value
+        assert abs(got - expected) <= CONV_RTOL * abs(expected)
+
     def test_n_scaling_certificate(self, pot_coupled, lat3):
         vals = []
         for N in (10**3, 10**5):
@@ -203,9 +271,9 @@ class TestCConstants:
         K2 = lat.cutoff_K
         w = np.sqrt(pair_weight(tb)) / 2.0
         big = (5, 3, 1)  # |n|^2 = 35, well separated from the first shell
-        ib = lat.index[big]
+        ib = int(lat.lookup(big))
         for q in ((1, 0, 0), (0, 1, 0), (0, 0, -1)):
-            iq = lat.index[q]
+            iq = int(lat.lookup(q))
             s = np.array(big) + np.array(q)
             vs = float(tb.table.value_at(s[None, :])[0])
             f = f_pq(tb, K2, big, q)

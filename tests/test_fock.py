@@ -319,7 +319,7 @@ class TestRestrictedPhysical:
         rt = restrict_tables(tables_small, modes)
         lat = tables_small.lattice
         for m, vec in enumerate(modes.vectors):
-            i = lat.index[tuple(vec)]
+            i = int(lat.lookup(vec))
             assert rt.eta[m] == tables_small.sol.eta[i]
             assert rt.F[m] == tables_small.F[i]
             assert rt.st[m] == tables_small.st[i]

@@ -118,7 +118,7 @@ class TestScaledTable:
 
     def test_large_N_limit(self, pot_ref, lat3):
         t = scaled_table(pot_ref, lat3, 10**8, 0.9)
-        i = lat3.index[(1, 0, 0)]
+        i = int(lat3.lookup((1, 0, 0)))
         assert abs(t.values[i] - t.at_zero) <= 1e-6 * t.at_zero
 
     def test_zero_coupling(self, lat3):
@@ -127,7 +127,7 @@ class TestScaledTable:
 
     def test_scaling_path(self, pot_ref, lat3):
         t = scaled_table(pot_ref, lat3, 1000, 0.5)
-        i = lat3.index[(1, 0, 0)]
+        i = int(lat3.lookup((1, 0, 0)))
         direct = float(pot_ref.vhat_radial(TWO_PI / math.sqrt(1000)))
         assert t.values[i] == direct
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosegas.errors import NonConvergence
+from bosegas.errors import NonConvergence, NotCubicInvariant
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice, scaled_table
 from bosegas.scattering import (
     _defect,
@@ -89,14 +89,26 @@ class TestConvolution:
         lat = enumerate_lattice(TWO_PI * 5)
         table = scaled_table(pot_coupled, lat, 1000, 0.75)
         rng = np.random.default_rng(11)
-        vals = rng.normal(size=len(lat))
-        vals = 0.5 * (vals + vals[lat.negation_index()])  # inputs are even
+        vals = lat.orbit_mean(rng.normal(size=len(lat)))  # cubic-invariant
         a = conv_direct(table, vals)
         b = _FFTConvolver(table)(vals)
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
-        # the fast path is exactly even, like the direct path
+        # the fast path is exactly cubic-invariant (so even), like the
+        # direct path
+        assert lat.orbit_spread(a) == 0.0
+        assert lat.orbit_spread(b) == 0.0
         assert np.all(b == b[lat.negation_index()])
+
+    def test_fft_refuses_input_that_is_not_cubic_invariant(self, pot_coupled):
+        lat = enumerate_lattice(TWO_PI * 3)
+        conv = _FFTConvolver(scaled_table(pot_coupled, lat, 1000, 0.75))
+        vals = np.ones(len(lat))
+        conv(vals)
+        # even, but not invariant under coordinate permutations
+        vals[lat.lookup(np.array([[1, 0, 0], [-1, 0, 0]]))] = 2.0
+        with pytest.raises(NotCubicInvariant):
+            conv(vals)
 
     def test_solver_paths_agree(self, pot_coupled, lat3):
         s1 = solve_eta(pot_coupled, lat3, 400, 0.7, conv_method="direct")
