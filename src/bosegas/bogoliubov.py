@@ -315,9 +315,10 @@ class E01Result:
 def sub_ball_convolver(tables: BogoliubovTables, K2: float):
     """FFT convolver over q != p on the K2 sub-ball of the tables' lattice.
 
-    Returns (convolve, M2).  The sub-ball is enumerated afresh, so its FFT
-    grid fits K2 rather than the full cutoff; its points are the K2 prefix
-    of the tables' lattice in the same order (checked).  The FFT path is
+    The sub-ball is enumerated afresh, so its FFT grid fits K2 rather than
+    the full cutoff; its points are the K2 prefix of the tables' lattice
+    in the same order (checked).  One convolver serves every K2 pair sum
+    of a report (`e01`, `corrections.g2_expectation`).  The FFT path is
     forced: the direct path costs as much as the pair loop it replaces.
     Input must be cubic-invariant (see `scattering._FFTConvolver`).
     """
@@ -330,10 +331,10 @@ def sub_ball_convolver(tables: BogoliubovTables, K2: float):
             f"(cutoff {lat.cutoff_K})"
         )
     t = tables.table
-    return make_convolver(scaled_table(t.pot, sub, t.N, t.beta), "fft"), M2
+    return make_convolver(scaled_table(t.pot, sub, t.N, t.beta), "fft")
 
 
-def e01(tables: BogoliubovTables, K2: float) -> E01Result:
+def e01(tables: BogoliubovTables, K2: float, convolve=None) -> E01Result:
     """Order-N^(beta-1) vacuum-energy term.
 
     Two double sums over the K2-ball with the p = q diagonal excluded:
@@ -342,10 +343,10 @@ def e01(tables: BogoliubovTables, K2: float) -> E01Result:
       +(1/N)  sum_{p!=q} vhat_p^2 vhat(p-q) s_q c_q / (S_p (p^2 + S_p)) .
 
     Each q-sum is a convolution over q != p, evaluated for all p at once
-    on the FFT convolver of the K2 sub-ball (`sub_ball_convolver`); the
-    p-sums are exact.  Both convolved weights are cubic-invariant, as the
-    tables are.  The result agrees with the explicit pair loop to a few
-    ulps relative.
+    on the FFT convolver of the K2 sub-ball (`sub_ball_convolver`; pass
+    `convolve` to reuse one already built); the p-sums are exact.  Both
+    convolved weights are cubic-invariant, as the tables are.  The result
+    agrees with the explicit pair loop to a few ulps relative.
 
     The q-sums grow like N^beta through momenta beyond any practical ball;
     their continuum tails factor against the p-sums (Born closure for
@@ -355,7 +356,9 @@ def e01(tables: BogoliubovTables, K2: float) -> E01Result:
     lat = tables.lattice
     t = tables.table
     N = tables.N
-    convolve, M2 = sub_ball_convolver(tables, K2)
+    M2 = ball_prefix(lat, K2)
+    if convolve is None:
+        convolve = sub_ball_convolver(tables, K2)
     psq = lat.psq[:M2]
     v = t.values[:M2]
     scm = sc_minus_eta(tables.sol.eta[:M2])

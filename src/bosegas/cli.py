@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 runtime or invariant failure, 2 invalid
 configuration.
+
+`energy` and `scan` import numpy only; `verify` and `oracle` import their
+modules, and with them scipy.sparse, when they run.
 """
 
 from __future__ import annotations
@@ -10,13 +13,10 @@ import argparse
 import sys
 import time
 
-from . import sums
 from .config import RunConfig, load_config
 from .errors import BosegasError, RejectedConfig
-from .oracle import modes_from_config, run_oracle
 from .pipeline import run_pipeline, run_tables
 from .reporting import csv_header, fmt, render_csv_row, report_to_json
-from .verify import run_verify
 
 
 def _write(text: str, path: str | None) -> None:
@@ -52,6 +52,8 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: str | None) -> int:
+    from .verify import run_verify
+
     checks = run_verify(cfg)
     width = max(len(c.name) for c in checks)
     lines = []
@@ -66,6 +68,8 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, out: str | None) -> int:
+    from .oracle import modes_from_config, run_oracle
+
     oracle_cfg = cfg.oracle
     n_run = oracle_cfg.N if oracle_cfg.N is not None else cfg.N
     tables, _ = run_tables(cfg, n_run)
@@ -96,9 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="bosegas",
         description="Torus Bose-gas energy expansion with brute-force oracles",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: all cores; results do "
-                        "not depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("energy", "one energy report (JSON)"),
@@ -109,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -121,7 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    sums.set_thread_count(args.threads if args.threads else cfg.threads)
     handler = {
         "energy": cmd_energy,
         "scan": cmd_scan,

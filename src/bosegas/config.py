@@ -16,7 +16,6 @@ Keys (defaults in parentheses):
                      "n_max": [5, 7, 9], "N": optional override,
                      "rel_tol_pert": 1e-5, "rel_tol_g2": 1e-6}
   out               output path for reports (stdout if absent)
-  threads           worker count (all cores); BOSEGAS_THREADS overrides
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class RunConfig:
     max_iter: int = 200
     oracle: OracleConfig = field(default_factory=OracleConfig)
     out: str | None = None
-    threads: int | None = None
     warnings: tuple = ()
     config_hash: str = ""
 
@@ -109,7 +107,6 @@ def parse_config(raw: dict) -> RunConfig:
     unknown = set(raw) - {
         "N", "beta", "kappa", "R", "cutoff_K", "cutoff_K_over_2pi",
         "cutoff_K2", "cutoff_K2_over_2pi", "scattering", "oracle", "out",
-        "threads",
     }
     if unknown:
         raise RejectedConfig(f"unknown keys: {sorted(unknown)}")
@@ -195,7 +192,6 @@ def parse_config(raw: dict) -> RunConfig:
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise RejectedConfig(f"out must be a path, got {out!r}")
-    threads = raw.get("threads")
     return RunConfig(
         N_values=n_values,
         beta=beta,
@@ -207,7 +203,6 @@ def parse_config(raw: dict) -> RunConfig:
         max_iter=max_iter,
         oracle=oracle,
         out=out,
-        threads=_integer(threads, "threads") if threads is not None else None,
         warnings=tuple(warnings),
         config_hash=digest,
     )

@@ -276,7 +276,9 @@ class G2Expectation(NamedTuple):
     tail_estimate: float
 
 
-def g2_expectation(tables: BogoliubovTables, K2: float) -> G2Expectation:
+def g2_expectation(
+    tables: BogoliubovTables, K2: float, convolve=None
+) -> G2Expectation:
     """Quartic-channel vacuum expectation:
 
         (1/2N) sum_{p, r, p+r != 0} vhat_r c_{p+r}^2 c_p^2 st_{p+r} st_p
@@ -287,13 +289,14 @@ def g2_expectation(tables: BogoliubovTables, K2: float) -> G2Expectation:
     whole sum).  With q = p+r it is (1/2N) sum_p [w_p (vhat * w)_p +
     w2_p (vhat * w2)_p], w = c^2 st ct and w2 = c^2 st^2, the
     convolutions over q != p running on the FFT convolver of the K2
-    sub-ball (`bogoliubov.sub_ball_convolver`; both weights are
-    cubic-invariant) and the p-sums exactly.  The second Wick pairing,
-    quartic in the squeezing, is negligible at physical couplings but kept
-    for exactness against the Fock oracle.
+    sub-ball (`bogoliubov.sub_ball_convolver`, or `convolve` if passed;
+    both weights are cubic-invariant) and the p-sums exactly.  The second
+    Wick pairing, quartic in the squeezing, is negligible at physical
+    couplings but kept for exactness against the Fock oracle.
     """
     ctx = _PairContext(tables, K2)
-    convolve, _ = sub_ball_convolver(tables, K2)
+    if convolve is None:
+        convolve = sub_ball_convolver(tables, K2)
     w = ctx.c * ctx.c * ctx.st * ctx.ct
     w2 = ctx.c * ctx.c * ctx.st * ctx.st
     value = det_sum(
@@ -413,10 +416,11 @@ def assemble_report(
         tables.table.values * sol.eta
     )
     e00_res = e00(tables.table.at_zero, lat)
-    e01_res = e01(tables, K2)
+    sub_conv = sub_ball_convolver(tables, K2)
+    e01_res = e01(tables, K2, convolve=sub_conv)
     cc = c_constant(tables)
     ec = e_corr(cc.value, tables)
-    g2 = g2_expectation(tables, K2)
+    g2 = g2_expectation(tables, K2, convolve=sub_conv)
     ept = e_pert_tilde(tables, K2, c2=cc.C2)
     e0 = bogoliubov_ground_energy(tables)
     big_c = constant_C(tables)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import NonConvergence, NotCubicInvariant
 from .lattice_potential import (
@@ -37,8 +36,9 @@ from .lattice_potential import (
 )
 from .sums import det_sum
 
-# Direct O(M^2) convolution below this point count, zero-padded cubic-grid
-# fast convolution above; the two paths agree to 1e-12 (tested).
+# Direct O(M^2) convolution below this point count, periodic FFT
+# convolution on a 4L+1-period grid above; the two paths agree to 1e-12
+# (tested).
 DIRECT_CONV_MAX_POINTS = 5000
 
 DEFAULT_TOL = 1e-11
@@ -58,8 +58,29 @@ def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _next_five_smooth(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
+    while True:
+        m = n
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
+
+
+_AXES = (0, 1, 2)
+
+
 class _FFTConvolver:
-    """Zero-padded cubic-grid linear convolution with a cached kernel FFT.
+    """Periodic FFT convolution with a cached kernel transform.
+
+    The ball lies in [-L, L]^3, so p - q only spans [-2L, 2L] per axis.
+    On a periodic grid of period P >= 4L+1 those offsets are distinct mod
+    P, so a kernel stored wrapped (offset d at index d mod P) gives the
+    exact linear convolution on the [0, 2L]^3 output window: no wrapped
+    term can reach it.  P is the smallest 5-smooth integer >= 4L+1.
 
     The transform covers q = p too; that term, vhat(0) * values_p, is
     subtracted after the transform.  Input must be invariant under the
@@ -76,20 +97,20 @@ class _FFTConvolver:
     def __init__(self, table: ScaledPotentialTable):
         self.table = table
         lat = table.lattice
-        self.L = L = lat._L
-        side = 2 * L + 1
-        kside = 4 * L + 1
-        ax = np.arange(-2 * L, 2 * L + 1, dtype=np.int64)
+        L = lat._L
+        self.side = side = 2 * L + 1
+        P = _next_five_smooth(4 * L + 1)
+        self.shape = (P, P, P)
+        # |d| for the offset stored at each index; indices between 2L and
+        # P - 2L hold offsets beyond 2L, which never reach the window
+        ax = np.minimum(np.arange(P), P - np.arange(P))
         d2 = (ax**2)[:, None, None] + (ax**2)[None, :, None] + (ax**2)[None, None, :]
         rho = TWO_PI * np.sqrt(d2.astype(float)) / table.N**table.beta
-        kern = table.pot.vhat_radial(rho)
-        self.shape = tuple(next_fast_len(kside + side - 1) for _ in range(3))
-        self.kern_fft = rfftn(kern, s=self.shape)
+        self.kern_fft = np.fft.rfftn(table.pot.vhat_radial(rho), axes=_AXES)
         flat_idx = lat.points + L
         self._grid_idx = (
             (flat_idx[:, 0] * side + flat_idx[:, 1]) * side + flat_idx[:, 2]
         )
-        self.side = side
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         gap = self.table.lattice.orbit_spread(values)
@@ -97,13 +118,12 @@ class _FFTConvolver:
             raise NotCubicInvariant(
                 f"convolution input varies within a cubic orbit by {gap:.3e}"
             )
-        side, L = self.side, self.L
+        side = self.side
         sig = np.zeros(side * side * side, dtype=float)
         sig[self._grid_idx] = values
-        sig = sig.reshape(side, side, side)
-        full = irfftn(self.kern_fft * rfftn(sig, s=self.shape), s=self.shape)
-        center = full[2 * L : 4 * L + 1, 2 * L : 4 * L + 1, 2 * L : 4 * L + 1]
-        out = center.reshape(-1)[self._grid_idx]
+        sig_fft = np.fft.rfftn(sig.reshape(side, side, side), s=self.shape, axes=_AXES)
+        full = np.fft.irfftn(self.kern_fft * sig_fft, s=self.shape, axes=_AXES)
+        out = full[:side, :side, :side].reshape(-1)[self._grid_idx]
         return self.table.lattice.orbit_mean(out) - self.table.at_zero * values
 
 

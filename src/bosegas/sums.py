@@ -4,38 +4,15 @@ Every scalar assembled from lattice contributions goes through `det_sum`,
 which accumulates with exact compensated summation (Shewchuk partials, a
 Kahan-style scheme with zero rounding error in the final result).  Combined
 with the canonical shell-then-lexicographic point order this makes every
-reported number independent of chunking and thread count, bit for bit.
+reported number independent of chunking, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
-
-_THREADS_ENV = "BOSEGAS_THREADS"
-_thread_count: int | None = None
-
-
-def set_thread_count(n: int | None) -> None:
-    """Pin the worker count for sharded loops; None restores the default."""
-    global _thread_count
-    _thread_count = None if n is None else max(1, int(n))
-
-
-def thread_count() -> int:
-    env = os.environ.get(_THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    if _thread_count is not None:
-        return _thread_count
-    return os.cpu_count() or 1
 
 
 def det_sum(values: Iterable[float]) -> float:
@@ -46,25 +23,10 @@ def det_sum(values: Iterable[float]) -> float:
 
 
 def det_rows(func: Callable[[int], tuple], n: int, width: int) -> np.ndarray:
-    """Evaluate func(i) -> width floats for i in range(n), sharded over
-    threads into a preallocated (n, width) array.
-
-    Rows are independent, so the result does not depend on scheduling;
-    reduce the columns with det_sum afterwards for a fully deterministic
-    double sum.
-    """
+    """Evaluate func(i) -> width floats for i in range(n) into an (n, width)
+    array; reduce the columns with det_sum afterwards for a fully
+    deterministic double sum."""
     out = np.empty((n, width), dtype=float)
-    workers = min(thread_count(), max(1, n))
-    if workers <= 1 or n < 4:
-        for i in range(n):
-            out[i] = func(i)
-        return out
-
-    def run(chunk: range) -> None:
-        for i in chunk:
-            out[i] = func(i)
-
-    chunks = [range(k, n, workers) for k in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, chunks))
+    for i in range(n):
+        out[i] = func(i)
     return out

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bosegas
 from bosegas.cli import main
 from bosegas.config import parse_config
 from bosegas.errors import RejectedConfig
@@ -84,6 +88,9 @@ class TestConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(RejectedConfig):
             parse_config(dict(BASE, junk=1))
+        # the worker-count key went with the thread pool
+        with pytest.raises(RejectedConfig):
+            parse_config(dict(BASE, threads=2))
 
     def test_missing_file(self):
         assert main(["energy", "--config", "/nonexistent/cfg.json"]) == 2
@@ -164,29 +171,6 @@ class TestScan:
 
         assert physics(out1.read_text()) == physics(out2.read_text())
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        out1 = tmp_path / "t1.csv"
-        out2 = tmp_path / "t4.csv"
-        p1 = write_config(tmp_path, "t1.json", N=[300, 500], out=str(out1))
-        p2 = write_config(tmp_path, "t4.json", N=[300, 500], out=str(out2))
-        assert main(["scan", "--config", p1, "--threads", "1"]) == 0
-        assert main(["scan", "--config", p2, "--threads", "4"]) == 0
-        strip = lambda text: [l.split(",")[:18] for l in text.splitlines()[2:]]
-        assert strip(out1.read_text()) == strip(out2.read_text())
-
-
-class TestThreads:
-    def test_env_var_takes_precedence(self, monkeypatch):
-        from bosegas import sums
-
-        monkeypatch.setenv("BOSEGAS_THREADS", "2")
-        sums.set_thread_count(8)
-        assert sums.thread_count() == 2
-        monkeypatch.delenv("BOSEGAS_THREADS")
-        assert sums.thread_count() == 8
-        sums.set_thread_count(None)
-        assert sums.thread_count() >= 1
-
 
 class TestWarnings:
     def test_out_of_window_beta_warns_on_stderr(self, tmp_path, capsys):
@@ -239,3 +223,37 @@ class TestOracle:
         names = [l.split(",")[0] for l in lines[2:]]
         assert names == ["E0", "e_pert_tilde", "g2_expect", "depletion"]
         assert "relgap_n5" in lines[1]
+
+
+class TestImports:
+    """energy/scan import numpy only; scipy loads with oracle and verify."""
+
+    @staticmethod
+    def run_child(tmp_path, command, **overrides):
+        path = write_config(tmp_path, out=str(tmp_path / "out.txt"), **overrides)
+        code = (
+            "import json, sys\n"
+            "from bosegas.cli import main\n"
+            f"rc = main([{command!r}, '--config', {path!r}])\n"
+            "print(json.dumps([rc, 'scipy' in sys.modules]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(bosegas.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        return json.loads(res.stdout.splitlines()[-1])
+
+    def test_energy_loads_no_scipy(self, tmp_path):
+        rc, scipy_loaded = self.run_child(tmp_path, "energy")
+        assert rc == 0
+        assert not scipy_loaded
+
+    def test_oracle_still_runs(self, tmp_path):
+        rc, scipy_loaded = self.run_child(
+            tmp_path, "oracle", oracle={"modes": {"nsq_max": 1}, "n_max": [3]}
+        )
+        assert rc == 0
+        assert scipy_loaded

@@ -7,8 +7,10 @@ from bosegas.errors import BetaOutOfRange, CutoffTooSmall
 from bosegas.lattice_potential import (
     TWO_PI,
     Potential,
+    _shape_factor,
     born2_sum,
     enumerate_lattice,
+    quartic_shape_tail,
     scaled_table,
     vhat,
     vhat_oracle,
@@ -169,6 +171,16 @@ class TestBorn2Sum:
         t = scaled_table(Potential(kappa=0.0, R=0.25), lat3, 100, 0.75)
         ball, tail = born2_sum(t)
         assert ball == 0.0 and tail == 0.0
+
+    # 0.0314 is R*K/N^beta at the reference point (K = 40 pi, N = 1e4)
+    @pytest.mark.parametrize("x", [1e-4, 0.0314, 0.5, 3.0, 30.0])
+    def test_tail_rule_matches_adaptive_quadrature(self, x):
+        from scipy.integrate import quad
+
+        upper = max(200.0, 2.0 * x)
+        ref, _ = quad(lambda w: _shape_factor(w) ** 4, x, upper,
+                      epsabs=0.0, epsrel=1e-13, limit=2000)
+        assert abs(quartic_shape_tail(x) - ref) <= 1e-12 * ref
 
 
 def test_det_sum_matches_fsum():

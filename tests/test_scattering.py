@@ -8,6 +8,7 @@ from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice, scal
 from bosegas.scattering import (
     _defect,
     _FFTConvolver,
+    _next_five_smooth,
     conv_direct,
     dense_solve_eta,
     eta_tail,
@@ -99,6 +100,31 @@ class TestConvolution:
         assert lat.orbit_spread(a) == 0.0
         assert lat.orbit_spread(b) == 0.0
         assert np.all(b == b[lat.negation_index()])
+
+    # the period is 4L+1 itself at L = 2 and 6, so offsets of +-2L along an
+    # axis sit next to each other on the periodic grid; at L = 10, 4L+1 = 41
+    # is prime and the period rounds up to 45
+    @pytest.mark.parametrize("L, period", [(2, 9), (6, 25), (10, 45)])
+    def test_minimal_period_matches_direct(self, pot_coupled, L, period):
+        lat = enumerate_lattice(TWO_PI * L)
+        table = scaled_table(pot_coupled, lat, 1000, 0.75)
+        conv = _FFTConvolver(table)
+        assert conv.shape == (period,) * 3
+        rng = np.random.default_rng(L)
+        vals = lat.orbit_mean(rng.normal(size=len(lat)))
+        a = conv_direct(table, vals)
+        assert np.max(np.abs(a - conv(vals))) <= 1e-12 * np.max(np.abs(a))
+
+    def test_five_smooth_period_brute_force(self):
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        for n in range(1, 501):
+            expected = next(m for m in range(n, 2 * n + 1) if smooth(m))
+            assert _next_five_smooth(n) == expected
 
     def test_fft_refuses_input_that_is_not_cubic_invariant(self, pot_coupled):
         lat = enumerate_lattice(TWO_PI * 3)
