@@ -16,6 +16,7 @@ from .errors import (
     InconsistentLattice,
     LinearSolveNonConvergence,
     NonConvergence,
+    NonFiniteSum,
     NotCubicInvariant,
     RejectedConfig,
     ZeroMomentumArgument,

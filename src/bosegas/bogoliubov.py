@@ -84,7 +84,7 @@ def tau_table(
     Computed as tau = (1/4) [log1p(-G/F) - log1p(G/F)].
     """
     g = G / F
-    bad = np.abs(g) >= 1.0
+    bad = ~(np.abs(g) < 1.0)  # NaN too: F and G have left the float range
     if np.any(bad):
         i = int(np.argmax(np.abs(g)))
         raise DiagonalizationFailure(
@@ -112,7 +112,11 @@ def dispersion_closed_form(table: ScaledPotentialTable, triples: np.ndarray):
 
 @dataclass(frozen=True)
 class BogoliubovTables:
-    """All per-momentum tables plus run parameters and certificates."""
+    """All per-momentum tables of one solution, aligned with its lattice.
+
+    Every table is bitwise constant on cubic orbits, as the convolver's
+    output is (`scattering._FFTConvolver`).
+    """
 
     sol: ScatteringSolution
     s: np.ndarray
@@ -141,26 +145,6 @@ class BogoliubovTables:
     @property
     def beta(self) -> float:
         return self.sol.beta
-
-    def certificates(self) -> dict:
-        """Per-run constants behind the pointwise decay claims."""
-        lat = self.lattice
-        psq = lat.psq
-        c_eta = float(np.max(np.abs(psq * self.sol.eta)))
-        # beyond the ball c s tracks the Born closure, so the truncated
-        # part of the convolution is bounded by the second-Born tail
-        _, born_tail = born2_sum(self.table)
-        return {
-            "max_abs_psq_eta": c_eta,
-            "s_bound_const": float(np.sinh(c_eta)),
-            "max_abs_G_psq": float(np.max(np.abs(self.G) * psq)),
-            "max_g_ratio": float(np.max(np.abs(self.G / self.F))),
-            "max_abs_tau_p4": float(np.max(np.abs(self.tau) * psq * psq)),
-            "cs_conv_over_Nbeta": float(
-                np.max(np.abs(self.cs_conv)) / self.N**self.beta
-            ),
-            "cs_conv_tail_bound": 2.0 * born_tail,
-        }
 
 
 def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
@@ -318,9 +302,8 @@ def sub_ball_convolver(tables: BogoliubovTables, K2: float):
     The sub-ball is enumerated afresh, so its FFT grid fits K2 rather than
     the full cutoff; its points are the K2 prefix of the tables' lattice
     in the same order (checked).  One convolver serves every K2 pair sum
-    of a report (`e01`, `corrections.g2_expectation`).  The FFT path is
-    forced: the direct path costs as much as the pair loop it replaces.
-    Input must be cubic-invariant (see `scattering._FFTConvolver`).
+    of a report (`e01`, `corrections.g2_expectation`).  Input must be
+    cubic-invariant (see `scattering._FFTConvolver`).
     """
     lat = tables.lattice
     sub = enumerate_lattice(K2)
@@ -331,7 +314,7 @@ def sub_ball_convolver(tables: BogoliubovTables, K2: float):
             f"(cutoff {lat.cutoff_K})"
         )
     t = tables.table
-    return make_convolver(scaled_table(t.pot, sub, t.N, t.beta), "fft")
+    return make_convolver(scaled_table(t.pot, sub, t.N, t.beta))
 
 
 def e01(tables: BogoliubovTables, K2: float, convolve=None) -> E01Result:

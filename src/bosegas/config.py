@@ -61,23 +61,25 @@ class RunConfig:
         return self.N_values[0]
 
 
+def _particle_number(v, what: str) -> int:
+    """An integer in [2, 2^53], the range where float(N) is exact."""
+    if not isinstance(v, int) or isinstance(v, bool) or not 2 <= v <= 2**53:
+        raise RejectedConfig(f"{what} must be an integer in [2, 2^53], got {v!r}")
+    return v
+
+
 def _as_tuple_of_ints(x, what: str) -> tuple:
     vals = x if isinstance(x, list) else [x]
-    out = []
-    for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 2:
-            raise RejectedConfig(f"{what} must be an integer >= 2, got {v!r}")
-        out.append(v)
-    if not out:
+    if not vals:
         raise RejectedConfig(f"{what} must not be empty")
-    return tuple(out)
+    return tuple(_particle_number(v, what) for v in vals)
 
 
 def _number(x, what: str) -> float:
     """x as a finite float; RejectedConfig for anything else."""
     try:
         v = float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise RejectedConfig(f"{what} must be a number, got {x!r}") from None
     if not math.isfinite(v):
         raise RejectedConfig(f"{what} must be finite, got {x!r}")
@@ -141,6 +143,8 @@ def parse_config(raw: dict) -> RunConfig:
     K2 = K2 or min(DEFAULT_K2, K)
     if K < 2.0 * math.pi:
         raise RejectedConfig(f"cutoff_K below the first shell: {K}")
+    if not math.isfinite(K):
+        raise RejectedConfig("cutoff_K must be finite")
     if K2 < 2.0 * math.pi:
         raise RejectedConfig(f"cutoff_K2 below the first shell: {K2}")
     if K2 > K * (1.0 + 1e-12):
@@ -174,7 +178,7 @@ def parse_config(raw: dict) -> RunConfig:
             for v in vectors
         ),
         n_max_list=tuple(_integer(n, "oracle.n_max entry") for n in n_max),
-        N=_integer(ob["N"], "oracle.N") if "N" in ob else None,
+        N=_particle_number(ob["N"], "oracle.N") if "N" in ob else None,
         rel_tol_pert=_number(ob.get("rel_tol_pert", 1e-5), "oracle.rel_tol_pert"),
         rel_tol_g2=_number(ob.get("rel_tol_g2", 1e-6), "oracle.rel_tol_g2"),
     )

@@ -25,6 +25,7 @@ from .bogoliubov import (
     ball_prefix,
     bogoliubov_ground_energy,
     constant_C,
+    dispersion_closed_form,
     e00,
     e01,
     sc_minus_eta,
@@ -100,7 +101,17 @@ def e_corr(c_nb: float, tables: BogoliubovTables) -> ECorr:
 
 
 class _PairContext:
-    """Shared per-momentum arrays for the K2-ball pair sums."""
+    """The K2-ball tables of the cubic pair sum and its pair table.
+
+    For p, q in a K2-ball inside [-L2, L2]^3, p + q spans the cube
+    [-2 L2, 2 L2]^3.  `pair` holds the rows (vhat, c, s, ct, st, e) at
+    every point of that cube, filled once: the tables inside the K ball,
+    the first-Born closure (tau = 0, eta = -vhat/(2 p^2)) with the
+    closed-form dispersion outside it.  The cube is flattened so that
+    p_i + q_j sits at `base[i] + flat[j]`, and a row of the pair sum reads
+    all its p + q with one gather.  The zero mode holds vhat = s = st =
+    e = 0 and c = ct = 1; the row zeroes its term, q = -p_i (`neg[i]`).
+    """
 
     def __init__(self, tables: BogoliubovTables, K2: float):
         lat = tables.lattice
@@ -108,44 +119,36 @@ class _PairContext:
             raise InconsistentLattice(
                 f"pair-sum cutoff {K2} exceeds the table cutoff {lat.cutoff_K}"
             )
-        self.tables = tables
-        self.K2 = float(K2)
-        self.M2 = ball_prefix(lat, K2)
-        self.pts = lat.points[: self.M2]
-        self.psq = lat.psq[: self.M2]
-        self.v = tables.table.values[: self.M2]
-        self.c = tables.c[: self.M2]
-        self.s = tables.s[: self.M2]
-        self.ct = tables.ct[: self.M2]
-        self.st = tables.st[: self.M2]
-        self.e = tables.e[: self.M2]
+        t = tables.table
+        self.M2 = M2 = ball_prefix(lat, K2)
+        pts = lat.points[:M2]
+        ball = np.stack([t.values, tables.c, tables.s, tables.ct, tables.st, tables.e])
+        self.v, self.c, self.s, self.ct, self.st, self.e = ball[:, :M2]
+        self.neg = lat.lookup(-pts)
 
-    def resolve(self, trips: np.ndarray):
-        """Tables at arbitrary triples: ball lookup where possible, the
-        first-Born closure (tau = 0) plus closed-form dispersion outside."""
-        tb = self.tables
-        lat = tb.lattice
-        idx = lat.lookup(trips)
+        L2 = int(np.max(np.abs(pts))) if M2 else 0
+        side = 4 * L2 + 1
+        axis = np.arange(-2 * L2, 2 * L2 + 1, dtype=np.int64)
+        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        cube = cube.reshape(-1, 3)
+        center = len(cube) // 2  # p + q = 0
+        idx = lat.lookup(cube)
         inside = idx >= 0
-        safe = np.where(inside, idx, 0)
-        c = np.where(inside, tb.c[safe], 1.0)
-        s = np.where(inside, tb.s[safe], 0.0)
-        ct = np.where(inside, tb.ct[safe], 1.0)
-        st = np.where(inside, tb.st[safe], 0.0)
-        v = np.where(inside, tb.table.values[safe], 0.0)
-        e = np.where(inside, tb.e[safe], 0.0)
-        out = ~inside
-        if np.any(out):
-            t_out = trips[out]
-            v_out = tb.table.value_at(t_out)
-            nsq = np.sum(t_out * t_out, axis=-1).astype(float)
-            psq_out = np.maximum((2.0 * np.pi) ** 2 * nsq, 1.0)  # zero rows masked by callers
-            eta_b = -v_out / (2.0 * psq_out)
-            c[out] = np.cosh(eta_b)
-            s[out] = np.sinh(eta_b)
-            v[out] = v_out
-            e[out] = np.sqrt(psq_out * (psq_out + 2.0 * v_out))
-        return c, s, ct, st, v, e
+        far = ~inside
+        far[center] = False
+        self.pair = np.zeros((6, len(cube)))  # rows v, c, s, ct, st, e
+        self.pair[[1, 3]] = 1.0  # c = ct = 1 at the zero mode
+        self.pair[:, inside] = ball[:, idx[inside]]
+        t_far = cube[far]
+        v_far = t.value_at(t_far)
+        psq_far = (2.0 * np.pi) ** 2 * np.sum(t_far * t_far, axis=-1).astype(float)
+        eta_b = -v_far / (2.0 * psq_far)
+        self.pair[0, far] = v_far
+        self.pair[1, far] = np.cosh(eta_b)
+        self.pair[2, far] = np.sinh(eta_b)
+        self.pair[5, far] = dispersion_closed_form(t, t_far)
+        self.flat = pts @ np.array([side * side, side, 1], dtype=np.int64)
+        self.base = self.flat + center
 
 
 def _g_vertex(sp1, sp2, sp3):
@@ -186,16 +189,13 @@ def symmetrized_vertex(slot_p, slot_q, slot_pq):
 
 
 def _f_rows(ctx: _PairContext, i: int):
-    """f(p_i, q) for all q in the K2-ball, plus the p+q = 0 mask."""
-    trips = ctx.pts[i] + ctx.pts
-    zero = np.all(trips == 0, axis=1)
-    cpq, spq, ctpq, stpq, vpq, epq = ctx.resolve(trips)
+    """f(p_i, q) for all q in the K2-ball, zero at q = -p_i, and e(p_i + q)."""
+    vpq, cpq, spq, ctpq, stpq, epq = ctx.pair[:, ctx.base[i] + ctx.flat]
     slot_p = (ctx.v[i], ctx.c[i], ctx.s[i], ctx.ct[i], ctx.st[i])
     slot_q = (ctx.v, ctx.c, ctx.s, ctx.ct, ctx.st)
-    slot_pq = (vpq, cpq, spq, ctpq, stpq)
-    f = symmetrized_vertex(slot_p, slot_q, slot_pq)
-    f[zero] = 0.0
-    return f, zero, epq
+    f = symmetrized_vertex(slot_p, slot_q, (vpq, cpq, spq, ctpq, stpq))
+    f[ctx.neg[i]] = 0.0
+    return f, epq
 
 
 def f_pq(tables: BogoliubovTables, K2: float, p, q) -> float:
@@ -212,7 +212,7 @@ def f_pq(tables: BogoliubovTables, K2: float, p, q) -> float:
     ip = tables.lattice.lookup(p[None, :])[0]
     if ip < 0 or iq < 0 or ip >= ctx.M2 or iq >= ctx.M2:
         raise ValueError("p and q must lie inside the K2-ball")
-    f, _, _ = _f_rows(ctx, ip)
+    f, _ = _f_rows(ctx, ip)
     return float(f[iq])
 
 
@@ -229,11 +229,12 @@ def e_pert_tilde(
 
         -(6/N) sum_{p,q, p+q != 0} f(p,q)^2 / (e(p+q) + e(p) + e(q)) .
 
-    Pair sum over the K2-ball; p+q resolves through the tables inside the
-    ball and through the first-Born closure with closed-form dispersion
-    outside (tail policy).  The |p| > K2 continuum tail factors through
-    the reduced pair weight C2 (`c_constant`; pass `c2` to reuse a value
-    already computed) and is included in the value.
+    Pair sum over the K2-ball; each row reads its p+q from the pair table
+    of `_PairContext` with one gather: the tables inside the K ball, the
+    first-Born closure with closed-form dispersion outside it (tail
+    policy).  The |p| > K2 continuum tail factors through the reduced
+    pair weight C2 (`c_constant`; pass `c2` to reuse a value already
+    computed) and is included in the value.
 
     The tables are constant on cubic orbits (checked) and the K2-ball is a
     union of whole orbits, so the q-sum of row p depends on p's orbit
@@ -255,15 +256,13 @@ def e_pert_tilde(
     reps = lat.orbit_first[:n_orbits]
     sizes = lat.orbit_size[:n_orbits]
 
-    def row(k: int):
+    def row(k: int) -> float:
         i = int(reps[k])
-        f, zero, epq = _f_rows(ctx, i)
-        denom = epq + ctx.e[i] + ctx.e
-        denom[zero] = 1.0
-        return (det_sum(f * f / denom),)
+        f, epq = _f_rows(ctx, i)
+        return det_sum(f * f / (epq + ctx.e[i] + ctx.e))
 
-    rows = det_rows(row, n_orbits, 1)
-    ball = -(6.0 / tables.N) * det_sum(np.repeat(rows[:, 0], sizes))
+    rows = det_rows(row, n_orbits)
+    ball = -(6.0 / tables.N) * det_sum(np.repeat(rows, sizes))
     _, t2x = born2_sum(tables.table, K2)
     if c2 is None:
         c2 = c_constant(tables).C2
@@ -294,11 +293,12 @@ def g2_expectation(
     Wick pairing, quartic in the squeezing, is negligible at physical
     couplings but kept for exactness against the Fock oracle.
     """
-    ctx = _PairContext(tables, K2)
     if convolve is None:
         convolve = sub_ball_convolver(tables, K2)
-    w = ctx.c * ctx.c * ctx.st * ctx.ct
-    w2 = ctx.c * ctx.c * ctx.st * ctx.st
+    M2 = ball_prefix(tables.lattice, K2)
+    c, st, ct = tables.c[:M2], tables.st[:M2], tables.ct[:M2]
+    w = c * c * st * ct
+    w2 = c * c * st * st
     value = det_sum(
         [det_sum(w * convolve(w)), det_sum(w2 * convolve(w2))]
     ) / (2.0 * tables.N)
@@ -312,7 +312,7 @@ def g2_expectation(
         * s1
         * 1.2
         * c_t
-        / (2.0 * np.pi**2 * ctx.K2)
+        / (2.0 * np.pi**2 * K2)
         / (2.0 * tables.N)
     )
     return G2Expectation(value=value, tail_estimate=tail_est)

@@ -42,6 +42,11 @@ class DiagonalizationFailure(BosegasError):
         )
 
 
+class NonFiniteSum(BosegasError):
+    """A lattice sum overflowed or met both infinities: the run's tables
+    left the range of floats, so the coupling is out of regime."""
+
+
 class ZeroMomentumArgument(BosegasError):
     """Cubic vertex evaluated with p, q or p+q at the zero mode."""
 

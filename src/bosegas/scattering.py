@@ -14,8 +14,12 @@ solve the r != 0 equation to cancel the pairing term that G is built
 from.  Keeping the q = p term would leave vhat(0) eta_p / N uncancelled
 in G.
 
-The solver iterates the fixed-point map from the first Born term; the map
-contracts with a factor O(N^(beta-1)) in the targeted regime.
+Every run convolves on one FFT convolver per potential table
+(`make_convolver`); the exact double loop `conv_direct` is kept as the
+reference the tests compare it against, as `dense_solve_eta` is for the
+solver.  The solver iterates the fixed-point map from the first Born
+term; the map contracts with a factor O(N^(beta-1)) in the targeted
+regime.
 """
 
 from __future__ import annotations
@@ -36,17 +40,16 @@ from .lattice_potential import (
 )
 from .sums import det_sum
 
-# Direct O(M^2) convolution below this point count, periodic FFT
-# convolution on a 4L+1-period grid above; the two paths agree to 1e-12
-# (tested).
-DIRECT_CONV_MAX_POINTS = 5000
-
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 200
 
 
 def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
-    """(vhat_N^beta * values)_p over q != p by explicit double loop."""
+    """(vhat_N^beta * values)_p over q != p by explicit double loop.
+
+    The exact O(M^2) reference that tests hold the FFT convolver to; no
+    run path calls it.
+    """
     lat = table.lattice
     pts = lat.points
     out = np.empty(len(lat), dtype=float)
@@ -89,7 +92,7 @@ class _FFTConvolver:
     checked in O(M); anything else raises NotCubicInvariant.  For such
     input the exact convolution is cubic-invariant too, but the raw
     transform output is not bitwise so: it is replaced by its mean over
-    each cubic orbit (a change below the 1e-12 path-agreement budget).
+    each cubic orbit (a change below its 1e-12 budget against `conv_direct`).
     The orbits contain -p, so every downstream table inherits exact
     negation and cubic symmetry, which the orbit-reduced pair sums rely on.
     """
@@ -127,20 +130,15 @@ class _FFTConvolver:
         return self.table.lattice.orbit_mean(out) - self.table.at_zero * values
 
 
-def make_convolver(table: ScaledPotentialTable, method: str | None = None):
-    """Return a callable computing the potential convolution over q != p.
+def make_convolver(table: ScaledPotentialTable) -> _FFTConvolver:
+    """Return the convolver of `table`: the potential convolution over
+    q != p on the FFT grid of `_FFTConvolver`, for cubic-invariant input.
 
-    Without `method`, tables up to DIRECT_CONV_MAX_POINTS points use the
-    exact O(M^2) `conv_direct` and larger ones the O(M log M) FFT path,
-    which accepts cubic-invariant input only (see `_FFTConvolver`).
+    It is the only convolver of a run, at every ball size: the direct
+    double loop `conv_direct` is slower at every size, and tests hold this
+    one to it at 1e-12.
     """
-    if method is None:
-        method = "direct" if len(table.lattice) <= DIRECT_CONV_MAX_POINTS else "fft"
-    if method == "direct":
-        return lambda values: conv_direct(table, values)
-    if method == "fft":
-        return _FFTConvolver(table)
-    raise ValueError(f"unknown convolution method {method!r}")
+    return _FFTConvolver(table)
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,6 @@ def solve_eta(
     beta: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    conv_method: str | None = None,
 ) -> ScatteringSolution:
     """Damped fixed-point solution of the lattice scattering equation."""
     if tol <= 0:
@@ -188,7 +185,7 @@ def solve_eta(
     if len(lattice) == 0:
         raise ValueError("lattice is empty")
     table = scaled_table(pot, lattice, N, beta)
-    convolve = make_convolver(table, conv_method)
+    convolve = make_convolver(table)
     psq = lattice.psq
     eta = -table.values / (2.0 * psq)
     damping = 1.0
@@ -227,9 +224,9 @@ def solve_eta(
     raise NonConvergence(max_iter, best_res)
 
 
-def residual(sol: ScatteringSolution, conv_method: str | None = None) -> float:
+def residual(sol: ScatteringSolution) -> float:
     """Max-norm defect of the scattering equation, re-evaluated from scratch."""
-    convolve = make_convolver(sol.table, conv_method)
+    convolve = make_convolver(sol.table)
     return float(np.max(np.abs(_defect(sol.table, sol.eta, convolve(sol.eta)))))
 
 

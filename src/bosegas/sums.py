@@ -14,19 +14,24 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import NonFiniteSum
+
 
 def det_sum(values: Iterable[float]) -> float:
-    """Exactly rounded sum of a sequence of floats."""
+    """Exactly rounded sum of a sequence of floats; NonFiniteSum where
+    the sum overflows or adds opposite infinities."""
     if isinstance(values, np.ndarray):
-        return math.fsum(values.tolist())
-    return math.fsum(values)
+        values = values.tolist()
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        raise NonFiniteSum(f"{exc}; coupling out of regime") from None
 
 
-def det_rows(func: Callable[[int], tuple], n: int, width: int) -> np.ndarray:
-    """Evaluate func(i) -> width floats for i in range(n) into an (n, width)
-    array; reduce the columns with det_sum afterwards for a fully
-    deterministic double sum."""
-    out = np.empty((n, width), dtype=float)
+def det_rows(func: Callable[[int], float], n: int) -> np.ndarray:
+    """Evaluate func(i) for i in range(n) into an (n,) array; reduce it
+    with det_sum afterwards for a fully deterministic double sum."""
+    out = np.empty(n, dtype=float)
     for i in range(n):
         out[i] = func(i)
     return out

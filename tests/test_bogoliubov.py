@@ -159,6 +159,16 @@ class TestTau:
             tau_table(F, G, lat3, 100, 9.9)
         assert exc.value.ratio == pytest.approx(1.5)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowed_coefficients_raise(self, lat3):
+        # F and G both infinite: G/F is NaN, not a ratio below 1
+        F = lat3.psq.copy()
+        G = np.zeros_like(F)
+        F[3] = G[3] = np.inf
+        with pytest.raises(DiagonalizationFailure) as exc:
+            tau_table(F, G, lat3, 100, 9.9)
+        assert exc.value.point == tuple(lat3.points[3])
+
     def test_p4_certificate(self, tables_small):
         tb = tables_small
         c = np.max(np.abs(tb.tau) * tb.lattice.psq**2)

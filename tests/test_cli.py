@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bosegas
 from bosegas.cli import main
@@ -80,6 +83,10 @@ class TestConfigValidation:
         {"oracle": {"modes": {"vectors": [[1, "a", 0]]}}},
         {"threads": "x"},
         {"out": 5},
+        {"beta": 10**400},
+        {"N": 10**400},
+        {"cutoff_K_over_2pi": 1e308},
+        {"oracle": {"N": 1}},
     ])
     def test_malformed_numeric_field_rejected(self, override):
         with pytest.raises(RejectedConfig):
@@ -257,3 +264,81 @@ class TestImports:
         )
         assert rc == 0
         assert scipy_loaded
+
+
+# Property tests over configuration documents.  Runs are derandomized, so
+# the suite draws the same examples every time, and keep no example
+# database on disk.
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+KEYS = ("N", "beta", "kappa", "R", "cutoff_K", "cutoff_K_over_2pi", "cutoff_K2",
+        "cutoff_K2_over_2pi", "scattering", "oracle", "out")
+SUBKEYS = ("tol", "max_iter", "modes", "nsq_max", "vectors", "n_max", "N",
+           "rel_tol_pert", "rel_tol_g2")
+# 10**400 is a JSON number that no float holds
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# nested blocks with the keys the validator reads, so draws get past the
+# top level
+BLOCK = st.dictionaries(
+    st.sampled_from(SUBKEYS),
+    JSON_VALUE | st.dictionaries(st.sampled_from(SUBKEYS), JSON_VALUE, max_size=2),
+    max_size=4,
+)
+# BASE with up to two keys dropped and a few keys set to any JSON value
+CONFIG_DOC = st.tuples(
+    st.sets(st.sampled_from(sorted(BASE)), max_size=2),
+    st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=4),
+                    JSON_VALUE | BLOCK, max_size=3),
+).map(lambda t: {**{k: v for k, v in BASE.items() if k not in t[0]}, **t[1]})
+
+
+# documents that mostly pass validation, with K <= 6 * 2 pi and at most 300
+# solver iterations so that every run stays small
+SMALL_RUN_DOC = st.fixed_dictionaries(
+    {
+        "N": st.integers(min_value=-1) | st.just(10**400)
+        | st.lists(st.integers(min_value=2), max_size=3),
+        "beta": st.floats(min_value=0.0, max_value=1.0),
+        "kappa": st.floats(min_value=0.0) | st.floats(min_value=0.0, max_value=10.0),
+        "R": st.floats(min_value=0.0, max_value=0.25, exclude_min=True),
+        "cutoff_K_over_2pi": st.floats(min_value=1.0, max_value=6.0),
+    },
+    optional={
+        "cutoff_K2_over_2pi": st.floats(min_value=0.0, max_value=6.0),
+        "scattering": st.fixed_dictionaries({}, optional={
+            "tol": st.floats(min_value=0.0),
+            "max_iter": st.integers(min_value=0, max_value=300),
+        }),
+    },
+)
+
+
+class TestConfigProperties:
+    @settings(PROPERTY, max_examples=200)
+    @given(doc=CONFIG_DOC)
+    def test_any_json_object_parses_or_is_rejected(self, doc):
+        try:
+            parse_config(doc)
+        except RejectedConfig:
+            pass
+
+    # out-of-regime couplings overflow on the way to their exit code 1
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(PROPERTY, max_examples=60)
+    @given(doc=SMALL_RUN_DOC)
+    def test_energy_exit_code_is_0_1_or_2(self, doc):
+        try:
+            parse_config(doc)
+        except RejectedConfig:
+            assume(False)  # the first property covers rejection
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            rc = main(["energy", "--config", path, "--out", os.path.join(tmp, "o")])
+        assert rc in (0, 1, 2)

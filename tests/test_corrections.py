@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import ball_prefix, build_tables
+from bosegas.bogoliubov import ball_prefix, build_tables, dispersion_closed_form
 from bosegas.corrections import (
     _f_rows,
     _PairContext,
@@ -33,19 +33,12 @@ def zero_tables(lat3):
     return build_tables(sol)
 
 
-@pytest.fixture(scope="module")
-def tables_fft(pot_coupled, lat6):
-    # the FFT convolver on a small ball: orbit-averaged tables
-    return build_tables(solve_eta(pot_coupled, lat6, 500, 0.75, conv_method="fft"))
-
-
 # (tables fixture, K2 in units of 2 pi): sqrt(17) > 6/2 lets p + q leave
 # the ball and ends on a shell of two cubic orbits, (4,1,0) and (3,2,2);
 # the first-shell tables run at K2 = K = 3, again two orbits in the last
 # shell, (3,0,0) and (2,2,1)
 PAIR_CASES = [
     ("tables_small", math.sqrt(17.0)),
-    ("tables_fft", math.sqrt(17.0)),
     ("tables_first_shell", 3.0),
 ]
 
@@ -55,11 +48,52 @@ def e_pert_tilde_row_loop(tb, K2):
     ctx = _PairContext(tb, K2)
     rows = []
     for i in range(ctx.M2):
-        f, zero, epq = _f_rows(ctx, i)
-        denom = epq + ctx.e[i] + ctx.e
-        denom[zero] = 1.0
-        rows.append(det_sum(f * f / denom))
+        f, epq = _f_rows(ctx, i)
+        rows.append(det_sum(f * f / (epq + ctx.e[i] + ctx.e)))
     return -(6.0 / tb.N) * det_sum(rows)
+
+
+class TestPairTable:
+    def test_fill_is_ball_tables_inside_and_closure_outside(self, tables_small):
+        # K2 = sqrt(17) * 2 pi on the radius-6 ball: the pair cube spans
+        # [-8, 8]^3, so p + q reaches beyond the ball
+        tb = tables_small
+        lat = tb.lattice
+        t = tb.table
+        ctx = _PairContext(tb, TWO_PI * math.sqrt(17.0))
+        side = 17
+        axis = np.arange(-8, 9)
+        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        cube = cube.reshape(-1, 3)
+        assert ctx.pair.shape == (6, side**3)
+        idx = lat.lookup(cube)
+        inside = idx >= 0
+        ball = np.stack([t.values, tb.c, tb.s, tb.ct, tb.st, tb.e])
+        assert np.array_equal(ctx.pair[:, inside], ball[:, idx[inside]])
+        far = ~inside & np.any(cube != 0, axis=1)
+        assert far.sum() == side**3 - len(lat) - 1
+        v, c, s, ct, st, e = ctx.pair[:, far]
+        assert np.array_equal(v, t.value_at(cube[far]))
+        assert np.array_equal(e, dispersion_closed_form(t, cube[far]))
+        assert np.all(ct == 1.0) and np.all(st == 0.0)
+        psq = TWO_PI**2 * np.sum(cube[far] ** 2, axis=1).astype(float)
+        eta = -v / (2.0 * psq)
+        assert np.array_equal(s, np.sinh(eta)) and np.array_equal(c, np.cosh(eta))
+        # eta_tail forms p^2 from the momentum vector, one ulp away; the
+        # shape factor's direct form, 3 eps / r^2 relative error, squared
+        # into vhat, turns that into at most 1.6e-13 at the smallest far
+        # r = 0.09
+        tail = np.array([
+            eta_tail(t.pot, tb.N, tb.beta, TWO_PI * n.astype(float))
+            for n in cube[far]
+        ])
+        assert np.max(np.abs(eta - tail) / np.abs(tail)) <= 2e-13
+        # p_i + q_j sits at base[i] + flat[j]
+        M2 = ctx.M2
+        for i in (0, 7, M2 - 1):
+            tgt = lat.points[i] + lat.points[:M2] + 8
+            at = (tgt[:, 0] * side + tgt[:, 1]) * side + tgt[:, 2]
+            assert np.array_equal(ctx.base[i] + ctx.flat, at)
 
 
 class TestVertex:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosegas.errors import BetaOutOfRange, CutoffTooSmall
+from bosegas.errors import BetaOutOfRange, CutoffTooSmall, NonFiniteSum
 from bosegas.lattice_potential import (
     TWO_PI,
     Potential,
@@ -172,15 +172,44 @@ class TestBorn2Sum:
         ball, tail = born2_sum(t)
         assert ball == 0.0 and tail == 0.0
 
-    # 0.0314 is R*K/N^beta at the reference point (K = 40 pi, N = 1e4)
-    @pytest.mark.parametrize("x", [1e-4, 0.0314, 0.5, 3.0, 30.0])
+    # 0.0314 is R*K/N^beta at the reference point (K = 40 pi, N = 1e4).
+    # The reference is the integral over [x, infinity): adaptive quadrature
+    # on chunks of width max(1, w/50) up to 100 max(x, 2), beyond which
+    # lies at most about 1e-14 of the value.  Up to x = 12.5 the rule stops
+    # at 200 and drops at most 1e-13 of the value at these x; beyond, it
+    # stops at 16x and drops up to 16^-7 = 3.7e-9 of it (measured 3.7e-9 at
+    # x = 30, where the rule that stopped at max(200, 2x) dropped 1.7e-6).
+    @pytest.mark.parametrize("x", [1e-4, 0.0314, 0.5, 3.0, 30.0, 100.0])
     def test_tail_rule_matches_adaptive_quadrature(self, x):
         from scipy.integrate import quad
 
-        upper = max(200.0, 2.0 * x)
-        ref, _ = quad(lambda w: _shape_factor(w) ** 4, x, upper,
-                      epsabs=0.0, epsrel=1e-13, limit=2000)
-        assert abs(quartic_shape_tail(x) - ref) <= 1e-12 * ref
+        got = quartic_shape_tail(x)
+        top = 100.0 * max(x, 2.0)
+        edges = [x]
+        while edges[-1] < top:
+            edges.append(min(top, edges[-1] + max(1.0, edges[-1] / 50.0)))
+        # absolute target per chunk: 1e-16 of the value, over all chunks
+        eps = 1e-16 * got / len(edges)
+
+        def g4(w):
+            # from w = 1 on the direct form is accurate, and much faster
+            # than the array function on scalars
+            if w < 1.0:
+                return float(_shape_factor(w)) ** 4
+            return ((math.sin(w) - w * math.cos(w)) / w**3) ** 4
+
+        ref = math.fsum(
+            quad(g4, a, b, epsabs=eps, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+        rtol = 1e-12 if x <= 12.5 else 1e-8
+        assert abs(got - ref) <= rtol * ref
+
+
+@pytest.mark.parametrize("values", [[math.inf, -math.inf], [1e308, 1e308]])
+def test_det_sum_non_finite_raises(values):
+    with pytest.raises(NonFiniteSum):
+        det_sum(np.array(values))
 
 
 def test_det_sum_matches_fsum():

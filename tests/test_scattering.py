@@ -136,10 +136,12 @@ class TestConvolution:
         with pytest.raises(NotCubicInvariant):
             conv(vals)
 
-    def test_solver_paths_agree(self, pot_coupled, lat3):
-        s1 = solve_eta(pot_coupled, lat3, 400, 0.7, conv_method="direct")
-        s2 = solve_eta(pot_coupled, lat3, 400, 0.7, conv_method="fft")
-        assert np.max(np.abs(s1.eta - s2.eta)) <= 1e-13
+    def test_fft_solve_satisfies_exact_equation(self, pot_coupled, lat3):
+        # the solve runs on the FFT convolver; its eta must solve the
+        # equation with the exact convolution as well
+        sol = solve_eta(pot_coupled, lat3, 400, 0.7)
+        exact = conv_direct(sol.table, sol.eta)
+        assert np.max(np.abs(_defect(sol.table, sol.eta, exact))) <= sol.tol
 
 
 class TestTailRule:

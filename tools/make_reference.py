@@ -1,25 +1,25 @@
 #!/usr/bin/env python3
-"""Regenerate the pinned regression record for the reference configuration."""
+"""Regenerate the pinned regression record for the reference configuration.
+
+The record is built by `run_pipeline(parse_config(...))`, the path the
+`energy` command takes; the cutoffs are the defaults, K = 40 pi and
+K2 = 20 pi.
+"""
 
 import json
-import math
 import os
 from dataclasses import asdict
 
-from bosegas.bogoliubov import build_tables
-from bosegas.lattice_potential import Potential, enumerate_lattice
-from bosegas.corrections import assemble_report
-from bosegas.scattering import solve_eta
+from bosegas.config import parse_config
+from bosegas.pipeline import run_pipeline
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
                    "reference_report.json")
+REFERENCE = {"N": 10**4, "beta": 0.75, "kappa": 0.1, "R": 0.25}
 
 
 def main():
-    pot = Potential(kappa=0.1, R=0.25)
-    lattice = enumerate_lattice(40.0 * math.pi)
-    sol = solve_eta(pot, lattice, 10**4, 0.75, tol=1e-11)
-    report = assemble_report(build_tables(sol), 20.0 * math.pi)
+    report = run_pipeline(parse_config(REFERENCE))
     doc = {
         k: v
         for k, v in asdict(report).items()
