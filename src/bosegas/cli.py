@@ -72,8 +72,8 @@ def cmd_oracle(cfg: RunConfig, out: str | None) -> int:
 
     oracle_cfg = cfg.oracle
     n_run = oracle_cfg.N if oracle_cfg.N is not None else cfg.N
-    tables, _ = run_tables(cfg, n_run)
     modes = modes_from_config(oracle_cfg)
+    tables, _ = run_tables(cfg, n_run)
     rows = run_oracle(tables, modes, oracle_cfg.n_max_list)
     lines = [
         f"# config {cfg.config_hash}  modes={len(modes)}  "

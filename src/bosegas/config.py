@@ -61,11 +61,20 @@ class RunConfig:
         return self.N_values[0]
 
 
+def _integer(x, what: str, lo: int, hi: int | None = None) -> int:
+    """x as a JSON integer (not a bool) in [lo, hi]; RejectedConfig for
+    anything else, floats and numeric strings included."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise RejectedConfig(f"{what} must be an integer, got {x!r}")
+    if x < lo or (hi is not None and x > hi):
+        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise RejectedConfig(f"{what} must be {bound}, got {x}")
+    return x
+
+
 def _particle_number(v, what: str) -> int:
     """An integer in [2, 2^53], the range where float(N) is exact."""
-    if not isinstance(v, int) or isinstance(v, bool) or not 2 <= v <= 2**53:
-        raise RejectedConfig(f"{what} must be an integer in [2, 2^53], got {v!r}")
-    return v
+    return _integer(v, what, 2, 2**53)
 
 
 def _as_tuple_of_ints(x, what: str) -> tuple:
@@ -84,14 +93,6 @@ def _number(x, what: str) -> float:
     if not math.isfinite(v):
         raise RejectedConfig(f"{what} must be finite, got {x!r}")
     return v
-
-
-def _integer(x, what: str) -> int:
-    """x as an int (by Python's int()); RejectedConfig for anything else."""
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise RejectedConfig(f"{what} must be an integer, got {x!r}") from None
 
 
 def _block(raw: dict, key: str) -> dict:
@@ -152,9 +153,9 @@ def parse_config(raw: dict) -> RunConfig:
 
     scat = _block(raw, "scattering")
     tol = _number(scat.get("tol", 1e-11), "scattering.tol")
-    max_iter = _integer(scat.get("max_iter", 200), "scattering.max_iter")
-    if tol <= 0.0 or max_iter < 1:
-        raise RejectedConfig("scattering tol must be > 0 and max_iter >= 1")
+    max_iter = _integer(scat.get("max_iter", 200), "scattering.max_iter", 1)
+    if tol <= 0.0:
+        raise RejectedConfig("scattering tol must be > 0")
 
     ob = _block(raw, "oracle")
     modes = ob.get("modes", {"nsq_max": 1})
@@ -170,14 +171,17 @@ def parse_config(raw: dict) -> RunConfig:
         raise RejectedConfig("oracle.n_max must be a non-empty list")
     oracle = OracleConfig(
         modes_nsq_max=(
-            _integer(modes.get("nsq_max", 0), "oracle.modes.nsq_max")
+            _integer(modes.get("nsq_max", 0), "oracle.modes.nsq_max", 0)
             if "vectors" not in modes else 0
         ),
+        # |n|^2 of any such vector stays exact in int64
         modes_vectors=tuple(
-            tuple(_integer(c, "oracle.modes.vectors entry") for c in v)
+            tuple(_integer(c, "oracle.modes.vectors entry", -(2**30), 2**30)
+                  for c in v)
             for v in vectors
         ),
-        n_max_list=tuple(_integer(n, "oracle.n_max entry") for n in n_max),
+        # the Fock basis packs occupations as uint8
+        n_max_list=tuple(_integer(n, "oracle.n_max entry", 0, 255) for n in n_max),
         N=_particle_number(ob["N"], "oracle.N") if "N" in ob else None,
         rel_tol_pert=_number(ob.get("rel_tol_pert", 1e-5), "oracle.rel_tol_pert"),
         rel_tol_g2=_number(ob.get("rel_tol_g2", 1e-6), "oracle.rel_tol_g2"),

@@ -388,12 +388,7 @@ class EnergyReport:
         )
 
 
-def assemble_report(
-    tables: BogoliubovTables,
-    K2: float,
-    t_scatter_ms: float = 0.0,
-    t_sums_ms: float = 0.0,
-) -> EnergyReport:
+def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
     """Compute every report quantity on one consistent lattice pair (K, K2).
 
     The route discrepancy is evaluated with the common (N-1)/2*vhat(0)
@@ -481,6 +476,4 @@ def assemble_report(
         residual_norm=sol.residual_norm,
         iterations=sol.iterations,
         warnings=tables.warnings,
-        t_scatter_ms=t_scatter_ms,
-        t_sums_ms=t_sums_ms,
     )

@@ -3,14 +3,16 @@
 A small momentum mode set (closed under negation) and an occupancy cap
 define a finite zero-total-momentum sector.  The quadratic, cubic and
 quartic channels are assembled as explicit sparse symmetric matrices with
-standard bosonic ladder rules, ground states come from an iterative
-extremal eigensolver with inverse-iteration polishing, and second-order
-perturbation theory is done by a projected resolvent linear solve.  None
-of it reuses the closed-form route it is meant to check.
+standard bosonic ladder rules, ground states come from Lanczos on the
+inverse of one shifted factorization with inverse-iteration polishing,
+and second-order perturbation theory is done by a projected resolvent
+conjugate-gradient solve.  Each solver has one path at every basis
+dimension.  None of it reuses the closed-form route it is meant to check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +69,9 @@ def mode_set(vectors) -> ModeSet:
 
 def shell_modes(nsq_max: int) -> ModeSet:
     """All lattice points with 0 < |n|^2 <= nsq_max."""
-    L = int(np.floor(np.sqrt(nsq_max)))
+    L = math.isqrt(nsq_max)
+    if 6 * L > MAX_MODES:  # the axis points alone exceed the cap
+        raise BasisTooLarge(f"|n|^2 <= {nsq_max} holds more than {MAX_MODES} modes")
     vecs = [
         (x, y, z)
         for x in range(-L, L + 1)
@@ -166,9 +170,6 @@ class SparseSymmetricOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.mat @ x
 
     def symmetry_defect(self) -> float:
         d = self.mat - self.mat.T
@@ -387,16 +388,19 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
     return asm.build({"kind": "quartic", "dropped_triples": dropped})
 
 
-_DENSE_DIM = 1500
-
-
 def ground_state(
     op: SparseSymmetricOperator, tol: float = 1e-12
 ) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair, residual-verified.
+    """Smallest eigenpair, residual-verified, by one path at every size.
 
-    Extremal Lanczos (or dense solve at small dimension) followed by a few
-    inverse-iteration polishing steps with a positive-definite shift; the
+    The shift sigma sits strictly below the Gershgorin lower bound
+    min_i (A_ii - sum_{j != i} |A_ij|), so A - sigma I is strictly
+    diagonally dominant with a positive diagonal: positive definite, and
+    factorable without pivoting trouble.  Every eigenvalue of its inverse
+    is then 1/(lambda_i - sigma) > 0 and the ground energy owns the largest
+    one, so Lanczos on the inverse finds the ground state and cannot stop
+    on an excited level the way an extremal solver on A itself can.  A few
+    inverse-iteration steps on the same factor polish the vector; the
     back-substitution recovers near-relative accuracy in the small
     amplitudes of strongly diagonal sectors, which plain backward-stable
     eigensolvers do not provide.
@@ -404,39 +408,31 @@ def ground_state(
     A = op.mat
     D = op.dim
     scale = max(1.0, float(np.max(np.abs(A.data))) if A.nnz else 0.0)
-    if D == 1:
+    if D == 1:  # ARPACK needs D >= 2
         return float(A[0, 0]), np.ones(1)
-    if D <= _DENSE_DIM:
-        dense = A.toarray()
-        lam, vecs = np.linalg.eigh(dense)
-        lam0, v = float(lam[0]), vecs[:, 0]
-        gap = float(lam[1] - lam[0]) if D > 1 else 1.0
-    else:
-        v0 = np.full(D, 1.0 / np.sqrt(D))
-        try:
-            lam, vecs = spla.eigsh(A, k=1, which="SA", v0=v0, tol=1e-12)
-        except spla.ArpackNoConvergence as exc:
-            raise EigenNonConvergence(str(exc)) from exc
-        lam0, v = float(lam[0]), vecs[:, 0]
-        gap = scale  # shift margin only; refined below
-    # inverse-iteration polish with a shift strictly below the ground state
-    shift = lam0 - max(1e-8 * scale, 1e-3 * abs(gap), 1e-300)
-    M = (A - shift * sp.identity(D, format="csr")).tocsc()
+    diag = A.diagonal()
+    radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
+    sigma = float(np.min(diag - radius)) - 1e-8 * scale
     try:
-        lu = spla.splu(M)
-        for _ in range(3):
-            w = lu.solve(v)
-            nrm = np.linalg.norm(w)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                break
-            v = w / nrm
-    except RuntimeError:
-        pass  # singular factorization: keep the unpolished vector
+        lu = spla.splu((A - sigma * sp.identity(D, format="csr")).tocsc())
+    except RuntimeError as exc:
+        raise EigenNonConvergence(f"shifted factorization failed: {exc}") from exc
+    inverse = spla.LinearOperator((D, D), matvec=lu.solve, dtype=float)
+    try:
+        _, vecs = spla.eigsh(
+            inverse, k=1, which="LA", v0=np.full(D, 1.0 / np.sqrt(D)), tol=1e-12
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise EigenNonConvergence(str(exc)) from exc
+    v = vecs[:, 0]
+    for _ in range(3):
+        w = lu.solve(v)
+        v = w / np.linalg.norm(w)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     lam0 = float(v @ (A @ v))
     resid = float(np.linalg.norm(A @ v - lam0 * v))
-    if resid > max(tol * scale, 1e-13 * scale):
+    if not resid <= max(tol * scale, 1e-13 * scale):
         raise EigenNonConvergence(
             f"residual {resid:.3e} above tolerance {tol:.1e} (scale {scale:.3g})"
         )
@@ -444,7 +440,6 @@ def ground_state(
 
 
 def rs_pt2(
-    basis: FockBasis,
     g0_op: SparseSymmetricOperator,
     v_op: SparseSymmetricOperator,
     e0: float,
@@ -454,8 +449,11 @@ def rs_pt2(
     """Second-order correction <V gs0, (E0 - G0)^(-1) Q V gs0>.
 
     The projected system (G0 - E0) y = Q V gs0, y orthogonal to gs0, is
-    solved with a rank-one regularization along gs0; the value -<w, y> is
-    nonpositive whenever V gs0 has weight off the ground state.
+    solved by conjugate gradients at every size with a rank-one
+    regularization along gs0: G0 - E0 + alpha |gs0><gs0| is positive
+    definite once E0 is the true ground energy, which `ground_state`
+    guarantees.  The value -<w, y> is nonpositive whenever V gs0 has
+    weight off the ground state.
     """
     w = v_op.mat @ gs0
     w = w - (gs0 @ w) * gs0
@@ -465,18 +463,14 @@ def rs_pt2(
     A = g0_op.mat
     D = g0_op.dim
     alpha = max(1.0, float(np.max(np.abs(A.data))) if A.nnz else 1.0)
-    if D <= 4000:
-        M = A.toarray() - e0 * np.eye(D) + alpha * np.outer(gs0, gs0)
-        y = np.linalg.solve(M, w)
-    else:
-        lin = spla.LinearOperator(
-            (D, D),
-            matvec=lambda x: A @ x - e0 * x + alpha * (gs0 @ x) * gs0,
-            dtype=float,
-        )
-        y, info = spla.cg(lin, w, rtol=1e-13, atol=0.0, maxiter=5000)
-        if info != 0:
-            raise LinearSolveNonConvergence(f"cg status {info}")
+    lin = spla.LinearOperator(
+        (D, D),
+        matvec=lambda x: A @ x - e0 * x + alpha * (gs0 @ x) * gs0,
+        dtype=float,
+    )
+    y, info = spla.cg(lin, w, rtol=1e-13, atol=0.0, maxiter=5000)
+    if info != 0:
+        raise LinearSolveNonConvergence(f"cg status {info}")
     y = y - (gs0 @ y) * gs0
     resid = np.linalg.norm(A @ y - e0 * y - w)
     if resid > tol * max(wn, 1.0):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bogoliubov import BogoliubovTables
-from .errors import RejectedConfig
+from .errors import BasisTooLarge, RejectedConfig
 from .fock import (
     ModeSet,
     build_basis,
@@ -60,7 +60,7 @@ def modes_from_config(cfg_oracle) -> ModeSet:
         if cfg_oracle.modes_vectors:
             return mode_set(cfg_oracle.modes_vectors)
         return shell_modes(max(1, cfg_oracle.modes_nsq_max))
-    except ValueError as exc:
+    except (ValueError, BasisTooLarge) as exc:
         raise RejectedConfig(f"bad oracle mode set: {exc}") from exc
 
 
@@ -82,7 +82,7 @@ def run_oracle(
         e0, gs = ground_state(g0)
         values["E0"].append(e0)
         g1 = build_G1tilde(basis, rt)
-        values["e_pert_tilde"].append(rs_pt2(basis, g0, g1, e0, gs))
+        values["e_pert_tilde"].append(rs_pt2(g0, g1, e0, gs))
         g2 = build_G2(basis, rt)
         values["g2_expect"].append(float(gs @ (g2.mat @ gs)))
         # the doubly-rotated vacuum is the ground state of the quadratic

@@ -148,7 +148,7 @@ def run_verify(cfg: RunConfig) -> list[Check]:
     g0 = build_G0(basis, rt.F, rt.G)
     e0_f, gs = ground_state(g0)
     g1 = build_G1tilde(basis, rt)
-    pt2 = rs_pt2(basis, g0, g1, e0_f, gs)
+    pt2 = rs_pt2(g0, g1, e0_f, gs)
     checks.append(Check("rs_pt2_nonpositive", pt2 <= 0.0, pt2))
 
     # order independence of compensated sums

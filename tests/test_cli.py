@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -77,6 +78,14 @@ class TestConfigValidation:
         {"scattering": {"max_iter": "many"}},
         {"oracle": {"n_max": ["five"]}},
         {"oracle": {"n_max": []}},
+        {"oracle": {"n_max": [-1]}},
+        {"oracle": {"n_max": [300]}},
+        {"oracle": {"n_max": [5.5]}},
+        {"oracle": {"n_max": ["5"]}},
+        {"oracle": {"n_max": [True]}},
+        {"scattering": {"max_iter": 5.5}},
+        {"oracle": {"modes": {"vectors": [[1.5, 0, 0]]}}},
+        {"oracle": {"modes": {"vectors": [[10**400, 0, 0]]}}},
         {"oracle": {"N": "x"}},
         {"oracle": {"rel_tol_g2": "x"}},
         {"oracle": {"modes": {"nsq_max": "x"}}},
@@ -230,6 +239,17 @@ class TestOracle:
         names = [l.split(",")[0] for l in lines[2:]]
         assert names == ["E0", "e_pert_tilde", "g2_expect", "depletion"]
         assert "relgap_n5" in lines[1]
+
+    @pytest.mark.parametrize("nsq_max", [4, 10**6, 10**400])
+    def test_mode_shells_over_the_cap_exit_2(self, tmp_path, capsys, nsq_max):
+        # 10**6 would be a 2001^3 enumeration if the cap were checked after it
+        path = write_config(
+            tmp_path, oracle={"modes": {"nsq_max": nsq_max}, "n_max": [3]}
+        )
+        t0 = time.perf_counter()
+        assert main(["oracle", "--config", path]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "modes" in capsys.readouterr().err
 
 
 class TestImports:
