@@ -55,6 +55,11 @@ class BasisTooLarge(BosegasError):
     """Fock basis enumeration exceeded the configured dimension limit."""
 
 
+class MomentumViolation(BosegasError):
+    """An operator term maps a sector state to an in-cap occupation of
+    nonzero total momentum."""
+
+
 class EigenNonConvergence(BosegasError):
     """Iterative extremal eigensolver did not meet its residual target."""
 

@@ -1,9 +1,14 @@
 """Brute-force truth source on a truncated excitation Fock space.
 
 A small momentum mode set (closed under negation) and an occupancy cap
-define a finite zero-total-momentum sector.  The quadratic, cubic and
+define a finite zero-total-momentum sector.  The sector is enumerated
+meet-in-the-middle: each half of the modes lists its occupations as
+arrays, and the halves join on opposite momenta.  The quadratic, cubic and
 quartic channels are assembled as explicit sparse symmetric matrices with
-standard bosonic ladder rules, ground states come from Lanczos on the
+standard bosonic ladder rules, from term lists grouped by their
+annihilated modes: each group's annihilators select the surviving states
+once, and only those states meet the group's creators, so the work
+follows the entries emitted.  Ground states come from Lanczos on the
 inverse of one shifted factorization with inverse-iteration polishing,
 and second-order perturbation theory is done by a projected resolvent
 conjugate-gradient solve.  Each solver has one path at every basis
@@ -24,11 +29,14 @@ from .errors import (
     EigenNonConvergence,
     InconsistentLattice,
     LinearSolveNonConvergence,
+    MomentumViolation,
 )
 from .sums import det_sum
 
 MAX_MODES = 30
 DEFAULT_DIM_LIMIT = 2_000_000
+# candidate entries per assembly block: bounds the transient arrays
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,16 @@ def shell_modes(nsq_max: int) -> ModeSet:
     return mode_set(vecs)
 
 
+def _row_keys(occupations: np.ndarray) -> np.ndarray:
+    """One void key per occupation row, ordered as the rows compare
+    lexicographically; a trailing zero byte keeps the key defined when
+    the mode set is empty."""
+    D, m = occupations.shape
+    padded = np.zeros((D, m + 1), dtype=np.uint8)
+    padded[:, :m] = occupations
+    return padded.view(np.dtype((np.void, m + 1))).ravel()
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation vectors with sum <= n_max in the zero-momentum sector."""
@@ -89,7 +107,7 @@ class FockBasis:
     modes: ModeSet
     n_max: int
     occ: np.ndarray = field(repr=False)       # (D, m) uint8, lex order
-    _keys: np.ndarray = field(repr=False)     # void view, ascending
+    _keys: np.ndarray = field(repr=False)     # _row_keys(occ), ascending
 
     def __len__(self) -> int:
         return self.occ.shape[0]
@@ -100,9 +118,7 @@ class FockBasis:
 
     def lookup(self, occupations: np.ndarray) -> np.ndarray:
         """Vectorized occupation -> index; -1 where absent."""
-        m = len(self.modes)
-        tgt = np.ascontiguousarray(occupations.astype(np.uint8))
-        tv = tgt.view(np.dtype((np.void, m))).ravel()
+        tv = _row_keys(occupations)
         pos = np.searchsorted(self._keys, tv)
         out = np.full(len(tv), -1, dtype=np.int64)
         inb = pos < len(self._keys)
@@ -112,52 +128,87 @@ class FockBasis:
         return out
 
 
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """One integer per row of an (n, k) integer array, equal exactly
+    when the rows are equal."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=np.int64)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids
+
+
+def _group_offsets(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
+def _half_sector(vecs: np.ndarray, n_max: int):
+    """Every occupation of the given modes with total <= n_max: (occ,
+    used, P) with occ (S, h) uint8, the totals and the momenta."""
+    occ = np.zeros((1, 0), dtype=np.uint8)
+    used = np.zeros(1, dtype=np.int64)
+    P = np.zeros((1, 3), dtype=np.int64)
+    for vec in vecs:
+        reps = n_max - used + 1
+        row = np.repeat(np.arange(len(used)), reps)
+        n = _group_offsets(reps)
+        occ = np.concatenate([occ[row], n.astype(np.uint8)[:, None]], axis=1)
+        used = used[row] + n
+        P = P[row] + n[:, None] * vec
+    return occ, used, P
+
+
 def build_basis(
     modes: ModeSet, n_max: int, dim_limit: int = DEFAULT_DIM_LIMIT
 ) -> FockBasis:
-    """Enumerate the constrained sector in deterministic lexicographic order."""
+    """Enumerate the constrained sector in deterministic lexicographic order.
+
+    Meet in the middle: the modes split into two halves, each half's
+    occupations with total <= n_max are enumerated as arrays, and a left
+    state joins every right state of opposite momentum whose total fits
+    the remaining cap.  One sort by the row key gives lexicographic order.
+    Raises BasisTooLarge, before anything is allocated, when either half
+    holds more than dim_limit occupations (C(n_max + h, h) for h modes),
+    and when the joined sector holds more than dim_limit states.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    m = len(modes)
     if n_max > 255:
         raise BasisTooLarge("occupancy cap above the uint8 packing limit")
-    vecs = modes.vectors
-    # max reachable |momentum component| with the remaining modes
-    suffix_max = np.zeros((m + 1, 3), dtype=np.int64)
-    for j in range(m - 1, -1, -1):
-        suffix_max[j] = np.maximum(suffix_max[j + 1], np.abs(vecs[j]))
-
-    out: list[bytes] = []
-    state = np.zeros(m, dtype=np.uint8)
-
-    def recurse(j: int, used: int, P: np.ndarray) -> None:
-        cap = n_max - used
-        if j == m:
-            if not P.any():
-                out.append(state.tobytes())
-                if len(out) > dim_limit:
-                    raise BasisTooLarge(
-                        f"sector dimension exceeds the limit {dim_limit}"
-                    )
-            return
-        if np.any(np.abs(P) > cap * suffix_max[j]):
-            return  # momentum can no longer cancel
-        for n in range(cap + 1):
-            state[j] = n
-            recurse(j + 1, used + n, P + n * vecs[j])
-        state[j] = 0
-
-    recurse(0, 0, np.zeros(3, dtype=np.int64))
-    occ = (
-        np.frombuffer(b"".join(out), dtype=np.uint8).reshape(-1, m)
-        if m > 0
-        else np.zeros((1, 0), dtype=np.uint8)
+    m = len(modes)
+    h = m // 2
+    for width in (h, m - h):
+        if math.comb(n_max + width, width) > dim_limit:
+            raise BasisTooLarge(
+                f"{width} modes at cap {n_max} hold more than {dim_limit} "
+                f"occupations"
+            )
+    occ_l, used_l, P_l = _half_sector(modes.vectors[:h], n_max)
+    occ_r, used_r, P_r = _half_sector(modes.vectors[h:], n_max)
+    # one integer per momentum, shared by P_left and -P_right
+    mom = _row_ids(np.concatenate([P_l, -P_r]))
+    span = n_max + 1
+    key_r = mom[len(P_l):] * span + used_r
+    order_r = np.argsort(key_r, kind="stable")
+    key_r = key_r[order_r]
+    base_l = mom[: len(P_l)] * span
+    lo = np.searchsorted(key_r, base_l)
+    hi = np.searchsorted(key_r, base_l + (n_max - used_l), side="right")
+    count = hi - lo
+    if int(count.sum()) > dim_limit:
+        raise BasisTooLarge(f"sector dimension exceeds the limit {dim_limit}")
+    left = np.repeat(np.arange(len(lo)), count)
+    right = order_r[np.repeat(lo, count) + _group_offsets(count)]
+    occ = np.concatenate([occ_l[left], occ_r[right]], axis=1)
+    keys = _row_keys(occ)
+    order = np.argsort(keys)
+    return FockBasis(
+        modes=modes, n_max=int(n_max), occ=occ[order], _keys=keys[order]
     )
-    keys = occ.view(np.dtype((np.void, max(m, 1)))).ravel() if m > 0 else None
-    if m == 0:
-        occ = np.zeros((1, 1), dtype=np.uint8)[:, :0]
-        keys = np.zeros(1, dtype=np.dtype((np.void, 1)))
-    return FockBasis(modes=modes, n_max=int(n_max), occ=occ, _keys=keys)
 
 
 @dataclass(frozen=True)
@@ -182,45 +233,106 @@ class _Assembler:
 
     def __init__(self, basis: FockBasis):
         self.basis = basis
+        # the index width scipy picks for this dimension, so that the
+        # COO arrays are not copied to narrow them
+        fits = len(basis) <= np.iinfo(np.int32).max
+        self.index = np.int32 if fits else np.int64
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
 
-    def apply_term(self, ops: list[tuple[int, int]], coeff: float, mirror: str):
-        """One normal-ordered monomial: ops = [(mode, +1 create | -1
-        annihilate), ...] applied right to left to every basis state.
+    def add_terms(self, create, annihilate, coeff, half: bool = False):
+        """Normal-ordered monomials, one per row t:
 
-        mirror: 'hc' emits the term once (its transpose supplies the
-        h.c.); 'half' emits half weight (self-adjoint sum written once).
+            coeff[t] a+_{create[t, 0]} a+_{create[t, 1]} ...
+                     a_{annihilate[t, 0]} a_{annihilate[t, 1]} ... ,
+
+        with -1 marking an empty slot.  The ladder operators act right to
+        left on every basis state.  half=False emits each term once (its
+        transpose supplies the h.c.); half=True emits half weight (a
+        self-adjoint sum written once).
+
+        Terms that share their annihilators form one group, and each
+        group's annihilators select the surviving states once; a term's
+        creators then act on those states only.  Each amplitude is coeff
+        times one sqrt per operator in the order they act, and entries
+        are emitted term by term, each in source order, as a term-by-term
+        loop over the whole basis would emit them.
         """
-        if coeff == 0.0:
+        coeff = np.asarray(coeff, dtype=float)
+        live = np.nonzero(coeff != 0.0)[0]
+        if len(live) == 0:
             return
         basis = self.basis
-        occ = basis.occ.astype(np.int64)
-        amp = np.full(len(basis), coeff, dtype=float)
-        alive = np.ones(len(basis), dtype=bool)
-        for mode, kind in reversed(ops):
-            if kind < 0:
-                amp *= np.sqrt(np.maximum(occ[:, mode], 0))
-                alive &= occ[:, mode] > 0
-                occ[:, mode] -= 1
-            else:
-                occ[:, mode] += 1
-                amp *= np.sqrt(np.maximum(occ[:, mode], 0))
-        alive &= occ.sum(axis=1) <= basis.n_max
-        if not np.any(alive):
-            return
-        src = np.nonzero(alive)[0]
-        tgt = basis.lookup(occ[alive])
-        # momentum conservation makes every in-cap target a sector member
-        assert np.all(tgt >= 0), "momentum-violating matrix element"
-        weight = amp[alive] if mirror == "hc" else 0.5 * amp[alive]
-        self.rows.append(tgt)
-        self.cols.append(src)
-        self.vals.append(weight)
+        occ = basis.occ
+        ann = annihilate[live]
+        n_ann = ann.shape[1]
+        key = (ann + 1) @ (occ.shape[1] + 1) ** np.arange(n_ann, dtype=np.int64)
+        _, first, member = np.unique(key, return_index=True, return_inverse=True)
+        member = member.ravel()
+        survivors = []
+        for group in ann[first]:
+            alive = np.ones(len(basis), dtype=bool)
+            for mode in group[group >= 0]:
+                alive &= occ[:, mode] >= np.count_nonzero(group == mode)
+            survivors.append(np.nonzero(alive)[0])
+        size = np.array([len(s) for s in survivors])
+        start = np.cumsum(size) - size
+        survivor = np.concatenate(survivors)
+
+        # the ladder operators in the order they act, +1 raising and -1
+        # lowering; seen = the shift from the operators before it on the
+        # same mode, plus one for a creator, added to its source occupancy
+        ops = np.concatenate([create[live], ann], axis=1)[:, ::-1]
+        step = np.where(np.arange(ops.shape[1]) < n_ann, -1, 1)
+        step = np.where(ops >= 0, step, 0)
+        seen = np.zeros_like(ops)
+        for i in range(ops.shape[1]):
+            same = ops[:, :i] == ops[:, i:i + 1]
+            seen[:, i] = (same * step[:, :i]).sum(axis=1) + (step[:, i] > 0)
+        net = step.sum(axis=1)
+        root = np.sqrt(np.arange(basis.n_max + ops.shape[1] + 1, dtype=float))
+        used = occ.sum(axis=1, dtype=np.int64)
+
+        n_cand = size[member]
+        ends = np.cumsum(n_cand)
+        lo = 0
+        while lo < len(live):  # blocks of about _BLOCK candidate entries
+            hi = max(lo + 1, int(np.searchsorted(
+                ends, ends[lo] - n_cand[lo] + _BLOCK, side="right")))
+            reps = n_cand[lo:hi]
+            t = np.repeat(np.arange(lo, hi), reps)
+            src = survivor[np.repeat(start[member[lo:hi]], reps)
+                           + _group_offsets(reps)]
+            in_cap = used[src] + net[t] <= basis.n_max
+            t, src = t[in_cap], src[in_cap]
+            lo = hi
+            if len(t) == 0:
+                continue
+            amp = coeff[live[t]]
+            target = occ[src]
+            rows = np.arange(len(t))
+            for i in range(ops.shape[1]):
+                mode = ops[t, i]
+                on = mode >= 0
+                f = root[occ[src, np.maximum(mode, 0)] + seen[t, i]]
+                f[~on] = 1.0
+                amp *= f
+                if i < n_ann:
+                    target[rows[on], mode[on]] -= 1
+                else:
+                    target[rows[on], mode[on]] += 1
+            tgt = basis.lookup(target)
+            if np.any(tgt < 0):
+                raise MomentumViolation(
+                    "an operator term leaves the zero-momentum sector"
+                )
+            self.rows.append(tgt.astype(self.index))
+            self.cols.append(src.astype(self.index))
+            self.vals.append(0.5 * amp if half else amp)
 
     def add_diagonal(self, diag: np.ndarray):
-        idx = np.arange(len(self.basis))
+        idx = np.arange(len(self.basis), dtype=self.index)
         self.rows.append(idx)
         self.cols.append(idx)
         self.vals.append(0.5 * np.asarray(diag, dtype=float))
@@ -246,9 +358,12 @@ def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricO
     """sum_p F_p n_p + (1/2) sum_p G_p (a+_p a+_{-p} + a_p a_{-p})."""
     asm = _Assembler(basis)
     asm.add_diagonal(basis.occ.astype(float) @ np.asarray(F, dtype=float))
-    neg = basis.modes.neg_index
-    for i in range(len(basis.modes)):
-        asm.apply_term([(i, +1), (int(neg[i]), +1)], 0.5 * float(G[i]), "hc")
+    m = len(basis.modes)
+    asm.add_terms(
+        np.stack([np.arange(m), basis.modes.neg_index], axis=1),
+        np.zeros((m, 0), dtype=np.int64),
+        0.5 * np.asarray(G, dtype=float),
+    )
     return asm.build({"kind": "quadratic"})
 
 
@@ -304,23 +419,27 @@ def restrict_tables(tables, modes: ModeSet) -> RestrictedTables:
     )
 
 
+def _index_of(modes: ModeSet, points: np.ndarray) -> np.ndarray:
+    """Mode index of each integer triple in points (..., 3); -1 where the
+    triple is not in the set."""
+    flat = points.reshape(-1, 3)
+    m = len(modes)
+    ids = _row_ids(np.concatenate([modes.vectors, flat]))
+    table = np.full(m + len(flat) + 1, -1, dtype=np.int64)
+    table[ids[:m]] = np.arange(m)
+    return table[ids[m:]].reshape(points.shape[:-1])
+
+
 def _mode_pairs(modes: ModeSet):
-    """(i, j, k) with mode_i + mode_j = mode_k inside the set, plus the
-    count of (i, j) pairs whose sum leaves the set."""
+    """(i, j, k) rows with mode_i + mode_j = mode_k inside the set, i
+    major, plus the count of (i, j) pairs whose sum leaves the set."""
     vecs = modes.vectors
-    lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
-    kept, dropped = [], 0
-    for i in range(len(vecs)):
-        for j in range(len(vecs)):
-            s = vecs[i] + vecs[j]
-            if not s.any():
-                continue
-            k = lookup.get(tuple(s), -1)
-            if k < 0:
-                dropped += 1
-            else:
-                kept.append((i, j, k))
-    return kept, dropped
+    total = vecs[:, None, :] + vecs[None, :, :]
+    k = _index_of(modes, total)
+    pair = total.any(axis=-1)
+    i, j = np.nonzero(pair & (k >= 0))
+    dropped = int(np.count_nonzero(pair & (k < 0)))
+    return np.stack([i, j, k[i, j]], axis=1), dropped
 
 
 def build_G1tilde(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
@@ -334,18 +453,16 @@ def build_G1tilde(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOper
     """
     asm = _Assembler(basis)
     pairs, dropped = _mode_pairs(rt.modes)
+    i, j, k = pairs.T
     neg = rt.modes.neg_index
-    pref = 1.0 / np.sqrt(rt.N)
-    for i, j, k in pairs:
-        base = pref * rt.v[i] * rt.c[k] * rt.c[i]
-        asm.apply_term(
-            [(k, +1), (int(neg[i]), +1), (j, -1)], base * rt.c[j], "hc"
-        )
-        asm.apply_term(
-            [(k, +1), (int(neg[i]), +1), (int(neg[j]), +1)],
-            base * rt.s[j],
-            "hc",
-        )
+    base = 1.0 / np.sqrt(rt.N) * rt.v[i] * rt.c[k] * rt.c[i]
+    # each pair's two terms in turn: a+ a+ a, then a+ a+ a+
+    none = np.full_like(i, -1)
+    asm.add_terms(
+        np.stack([k, neg[i], none, k, neg[i], neg[j]], axis=1).reshape(-1, 3),
+        np.stack([j, none], axis=1).reshape(-1, 1),
+        np.stack([base * rt.c[j], base * rt.s[j]], axis=1).ravel(),
+    )
     return asm.build({"kind": "cubic", "dropped_pairs": dropped})
 
 
@@ -359,32 +476,24 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
     lattice vector.
     """
     asm = _Assembler(basis)
-    modes = rt.modes
-    vecs = modes.vectors
-    lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
-    m = len(modes)
-    pref = 1.0 / (2.0 * rt.N)
-    dropped = 0
-    for ip in range(m):           # p
-        for ipr in range(m):      # p + r
-            r = vecs[ipr] - vecs[ip]
-            if not r.any():
-                continue
-            vr = float(rt.value_at(r[None, :])[0])
-            for iq in range(m):   # q
-                s = vecs[iq] + r
-                if not s.any():
-                    continue
-                iqr = lookup.get(tuple(s), -1)
-                if iqr < 0:
-                    dropped += 1
-                    continue
-                coeff = (
-                    pref * vr * rt.c[ipr] * rt.c[iq] * rt.c[ip] * rt.c[iqr]
-                )
-                asm.apply_term(
-                    [(ipr, +1), (iq, +1), (ip, -1), (iqr, -1)], coeff, "half"
-                )
+    vecs = rt.modes.vectors
+    m = len(vecs)
+    r = vecs[None, :, :] - vecs[:, None, :]          # [p, p + r]
+    vr = np.zeros((m, m))
+    moves = r.any(axis=-1)
+    vr[moves] = rt.value_at(r[moves])
+    qr = vecs[None, None, :, :] + r[:, :, None, :]   # [p, p + r, q]
+    iqr = _index_of(rt.modes, qr)
+    valid = moves[:, :, None] & qr.any(axis=-1)
+    dropped = int(np.count_nonzero(valid & (iqr < 0)))
+    ip, ipr, iq = np.nonzero(valid & (iqr >= 0))
+    iqr = iqr[ip, ipr, iq]
+    c = rt.c
+    coeff = 1.0 / (2.0 * rt.N) * vr[ip, ipr] * c[ipr] * c[iq] * c[ip] * c[iqr]
+    asm.add_terms(
+        np.stack([ipr, iq], axis=1), np.stack([ip, iqr], axis=1), coeff,
+        half=True,
+    )
     return asm.build({"kind": "quartic", "dropped_triples": dropped})
 
 

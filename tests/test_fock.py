@@ -6,10 +6,11 @@ import pytest
 import scipy.sparse as sp
 
 from bosegas.bogoliubov import build_tables
-from bosegas.errors import BasisTooLarge, EigenNonConvergence
+from bosegas.errors import BasisTooLarge, EigenNonConvergence, MomentumViolation
 from bosegas.fock import (
     RestrictedTables,
     SparseSymmetricOperator,
+    _Assembler,
     build_basis,
     build_G0,
     build_G1tilde,
@@ -54,6 +55,133 @@ def synthetic_tables(vectors, eta_scale=0.25, tau_scale=0.15, N=64):
 CLOSED_SET = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 0)]
 
 
+# Exact references: the depth-first enumeration and the term-by-term
+# assembly over the whole basis that the array code replaced.  The fast
+# paths keep their arithmetic, so they must agree bit for bit.
+
+def ref_basis_occ(modes, n_max):
+    m = len(modes)
+    vecs = modes.vectors
+    suffix_max = np.zeros((m + 1, 3), dtype=np.int64)
+    for j in range(m - 1, -1, -1):
+        suffix_max[j] = np.maximum(suffix_max[j + 1], np.abs(vecs[j]))
+    out = []
+    state = np.zeros(m, dtype=np.uint8)
+
+    def recurse(j, used, P):
+        cap = n_max - used
+        if j == m:
+            if not P.any():
+                out.append(state.tobytes())
+            return
+        if np.any(np.abs(P) > cap * suffix_max[j]):
+            return
+        for n in range(cap + 1):
+            state[j] = n
+            recurse(j + 1, used + n, P + n * vecs[j])
+        state[j] = 0
+
+    recurse(0, 0, np.zeros(3, dtype=np.int64))
+    return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(len(out), m)
+
+
+class RefAssembler(_Assembler):
+    def apply_term(self, ops, coeff, mirror):
+        if coeff == 0.0:
+            return
+        basis = self.basis
+        occ = basis.occ.astype(np.int64)
+        amp = np.full(len(basis), coeff, dtype=float)
+        alive = np.ones(len(basis), dtype=bool)
+        for mode, kind in reversed(ops):
+            if kind < 0:
+                amp *= np.sqrt(np.maximum(occ[:, mode], 0))
+                alive &= occ[:, mode] > 0
+                occ[:, mode] -= 1
+            else:
+                occ[:, mode] += 1
+                amp *= np.sqrt(np.maximum(occ[:, mode], 0))
+        alive &= occ.sum(axis=1) <= basis.n_max
+        if not np.any(alive):
+            return
+        tgt = basis.lookup(occ[alive])
+        assert np.all(tgt >= 0)
+        weight = amp[alive] if mirror == "hc" else 0.5 * amp[alive]
+        self.rows.append(tgt)
+        self.cols.append(np.nonzero(alive)[0])
+        self.vals.append(weight)
+
+
+def ref_G0(basis, F, G):
+    asm = RefAssembler(basis)
+    asm.add_diagonal(basis.occ.astype(float) @ np.asarray(F, dtype=float))
+    neg = basis.modes.neg_index
+    for i in range(len(basis.modes)):
+        asm.apply_term([(i, +1), (int(neg[i]), +1)], 0.5 * float(G[i]), "hc")
+    return asm.build({"kind": "quadratic"})
+
+
+def ref_G1tilde(basis, rt):
+    asm = RefAssembler(basis)
+    vecs = rt.modes.vectors
+    lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
+    neg = rt.modes.neg_index
+    pref = 1.0 / np.sqrt(rt.N)
+    dropped = 0
+    for i in range(len(vecs)):
+        for j in range(len(vecs)):
+            s = vecs[i] + vecs[j]
+            if not s.any():
+                continue
+            k = lookup.get(tuple(s), -1)
+            if k < 0:
+                dropped += 1
+                continue
+            base = pref * rt.v[i] * rt.c[k] * rt.c[i]
+            asm.apply_term(
+                [(k, +1), (int(neg[i]), +1), (j, -1)], base * rt.c[j], "hc"
+            )
+            asm.apply_term(
+                [(k, +1), (int(neg[i]), +1), (int(neg[j]), +1)],
+                base * rt.s[j], "hc",
+            )
+    return asm.build({"kind": "cubic", "dropped_pairs": dropped})
+
+
+def ref_G2(basis, rt):
+    asm = RefAssembler(basis)
+    vecs = rt.modes.vectors
+    lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
+    m = len(vecs)
+    pref = 1.0 / (2.0 * rt.N)
+    dropped = 0
+    for ip in range(m):
+        for ipr in range(m):
+            r = vecs[ipr] - vecs[ip]
+            if not r.any():
+                continue
+            vr = float(rt.value_at(r[None, :])[0])
+            for iq in range(m):
+                s = vecs[iq] + r
+                if not s.any():
+                    continue
+                iqr = lookup.get(tuple(s), -1)
+                if iqr < 0:
+                    dropped += 1
+                    continue
+                coeff = pref * vr * rt.c[ipr] * rt.c[iq] * rt.c[ip] * rt.c[iqr]
+                asm.apply_term(
+                    [(ipr, +1), (iq, +1), (ip, -1), (iqr, -1)], coeff, "half"
+                )
+    return asm.build({"kind": "quartic", "dropped_triples": dropped})
+
+
+def ref_number(basis):
+    asm = RefAssembler(basis)
+    asm.add_diagonal(basis.occ.sum(axis=1).astype(float))
+    return asm.build({"kind": "number"})
+
+
 class TestBasis:
     def test_single_pair(self):
         b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 4)
@@ -84,6 +212,41 @@ class TestBasis:
     def test_dimension_limit(self):
         with pytest.raises(BasisTooLarge):
             build_basis(shell_modes(2), 9, dim_limit=100)
+
+    def test_dimension_limit_on_the_joined_sector(self):
+        # each three-mode half holds C(43, 3) = 12,341 occupations at cap
+        # 40, the sector 12,453 states
+        modes = mode_set(CLOSED_SET)
+        assert len(build_basis(modes, 40, dim_limit=12_453)) == 12_453
+        with pytest.raises(BasisTooLarge):
+            build_basis(modes, 40, dim_limit=12_452)
+        with pytest.raises(BasisTooLarge):
+            build_basis(modes, 40, dim_limit=12_340)
+
+    @pytest.mark.parametrize("vectors", [
+        [], [(1, 0, 0), (-1, 0, 0)], CLOSED_SET,
+        shell_modes(1).vectors.tolist(), shell_modes(2).vectors.tolist(),
+    ], ids=["empty", "pair", "closed", "shell1", "shell2"])
+    def test_matches_depth_first_reference(self, vectors):
+        modes = mode_set(vectors)
+        for n_max in range(7):
+            b = build_basis(modes, n_max)
+            ref = ref_basis_occ(modes, n_max)
+            assert b.occ.dtype == np.uint8
+            assert np.array_equal(b.occ, ref), n_max
+            assert np.array_equal(b.lookup(ref), np.arange(len(ref)))
+
+    def test_closed_set_at_cap_40(self):
+        b = build_basis(mode_set(CLOSED_SET), 40)
+        assert len(b) == 12_453
+        assert not (b.occ.astype(np.int64) @ b.modes.vectors).any()
+        assert b.occ.sum(axis=1, dtype=np.int64).max() <= 40
+        # rows, and so their keys, strictly ascending: the first nonzero
+        # difference between neighbours is positive
+        diff = b.occ[1:].astype(np.int64) - b.occ[:-1]
+        lead = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)]
+        assert np.all(lead > 0)
+        assert np.array_equal(b.lookup(b.occ), np.arange(len(b)))
 
     def test_mode_cap(self):
         with pytest.raises(BasisTooLarge):
@@ -277,6 +440,41 @@ class TestQuarticChannel:
         b = build_basis(rt.modes, 6)
         assert build_G2(b, rt).symmetry_defect() == 0.0
         assert build_G1tilde(b, rt).symmetry_defect() == 0.0
+
+
+class TestAssemblyReference:
+    """Grouped assembly against the term-by-term loop: every entry and
+    every duplicate sum bitwise equal."""
+
+    @staticmethod
+    def assert_same(new, ref):
+        assert new.mat.dtype == ref.mat.dtype
+        assert (new.mat != ref.mat).nnz == 0
+        assert new.meta == ref.meta
+
+    # the closed set at cap 9 reaches occupations at which the order of
+    # the sqrt factors shows in the last bit
+    @pytest.mark.parametrize("vectors,n_max", [
+        (shell_modes(2).vectors.tolist(), 5),
+        (shell_modes(2).vectors.tolist(), 6),
+        (CLOSED_SET, 9),
+    ], ids=["shell2-5", "shell2-6", "closed-9"])
+    def test_operators_bitwise_equal(self, vectors, n_max):
+        rt = synthetic_tables(vectors)
+        b = build_basis(rt.modes, n_max)
+        self.assert_same(build_G0(b, rt.F, rt.G), ref_G0(b, rt.F, rt.G))
+        self.assert_same(build_G1tilde(b, rt), ref_G1tilde(b, rt))
+        self.assert_same(build_G2(b, rt), ref_G2(b, rt))
+        self.assert_same(build_number(b), ref_number(b))
+
+    def test_momentum_violation_raises(self):
+        # a+_x a+_x takes the vacuum to total momentum 2x
+        b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 4)
+        x = int(np.nonzero(b.modes.vectors[:, 0] == 1)[0][0])
+        asm = _Assembler(b)
+        with pytest.raises(MomentumViolation):
+            asm.add_terms(np.array([[x, x]]), np.zeros((1, 0), dtype=np.int64),
+                          np.array([1.0]))
 
 
 @pytest.fixture(scope="module")
