@@ -10,18 +10,16 @@ order-one / order-N^(beta-1) vacuum-energy terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DiagonalizationFailure, InconsistentLattice
+from .errors import DiagonalizationFailure
 from .lattice_potential import (
     LatticeBall,
     ScaledPotentialTable,
     born2_sum,
-    enumerate_lattice,
-    scaled_table,
 )
 from .scattering import ScatteringSolution, make_convolver
 from .sums import det_sum
@@ -115,7 +113,7 @@ class BogoliubovTables:
     """All per-momentum tables of one solution, aligned with its lattice.
 
     Every table is bitwise constant on cubic orbits, as the convolver's
-    output is (`scattering._FFTConvolver`).
+    output is (`scattering._OctantConvolver`).
     """
 
     sol: ScatteringSolution
@@ -297,24 +295,17 @@ class E01Result:
 
 
 def sub_ball_convolver(tables: BogoliubovTables, K2: float):
-    """FFT convolver over q != p on the K2 sub-ball of the tables' lattice.
+    """Convolver over q != p on the K2 sub-ball of the tables' lattice.
 
-    The sub-ball is enumerated afresh, so its FFT grid fits K2 rather than
-    the full cutoff; its points are the K2 prefix of the tables' lattice
-    in the same order (checked).  One convolver serves every K2 pair sum
-    of a report (`e01`, `corrections.g2_expectation`).  Input must be
-    cubic-invariant (see `scattering._FFTConvolver`).
+    The sub-ball is the K2 prefix of the tables' lattice and its table the
+    same prefix of theirs, so its transform grid fits K2 rather than the
+    full cutoff.  One convolver serves every K2 pair sum of a report
+    (`e01`, `corrections.g2_expectation`).  Input must be cubic-invariant
+    (see `scattering._OctantConvolver`).
     """
-    lat = tables.lattice
-    sub = enumerate_lattice(K2)
-    M2 = len(sub)
-    if M2 > len(lat) or not np.array_equal(sub.points, lat.points[:M2]):
-        raise InconsistentLattice(
-            f"the K2 = {K2} ball is not a prefix of the table lattice "
-            f"(cutoff {lat.cutoff_K})"
-        )
+    sub = tables.lattice.sub_ball(K2)
     t = tables.table
-    return make_convolver(scaled_table(t.pot, sub, t.N, t.beta))
+    return make_convolver(replace(t, lattice=sub, values=t.values[: len(sub)]))
 
 
 def e01(tables: BogoliubovTables, K2: float, convolve=None) -> E01Result:
@@ -326,7 +317,7 @@ def e01(tables: BogoliubovTables, K2: float, convolve=None) -> E01Result:
       +(1/N)  sum_{p!=q} vhat_p^2 vhat(p-q) s_q c_q / (S_p (p^2 + S_p)) .
 
     Each q-sum is a convolution over q != p, evaluated for all p at once
-    on the FFT convolver of the K2 sub-ball (`sub_ball_convolver`; pass
+    on the convolver of the K2 sub-ball (`sub_ball_convolver`; pass
     `convolve` to reuse one already built); the p-sums are exact.  Both
     convolved weights are cubic-invariant, as the tables are.  The result
     agrees with the explicit pair loop to a few ulps relative.

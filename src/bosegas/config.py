@@ -8,9 +8,10 @@ Keys (defaults in parentheses):
   kappa             coupling, >= 0
   R                 potential support radius, in (0, 1/4] on the unit torus
   cutoff_K          single-sum momentum cutoff (40*pi); `cutoff_K_over_2pi`
-                    may be given instead.  Its FFT grid, P^3 points with P
-                    the smallest 5-smooth integer >= 4L+1 for a ball inside
-                    [-L, L]^3, may hold at most MAX_FFT_GRID_POINTS
+                    may be given instead.  The p+q cube of a ball inside
+                    [-L, L]^3, (4L+1)^3 points and the largest grid a run
+                    with K2 = K allocates, may hold at most
+                    MAX_PAIR_CUBE_POINTS
   cutoff_K2         double-sum cutoff in [2*pi, cutoff_K] (20*pi); or
                     `cutoff_K2_over_2pi`
   scattering        {"tol": 1e-11, "max_iter": 200}
@@ -28,13 +29,12 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import RejectedConfig
-from .scattering import _next_five_smooth
 
 DEFAULT_K = 40.0 * math.pi
 DEFAULT_K2 = 20.0 * math.pi
-# memory budget of the cutoff: K = 80 pi needs 162^3 points, and every K
-# below 100 pi fits
-MAX_FFT_GRID_POINTS = 200**3
+# memory budget of the cutoff: K = 80 pi needs a 161^3 pair cube, and
+# every K below 100 pi (L <= 49, 197^3) fits
+MAX_PAIR_CUBE_POINTS = 200**3
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,14 @@ def _number(x, what: str) -> float:
     return v
 
 
-def _fft_grid_points(K: float) -> float:
-    """Points of the FFT grid the ball |p| <= K is convolved on: P^3 as
-    `scattering._FFTConvolver` sizes it, with L as `enumerate_lattice`
-    computes it."""
+def _pair_cube_points(K: float) -> float:
+    """Points of the p+q cube of the ball |p| <= K: (4L+1)^3, with L as
+    `enumerate_lattice` computes it."""
     x = K / (2.0 * math.pi)
-    if 4.0 * x > MAX_FFT_GRID_POINTS:  # the period alone is too long
+    if 4.0 * x > MAX_PAIR_CUBE_POINTS:  # the side alone is too long
         return math.inf
     L = math.isqrt(math.floor(x * x + 1e-9))
-    return _next_five_smooth(4 * L + 1) ** 3
+    return (4 * L + 1) ** 3
 
 
 def _block(raw: dict, key: str) -> dict:
@@ -163,10 +162,10 @@ def parse_config(raw: dict) -> RunConfig:
         raise RejectedConfig(f"cutoff_K below the first shell: {K}")
     if not math.isfinite(K):
         raise RejectedConfig("cutoff_K must be finite")
-    if _fft_grid_points(K) > MAX_FFT_GRID_POINTS:
+    if _pair_cube_points(K) > MAX_PAIR_CUBE_POINTS:
         raise RejectedConfig(
-            f"cutoff_K = {K} needs an FFT grid of more than "
-            f"{MAX_FFT_GRID_POINTS} points"
+            f"cutoff_K = {K} needs a pair cube of more than "
+            f"{MAX_PAIR_CUBE_POINTS} points"
         )
     if K2 < 2.0 * math.pi:
         raise RejectedConfig(f"cutoff_K2 below the first shell: {K2}")

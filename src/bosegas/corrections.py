@@ -15,6 +15,7 @@ discrepancy sits far below the rounding floor of the O(N) totals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -101,16 +102,18 @@ def e_corr(c_nb: float, tables: BogoliubovTables) -> ECorr:
 
 
 class _PairContext:
-    """The K2-ball tables of the cubic pair sum and its pair table.
+    """The K2-ball vertex factors of the cubic pair sum and its pair table.
 
-    For p, q in a K2-ball inside [-L2, L2]^3, p + q spans the cube
-    [-2 L2, 2 L2]^3.  `pair` holds the rows (vhat, c, s, ct, st, e) at
-    every point of that cube, filled once: the tables inside the K ball,
-    the first-Born closure (tau = 0, eta = -vhat/(2 p^2)) with the
-    closed-form dispersion outside it.  The cube is flattened so that
-    p_i + q_j sits at `base[i] + flat[j]`, and a row of the pair sum reads
-    all its p + q with one gather.  The zero mode holds vhat = s = st =
-    e = 0 and c = ct = 1; the row zeroes its term, q = -p_i (`neg[i]`).
+    `fac` holds the rows (X, Y, P, Q, vX, vY) of `vertex_factors` and the
+    dispersion e on the K2-ball.  For p, q in it, inside [-L2, L2]^3,
+    p + q spans the cube [-2 L2, 2 L2]^3; `pair` holds the same rows at
+    every point of that cube a pair reaches (|p + q| <= 2 max |q|),
+    filled once: the tables inside the K ball, the first-Born closure
+    (tau = 0, eta = -vhat/(2 p^2)) with the closed-form dispersion outside
+    it.  The cube is flattened so that p_i + q_j sits at `base[i] +
+    flat[j]`, and a row of the pair sum reads all its p + q with one
+    gather.  The zero mode and the points no pair reaches hold zeros; the
+    row zeroes its term at q = -p_i (`neg[i]`).
     """
 
     def __init__(self, tables: BogoliubovTables, K2: float):
@@ -122,78 +125,72 @@ class _PairContext:
         t = tables.table
         self.M2 = M2 = ball_prefix(lat, K2)
         pts = lat.points[:M2]
-        ball = np.stack([t.values, tables.c, tables.s, tables.ct, tables.st, tables.e])
-        self.v, self.c, self.s, self.ct, self.st, self.e = ball[:, :M2]
+        ball = np.stack([
+            *vertex_factors(t.values, tables.c, tables.s, tables.ct, tables.st),
+            tables.e,
+        ])
+        self.fac = ball[:, :M2]
         self.neg = lat.lookup(-pts)
 
-        L2 = int(np.max(np.abs(pts))) if M2 else 0
+        nsq2 = int(lat.nsq[M2 - 1]) if M2 else 0
+        L2 = math.isqrt(nsq2)
         side = 4 * L2 + 1
         axis = np.arange(-2 * L2, 2 * L2 + 1, dtype=np.int64)
         cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
         cube = cube.reshape(-1, 3)
-        center = len(cube) // 2  # p + q = 0
+        cube_nsq = np.sum(cube * cube, axis=1)
         idx = lat.lookup(cube)
         inside = idx >= 0
-        far = ~inside
-        far[center] = False
-        self.pair = np.zeros((6, len(cube)))  # rows v, c, s, ct, st, e
-        self.pair[[1, 3]] = 1.0  # c = ct = 1 at the zero mode
+        far = ~inside & (cube_nsq > 0) & (cube_nsq <= 4 * nsq2)
+        self.pair = np.zeros((7, len(cube)))
         self.pair[:, inside] = ball[:, idx[inside]]
         t_far = cube[far]
         v_far = t.value_at(t_far)
-        psq_far = (2.0 * np.pi) ** 2 * np.sum(t_far * t_far, axis=-1).astype(float)
+        psq_far = (2.0 * np.pi) ** 2 * cube_nsq[far].astype(float)
         eta_b = -v_far / (2.0 * psq_far)
-        self.pair[0, far] = v_far
-        self.pair[1, far] = np.cosh(eta_b)
-        self.pair[2, far] = np.sinh(eta_b)
-        self.pair[5, far] = dispersion_closed_form(t, t_far)
+        self.pair[:, far] = np.stack([
+            *vertex_factors(v_far, np.cosh(eta_b), np.sinh(eta_b), 1.0, 0.0),
+            dispersion_closed_form(t, t_far),
+        ])
         self.flat = pts @ np.array([side * side, side, 1], dtype=np.int64)
-        self.base = self.flat + center
+        self.base = self.flat + len(cube) // 2  # the center is p + q = 0
 
 
-def _g_vertex(sp1, sp2, sp3):
-    """Raw triple-creation amplitude of the cubic channel for one ordered
-    slot assignment: slot 1 = p (carries the potential), slot 2 = q
-    (the annihilator slot), slot 3 = p + q.
+def vertex_factors(v, c, s, ct, st):
+    """Per-momentum factors (X, Y, P, Q, vX, vY) of the cubic vertex:
+    X = c ct, Y = c st, P = c st + s ct, Q = c ct + s st."""
+    X = c * ct
+    Y = c * st
+    return X, Y, Y + s * ct, X + s * st, v * X, v * Y
 
-    Obtained by conjugating the cubic channel with the diagonalizing
-    squeezing and collecting the pure-creation content on
-    the vacuum.
+
+def symmetrized_vertex(fa, fb, fc):
+    """Vertex f of the triple (a, b, c) = (p, q, -p-q) from each slot's
+    `vertex_factors`.  Conjugating the cubic channel with the diagonalizing
+    squeezing and collecting its pure-creation content on the vacuum gives,
+    for one ordered assignment (a carries the potential, b annihilates),
+    the raw amplitude
+
+        g(a, b, c) = v_a c_a c_c (ct_a ct_c P_b + st_a st_c Q_b)
+                   = vX_a X_c P_b + vY_a Y_c Q_b ;
+
+    f is its mean over the six orderings, grouped by the middle slot (the
+    tables are even, so negated slots reuse the same values).
     """
-    v1, c1, s1, ct1, st1 = sp1
-    _, c2, s2, ct2, st2 = sp2
-    _, c3, s3, ct3, st3 = sp3
+    Xa, Ya, Pa, Qa, vXa, vYa = fa
+    Xb, Yb, Pb, Qb, vXb, vYb = fb
+    Xc, Yc, Pc, Qc, vXc, vYc = fc
     return (
-        v1
-        * c3
-        * c1
-        * (
-            c2 * (ct3 * ct1 * st2 + ct2 * st1 * st3)
-            + s2 * (ct3 * ct1 * ct2 + st3 * st1 * st2)
-        )
-    )
-
-
-def symmetrized_vertex(slot_p, slot_q, slot_pq):
-    """Vertex f(p, q): average of the raw amplitude over the six ordered
-    representatives of the triple (p, q, -p-q); the tables are even, so
-    negated slots reuse the same values."""
-    return (
-        _g_vertex(slot_p, slot_q, slot_pq)
-        + _g_vertex(slot_q, slot_p, slot_pq)
-        + _g_vertex(slot_pq, slot_q, slot_p)
-        + _g_vertex(slot_q, slot_pq, slot_p)
-        + _g_vertex(slot_pq, slot_p, slot_q)
-        + _g_vertex(slot_p, slot_pq, slot_q)
+        (vXb * Xc + vXc * Xb) * Pa + (vYb * Yc + vYc * Yb) * Qa
+        + (vXa * Xc + vXc * Xa) * Pb + (vYa * Yc + vYc * Ya) * Qb
+        + (vXa * Xb + vXb * Xa) * Pc + (vYa * Yb + vYb * Ya) * Qc
     ) / 6.0
 
 
 def _f_rows(ctx: _PairContext, i: int):
     """f(p_i, q) for all q in the K2-ball, zero at q = -p_i, and e(p_i + q)."""
-    vpq, cpq, spq, ctpq, stpq, epq = ctx.pair[:, ctx.base[i] + ctx.flat]
-    slot_p = (ctx.v[i], ctx.c[i], ctx.s[i], ctx.ct[i], ctx.st[i])
-    slot_q = (ctx.v, ctx.c, ctx.s, ctx.ct, ctx.st)
-    f = symmetrized_vertex(slot_p, slot_q, (vpq, cpq, spq, ctpq, stpq))
+    *fpq, epq = ctx.pair[:, ctx.base[i] + ctx.flat]
+    f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6], fpq)
     f[ctx.neg[i]] = 0.0
     return f, epq
 
@@ -259,7 +256,8 @@ def e_pert_tilde(
     def row(k: int) -> float:
         i = int(reps[k])
         f, epq = _f_rows(ctx, i)
-        return det_sum(f * f / (epq + ctx.e[i] + ctx.e))
+        e = ctx.fac[6]
+        return det_sum(f * f / (epq + e[i] + e))
 
     rows = det_rows(row, n_orbits)
     ball = -(6.0 / tables.N) * det_sum(np.repeat(rows, sizes))
@@ -287,7 +285,7 @@ def g2_expectation(
     weight st vanishes under the tail policy, so the pair form is the
     whole sum).  With q = p+r it is (1/2N) sum_p [w_p (vhat * w)_p +
     w2_p (vhat * w2)_p], w = c^2 st ct and w2 = c^2 st^2, the
-    convolutions over q != p running on the FFT convolver of the K2
+    convolutions over q != p running on the convolver of the K2
     sub-ball (`bogoliubov.sub_ball_convolver`, or `convolve` if passed;
     both weights are cubic-invariant) and the p-sums exactly.  The second
     Wick pairing, quartic in the squeezing, is negligible at physical

@@ -14,7 +14,7 @@ class BetaOutOfRange(BosegasError):
 
 
 class NotCubicInvariant(BosegasError):
-    """Input to the FFT convolver is not constant on cubic orbits."""
+    """Input to the convolver is not constant on cubic orbits."""
 
 
 class NonConvergence(BosegasError):

@@ -601,12 +601,11 @@ def restricted_e_pert_tilde(rt: RestrictedTables) -> float:
 
 def _f_restricted(rt: RestrictedTables, i: int, j: int, k: int) -> float:
     """f(p_i, p_j) with p_i + p_j = p_k, all inside the mode set."""
-    from .corrections import symmetrized_vertex
+    from .corrections import symmetrized_vertex, vertex_factors
 
-    def slot(m: int):
-        return (rt.v[m], rt.c[m], rt.s[m], rt.ct[m], rt.st[m])
-
-    return float(symmetrized_vertex(slot(i), slot(j), slot(k)))
+    slots = [vertex_factors(rt.v[m], rt.c[m], rt.s[m], rt.ct[m], rt.st[m])
+             for m in (i, j, k)]
+    return float(symmetrized_vertex(*slots))
 
 
 def restricted_g2_expectation(rt: RestrictedTables) -> float:

@@ -14,11 +14,12 @@ identical values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BetaOutOfRange, CutoffTooSmall
+from .errors import BetaOutOfRange, CutoffTooSmall, InconsistentLattice
 from .sums import det_sum
 
 TWO_PI = 2.0 * np.pi
@@ -147,6 +148,15 @@ class LatticeBall:
             ]
         return out.reshape(t.shape[:-1])
 
+    def sub_ball(self, K: float) -> "LatticeBall":
+        """The ball |p| <= K <= cutoff_K, a prefix of this one: equal to
+        `enumerate_lattice(K)` without enumerating again."""
+        if K > self.cutoff_K * (1.0 + 1e-12):
+            raise InconsistentLattice(f"sub-ball {K} exceeds cutoff {self.cutoff_K}")
+        nsq_max = _nsq_max(K)
+        M = int(np.searchsorted(self.nsq, nsq_max, side="right"))
+        return _ball(K, self.points[:M], self.nsq[:M], math.isqrt(nsq_max))
+
     def negation_index(self) -> np.ndarray:
         """Index of -p for every p (always valid)."""
         return self.lookup(-self.points)
@@ -183,13 +193,19 @@ def _cubic_orbits(pts: np.ndarray, L: int):
     return rank[inverse], first[order], size[order]
 
 
-def enumerate_lattice(K: float) -> LatticeBall:
-    """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K."""
-    # |n|^2 is an integer, so the radius comparison is exact once the
-    # squared bound is snapped to the nearest representable integer.
+def _nsq_max(K: float) -> int:
+    """Largest |n|^2 with |2 pi n| <= K; CutoffTooSmall below the first
+    shell.  |n|^2 is an integer, so the radius comparison is exact once
+    the squared bound is snapped to the nearest representable integer."""
     nsq_max = int(np.floor((K / TWO_PI) ** 2 + 1e-9))
     if K < TWO_PI or nsq_max < 1:
         raise CutoffTooSmall(f"cutoff {K} is below the first shell 2*pi")
+    return nsq_max
+
+
+def enumerate_lattice(K: float) -> LatticeBall:
+    """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K."""
+    nsq_max = _nsq_max(K)
     L = int(np.floor(np.sqrt(nsq_max + 1e-9)))
     axis = np.arange(-L, L + 1, dtype=np.int64)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
@@ -198,14 +214,13 @@ def enumerate_lattice(K: float) -> LatticeBall:
     keep = (nsq > 0) & (nsq <= nsq_max)
     pts, nsq = pts[keep], nsq[keep]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], nsq))
-    pts, nsq = pts[order], nsq[order]
+    return _ball(K, pts[order], nsq[order], L)
 
-    shells = []
-    start = 0
-    for i in range(1, len(nsq) + 1):
-        if i == len(nsq) or nsq[i] != nsq[start]:
-            shells.append((int(nsq[start]), slice(start, i)))
-            start = i
+
+def _ball(K: float, pts: np.ndarray, nsq: np.ndarray, L: int) -> LatticeBall:
+    """The LatticeBall of canonically ordered points inside [-L, L]^3."""
+    cut = [0, *(np.flatnonzero(np.diff(nsq)) + 1).tolist(), len(nsq)]
+    shells = tuple((int(nsq[a]), slice(a, b)) for a, b in zip(cut, cut[1:]))
     side = 2 * L + 1
     dense = np.full(side * side * side, -1, dtype=np.int64)
     shifted = pts + L
@@ -217,7 +232,7 @@ def enumerate_lattice(K: float) -> LatticeBall:
         cutoff_K=float(K),
         points=pts,
         nsq=nsq,
-        shells=tuple(shells),
+        shells=shells,
         orbit=orbit,
         orbit_first=orbit_first,
         orbit_size=orbit_size,

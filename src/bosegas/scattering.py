@@ -14,7 +14,7 @@ solve the r != 0 equation to cancel the pairing term that G is built
 from.  Keeping the q = p term would leave vhat(0) eta_p / N uncancelled
 in G.
 
-Every run convolves on one FFT convolver per potential table
+Every run convolves on one cosine-transform convolver per potential table
 (`make_convolver`); the exact double loop `conv_direct` is kept as the
 reference the tests compare it against, as `dense_solve_eta` is for the
 solver.  The solver iterates the fixed-point map from the first Born
@@ -47,7 +47,7 @@ DEFAULT_MAX_ITER = 200
 def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
     """(vhat_N^beta * values)_p over q != p by explicit double loop.
 
-    The exact O(M^2) reference that tests hold the FFT convolver to; no
+    The exact O(M^2) reference that tests hold the fast convolver to; no
     run path calls it.
     """
     lat = table.lattice
@@ -61,84 +61,81 @@ def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _next_five_smooth(n: int) -> int:
-    """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
-    while True:
-        m = n
-        for f in (2, 3, 5):
-            while m % f == 0:
-                m //= f
-        if m == 1:
-            return n
-        n += 1
+def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Contract every axis of the 3-array x with the matrix m, in turn."""
+    for _ in range(3):
+        x = np.tensordot(x, m, axes=(0, 0))  # cycles the axes back in order
+    return x
 
 
-_AXES = (0, 1, 2)
+class _OctantConvolver:
+    """Convolution over q != p by cosine transforms on the nonnegative octant.
 
+    p - q spans [-2L, 2L] per axis for a ball inside [-L, L]^3.  Modulo 4L
+    only +2L and -2L coincide, and the even kernel has one value there, so
+    the period-4L circular convolution is the exact linear one.  Input is
+    checked to be cubic-invariant (NotCubicInvariant otherwise) and the
+    kernel is radial, so both are even along every axis and the period-4L
+    DFT reduces per axis to the DCT-I  X_k = sum_{j=0}^{2L} w_j x_j
+    cos(2 pi jk / 4L), w = (1, 2, ..., 2, 1), its own inverse up to 1/4L.
+    The input scatters onto (L+1)^3 by |n_i|, the kernel is transformed
+    once on (2L+1)^3 (`shape`), and the output is read back on (L+1)^3,
+    each transform three products with one matrix.
 
-class _FFTConvolver:
-    """Periodic FFT convolution with a cached kernel transform.
-
-    The ball lies in [-L, L]^3, so p - q only spans [-2L, 2L] per axis.
-    On a periodic grid of period P >= 4L+1 those offsets are distinct mod
-    P, so a kernel stored wrapped (offset d at index d mod P) gives the
-    exact linear convolution on the [0, 2L]^3 output window: no wrapped
-    term can reach it.  P is the smallest 5-smooth integer >= 4L+1.
-
-    The transform covers q = p too; that term, vhat(0) * values_p, is
-    subtracted after the transform.  Input must be invariant under the
-    cubic group of the lattice (every physical input is: eta, c*s and the
-    pair-sum weights are functions of |p| and of tables that are), and is
-    checked in O(M); anything else raises NotCubicInvariant.  For such
-    input the exact convolution is cubic-invariant too, but the raw
-    transform output is not bitwise so: it is replaced by its mean over
-    each cubic orbit (a change below its 1e-12 budget against `conv_direct`).
-    The orbits contain -p, so every downstream table inherits exact
-    negation and cubic symmetry, which the orbit-reduced pair sums rely on.
+    The transform includes q = p; vhat(0) * values_p is subtracted after.
+    The output is replaced by its mean over each cubic orbit, which makes
+    it bitwise cubic-invariant (a change below its 1e-12 budget against
+    `conv_direct`), so every downstream table inherits the exact negation
+    and cubic symmetry the orbit-reduced pair sums rely on.
     """
 
     def __init__(self, table: ScaledPotentialTable):
         self.table = table
         lat = table.lattice
         L = lat._L
-        self.side = side = 2 * L + 1
-        P = _next_five_smooth(4 * L + 1)
-        self.shape = (P, P, P)
-        # |d| for the offset stored at each index; indices between 2L and
-        # P - 2L hold offsets beyond 2L, which never reach the window
-        ax = np.minimum(np.arange(P), P - np.arange(P))
-        d2 = (ax**2)[:, None, None] + (ax**2)[None, :, None] + (ax**2)[None, None, :]
-        rho = TWO_PI * np.sqrt(d2.astype(float)) / table.N**table.beta
-        self.kern_fft = np.fft.rfftn(table.pot.vhat_radial(rho), axes=_AXES)
-        flat_idx = lat.points + L
-        self._grid_idx = (
-            (flat_idx[:, 0] * side + flat_idx[:, 1]) * side + flat_idx[:, 2]
-        )
+        self.shape = (2 * L + 1,) * 3
+        j = np.arange(2 * L + 1)
+        # the phase jk is reduced mod 4L first, so equal phases give
+        # bitwise equal cosines
+        W = np.cos(TWO_PI * ((j[:, None] * j[None, :]) % (4 * L)) / (4 * L))
+        W[1:-1] *= 2.0
+        self._fwd = W[: L + 1]
+        self._inv = W[:, : L + 1]
+        # the kernel at every integer |d|^2 up to 3 (2L)^2, once each
+        nsq = np.arange(12 * L * L + 1, dtype=float)
+        vals = table.pot.vhat_radial(TWO_PI * np.sqrt(nsq) / table.N**table.beta)
+        d2 = j * j
+        kern = vals[d2[:, None, None] + d2[None, :, None] + d2[None, None, :]]
+        self._kern_hat = _apply(kern, W) / float(4 * L) ** 3
+        a = np.abs(lat.points)
+        n = L + 1
+        self._octant = (a[:, 0] * n + a[:, 1]) * n + a[:, 2]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        gap = self.table.lattice.orbit_spread(values)
+        lat = self.table.lattice
+        gap = lat.orbit_spread(values)
         if gap > 0.0:  # NaN passes: a diverging solve reports NonConvergence
             raise NotCubicInvariant(
                 f"convolution input varies within a cubic orbit by {gap:.3e}"
             )
-        side = self.side
-        sig = np.zeros(side * side * side, dtype=float)
-        sig[self._grid_idx] = values
-        sig_fft = np.fft.rfftn(sig.reshape(side, side, side), s=self.shape, axes=_AXES)
-        full = np.fft.irfftn(self.kern_fft * sig_fft, s=self.shape, axes=_AXES)
-        out = full[:side, :side, :side].reshape(-1)[self._grid_idx]
-        return self.table.lattice.orbit_mean(out) - self.table.at_zero * values
+        n = self._fwd.shape[0]
+        sig = np.zeros(n * n * n, dtype=float)
+        sig[self._octant] = values
+        spec = _apply(sig.reshape(n, n, n), self._fwd) * self._kern_hat
+        out = _apply(spec, self._inv).reshape(-1)[self._octant]
+        return lat.orbit_mean(out) - self.table.at_zero * values
 
 
-def make_convolver(table: ScaledPotentialTable) -> _FFTConvolver:
+def make_convolver(table: ScaledPotentialTable) -> _OctantConvolver:
     """Return the convolver of `table`: the potential convolution over
-    q != p on the FFT grid of `_FFTConvolver`, for cubic-invariant input.
+    q != p by the octant cosine transforms of `_OctantConvolver`, for
+    cubic-invariant input.
 
     It is the only convolver of a run, at every ball size: the direct
     double loop `conv_direct` is slower at every size, and tests hold this
     one to it at 1e-12.
     """
-    return _FFTConvolver(table)
+    return _OctantConvolver(table)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ class TestConfigValidation:
         {"N": 10**400},
         {"cutoff_K_over_2pi": 1e308},
         {"oracle": {"N": 1}},
-        # FFT grids beyond the memory budget: 216^3, 40,005^3, overflow
+        # pair cubes beyond the memory budget: 201^3, 40,001^3, overflow
         {"cutoff_K_over_2pi": 50},
         {"cutoff_K_over_2pi": 1e4},
         {"cutoff_K": 1e300},
@@ -107,7 +107,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("k_over_2pi", [40, 49.99])
     def test_cutoff_within_grid_budget_accepted(self, k_over_2pi):
-        # 162^3 and 200^3 FFT points
+        # pair cubes of 161^3 and 197^3 points
         assert parse_config(dict(BASE, cutoff_K_over_2pi=k_over_2pi))
 
     def test_unknown_key_rejected(self):

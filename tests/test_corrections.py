@@ -16,6 +16,8 @@ from bosegas.corrections import (
     f_pq,
     g2_expectation,
     pair_weight,
+    symmetrized_vertex,
+    vertex_factors,
 )
 from bosegas.errors import InconsistentLattice, NotCubicInvariant, ZeroMomentumArgument
 from bosegas.lattice_potential import TWO_PI, Potential, born2_sum, enumerate_lattice
@@ -46,17 +48,57 @@ PAIR_CASES = [
 def e_pert_tilde_row_loop(tb, K2):
     """Reference: the ball part of e_pert_tilde with one row per point."""
     ctx = _PairContext(tb, K2)
+    e = ctx.fac[6]
     rows = []
     for i in range(ctx.M2):
         f, epq = _f_rows(ctx, i)
-        rows.append(det_sum(f * f / (epq + ctx.e[i] + ctx.e)))
+        rows.append(det_sum(f * f / (epq + e[i] + e)))
     return -(6.0 / tb.N) * det_sum(rows)
+
+
+def _g_vertex(sp1, sp2, sp3):
+    """Reference: raw triple-creation amplitude of the cubic channel for one
+    ordered slot assignment, each slot (v, c, s, ct, st): slot 1 = p
+    (carries the potential), slot 2 = q (the annihilator slot), slot 3 =
+    p + q, as the squeezing conjugation yields it before factoring."""
+    v1, c1, s1, ct1, st1 = sp1
+    _, c2, s2, ct2, st2 = sp2
+    _, c3, s3, ct3, st3 = sp3
+    return (
+        v1
+        * c3
+        * c1
+        * (
+            c2 * (ct3 * ct1 * st2 + ct2 * st1 * st3)
+            + s2 * (ct3 * ct1 * ct2 + st3 * st1 * st2)
+        )
+    )
+
+
+def raw_symmetrized_vertex(slot_p, slot_q, slot_pq):
+    """Reference: the mean of `_g_vertex` over the six ordered
+    representatives of the triple (p, q, -p-q)."""
+    return (
+        _g_vertex(slot_p, slot_q, slot_pq)
+        + _g_vertex(slot_q, slot_p, slot_pq)
+        + _g_vertex(slot_pq, slot_q, slot_p)
+        + _g_vertex(slot_q, slot_pq, slot_p)
+        + _g_vertex(slot_pq, slot_p, slot_q)
+        + _g_vertex(slot_p, slot_pq, slot_q)
+    ) / 6.0
+
+
+def factored_vertex(slot_p, slot_q, slot_pq):
+    """`symmetrized_vertex` on raw (v, c, s, ct, st) slots."""
+    return symmetrized_vertex(
+        vertex_factors(*slot_p), vertex_factors(*slot_q), vertex_factors(*slot_pq)
+    )
 
 
 class TestPairTable:
     def test_fill_is_ball_tables_inside_and_closure_outside(self, tables_small):
         # K2 = sqrt(17) * 2 pi on the radius-6 ball: the pair cube spans
-        # [-8, 8]^3, so p + q reaches beyond the ball
+        # [-8, 8]^3, and p + q reaches beyond the ball up to |n|^2 = 68
         tb = tables_small
         lat = tb.lattice
         t = tb.table
@@ -65,20 +107,24 @@ class TestPairTable:
         axis = np.arange(-8, 9)
         cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
         cube = cube.reshape(-1, 3)
-        assert ctx.pair.shape == (6, side**3)
+        assert ctx.pair.shape == (7, side**3)
         idx = lat.lookup(cube)
         inside = idx >= 0
-        ball = np.stack([t.values, tb.c, tb.s, tb.ct, tb.st, tb.e])
+        ball = np.stack([*vertex_factors(t.values, tb.c, tb.s, tb.ct, tb.st), tb.e])
+        assert np.array_equal(ctx.fac, ball[:, : ctx.M2])
         assert np.array_equal(ctx.pair[:, inside], ball[:, idx[inside]])
-        far = ~inside & np.any(cube != 0, axis=1)
-        assert far.sum() == side**3 - len(lat) - 1
-        v, c, s, ct, st, e = ctx.pair[:, far]
-        assert np.array_equal(v, t.value_at(cube[far]))
-        assert np.array_equal(e, dispersion_closed_form(t, cube[far]))
-        assert np.all(ct == 1.0) and np.all(st == 0.0)
-        psq = TWO_PI**2 * np.sum(cube[far] ** 2, axis=1).astype(float)
+        nsq = np.sum(cube * cube, axis=1)
+        far = ~inside & (nsq > 0) & (nsq <= 68)
+        assert far.sum() > 0
+        X, Y, P, Q, vX, vY, e = ctx.pair[:, far]
+        v = t.value_at(cube[far])
+        psq = TWO_PI**2 * nsq[far].astype(float)
         eta = -v / (2.0 * psq)
-        assert np.array_equal(s, np.sinh(eta)) and np.array_equal(c, np.cosh(eta))
+        c, s = np.cosh(eta), np.sinh(eta)
+        assert np.array_equal(X, c) and np.array_equal(Q, c)
+        assert np.array_equal(P, s) and np.array_equal(vX, v * c)
+        assert np.all(Y == 0.0) and np.all(vY == 0.0)
+        assert np.array_equal(e, dispersion_closed_form(t, cube[far]))
         # eta_tail forms p^2 from the momentum vector, one ulp away; the
         # shape factor's direct form, 3 eps / r^2 relative error, squared
         # into vhat, turns that into at most 1.6e-13 at the smallest far
@@ -88,12 +134,23 @@ class TestPairTable:
             for n in cube[far]
         ])
         assert np.max(np.abs(eta - tail) / np.abs(tail)) <= 2e-13
-        # p_i + q_j sits at base[i] + flat[j]
+        # p_i + q_j sits at base[i] + flat[j], and every pair reads a
+        # filled point: the ball or the reachable closure
         M2 = ctx.M2
         for i in (0, 7, M2 - 1):
             tgt = lat.points[i] + lat.points[:M2] + 8
             at = (tgt[:, 0] * side + tgt[:, 1]) * side + tgt[:, 2]
             assert np.array_equal(ctx.base[i] + ctx.flat, at)
+        read = (ctx.base[:, None] + ctx.flat[None, :]).ravel()
+        assert np.all((inside | far)[read] | (read == len(cube) // 2))
+
+    def test_no_closure_when_no_pair_leaves_the_ball(self, tables_small):
+        # K2 = K/2, as at the reference point: |p + q| <= K for every pair
+        ctx = _PairContext(tables_small, TWO_PI * 3.0)
+        axis = np.arange(-6, 7)
+        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        outside = tables_small.lattice.lookup(cube.reshape(-1, 3)) < 0
+        assert np.all(ctx.pair[:, outside] == 0.0)
 
 
 class TestVertex:
@@ -135,8 +192,6 @@ class TestVertex:
     def test_tau_free_collapse(self, tables_small):
         # with all tau = 0 only the plain-hyperbolic group survives; the
         # orbit average then reduces to (1/6) of the three-term bracket
-        from bosegas.corrections import symmetrized_vertex
-
         tb = tables_small
         lat = tb.lattice
         i = int(lat.lookup((1, 0, 0)))
@@ -144,7 +199,7 @@ class TestVertex:
         k = int(lat.lookup((1, 1, 0)))
         v, c, s = tb.table.values, tb.c, tb.s
         one, zero = 1.0, 0.0
-        got = symmetrized_vertex(
+        got = factored_vertex(
             (v[i], c[i], s[i], one, zero),
             (v[j], c[j], s[j], one, zero),
             (v[k], c[k], s[k], one, zero),
@@ -155,6 +210,33 @@ class TestVertex:
             + v[k] * c[k] * (c[i] * s[j] + c[j] * s[i])
         )
         assert got == pytest.approx(bracket / 6.0, rel=1e-14)
+
+    def test_factored_matches_six_term_reference(self, tables_small):
+        # random slots with physical signs (c, ct >= 1, v >= 0, s and st of
+        # either sign), and the tau = 0 collapse on the tables' own slots;
+        # the bound is relative to the vertex of the absolute slot values,
+        # which bounds the sum of the magnitudes of its terms
+        rng = np.random.default_rng(17)
+
+        def slot(eta, tau):
+            v = rng.uniform(0.0, 2.0)
+            return (v, math.cosh(eta), math.sinh(eta), math.cosh(tau), math.sinh(tau))
+
+        cases = [
+            tuple(slot(*rng.uniform(-0.8, 0.8, size=2)) for _ in range(3))
+            for _ in range(200)
+        ]
+        tb = tables_small
+        lat = tb.lattice
+        for trip in ([1, 0, 0], [0, 1, 0], [1, 1, 0]), ([2, 1, 0], [-1, 1, 1], [1, 2, 1]):
+            i, j, k = lat.lookup(np.array(trip))
+            cases.append(tuple(
+                (tb.table.values[m], tb.c[m], tb.s[m], 1.0, 0.0) for m in (i, j, k)
+            ))
+        for sp, sq, spq in cases:
+            ref = raw_symmetrized_vertex(sp, sq, spq)
+            scale = raw_symmetrized_vertex(*(tuple(map(abs, x)) for x in (sp, sq, spq)))
+            assert abs(factored_vertex(sp, sq, spq) - ref) <= 1e-14 * scale
 
 
 class TestEPertTilde:
@@ -214,15 +296,13 @@ class TestEPertTilde:
         p = np.array([1, 0, 0])
         q = np.array([0, 1, 0])
         got = f_pq(tb, K2, p, q)
-        from bosegas.corrections import symmetrized_vertex
-
         lat = tb.lattice
         i, j = lat.lookup([[1, 0, 0], [0, 1, 0]])
         s = p + q
         psq = TWO_PI**2 * 2.0
         vs = float(tb.table.value_at(s[None, :])[0])
         eta_b = eta_tail(tb.table.pot, tb.N, tb.beta, TWO_PI * s.astype(float))
-        manual = symmetrized_vertex(
+        manual = factored_vertex(
             (tb.table.values[i], tb.c[i], tb.s[i], tb.ct[i], tb.st[i]),
             (tb.table.values[j], tb.c[j], tb.s[j], tb.ct[j], tb.st[j]),
             (vs, math.cosh(eta_b), math.sinh(eta_b), 1.0, 0.0),

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bosegas.errors import BetaOutOfRange, CutoffTooSmall, NonFiniteSum
+from bosegas.errors import (
+    BetaOutOfRange,
+    CutoffTooSmall,
+    InconsistentLattice,
+    NonFiniteSum,
+)
 from bosegas.lattice_potential import (
     TWO_PI,
     Potential,
@@ -51,6 +56,34 @@ class TestEnumerate:
         for _, sl in lat6.shells:
             pts = lat6.points[sl].tolist()
             assert pts == sorted(pts)
+
+    @pytest.mark.parametrize("radius", [1.0, math.sqrt(7.5), 6.0, 10.0])
+    def test_shells_match_point_loop(self, radius):
+        lat = enumerate_lattice(TWO_PI * radius)
+        nsq = lat.nsq
+        shells = []
+        start = 0
+        for i in range(1, len(nsq) + 1):
+            if i == len(nsq) or nsq[i] != nsq[start]:
+                shells.append((int(nsq[start]), slice(start, i)))
+                start = i
+        assert lat.shells == tuple(shells)
+
+    # sqrt(7) and sqrt(7.5) end below a |n|^2 that no point has
+    @pytest.mark.parametrize("radius", [1.0, math.sqrt(7), math.sqrt(7.5), 3.0, 6.0])
+    def test_sub_ball_equals_fresh_enumeration(self, lat6, radius):
+        sub = lat6.sub_ball(TWO_PI * radius)
+        ref = enumerate_lattice(TWO_PI * radius)
+        assert sub.cutoff_K == ref.cutoff_K and sub._L == ref._L
+        assert sub.shells == ref.shells
+        for name in ("points", "nsq", "orbit", "orbit_first", "orbit_size", "_grid"):
+            assert np.array_equal(getattr(sub, name), getattr(ref, name)), name
+
+    def test_sub_ball_beyond_the_cutoff_rejected(self, lat6):
+        with pytest.raises(InconsistentLattice):
+            lat6.sub_ball(TWO_PI * 6.5)
+        with pytest.raises(CutoffTooSmall):
+            lat6.sub_ball(0.9 * TWO_PI)
 
     def test_deterministic(self):
         a = enumerate_lattice(TWO_PI * 4)

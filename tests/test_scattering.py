@@ -7,8 +7,7 @@ from bosegas.errors import NonConvergence, NotCubicInvariant
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice, scaled_table
 from bosegas.scattering import (
     _defect,
-    _FFTConvolver,
-    _next_five_smooth,
+    _OctantConvolver,
     conv_direct,
     dense_solve_eta,
     eta_tail,
@@ -92,7 +91,7 @@ class TestConvolution:
         rng = np.random.default_rng(11)
         vals = lat.orbit_mean(rng.normal(size=len(lat)))  # cubic-invariant
         a = conv_direct(table, vals)
-        b = _FFTConvolver(table)(vals)
+        b = _OctantConvolver(table)(vals)
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
         # the fast path is exactly cubic-invariant (so even), like the
@@ -101,34 +100,23 @@ class TestConvolution:
         assert lat.orbit_spread(b) == 0.0
         assert np.all(b == b[lat.negation_index()])
 
-    # the period is 4L+1 itself at L = 2 and 6, so offsets of +-2L along an
-    # axis sit next to each other on the periodic grid; at L = 10, 4L+1 = 41
-    # is prime and the period rounds up to 45
-    @pytest.mark.parametrize("L, period", [(2, 9), (6, 25), (10, 45)])
-    def test_minimal_period_matches_direct(self, pot_coupled, L, period):
+    # period 4L is the shortest exact one: offsets of +-2L along an axis
+    # share its index 2L, and the kernel is transformed on the (2L+1)^3
+    # octant of that period
+    @pytest.mark.parametrize("L", [2, 6, 10])
+    def test_minimal_period_matches_direct(self, pot_coupled, L):
         lat = enumerate_lattice(TWO_PI * L)
         table = scaled_table(pot_coupled, lat, 1000, 0.75)
-        conv = _FFTConvolver(table)
-        assert conv.shape == (period,) * 3
+        conv = _OctantConvolver(table)
+        assert conv.shape == (2 * L + 1,) * 3
         rng = np.random.default_rng(L)
         vals = lat.orbit_mean(rng.normal(size=len(lat)))
         a = conv_direct(table, vals)
         assert np.max(np.abs(a - conv(vals))) <= 1e-12 * np.max(np.abs(a))
 
-    def test_five_smooth_period_brute_force(self):
-        def smooth(m):
-            for f in (2, 3, 5):
-                while m % f == 0:
-                    m //= f
-            return m == 1
-
-        for n in range(1, 501):
-            expected = next(m for m in range(n, 2 * n + 1) if smooth(m))
-            assert _next_five_smooth(n) == expected
-
     def test_fft_refuses_input_that_is_not_cubic_invariant(self, pot_coupled):
         lat = enumerate_lattice(TWO_PI * 3)
-        conv = _FFTConvolver(scaled_table(pot_coupled, lat, 1000, 0.75))
+        conv = _OctantConvolver(scaled_table(pot_coupled, lat, 1000, 0.75))
         vals = np.ones(len(lat))
         conv(vals)
         # even, but not invariant under coordinate permutations
@@ -137,7 +125,7 @@ class TestConvolution:
             conv(vals)
 
     def test_fft_solve_satisfies_exact_equation(self, pot_coupled, lat3):
-        # the solve runs on the FFT convolver; its eta must solve the
+        # the solve runs on the octant convolver; its eta must solve the
         # equation with the exact convolution as well
         sol = solve_eta(pot_coupled, lat3, 400, 0.7)
         exact = conv_direct(sol.table, sol.eta)
