@@ -10,7 +10,7 @@ order-one / order-N^(beta-1) vacuum-energy terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -257,13 +257,6 @@ def e00(vhat0: float, lattice: LatticeBall) -> ScalarWithTail:
     return ScalarWithTail(value, tail)
 
 
-def ball_prefix(lattice: LatticeBall, K2: float) -> int:
-    """Number of leading points with |p| <= K2 (canonical order makes the
-    sub-ball a prefix)."""
-    nsq_max = int(np.floor((K2 / (2.0 * np.pi)) ** 2 + 1e-9))
-    return int(np.searchsorted(lattice.nsq, nsq_max, side="right"))
-
-
 def a_coefficient(tables: BogoliubovTables) -> np.ndarray:
     """A_p = -(1/N) [2 vhat_p (vhat*cs)_p + (vhat*cs)_p^2 / N].
 
@@ -294,21 +287,7 @@ class E01Result:
         return self.ball + self.tail
 
 
-def sub_ball_convolver(tables: BogoliubovTables, K2: float):
-    """Convolver over q != p on the K2 sub-ball of the tables' lattice.
-
-    The sub-ball is the K2 prefix of the tables' lattice and its table the
-    same prefix of theirs, so its transform grid fits K2 rather than the
-    full cutoff.  One convolver serves every K2 pair sum of a report
-    (`e01`, `corrections.g2_expectation`).  Input must be cubic-invariant
-    (see `scattering._OctantConvolver`).
-    """
-    sub = tables.lattice.sub_ball(K2)
-    t = tables.table
-    return make_convolver(replace(t, lattice=sub, values=t.values[: len(sub)]))
-
-
-def e01(tables: BogoliubovTables, K2: float, convolve=None) -> E01Result:
+def e01(tables: BogoliubovTables, K2: float) -> E01Result:
     """Order-N^(beta-1) vacuum-energy term.
 
     Two double sums over the K2-ball with the p = q diagonal excluded:
@@ -317,24 +296,23 @@ def e01(tables: BogoliubovTables, K2: float, convolve=None) -> E01Result:
       +(1/N)  sum_{p!=q} vhat_p^2 vhat(p-q) s_q c_q / (S_p (p^2 + S_p)) .
 
     Each q-sum is a convolution over q != p, evaluated for all p at once
-    on the convolver of the K2 sub-ball (`sub_ball_convolver`; pass
-    `convolve` to reuse one already built); the p-sums are exact.  Both
-    convolved weights are cubic-invariant, as the tables are.  The result
-    agrees with the explicit pair loop to a few ulps relative.
+    on the convolver of the K2 sub-table (`ScaledPotentialTable.sub_table`),
+    whose transform grid fits K2 rather than the full cutoff; the p-sums
+    are exact.  Both convolved weights are cubic-invariant, as the tables
+    are.  The result agrees with the explicit pair loop to a few ulps
+    relative.
 
     The q-sums grow like N^beta through momenta beyond any practical ball;
     their continuum tails factor against the p-sums (Born closure for
     s_q c_q, nearest-argument closure for vhat(p-q)) and are included in
     the reported value, separately from the exact ball part.
     """
-    lat = tables.lattice
-    t = tables.table
+    sub = tables.table.sub_table(K2)
+    convolve = make_convolver(sub)
     N = tables.N
-    M2 = ball_prefix(lat, K2)
-    if convolve is None:
-        convolve = sub_ball_convolver(tables, K2)
-    psq = lat.psq[:M2]
-    v = t.values[:M2]
+    M2 = len(sub.values)
+    psq = sub.lattice.psq
+    v = sub.values
     scm = sc_minus_eta(tables.sol.eta[:M2])
     sc = (tables.s * tables.c)[:M2]
     S = np.sqrt(psq * (psq + 2.0 * v))
@@ -349,7 +327,7 @@ def e01(tables: BogoliubovTables, K2: float, convolve=None) -> E01Result:
     )
 
     # factored q-tail: bracket -> vhat_q/(2 q^2), vhat(p-q) -> vhat(q)
-    _, t2x = born2_sum(t, K2)
+    _, t2x = born2_sum(sub)
     tail = (det_sum(scm) + 2.0 * det_sum(w2)) * (-t2x / (2.0 * N))
     value = ball + tail
     return E01Result(

@@ -15,7 +15,6 @@ discrepancy sits far below the rounding floor of the O(N) totals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,18 +22,16 @@ import numpy as np
 
 from .bogoliubov import (
     BogoliubovTables,
-    ball_prefix,
     bogoliubov_ground_energy,
     constant_C,
     dispersion_closed_form,
     e00,
     e01,
     sc_minus_eta,
-    sub_ball_convolver,
 )
-from .errors import InconsistentLattice, NotCubicInvariant, ZeroMomentumArgument
+from .errors import NotCubicInvariant, ZeroMomentumArgument
 from .lattice_potential import born2_sum
-from .scattering import scattering_length
+from .scattering import make_convolver, scattering_length
 from .sums import det_rows, det_sum
 
 
@@ -104,8 +101,11 @@ def e_corr(c_nb: float, tables: BogoliubovTables) -> ECorr:
 class _PairContext:
     """The K2-ball vertex factors of the cubic pair sum and its pair table.
 
-    `fac` holds the rows (X, Y, P, Q, vX, vY) of `vertex_factors` and the
-    dispersion e on the K2-ball.  For p, q in it, inside [-L2, L2]^3,
+    `sub` is the K2 sub-table (`ScaledPotentialTable.sub_table`, which
+    rejects K2 beyond the tables' cutoff); its lattice gives the points,
+    M2, L2 and each point's negation.  `fac` holds the rows (X, Y, P, Q,
+    vX, vY) of `vertex_factors` and the dispersion e on the K2-ball.  For
+    p, q in it, inside [-L2, L2]^3,
     p + q spans the cube [-2 L2, 2 L2]^3; `pair` holds the same rows at
     every point of that cube a pair reaches (|p + q| <= 2 max |q|),
     filled once: the tables inside the K ball, the first-Born closure
@@ -117,29 +117,26 @@ class _PairContext:
     """
 
     def __init__(self, tables: BogoliubovTables, K2: float):
-        lat = tables.lattice
-        if K2 > lat.cutoff_K * (1.0 + 1e-12):
-            raise InconsistentLattice(
-                f"pair-sum cutoff {K2} exceeds the table cutoff {lat.cutoff_K}"
-            )
         t = tables.table
-        self.M2 = M2 = ball_prefix(lat, K2)
-        pts = lat.points[:M2]
+        self.sub = t.sub_table(K2)
+        sub_lat = self.sub.lattice
+        self.M2 = M2 = len(sub_lat)
+        pts = sub_lat.points
         ball = np.stack([
             *vertex_factors(t.values, tables.c, tables.s, tables.ct, tables.st),
             tables.e,
         ])
         self.fac = ball[:, :M2]
-        self.neg = lat.lookup(-pts)
+        self.neg = sub_lat.negation_index()
 
-        nsq2 = int(lat.nsq[M2 - 1]) if M2 else 0
-        L2 = math.isqrt(nsq2)
+        nsq2 = int(sub_lat.nsq[-1])
+        L2 = sub_lat._L
         side = 4 * L2 + 1
         axis = np.arange(-2 * L2, 2 * L2 + 1, dtype=np.int64)
         cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
         cube = cube.reshape(-1, 3)
         cube_nsq = np.sum(cube * cube, axis=1)
-        idx = lat.lookup(cube)
+        idx = tables.lattice.lookup(cube)
         inside = idx >= 0
         far = ~inside & (cube_nsq > 0) & (cube_nsq <= 4 * nsq2)
         self.pair = np.zeros((7, len(cube)))
@@ -219,9 +216,7 @@ class EPertTilde(NamedTuple):
     tail: float
 
 
-def e_pert_tilde(
-    tables: BogoliubovTables, K2: float, c2: float | None = None
-) -> EPertTilde:
+def e_pert_tilde(tables: BogoliubovTables, K2: float) -> EPertTilde:
     """Second-order energy of the cubic channel:
 
         -(6/N) sum_{p,q, p+q != 0} f(p,q)^2 / (e(p+q) + e(p) + e(q)) .
@@ -230,8 +225,7 @@ def e_pert_tilde(
     of `_PairContext` with one gather: the tables inside the K ball, the
     first-Born closure with closed-form dispersion outside it (tail
     policy).  The |p| > K2 continuum tail factors through the reduced
-    pair weight C2 (`c_constant`; pass `c2` to reuse a value already
-    computed) and is included in the value.
+    pair weight C2 (`c_constant`) and is included in the value.
 
     The tables are constant on cubic orbits (checked) and the K2-ball is a
     union of whole orbits, so the q-sum of row p depends on p's orbit
@@ -248,10 +242,8 @@ def e_pert_tilde(
             raise NotCubicInvariant(
                 f"table {name} varies within a cubic orbit by {gap:.3e}"
             )
-    # orbits are numbered by first appearance, so the prefix holds 0..n-1
-    n_orbits = int(np.searchsorted(lat.orbit_first, ctx.M2))
-    reps = lat.orbit_first[:n_orbits]
-    sizes = lat.orbit_size[:n_orbits]
+    reps = ctx.sub.lattice.orbit_first
+    sizes = ctx.sub.lattice.orbit_size
 
     def row(k: int) -> float:
         i = int(reps[k])
@@ -259,23 +251,18 @@ def e_pert_tilde(
         e = ctx.fac[6]
         return det_sum(f * f / (epq + e[i] + e))
 
-    rows = det_rows(row, n_orbits)
+    rows = det_rows(row, len(reps))
     ball = -(6.0 / tables.N) * det_sum(np.repeat(rows, sizes))
-    _, t2x = born2_sum(tables.table, K2)
-    if c2 is None:
-        c2 = c_constant(tables).C2
-    tail = c2 * (-t2x / (2.0 * tables.N))
+    _, t2x = born2_sum(ctx.sub)
+    tail = det_sum(pair_weight(tables)) * (-t2x / (2.0 * tables.N))
     return EPertTilde(value=ball + tail, ball=ball, tail=tail)
 
 
 class G2Expectation(NamedTuple):
     value: float
-    tail_estimate: float
 
 
-def g2_expectation(
-    tables: BogoliubovTables, K2: float, convolve=None
-) -> G2Expectation:
+def g2_expectation(tables: BogoliubovTables, K2: float) -> G2Expectation:
     """Quartic-channel vacuum expectation:
 
         (1/2N) sum_{p, r, p+r != 0} vhat_r c_{p+r}^2 c_p^2 st_{p+r} st_p
@@ -286,34 +273,21 @@ def g2_expectation(
     whole sum).  With q = p+r it is (1/2N) sum_p [w_p (vhat * w)_p +
     w2_p (vhat * w2)_p], w = c^2 st ct and w2 = c^2 st^2, the
     convolutions over q != p running on the convolver of the K2
-    sub-ball (`bogoliubov.sub_ball_convolver`, or `convolve` if passed;
-    both weights are cubic-invariant) and the p-sums exactly.  The second
-    Wick pairing, quartic in the squeezing, is negligible at physical
-    couplings but kept for exactness against the Fock oracle.
+    sub-table (`ScaledPotentialTable.sub_table`; both weights are
+    cubic-invariant) and the p-sums exactly.  The second Wick pairing,
+    quartic in the squeezing, is negligible at physical couplings but
+    kept for exactness against the Fock oracle.
     """
-    if convolve is None:
-        convolve = sub_ball_convolver(tables, K2)
-    M2 = ball_prefix(tables.lattice, K2)
+    sub = tables.table.sub_table(K2)
+    convolve = make_convolver(sub)
+    M2 = len(sub.values)
     c, st, ct = tables.c[:M2], tables.st[:M2], tables.ct[:M2]
     w = c * c * st * ct
     w2 = c * c * st * st
     value = det_sum(
         [det_sum(w * convolve(w)), det_sum(w2 * convolve(w2))]
     ) / (2.0 * tables.N)
-    lat = tables.lattice
-    last_sl = lat.shells[-1][1]
-    psq_last = lat.psq[last_sl]
-    c_t = float(np.max(np.abs(tables.st[last_sl]) * psq_last * psq_last))
-    s1 = det_sum(np.abs(w))
-    tail_est = (
-        tables.table.at_zero
-        * s1
-        * 1.2
-        * c_t
-        / (2.0 * np.pi**2 * K2)
-        / (2.0 * tables.N)
-    )
-    return G2Expectation(value=value, tail_estimate=tail_est)
+    return G2Expectation(value=value)
 
 
 def depletion(tables: BogoliubovTables) -> float:
@@ -395,10 +369,6 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
     absolute scales far below the rounding floor of the totals.
     """
     lat = tables.lattice
-    if K2 > lat.cutoff_K * (1.0 + 1e-12):
-        raise InconsistentLattice(
-            f"K2 = {K2} exceeds the lattice cutoff {lat.cutoff_K}"
-        )
     sol = tables.sol
     N = tables.N
     pot = tables.table.pot
@@ -409,12 +379,11 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
         tables.table.values * sol.eta
     )
     e00_res = e00(tables.table.at_zero, lat)
-    sub_conv = sub_ball_convolver(tables, K2)
-    e01_res = e01(tables, K2, convolve=sub_conv)
+    e01_res = e01(tables, K2)
     cc = c_constant(tables)
     ec = e_corr(cc.value, tables)
-    g2 = g2_expectation(tables, K2, convolve=sub_conv)
-    ept = e_pert_tilde(tables, K2, c2=cc.C2)
+    g2 = g2_expectation(tables, K2)
+    ept = e_pert_tilde(tables, K2)
     e0 = bogoliubov_ground_energy(tables)
     big_c = constant_C(tables)
     depl = depletion(tables)

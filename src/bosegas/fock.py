@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .corrections import symmetrized_vertex, vertex_factors
 from .errors import (
     BasisTooLarge,
     EigenNonConvergence,
@@ -592,20 +593,15 @@ def rs_pt2(
 def restricted_e_pert_tilde(rt: RestrictedTables) -> float:
     """Closed-form second-order cubic energy over in-set triples only."""
     pairs, _ = _mode_pairs(rt.modes)
-    terms = []
-    for i, j, k in pairs:
-        f = _f_restricted(rt, i, j, k)
-        terms.append(f * f / (rt.e[k] + rt.e[i] + rt.e[j]))
-    return -(6.0 / rt.N) * det_sum(terms)
+    i, j, k = pairs.T
+    f = _f_restricted(rt, pairs)
+    return -(6.0 / rt.N) * det_sum(f * f / (rt.e[k] + rt.e[i] + rt.e[j]))
 
 
-def _f_restricted(rt: RestrictedTables, i: int, j: int, k: int) -> float:
-    """f(p_i, p_j) with p_i + p_j = p_k, all inside the mode set."""
-    from .corrections import symmetrized_vertex, vertex_factors
-
-    slots = [vertex_factors(rt.v[m], rt.c[m], rt.s[m], rt.ct[m], rt.st[m])
-             for m in (i, j, k)]
-    return float(symmetrized_vertex(*slots))
+def _f_restricted(rt: RestrictedTables, pairs: np.ndarray) -> np.ndarray:
+    """f(p_i, p_j) on every (i, j, k) row of `_mode_pairs`, p_i + p_j = p_k."""
+    fac = np.stack(vertex_factors(rt.v, rt.c, rt.s, rt.ct, rt.st))
+    return symmetrized_vertex(*(fac[:, m] for m in pairs.T))
 
 
 def restricted_g2_expectation(rt: RestrictedTables) -> float:

@@ -15,7 +15,7 @@ identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,7 +150,11 @@ class LatticeBall:
 
     def sub_ball(self, K: float) -> "LatticeBall":
         """The ball |p| <= K <= cutoff_K, a prefix of this one: equal to
-        `enumerate_lattice(K)` without enumerating again."""
+        `enumerate_lattice(K)` without enumerating again.
+
+        The one rule from an inner cutoff to its prefix, and the one check
+        that it lies inside this ball (InconsistentLattice beyond it,
+        CutoffTooSmall below the first shell)."""
         if K > self.cutoff_K * (1.0 + 1e-12):
             raise InconsistentLattice(f"sub-ball {K} exceeds cutoff {self.cutoff_K}")
         nsq_max = _nsq_max(K)
@@ -206,7 +210,7 @@ def _nsq_max(K: float) -> int:
 def enumerate_lattice(K: float) -> LatticeBall:
     """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K."""
     nsq_max = _nsq_max(K)
-    L = int(np.floor(np.sqrt(nsq_max + 1e-9)))
+    L = math.isqrt(nsq_max)
     axis = np.arange(-L, L + 1, dtype=np.int64)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     pts = grid.reshape(-1, 3)
@@ -260,6 +264,12 @@ class ScaledPotentialTable:
         rho = TWO_PI * np.sqrt(nsq) / self.N**self.beta
         return self.pot.vhat_radial(rho)
 
+    def sub_table(self, K: float) -> "ScaledPotentialTable":
+        """This table on the sub-ball |p| <= K (`LatticeBall.sub_ball`):
+        the same values, cut to its prefix."""
+        sub = self.lattice.sub_ball(K)
+        return replace(self, lattice=sub, values=self.values[: len(sub)])
+
 
 def scaled_table(
     pot: Potential, lattice: LatticeBall, N: int, beta: float
@@ -301,25 +311,20 @@ def quartic_shape_tail(x: float) -> float:
     return det_sum((half * _GL_WEIGHTS * _shape_factor(w) ** 4).ravel())
 
 
-def born2_sum(table: ScaledPotentialTable, K: float | None = None) -> tuple[float, float]:
+def born2_sum(table: ScaledPotentialTable) -> tuple[float, float]:
     """The scaled-potential sum  sum_p vhat(p/N^beta)^2 / (2 p^2).
 
-    Returns (ball part, analytic tail), truncating at K (default: the
-    table's full cutoff).  The summand grows with N like N^beta through
-    momenta of order N^beta, far beyond any practical ball, so the tail is
-    evaluated as the continuum integral over |p| > K and reported
-    alongside the exact lattice part.
+    Returns (ball part, analytic tail), truncating at the table's cutoff K;
+    pass `table.sub_table(K2)` for an inner cutoff.  The summand grows with
+    N like N^beta through momenta of order N^beta, far beyond any practical
+    ball, so the tail is evaluated as the continuum integral over |p| > K
+    and reported alongside the exact lattice part.
     """
     lat = table.lattice
-    if K is None:
-        K = lat.cutoff_K
-        M = len(lat)
-    else:
-        nsq_max = int(np.floor((K / TWO_PI) ** 2 + 1e-9))
-        M = int(np.searchsorted(lat.nsq, nsq_max, side="right"))
-    ball = det_sum(table.values[:M] ** 2 / (2.0 * lat.psq[:M]))
+    ball = det_sum(table.values**2 / (2.0 * lat.psq))
     nbeta = table.N**table.beta
     pot = table.pot
     prefac = (pot.kappa * (4.0 * np.pi * pot.R**3) ** 2) ** 2 / pot.R
-    tail = nbeta / (4.0 * np.pi**2) * prefac * quartic_shape_tail(pot.R * K / nbeta)
+    x = pot.R * lat.cutoff_K / nbeta
+    tail = nbeta / (4.0 * np.pi**2) * prefac * quartic_shape_tail(x)
     return ball, tail

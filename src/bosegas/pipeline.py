@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from .bogoliubov import build_tables
 from .config import RunConfig
@@ -25,10 +26,4 @@ def run_pipeline(cfg: RunConfig, N: int | None = None) -> EnergyReport:
     t0 = time.perf_counter()
     report = assemble_report(tables, cfg.cutoff_K2)
     t_sums = (time.perf_counter() - t0) * 1000.0
-    return _with_timings(report, t_scatter, t_sums)
-
-
-def _with_timings(report: EnergyReport, t_scatter: float, t_sums: float):
-    from dataclasses import replace
-
     return replace(report, t_scatter_ms=t_scatter, t_sums_ms=t_sums)

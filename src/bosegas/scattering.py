@@ -198,27 +198,24 @@ def solve_eta(
         if res < best_res:
             best_eta, best_res = eta, res
         if res <= tol and (res <= floor or res > 0.25 * prev_res):
-            return ScatteringSolution(
-                table=table,
-                eta=best_eta,
-                N=int(N),
-                beta=float(beta),
-                tol=tol,
-                iterations=it,
-                residual_norm=best_res,
-                convolve=convolve,
-            )
+            break
         if res > prev_res:
             # residual oscillation: marginal contraction, damp the step
             damping = max(0.125, 0.5 * damping)
         prev_res = res
         eta = eta - damping * defect / psq
-    if best_res <= tol:
-        return ScatteringSolution(
-            table=table, eta=best_eta, N=int(N), beta=float(beta), tol=tol,
-            iterations=max_iter, residual_norm=best_res, convolve=convolve,
-        )
-    raise NonConvergence(max_iter, best_res)
+    if best_res > tol:
+        raise NonConvergence(max_iter, best_res)
+    return ScatteringSolution(
+        table=table,
+        eta=best_eta,
+        N=int(N),
+        beta=float(beta),
+        tol=tol,
+        iterations=it,
+        residual_norm=best_res,
+        convolve=convolve,
+    )
 
 
 def residual(sol: ScatteringSolution) -> float:

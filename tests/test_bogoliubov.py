@@ -6,7 +6,6 @@ import pytest
 from bosegas.bogoliubov import (
     a_coefficient,
     b_coefficient,
-    ball_prefix,
     bogoliubov_ground_energy,
     build_tables,
     constant_C,
@@ -248,7 +247,7 @@ class TestE01:
         tb = tables_first_shell
         lat = tb.lattice
         K2 = TWO_PI * 1.0
-        M2 = ball_prefix(lat, K2)
+        M2 = len(lat.sub_ball(K2))
         pts = lat.points[:M2]
         psq = lat.psq[:M2]
         v = tb.table.values[:M2]
@@ -279,7 +278,7 @@ class TestE01:
         tb = request.getfixturevalue(fixture)
         K2 = TWO_PI * k2_units
         lat = tb.lattice
-        M2 = ball_prefix(lat, K2)
+        M2 = len(lat.sub_ball(K2))
         pts = lat.points[:M2]
         psq = lat.psq[:M2]
         v = tb.table.values[:M2]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import ball_prefix, build_tables, dispersion_closed_form
+from bosegas.bogoliubov import build_tables, dispersion_closed_form, e01
 from bosegas.corrections import (
     _f_rows,
     _PairContext,
@@ -19,7 +19,12 @@ from bosegas.corrections import (
     symmetrized_vertex,
     vertex_factors,
 )
-from bosegas.errors import InconsistentLattice, NotCubicInvariant, ZeroMomentumArgument
+from bosegas.errors import (
+    CutoffTooSmall,
+    InconsistentLattice,
+    NotCubicInvariant,
+    ZeroMomentumArgument,
+)
 from bosegas.lattice_potential import TWO_PI, Potential, born2_sum, enumerate_lattice
 from bosegas.scattering import eta_tail, solve_eta
 from bosegas.sums import det_sum
@@ -167,7 +172,7 @@ class TestVertex:
     def test_symmetry_random_pairs(self, tables_small):
         K2 = TWO_PI * 2.5
         lat = tables_small.lattice
-        M2 = ball_prefix(lat, K2)
+        M2 = len(lat.sub_ball(K2))
         rng = np.random.default_rng(5)
         checked = 0
         while checked < 100:
@@ -252,7 +257,7 @@ class TestEPertTilde:
         tb = tables_first_shell
         K2 = TWO_PI * 1.0
         lat = tb.lattice
-        M2 = ball_prefix(lat, K2)
+        M2 = len(lat.sub_ball(K2))
         acc = 0.0
         for i in range(M2):
             for j in range(M2):
@@ -318,7 +323,7 @@ class TestG2Expectation:
         tb = tables_first_shell
         K2 = TWO_PI
         lat = tb.lattice
-        M2 = ball_prefix(lat, K2)
+        M2 = len(lat.sub_ball(K2))
         acc = 0.0
         for i in range(M2):
             for j in range(M2):
@@ -339,7 +344,7 @@ class TestG2Expectation:
     def test_convolution_matches_row_loop(self, request, fixture, k2_units):
         tb = request.getfixturevalue(fixture)
         K2 = TWO_PI * k2_units
-        M2 = ball_prefix(tb.lattice, K2)
+        M2 = len(tb.lattice.sub_ball(K2))
         pts = tb.lattice.points[:M2]
         c, st, ct = tb.c[:M2], tb.st[:M2], tb.ct[:M2]
         w = c * c * st * ct
@@ -446,9 +451,36 @@ class TestReport:
                      "depletion"):
             assert getattr(rep, name) == 0.0, name
 
-    def test_inconsistent_lattice(self, tables_small):
-        with pytest.raises(InconsistentLattice):
-            assemble_report(tables_small, tables_small.lattice.cutoff_K * 2.0)
+    @pytest.mark.parametrize("pair_sum", [
+        assemble_report,
+        e01,
+        g2_expectation,
+        e_pert_tilde,
+        lambda tb, K2: f_pq(tb, K2, (1, 0, 0), (0, 1, 0)),
+    ], ids=["assemble_report", "e01", "g2_expectation", "e_pert_tilde", "f_pq"])
+    def test_inconsistent_lattice(self, tables_small, pair_sum):
+        # every K2 sum cuts its sub-table through the one sub_ball check,
+        # which also rejects a K2 below the first shell
+        with pytest.raises(InconsistentLattice, match="sub-ball"):
+            pair_sum(tables_small, tables_small.lattice.cutoff_K * 2.0)
+        with pytest.raises(CutoffTooSmall):
+            pair_sum(tables_small, 0.5 * TWO_PI)
+
+    def test_cutoff_between_shells(self, tables_small):
+        # no point has |n|^2 = 7, so K2 = 2 pi sqrt 7 holds the same sub-ball
+        # as 2 pi sqrt 6 and every ball part is bitwise the same; the
+        # continuum tails start at K2 itself
+        tb = tables_small
+        lo, hi = TWO_PI * math.sqrt(6.0), TWO_PI * math.sqrt(7.0)
+        e01_lo, e01_hi = e01(tb, lo), e01(tb, hi)
+        assert e01_hi.ball == e01_lo.ball
+        assert g2_expectation(tb, hi) == g2_expectation(tb, lo)
+        assert e_pert_tilde(tb, hi).ball == e_pert_tilde(tb, lo).ball
+        tail_ratio = born2_sum(tb.table.sub_table(hi))[1] / born2_sum(
+            tb.table.sub_table(lo)
+        )[1]
+        assert tail_ratio < 1.0
+        assert e01_hi.tail == pytest.approx(e01_lo.tail * tail_ratio, rel=1e-14)
 
     def test_component_order_invariance(self, tables_small):
         # components are pure; reassembly reproduces the report bitwise

@@ -415,7 +415,7 @@ class TestCubicChannel:
         occ[neg[i_p]] += 1
         occ[neg[i_q]] += 1
         idx = b.lookup(occ[None, :])[0]
-        f = _f_restricted(rt, i_p, i_q, i_k)
+        f = _f_restricted(rt, np.array([[i_p, i_q, i_k]]))[0]
         assert col[idx] == pytest.approx(6.0 * f / math.sqrt(rt.N), rel=1e-13)
 
     def test_first_shell_has_no_triples(self):
