@@ -144,6 +144,10 @@ class BogoliubovTables:
     def beta(self) -> float:
         return self.sol.beta
 
+    @property
+    def eta(self) -> np.ndarray:
+        return self.sol.eta
+
 
 def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
     """All tables from a solution, convolving on the solver's convolver."""
@@ -182,20 +186,15 @@ class ScalarWithTail(NamedTuple):
     tail_estimate: float
 
 
-def bogoliubov_ground_energy(tables: BogoliubovTables) -> ScalarWithTail:
+def bogoliubov_ground_energy(tables) -> float:
     """Ground energy of the quadratic form: (1/2) sum_p (-F_p + e_p).
 
     Summed in the cancellation-free form -G_p^2 / (2 (F_p + e_p)); the
     summand decays like |p|^-6 so the ball sum converges absolutely.
+    Reads only F, G and e: it also runs on `fock.RestrictedTables`.
     """
     F, G, e = tables.F, tables.G, tables.e
-    value = det_sum(-G * G / (2.0 * (F + e)))
-    lat = tables.lattice
-    last = lat.shells[-1][1]
-    cG = float(np.max(np.abs(G[last]) * lat.psq[last]))
-    K = lat.cutoff_K
-    tail = 2.0 * (cG**2 / 4.0) / (2.0 * np.pi**2) / (3.0 * K**3)
-    return ScalarWithTail(value, tail)
+    return det_sum(-G * G / (2.0 * (F + e)))
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,6 @@ def b_coefficient(tables: BogoliubovTables) -> np.ndarray:
 class E01Result:
     ball: float
     tail: float
-    certificate: float      # |value| / N^(beta-1)
 
     @property
     def value(self) -> float:
@@ -313,7 +311,7 @@ def e01(tables: BogoliubovTables, K2: float) -> E01Result:
     M2 = len(sub.values)
     psq = sub.lattice.psq
     v = sub.values
-    scm = sc_minus_eta(tables.sol.eta[:M2])
+    scm = sc_minus_eta(tables.eta[:M2])
     sc = (tables.s * tables.c)[:M2]
     S = np.sqrt(psq * (psq + 2.0 * v))
     w2 = v * v / (S * (psq + S))
@@ -329,7 +327,4 @@ def e01(tables: BogoliubovTables, K2: float) -> E01Result:
     # factored q-tail: bracket -> vhat_q/(2 q^2), vhat(p-q) -> vhat(q)
     _, t2x = born2_sum(sub)
     tail = (det_sum(scm) + 2.0 * det_sum(w2)) * (-t2x / (2.0 * N))
-    value = ball + tail
-    return E01Result(
-        ball=ball, tail=tail, certificate=abs(value) / N ** (tables.beta - 1.0)
-    )
+    return E01Result(ball=ball, tail=tail)

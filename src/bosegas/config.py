@@ -16,8 +16,7 @@ Keys (defaults in parentheses):
                     `cutoff_K2_over_2pi`
   scattering        {"tol": 1e-11, "max_iter": 200}
   oracle            {"modes": {"nsq_max": int} | {"vectors": [[i,j,k],...]},
-                     "n_max": [5, 7, 9], "N": optional override,
-                     "rel_tol_pert": 1e-5, "rel_tol_g2": 1e-6}
+                     "n_max": [5, 7, 9], "N": optional override}
   out               output path for reports (stdout if absent)
 """
 
@@ -43,8 +42,6 @@ class OracleConfig:
     modes_vectors: tuple = ()
     n_max_list: tuple = (5, 7, 9)
     N: int | None = None
-    rel_tol_pert: float = 1e-5
-    rel_tol_g2: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,8 +201,6 @@ def parse_config(raw: dict) -> RunConfig:
         # the Fock basis packs occupations as uint8
         n_max_list=tuple(_integer(n, "oracle.n_max entry", 0, 255) for n in n_max),
         N=_particle_number(ob["N"], "oracle.N") if "N" in ob else None,
-        rel_tol_pert=_number(ob.get("rel_tol_pert", 1e-5), "oracle.rel_tol_pert"),
-        rel_tol_g2=_number(ob.get("rel_tol_g2", 1e-6), "oracle.rel_tol_g2"),
     )
 
     warnings = []

@@ -74,7 +74,7 @@ def c_constant(tables: BogoliubovTables) -> CConstants:
     route-agreement diagnostics by a factor 2 (tested).
     """
     vhat0 = tables.table.at_zero
-    c1 = det_sum(sc_minus_eta(tables.sol.eta)) + 2.0 * vhat0 * vhat0 * det_sum(
+    c1 = det_sum(sc_minus_eta(tables.eta)) + 2.0 * vhat0 * vhat0 * det_sum(
         c1_resolvent_summand(tables.lattice.psq, vhat0)
     )
     c2 = det_sum(pair_weight(tables))
@@ -258,11 +258,7 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> EPertTilde:
     return EPertTilde(value=ball + tail, ball=ball, tail=tail)
 
 
-class G2Expectation(NamedTuple):
-    value: float
-
-
-def g2_expectation(tables: BogoliubovTables, K2: float) -> G2Expectation:
+def g2_expectation(tables: BogoliubovTables, K2: float) -> float:
     """Quartic-channel vacuum expectation:
 
         (1/2N) sum_{p, r, p+r != 0} vhat_r c_{p+r}^2 c_p^2 st_{p+r} st_p
@@ -284,20 +280,20 @@ def g2_expectation(tables: BogoliubovTables, K2: float) -> G2Expectation:
     c, st, ct = tables.c[:M2], tables.st[:M2], tables.ct[:M2]
     w = c * c * st * ct
     w2 = c * c * st * st
-    value = det_sum(
+    return det_sum(
         [det_sum(w * convolve(w)), det_sum(w2 * convolve(w2))]
     ) / (2.0 * tables.N)
-    return G2Expectation(value=value)
 
 
-def depletion(tables: BogoliubovTables) -> float:
+def depletion(tables) -> float:
     """Expected number of particles outside the condensate.
 
     The two same-mode squeezings compose additively in their parameters,
     so the occupation of mode p in the approximate ground state is
-    sinh^2(eta_p + tau_p).
+    sinh^2(eta_p + tau_p).  Reads only eta and tau: it also runs on
+    `fock.RestrictedTables`.
     """
-    x = np.sinh(tables.sol.eta + tables.tau)
+    x = np.sinh(tables.eta + tables.tau)
     return det_sum(x * x)
 
 
@@ -389,7 +385,7 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
     depl = depletion(tables)
 
     total_a = det_sum([leading, e00_res.value, ec.value])
-    total_b = det_sum([big_c.value, e0.value, ept.value, g2.value])
+    total_b = det_sum([big_c.value, e0, ept.value, g2])
     discrepancy = abs(
         det_sum(
             [
@@ -397,14 +393,14 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
                 e00_res.value,
                 ec.value,
                 -big_c.excess,
-                -e0.value,
+                -e0,
                 -ept.value,
-                -g2.value,
+                -g2,
             ]
         )
     )
     corr_minus_parts = det_sum(
-        [ec.value, -e01_res.value, -ept.value, -g2.value]
+        [ec.value, -e01_res.value, -ept.value, -g2]
     )
 
     return EnergyReport(
@@ -428,11 +424,11 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
         E_corr=ec.value,
         born2_ball=ec.inner_ball,
         born2_tail=ec.inner_tail,
-        g2_expect=g2.value,
+        g2_expect=g2,
         e_pert_tilde=ept.value,
         e_pert_tilde_ball=ept.ball,
         e_pert_tilde_tail=ept.tail,
-        E0=e0.value,
+        E0=e0,
         C_const=big_c.value,
         total_route_A=total_a,
         total_route_B=total_b,

@@ -13,6 +13,10 @@ inverse of one shifted factorization with inverse-iteration polishing,
 and second-order perturbation theory is done by a projected resolvent
 conjugate-gradient solve.  Each solver has one path at every basis
 dimension.  None of it reuses the closed-form route it is meant to check.
+
+Its targets (`oracle.run_oracle`) are the report's own `E0` and
+`depletion` functions on the `RestrictedTables` of the mode set, and the
+pair sums restricted to in-set triples below.
 """
 
 from __future__ import annotations
@@ -414,7 +418,7 @@ def restrict_tables(tables, modes: ModeSet) -> RestrictedTables:
         F=tables.F[idx],
         G=tables.G[idx],
         e=tables.e[idx],
-        eta=tables.sol.eta[idx],
+        eta=tables.eta[idx],
         tau=tables.tau[idx],
         value_at=tables.table.value_at,
     )
@@ -618,13 +622,3 @@ def restricted_g2_expectation(rt: RestrictedTables) -> float:
         vr[i] = 0.0
         terms.append(w[i] * det_sum(vr * w) + w2[i] * det_sum(vr * w2))
     return det_sum(terms) / (2.0 * rt.N)
-
-
-def restricted_ground_energy(rt: RestrictedTables) -> float:
-    """(1/2) sum_p (-F_p + e_p) over the mode set, cancellation-free."""
-    return det_sum(-rt.G * rt.G / (2.0 * (rt.F + rt.e)))
-
-
-def restricted_depletion(rt: RestrictedTables) -> float:
-    x = np.sinh(rt.eta + rt.tau)
-    return det_sum(x * x)

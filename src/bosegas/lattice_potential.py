@@ -114,7 +114,6 @@ class LatticeBall:
     cutoff_K: float
     points: np.ndarray          # (M, 3) int64, canonical order
     nsq: np.ndarray             # (M,) int64, |n|^2 per point
-    shells: tuple = field(repr=False)   # ((nsq, slice), ...) in shell order
     orbit: np.ndarray = field(repr=False)        # (M,) cubic-orbit id per point
     orbit_first: np.ndarray = field(repr=False)  # (n_orbits,) first member
     orbit_size: np.ndarray = field(repr=False)   # (n_orbits,) member count
@@ -223,8 +222,6 @@ def enumerate_lattice(K: float) -> LatticeBall:
 
 def _ball(K: float, pts: np.ndarray, nsq: np.ndarray, L: int) -> LatticeBall:
     """The LatticeBall of canonically ordered points inside [-L, L]^3."""
-    cut = [0, *(np.flatnonzero(np.diff(nsq)) + 1).tolist(), len(nsq)]
-    shells = tuple((int(nsq[a]), slice(a, b)) for a, b in zip(cut, cut[1:]))
     side = 2 * L + 1
     dense = np.full(side * side * side, -1, dtype=np.int64)
     shifted = pts + L
@@ -236,7 +233,6 @@ def _ball(K: float, pts: np.ndarray, nsq: np.ndarray, L: int) -> LatticeBall:
         cutoff_K=float(K),
         points=pts,
         nsq=nsq,
-        shells=shells,
         orbit=orbit,
         orbit_first=orbit_first,
         orbit_size=orbit_size,

@@ -3,10 +3,13 @@
 For each tracked quantity the closed form is evaluated on the restricted
 mode set and the Fock value is computed at every requested occupancy cap,
 so convergence in the cap is demonstrated before any agreement is read
-off.  The cubic identity needs momentum-conserving triples inside the
-mode set; the first shell alone admits none (|n_1 + n_2| is never 1 for
-unit vectors), in which case both sides are exactly zero and the row
-records the degenerate agreement.
+off.  The `E0` and `depletion` targets are the report's own
+`bogoliubov_ground_energy` and `corrections.depletion` on the restricted
+tables; the two pair sums keep the triples inside the mode set.  The
+cubic identity needs momentum-conserving triples inside the mode set;
+the first shell alone admits none (|n_1 + n_2| is never 1 for unit
+vectors), in which case both sides are exactly zero and the row records
+the degenerate agreement.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import BogoliubovTables
+from .bogoliubov import BogoliubovTables, bogoliubov_ground_energy
+from .corrections import depletion
 from .errors import BasisTooLarge, RejectedConfig
 from .fock import (
     ModeSet,
@@ -27,10 +31,8 @@ from .fock import (
     ground_state,
     mode_set,
     restrict_tables,
-    restricted_depletion,
     restricted_e_pert_tilde,
     restricted_g2_expectation,
-    restricted_ground_energy,
     rs_pt2,
     shell_modes,
 )
@@ -69,10 +71,10 @@ def run_oracle(
 ) -> list[OracleRow]:
     rt = restrict_tables(tables, modes)
     targets = {
-        "E0": restricted_ground_energy(rt),
+        "E0": bogoliubov_ground_energy(rt),
         "e_pert_tilde": restricted_e_pert_tilde(rt),
         "g2_expect": restricted_g2_expectation(rt),
-        "depletion": restricted_depletion(rt),
+        "depletion": depletion(rt),
     }
     values = {name: [] for name in targets}
     theta = rt.eta + rt.tau

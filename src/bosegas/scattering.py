@@ -156,7 +156,6 @@ class ScatteringSolution:
     iterations: int
     residual_norm: float
     convolve: Callable = field(repr=False, compare=False)
-    tail_rule: str = "first Born: -vhat(p/N^beta)/(2 p^2)"
 
     @property
     def lattice(self) -> LatticeBall:

@@ -14,15 +14,8 @@ from .bogoliubov import e00, e00_summand
 from .config import RunConfig
 from .corrections import assemble_report
 from .errors import BosegasError, DiagonalizationFailure
-from .fock import (
-    build_basis,
-    build_G0,
-    build_G1tilde,
-    ground_state,
-    restrict_tables,
-    rs_pt2,
-    shell_modes,
-)
+from .fock import shell_modes
+from .oracle import run_oracle
 from .pipeline import run_pipeline, run_tables
 from .reporting import render_csv_row
 from .sums import det_sum
@@ -102,15 +95,6 @@ def run_verify(cfg: RunConfig) -> list[Check]:
               disp, "e >= p^2 sqrt(3)/2")
     )
 
-    eta_decay = float(
-        np.max(np.abs(psq * sol.eta + 0.5 * tables.table.values))
-        / cfg.N ** (cfg.beta - 1.0)
-    )
-    checks.append(
-        Check("eta_decay_certificate", np.isfinite(eta_decay), eta_decay,
-              "|p^2 eta + vhat/2| <= c N^(beta-1)")
-    )
-
     report = assemble_report(tables, cfg.cutoff_K2)
     checks.append(
         Check("e_pert_tilde_nonpositive",
@@ -141,15 +125,15 @@ def run_verify(cfg: RunConfig) -> list[Check]:
     checks.append(Check("depletion_nonnegative", report.depletion >= 0.0,
                         report.depletion))
 
-    # small-sector second-order sign probe
-    modes = shell_modes(1)
-    rt = restrict_tables(tables, modes)
-    basis = build_basis(modes, 6)
-    g0 = build_G0(basis, rt.F, rt.G)
-    e0_f, gs = ground_state(g0)
-    g1 = build_G1tilde(basis, rt)
-    pt2 = rs_pt2(g0, g1, e0_f, gs)
-    checks.append(Check("rs_pt2_nonpositive", pt2 <= 0.0, pt2))
+    # cubic second-order sign probe on |n|^2 <= 2 at cap 4, where triples
+    # close (on the first shell none does, and pt2 is 0 for any vertex)
+    probe = shell_modes(min(2, int(lat.nsq[-1])))
+    rows = {r.name: r for r in run_oracle(tables, probe, [4])}
+    pt2 = rows["e_pert_tilde"].fock_values[0]
+    checks.append(
+        Check("rs_pt2_nonpositive",
+              pt2 < 0.0 if cfg.kappa > 0.0 else pt2 == 0.0, pt2)
+    )
 
     # order independence of compensated sums
     fwd = e00(tables.table.at_zero, lat).value

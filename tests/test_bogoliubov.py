@@ -49,9 +49,9 @@ class TestHyperbolics:
         c_eta = np.max(np.abs(lat.psq * eta))
         cprime = (2.0 / 3.0) * c_eta**3 * 1.1
         cs_m = tables_small.c * tables_small.s - eta
-        for nsq, sl in lat.shells[:3]:
+        for nsq in np.unique(lat.nsq)[:3]:
             p6 = (TWO_PI**2 * nsq) ** 3
-            assert np.max(np.abs(cs_m[sl])) <= cprime / p6
+            assert np.max(np.abs(cs_m[lat.nsq == nsq])) <= cprime / p6
 
     def test_sc_minus_eta_series_consistency(self):
         # series and direct forms agree where both are reliable
@@ -177,7 +177,7 @@ class TestTau:
 
 class TestGroundEnergy:
     def test_zero_pairing(self, zero_tables):
-        assert bogoliubov_ground_energy(zero_tables).value == 0.0
+        assert bogoliubov_ground_energy(zero_tables) == 0.0
 
     def test_single_mode_arithmetic(self):
         # per member of a +-p pair: (1/2)(-F + sqrt(F^2 - G^2))
@@ -186,9 +186,7 @@ class TestGroundEnergy:
         assert val == pytest.approx(0.5 * (-F + 4.0))
 
     def test_negative_in_coupled_regime(self, tables_small):
-        e0 = bogoliubov_ground_energy(tables_small)
-        assert e0.value < 0.0
-        assert e0.tail_estimate >= 0.0
+        assert bogoliubov_ground_energy(tables_small) < 0.0
 
 
 class TestConstantC:
@@ -296,12 +294,6 @@ class TestE01:
         expected = det_sum([-det_sum(rows1) / (2.0 * tb.N), det_sum(rows2) / tb.N])
         got = e01(tb, K2).ball
         assert abs(got - expected) <= 1e-13 * abs(expected)
-
-    def test_certificate(self, tables_small):
-        res = e01(tables_small, TWO_PI * 3)
-        assert res.certificate == abs(res.value) / tables_small.N ** (
-            tables_small.beta - 1.0
-        )
 
     def test_b_coefficient_definition(self, tables_small):
         tb = tables_small

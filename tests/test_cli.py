@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 
 import bosegas
 from bosegas.cli import main
-from bosegas.config import parse_config
+from bosegas.config import OracleConfig, RunConfig, parse_config
 from bosegas.errors import RejectedConfig
+from bosegas.fock import _Assembler
 from bosegas.reporting import csv_header
+from bosegas.verify import run_verify
 
 
 BASE = {
@@ -87,7 +91,6 @@ class TestConfigValidation:
         {"oracle": {"modes": {"vectors": [[1.5, 0, 0]]}}},
         {"oracle": {"modes": {"vectors": [[10**400, 0, 0]]}}},
         {"oracle": {"N": "x"}},
-        {"oracle": {"rel_tol_g2": "x"}},
         {"oracle": {"modes": {"nsq_max": "x"}}},
         {"oracle": {"modes": {"vectors": [[1, "a", 0]]}}},
         {"threads": "x"},
@@ -234,6 +237,43 @@ class TestVerify:
         path = write_config(tmp_path, kappa=0.0)
         assert main(["verify", "--config", path]) == 0
         assert "zero_coupling_collapse" in capsys.readouterr().out
+
+    def test_dropped_cubic_channel_fails_the_probe(self, monkeypatch):
+        # mutant: the Fock cubic channel is the zero operator
+        monkeypatch.setattr(
+            "bosegas.oracle.build_G1tilde",
+            lambda basis, rt: _Assembler(basis).build({"kind": "cubic"}),
+        )
+        cfg = parse_config(dict(BASE, N=10**4, cutoff_K_over_2pi=4))
+        failed = [c.name for c in run_verify(cfg) if not c.passed]
+        assert failed == ["rs_pt2_nonpositive"]
+
+    def test_one_shell_ball_fails_the_probe(self, tmp_path, capsys):
+        # below 2 pi sqrt 2 only |n| = 1 modes exist and no cubic triple
+        # closes, so the probe's pt2 is 0
+        doc = {k: v for k, v in BASE.items() if k != "cutoff_K2_over_2pi"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(doc, cutoff_K_over_2pi=1.3)))
+        assert main(["verify", "--config", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [l.split()[0] for l in lines if " FAIL " in l]
+        assert failed == ["rs_pt2_nonpositive"]
+
+
+class TestConfigKnobs:
+    def test_every_field_is_read(self):
+        # a configuration field that no module reads is a knob that does
+        # nothing
+        pkg = os.path.dirname(bosegas.__file__)
+        text = ""
+        for name in sorted(os.listdir(pkg)):
+            if name.endswith(".py") and name != "config.py":
+                with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                    text += fh.read()
+        fields = [f.name for cls in (RunConfig, OracleConfig)
+                  for f in dataclasses.fields(cls)]
+        unread = [f for f in fields if not re.search(rf"\.{f}\b", text)]
+        assert unread == []
 
 
 class TestOracle:
