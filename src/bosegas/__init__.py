@@ -28,7 +28,6 @@ from .lattice_potential import (
     born2_sum,
     enumerate_lattice,
     scaled_table,
-    vhat,
 )
 from .scattering import (
     ScatteringSolution,

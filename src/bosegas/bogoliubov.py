@@ -40,23 +40,6 @@ def sc_minus_eta(eta: np.ndarray) -> np.ndarray:
     return np.where(np.abs(eta) < _SC_SERIES_RADIUS, series, direct)
 
 
-def hyperbolics(sol: ScatteringSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise sinh and cosh of the scattering table."""
-    return np.sinh(sol.eta), np.cosh(sol.eta)
-
-
-def cs_convolution(s: np.ndarray, c: np.ndarray, convolve) -> np.ndarray:
-    """(vhat_N^beta * cs)_p = sum_{q != p} vhat((p-q)/N^beta) c_q s_q.
-
-    `convolve` is a convolver of `scattering.make_convolver`, normally the
-    solver's own (`ScatteringSolution.convolve`).  The q = p term is
-    excluded, as in the scattering equation: its r = 0 interaction is the
-    constant (N-1) vhat(0)/2 already carried by the macroscopic term, so
-    G's leading part is twice the solver defect.
-    """
-    return convolve(c * s)
-
-
 def coefficients_FG(
     table: ScaledPotentialTable,
     s: np.ndarray,
@@ -151,8 +134,12 @@ class BogoliubovTables:
 
 def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
     """All tables from a solution, convolving on the solver's convolver."""
-    s, c = hyperbolics(sol)
-    conv = cs_convolution(s, c, sol.convolve)
+    s, c = np.sinh(sol.eta), np.cosh(sol.eta)
+    # (vhat_N^beta * cs)_p = sum_{q != p} vhat((p-q)/N^beta) c_q s_q.  The
+    # q = p term is excluded, as in the scattering equation: its r = 0
+    # interaction is the constant (N-1) vhat(0)/2 already carried by the
+    # macroscopic term, so G's leading part is twice the solver defect.
+    conv = sol.convolve(c * s)
     F, G = coefficients_FG(sol.table, s, c, conv)
     tau = tau_table(F, G, sol.lattice, sol.N, sol.table.pot.kappa)
     e = dispersion(F, G)
@@ -265,14 +252,6 @@ def a_coefficient(tables: BogoliubovTables) -> np.ndarray:
     conv = tables.cs_conv
     N = tables.N
     return -(2.0 * v * conv + conv * conv / N) / N
-
-
-def b_coefficient(tables: BogoliubovTables) -> np.ndarray:
-    """B_p = A_p vhat_p / (S_p (p^2 + S_p)), S_p = sqrt(p^4 + 2 p^2 vhat_p)."""
-    psq = tables.lattice.psq
-    v = tables.table.values
-    S = np.sqrt(psq * (psq + 2.0 * v))
-    return a_coefficient(tables) * v / (S * (psq + S))
 
 
 @dataclass(frozen=True)

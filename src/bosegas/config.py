@@ -1,23 +1,33 @@
 """Run configuration: a single JSON file with a documented schema.
 
+`parse_config` is the one place where each key gets its spelling, its
+default and its validity rule.  An absent key takes its default; a present
+key is always validated, so a zero, an empty list or a misspelled key
+exits 2 rather than running on a value the file did not ask for.
+
 Keys (defaults in parentheses):
 
-  N                 particle number, integer >= 2, or a list for scans
-  beta              scaling exponent in (0, 1); outside (1/2, 1) a warning
-                    is attached (the expansion targets that window)
-  kappa             coupling, >= 0
-  R                 potential support radius, in (0, 1/4] on the unit torus
-  cutoff_K          single-sum momentum cutoff (40*pi); `cutoff_K_over_2pi`
-                    may be given instead.  The p+q cube of a ball inside
-                    [-L, L]^3, (4L+1)^3 points and the largest grid a run
-                    with K2 = K allocates, may hold at most
-                    MAX_PAIR_CUBE_POINTS
-  cutoff_K2         double-sum cutoff in [2*pi, cutoff_K] (20*pi); or
-                    `cutoff_K2_over_2pi`
-  scattering        {"tol": 1e-11, "max_iter": 200}
-  oracle            {"modes": {"nsq_max": int} | {"vectors": [[i,j,k],...]},
-                     "n_max": [5, 7, 9], "N": optional override}
-  out               output path for reports (stdout if absent)
+  N                   particle number, integer >= 2, or a list for scans
+  beta                scaling exponent in (0, 1); outside (1/2, 1) a warning
+                      is attached (the expansion targets that window)
+  kappa               coupling, >= 0
+  R                   potential support radius, in (0, 1/4] on the unit torus
+  cutoff_K_over_2pi   single-sum cutoff K / (2 pi), >= 1 (20).  The p+q
+                      cube of a ball inside [-L, L]^3, (4L+1)^3 points and
+                      the largest grid a run with K2 = K allocates, may
+                      hold at most MAX_PAIR_CUBE_POINTS
+  cutoff_K2_over_2pi  double-sum cutoff K2 / (2 pi), in [1, K / (2 pi)]
+                      (the smaller of 10 and K / (2 pi))
+  scattering          {"tol": > 0 (scattering.DEFAULT_TOL),
+                       "max_iter": >= 1 (scattering.DEFAULT_MAX_ITER)}
+  oracle              {"modes": {"nsq_max": int >= 1} or
+                                {"vectors": [[i,j,k], ...]} (first shell),
+                       "n_max": [5, 7, 9], "N": optional override}
+  out                 output path for reports (stdout if absent)
+
+The top level, `scattering` and `oracle.modes` reject unknown keys; the
+`oracle` block does not yet, as the benchmark's oracle configs still carry
+keys that nothing reads.
 """
 
 from __future__ import annotations
@@ -25,12 +35,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import RejectedConfig
+from .lattice_potential import TWO_PI, _nsq_max
+from .scattering import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-DEFAULT_K = 40.0 * math.pi
-DEFAULT_K2 = 20.0 * math.pi
 # memory budget of the cutoff: K = 80 pi needs a 161^3 pair cube, and
 # every K below 100 pi (L <= 49, 197^3) fits
 MAX_PAIR_CUBE_POINTS = 200**3
@@ -38,10 +48,10 @@ MAX_PAIR_CUBE_POINTS = 200**3
 
 @dataclass(frozen=True)
 class OracleConfig:
-    modes_nsq_max: int = 1
-    modes_vectors: tuple = ()
-    n_max_list: tuple = (5, 7, 9)
-    N: int | None = None
+    modes_nsq_max: int          # 0 when modes_vectors is given
+    modes_vectors: tuple
+    n_max_list: tuple
+    N: int | None
 
 
 @dataclass(frozen=True)
@@ -50,14 +60,14 @@ class RunConfig:
     beta: float
     kappa: float
     R: float
-    cutoff_K: float = DEFAULT_K
-    cutoff_K2: float = DEFAULT_K2
-    tol: float = 1e-11
-    max_iter: int = 200
-    oracle: OracleConfig = field(default_factory=OracleConfig)
-    out: str | None = None
-    warnings: tuple = ()
-    config_hash: str = ""
+    cutoff_K: float
+    cutoff_K2: float
+    tol: float
+    max_iter: int
+    oracle: OracleConfig
+    out: str | None
+    warnings: tuple
+    config_hash: str
 
     @property
     def N(self) -> int:
@@ -101,31 +111,57 @@ def _number(x, what: str) -> float:
 def _pair_cube_points(K: float) -> float:
     """Points of the p+q cube of the ball |p| <= K: (4L+1)^3, with L as
     `enumerate_lattice` computes it."""
-    x = K / (2.0 * math.pi)
-    if 4.0 * x > MAX_PAIR_CUBE_POINTS:  # the side alone is too long
+    if 4.0 * K / TWO_PI > MAX_PAIR_CUBE_POINTS:  # the side alone is too long
         return math.inf
-    L = math.isqrt(math.floor(x * x + 1e-9))
-    return (4 * L + 1) ** 3
+    return (4 * math.isqrt(_nsq_max(K)) + 1) ** 3
 
 
-def _block(raw: dict, key: str) -> dict:
-    block = raw.get(key, {})
+def _block(block, what: str, allowed: tuple | None = None) -> dict:
+    """A JSON object; with `allowed` given, any other key in it is
+    rejected."""
     if not isinstance(block, dict):
-        raise RejectedConfig(f"{key} block must be an object")
+        raise RejectedConfig(f"{what} must be a JSON object")
+    unknown = set(block) - set(allowed) if allowed is not None else set()
+    if unknown:
+        raise RejectedConfig(f"unknown keys in {what}: {sorted(unknown)}")
     return block
+
+
+def _oracle_modes(ob: dict) -> tuple[int, tuple]:
+    """(nsq_max, vectors) of the oracle mode set: exactly one of the
+    shells |n|^2 <= nsq_max or an explicit non-empty vector list; the
+    first shell when `modes` is absent."""
+    if "modes" not in ob:
+        return 1, ()
+    modes = _block(ob["modes"], "oracle.modes", ("nsq_max", "vectors"))
+    if len(modes) != 1:
+        raise RejectedConfig(
+            "oracle.modes must hold exactly one of nsq_max or vectors"
+        )
+    if "nsq_max" in modes:
+        return _integer(modes["nsq_max"], "oracle.modes.nsq_max", 1), ()
+    vectors = modes["vectors"]
+    if not isinstance(vectors, list) or not vectors or not all(
+        isinstance(v, list) and len(v) == 3 for v in vectors
+    ):
+        raise RejectedConfig(
+            "oracle.modes.vectors must be a non-empty list of [i, j, k]"
+        )
+    # |n|^2 of any such vector stays exact in int64
+    return 0, tuple(
+        tuple(_integer(c, "oracle.modes.vectors entry", -(2**30), 2**30)
+              for c in v)
+        for v in vectors
+    )
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document; raises RejectedConfig on any
     structural problem."""
-    if not isinstance(raw, dict):
-        raise RejectedConfig("configuration must be a JSON object")
-    unknown = set(raw) - {
-        "N", "beta", "kappa", "R", "cutoff_K", "cutoff_K_over_2pi",
-        "cutoff_K2", "cutoff_K2_over_2pi", "scattering", "oracle", "out",
-    }
-    if unknown:
-        raise RejectedConfig(f"unknown keys: {sorted(unknown)}")
+    _block(raw, "configuration", (
+        "N", "beta", "kappa", "R", "cutoff_K_over_2pi", "cutoff_K2_over_2pi",
+        "scattering", "oracle", "out",
+    ))
     for key in ("N", "beta", "kappa", "R"):
         if key not in raw:
             raise RejectedConfig(f"missing required key {key!r}")
@@ -143,61 +179,40 @@ def parse_config(raw: dict) -> RunConfig:
             f"R must lie in (0, 1/4] so the potential fits the torus, got {R}"
         )
 
-    if "cutoff_K" in raw and "cutoff_K_over_2pi" in raw:
-        raise RejectedConfig("give cutoff_K or cutoff_K_over_2pi, not both")
-    K = _number(raw.get("cutoff_K", 0.0), "cutoff_K") or 2.0 * math.pi * _number(
-        raw.get("cutoff_K_over_2pi", 0.0), "cutoff_K_over_2pi"
-    )
-    K = K or DEFAULT_K
-    if "cutoff_K2" in raw and "cutoff_K2_over_2pi" in raw:
-        raise RejectedConfig("give cutoff_K2 or cutoff_K2_over_2pi, not both")
-    K2 = _number(raw.get("cutoff_K2", 0.0), "cutoff_K2") or 2.0 * math.pi * _number(
-        raw.get("cutoff_K2_over_2pi", 0.0), "cutoff_K2_over_2pi"
-    )
-    K2 = K2 or min(DEFAULT_K2, K)
-    if K < 2.0 * math.pi:
-        raise RejectedConfig(f"cutoff_K below the first shell: {K}")
-    if not math.isfinite(K):
-        raise RejectedConfig("cutoff_K must be finite")
+    x = _number(raw.get("cutoff_K_over_2pi", 20.0), "cutoff_K_over_2pi")
+    x2 = _number(raw.get("cutoff_K2_over_2pi", min(10.0, x)),
+                 "cutoff_K2_over_2pi")
+    K = TWO_PI * x
+    K2 = TWO_PI * x2
+    if K < TWO_PI:
+        raise RejectedConfig(f"cutoff_K_over_2pi below the first shell 1: {x}")
     if _pair_cube_points(K) > MAX_PAIR_CUBE_POINTS:
         raise RejectedConfig(
-            f"cutoff_K = {K} needs a pair cube of more than "
+            f"cutoff_K_over_2pi = {x} needs a pair cube of more than "
             f"{MAX_PAIR_CUBE_POINTS} points"
         )
-    if K2 < 2.0 * math.pi:
-        raise RejectedConfig(f"cutoff_K2 below the first shell: {K2}")
+    if K2 < TWO_PI:
+        raise RejectedConfig(f"cutoff_K2_over_2pi below the first shell 1: {x2}")
     if K2 > K * (1.0 + 1e-12):
-        raise RejectedConfig(f"cutoff_K2 = {K2} exceeds cutoff_K = {K}")
+        raise RejectedConfig(
+            f"cutoff_K2_over_2pi = {x2} exceeds cutoff_K_over_2pi = {x}"
+        )
 
-    scat = _block(raw, "scattering")
-    tol = _number(scat.get("tol", 1e-11), "scattering.tol")
-    max_iter = _integer(scat.get("max_iter", 200), "scattering.max_iter", 1)
+    scat = _block(raw.get("scattering", {}), "scattering", ("tol", "max_iter"))
+    tol = _number(scat.get("tol", DEFAULT_TOL), "scattering.tol")
+    max_iter = _integer(scat.get("max_iter", DEFAULT_MAX_ITER),
+                        "scattering.max_iter", 1)
     if tol <= 0.0:
         raise RejectedConfig("scattering tol must be > 0")
 
-    ob = _block(raw, "oracle")
-    modes = ob.get("modes", {"nsq_max": 1})
-    if not isinstance(modes, dict):
-        raise RejectedConfig("oracle.modes must be an object")
-    vectors = modes.get("vectors", [])
+    ob = _block(raw.get("oracle", {}), "oracle")
+    nsq_max, vectors = _oracle_modes(ob)
     n_max = ob.get("n_max", [5, 7, 9])
-    if not isinstance(vectors, list) or not all(
-        isinstance(v, list) and len(v) == 3 for v in vectors
-    ):
-        raise RejectedConfig("oracle.modes.vectors must be a list of [i, j, k]")
     if not isinstance(n_max, list) or not n_max:
         raise RejectedConfig("oracle.n_max must be a non-empty list")
     oracle = OracleConfig(
-        modes_nsq_max=(
-            _integer(modes.get("nsq_max", 0), "oracle.modes.nsq_max", 0)
-            if "vectors" not in modes else 0
-        ),
-        # |n|^2 of any such vector stays exact in int64
-        modes_vectors=tuple(
-            tuple(_integer(c, "oracle.modes.vectors entry", -(2**30), 2**30)
-                  for c in v)
-            for v in vectors
-        ),
+        modes_nsq_max=nsq_max,
+        modes_vectors=vectors,
         # the Fock basis packs occupations as uint8
         n_max_list=tuple(_integer(n, "oracle.n_max entry", 0, 255) for n in n_max),
         N=_particle_number(ob["N"], "oracle.N") if "N" in ob else None,

@@ -54,12 +54,6 @@ class ModeSet:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def psq(self) -> np.ndarray:
-        return (2.0 * np.pi) ** 2 * np.sum(
-            self.vectors * self.vectors, axis=1
-        ).astype(float)
-
 
 def mode_set(vectors) -> ModeSet:
     vecs = np.asarray(sorted(set(tuple(int(c) for c in v) for v in vectors)))
@@ -370,12 +364,6 @@ def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricO
         0.5 * np.asarray(G, dtype=float),
     )
     return asm.build({"kind": "quadratic"})
-
-
-def build_number(basis: FockBasis) -> SparseSymmetricOperator:
-    asm = _Assembler(basis)
-    asm.add_diagonal(basis.occ.sum(axis=1).astype(float))
-    return asm.build({"kind": "number"})
 
 
 @dataclass(frozen=True)

@@ -71,14 +71,6 @@ class Potential:
         return self.kappa * (4.0 * np.pi * self.R**3 / 3.0) ** 2
 
 
-def vhat(pot: Potential, p) -> float:
-    """Fourier transform of the potential at momentum vector p."""
-    p = np.asarray(p, dtype=float)
-    rho = np.sqrt(np.sum(p * p, axis=-1))
-    out = pot.vhat_radial(rho)
-    return float(out) if out.ndim == 0 else out
-
-
 def vhat_oracle(pot: Potential, rho: float) -> float:
     """Quadrature reference for the closed form (radial transform of the
     ball indicator, squared).  Slow; used only by tests."""

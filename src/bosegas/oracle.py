@@ -27,7 +27,6 @@ from .fock import (
     build_G0,
     build_G1tilde,
     build_G2,
-    build_number,
     ground_state,
     mode_set,
     restrict_tables,
@@ -42,7 +41,6 @@ from .fock import (
 class OracleRow:
     name: str
     closed_form: float
-    n_max_values: tuple
     fock_values: tuple
     rel_gaps: tuple
 
@@ -61,7 +59,7 @@ def modes_from_config(cfg_oracle) -> ModeSet:
     try:
         if cfg_oracle.modes_vectors:
             return mode_set(cfg_oracle.modes_vectors)
-        return shell_modes(max(1, cfg_oracle.modes_nsq_max))
+        return shell_modes(cfg_oracle.modes_nsq_max)
     except (ValueError, BasisTooLarge) as exc:
         raise RejectedConfig(f"bad oracle mode set: {exc}") from exc
 
@@ -91,8 +89,7 @@ def run_oracle(
         # form with unit gap and pairing -tanh(2(eta + tau))
         gd = build_G0(basis, np.ones(len(modes)), -np.tanh(2.0 * theta))
         _, gsd = ground_state(gd)
-        nop = build_number(basis)
-        values["depletion"].append(float(gsd @ (nop.mat @ gsd)))
+        values["depletion"].append(float(gsd @ (basis.occ.sum(axis=1) * gsd)))
     rows = []
     for name, closed in targets.items():
         fock = tuple(values[name])
@@ -100,7 +97,6 @@ def run_oracle(
             OracleRow(
                 name=name,
                 closed_form=closed,
-                n_max_values=tuple(int(n) for n in n_max_list),
                 fock_values=fock,
                 rel_gaps=tuple(_gap(closed, f) for f in fock),
             )

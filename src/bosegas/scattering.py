@@ -6,12 +6,12 @@ For p in the ball the solved table satisfies
 
 with the q-sum over the ball excluding q = p, the r = p - q = 0 term.
 This is the one convention of the package: every convolver built here
-excludes that term, so `bogoliubov.cs_convolution`, and through it F, G
-and the constant C, exclude it too.  On the N-particle space the r = 0
-part of the interaction is vhat(0)/(2N) * n(n-1) = (N-1) vhat(0)/2, a
-constant that the macroscopic and leading terms already carry; eta must
-solve the r != 0 equation to cancel the pairing term that G is built
-from.  Keeping the q = p term would leave vhat(0) eta_p / N uncancelled
+excludes that term, so the (vhat * cs) convolution of
+`bogoliubov.build_tables`, and through it F, G and the constant C,
+exclude it too.  On the N-particle space the r = 0 part of the
+interaction is vhat(0)/(2N) * n(n-1) = (N-1) vhat(0)/2, a constant that
+the macroscopic and leading terms already carry; eta must solve the
+r != 0 equation to cancel the pairing term that G is built from.  Keeping the q = p term would leave vhat(0) eta_p / N uncancelled
 in G.
 
 Every run convolves on one cosine-transform convolver per potential table

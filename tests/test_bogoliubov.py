@@ -5,11 +5,9 @@ import pytest
 
 from bosegas.bogoliubov import (
     a_coefficient,
-    b_coefficient,
     bogoliubov_ground_energy,
     build_tables,
     constant_C,
-    cs_convolution,
     e00,
     e00_summand,
     e01,
@@ -113,7 +111,7 @@ class TestCoefficients:
         psq = lat.psq
         eta = tb.sol.eta
         c2s2 = tb.c**2 + tb.s**2
-        conv_eta = cs_convolution(eta, np.ones_like(eta), tb.sol.convolve)
+        conv_eta = tb.sol.convolve(eta)
         main = 2.0 * psq * eta + tb.table.values + conv_eta / tb.N
         g_rem = (
             2.0 * psq * sc_minus_eta(eta)
@@ -294,14 +292,6 @@ class TestE01:
         expected = det_sum([-det_sum(rows1) / (2.0 * tb.N), det_sum(rows2) / tb.N])
         got = e01(tb, K2).ball
         assert abs(got - expected) <= 1e-13 * abs(expected)
-
-    def test_b_coefficient_definition(self, tables_small):
-        tb = tables_small
-        psq = tb.lattice.psq
-        v = tb.table.values
-        S = np.sqrt(psq * (psq + 2 * v))
-        expect = a_coefficient(tb) * v / (S * (psq + S))
-        assert np.array_equal(b_coefficient(tb), expect)
 
 
 def test_dispersion_fallback_law(tables_small):

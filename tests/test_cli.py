@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -61,7 +62,8 @@ class TestConfigValidation:
         with pytest.raises(RejectedConfig):
             parse_config(dict(BASE, cutoff_K2_over_2pi=5))
 
-    @pytest.mark.parametrize("k2", [{"cutoff_K2_over_2pi": 0.5}, {"cutoff_K2": -3}])
+    @pytest.mark.parametrize("k2", [{"cutoff_K2_over_2pi": 0.5},
+                                    {"cutoff_K2_over_2pi": -0.5}])
     def test_k2_below_first_shell_exits_2(self, tmp_path, k2):
         doc = {k: v for k, v in BASE.items() if k != "cutoff_K2_over_2pi"}
         path = tmp_path / "cfg.json"
@@ -102,11 +104,35 @@ class TestConfigValidation:
         # pair cubes beyond the memory budget: 201^3, 40,001^3, overflow
         {"cutoff_K_over_2pi": 50},
         {"cutoff_K_over_2pi": 1e4},
-        {"cutoff_K": 1e300},
+        {"cutoff_K_over_2pi": 1.6e299},
+        # a present key is validated, never replaced by its default
+        {"cutoff_K_over_2pi": 0},
+        {"cutoff_K2_over_2pi": 0},
+        # the mode set is exactly one of a shell bound >= 1 or a non-empty
+        # vector list
+        {"oracle": {"modes": {}}},
+        {"oracle": {"modes": {"nsq_max": 0}}},
+        {"oracle": {"modes": {"vectors": []}}},
+        {"oracle": {"modes": {"nsq_max": 2, "vectors": [[1, 0, 0], [-1, 0, 0]]}}},
+        # misspelled nested keys
+        {"scattering": {"tolerance": 1e-3}},
+        {"oracle": {"modes": {"nsqmax": 2}}},
     ])
     def test_malformed_numeric_field_rejected(self, override):
         with pytest.raises(RejectedConfig):
             parse_config(dict(BASE, **override))
+
+    @pytest.mark.parametrize("key,value", [("cutoff_K", 40), ("cutoff_K2", 10)])
+    def test_absolute_cutoff_keys_rejected(self, key, value):
+        # one spelling per cutoff: K and K2 are given over 2 pi
+        doc = {k: v for k, v in BASE.items() if k != key + "_over_2pi"}
+        with pytest.raises(RejectedConfig):
+            parse_config(dict(doc, **{key: value}))
+
+    def test_default_cutoffs(self):
+        cfg = parse_config({k: BASE[k] for k in ("N", "beta", "kappa", "R")})
+        assert cfg.cutoff_K == 40 * math.pi
+        assert cfg.cutoff_K2 == 20 * math.pi
 
     @pytest.mark.parametrize("k_over_2pi", [40, 49.99])
     def test_cutoff_within_grid_budget_accepted(self, k_over_2pi):
@@ -339,8 +365,8 @@ class TestImports:
 # the suite draws the same examples every time, and keep no example
 # database on disk.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
-KEYS = ("N", "beta", "kappa", "R", "cutoff_K", "cutoff_K_over_2pi", "cutoff_K2",
-        "cutoff_K2_over_2pi", "scattering", "oracle", "out")
+KEYS = ("N", "beta", "kappa", "R", "cutoff_K_over_2pi", "cutoff_K2_over_2pi",
+        "scattering", "oracle", "out")
 SUBKEYS = ("tol", "max_iter", "modes", "nsq_max", "vectors", "n_max", "N",
            "rel_tol_pert", "rel_tol_g2")
 # 10**400 is a JSON number that no float holds

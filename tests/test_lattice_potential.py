@@ -18,7 +18,6 @@ from bosegas.lattice_potential import (
     enumerate_lattice,
     quartic_shape_tail,
     scaled_table,
-    vhat,
     vhat_oracle,
 )
 from bosegas.sums import det_sum
@@ -102,16 +101,17 @@ class TestEnumerate:
 class TestVhat:
     def test_zero_momentum_ball_volume(self):
         pot = Potential(kappa=1.0, R=1.0)
-        assert vhat(pot, [0.0, 0.0, 0.0]) == pytest.approx((4 * math.pi / 3) ** 2, rel=1e-14)
-        assert abs(vhat(pot, [0, 0, 0]) - 17.5460) < 5e-4
+        v0 = float(pot.vhat_radial(0.0))
+        assert v0 == pytest.approx((4 * math.pi / 3) ** 2, rel=1e-14)
+        assert abs(v0 - 17.5460) < 5e-4
 
     def test_zero_coupling(self):
         pot = Potential(kappa=0.0, R=0.2)
-        assert vhat(pot, [TWO_PI, 0, 0]) == 0.0
+        assert pot.vhat_radial(TWO_PI) == 0.0
 
     def test_quadrature_oracle(self):
         pot = Potential(kappa=1.0, R=0.4)
-        closed = vhat(pot, [TWO_PI, 0, 0])
+        closed = float(pot.vhat_radial(TWO_PI))
         ref = vhat_oracle(pot, TWO_PI)
         assert abs(closed - ref) / ref <= 1e-10
 
@@ -124,13 +124,15 @@ class TestVhat:
     def test_nonnegative_and_radial(self):
         pot = Potential(kappa=0.3, R=0.25)
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            p = rng.normal(size=3) * 30
-            v = vhat(pot, p)
-            assert v >= 0.0
-            # same radius, different direction
-            q = np.array([np.linalg.norm(p), 0.0, 0.0])
-            assert vhat(pot, q) == pytest.approx(v, rel=1e-12)
+        rho = np.linalg.norm(rng.normal(size=(50, 3)) * 30, axis=1)
+        assert np.all(pot.vhat_radial(rho) >= 0.0)
+        # momenta are evaluated through |n|^2: a permuted, negated triple
+        # gets the same value bit for bit
+        table = scaled_table(pot, enumerate_lattice(2 * TWO_PI), 100, 0.75)
+        t = rng.integers(-9, 10, size=(50, 3))
+        v = table.value_at(t)
+        assert np.all(v >= 0.0)
+        assert np.array_equal(table.value_at(-t[:, ::-1]), v)
 
     def test_series_matches_direct_branch(self):
         # the four-term series extends well beyond its switch radius; at
