@@ -29,7 +29,7 @@ def _write(text: str, path: str | None) -> None:
 
 def cmd_energy(cfg: RunConfig, out: str | None) -> int:
     report = run_pipeline(cfg)
-    _write(report_to_json(report, cfg.config_hash) + "\n", out or cfg.out)
+    _write(report_to_json(report, cfg.config_hash) + "\n", out)
     for w in cfg.warnings + report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -47,7 +47,7 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
         except BosegasError as exc:
             failures += 1
             lines.append(f"# N={N} failed: {exc}")
-    _write("\n".join(lines) + "\n", out or cfg.out)
+    _write("\n".join(lines) + "\n", out)
     return 0 if failures == 0 else 1
 
 
@@ -63,7 +63,7 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
         lines.append(f"{c.name:<{width}}  {status}  margin={fmt(c.margin)}{detail}")
     ok = all(c.passed for c in checks)
     lines.append(f"{'all invariants' :<{width}}  {'pass' if ok else 'FAIL'}")
-    _write("\n".join(lines) + "\n", out or cfg.out)
+    _write("\n".join(lines) + "\n", out)
     return 0 if ok else 1
 
 
@@ -71,9 +71,8 @@ def cmd_oracle(cfg: RunConfig, out: str | None) -> int:
     from .oracle import modes_from_config, run_oracle
 
     oracle_cfg = cfg.oracle
-    n_run = oracle_cfg.N if oracle_cfg.N is not None else cfg.N
     modes = modes_from_config(oracle_cfg)
-    tables, _ = run_tables(cfg, n_run)
+    tables, _ = run_tables(cfg, cfg.N)
     rows = run_oracle(tables, modes, oracle_cfg.n_max_list)
     lines = [
         f"# config {cfg.config_hash}  modes={len(modes)}  "
@@ -91,7 +90,7 @@ def cmd_oracle(cfg: RunConfig, out: str | None) -> int:
                 + [fmt(g) for g in row.rel_gaps]
             )
         )
-    _write("\n".join(lines) + "\n", out or cfg.out)
+    _write("\n".join(lines) + "\n", out)
     return 0
 
 

@@ -22,12 +22,12 @@ Keys (defaults in parentheses):
                        "max_iter": >= 1 (scattering.DEFAULT_MAX_ITER)}
   oracle              {"modes": {"nsq_max": int >= 1} or
                                 {"vectors": [[i,j,k], ...]} (first shell),
-                       "n_max": [5, 7, 9], "N": optional override}
-  out                 output path for reports (stdout if absent)
+                       "n_max": [5, 7, 9]}
 
-The top level, `scattering` and `oracle.modes` reject unknown keys; the
-`oracle` block does not yet, as the benchmark's oracle configs still carry
-keys that nothing reads.
+Every block rejects unknown keys.  The `oracle` block also accepts, and
+ignores, `rel_tol_pert` and `rel_tol_g2`: the benchmark's oracle configs
+still carry them for their own output gate.  The output path is the
+command line's `--out`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class OracleConfig:
     modes_nsq_max: int          # 0 when modes_vectors is given
     modes_vectors: tuple
     n_max_list: tuple
-    N: int | None
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class RunConfig:
     tol: float
     max_iter: int
     oracle: OracleConfig
-    out: str | None
     warnings: tuple
     config_hash: str
 
@@ -85,23 +83,22 @@ def _integer(x, what: str, lo: int, hi: int | None = None) -> int:
     return x
 
 
-def _particle_number(v, what: str) -> int:
-    """An integer in [2, 2^53], the range where float(N) is exact."""
-    return _integer(v, what, 2, 2**53)
-
-
 def _as_tuple_of_ints(x, what: str) -> tuple:
+    """Integers in [2, 2^53], the range where float(N) is exact."""
     vals = x if isinstance(x, list) else [x]
     if not vals:
         raise RejectedConfig(f"{what} must not be empty")
-    return tuple(_particle_number(v, what) for v in vals)
+    return tuple(_integer(v, what, 2, 2**53) for v in vals)
 
 
 def _number(x, what: str) -> float:
-    """x as a finite float; RejectedConfig for anything else."""
+    """x as a finite float from a JSON number (not a bool or a string);
+    RejectedConfig for anything else."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise RejectedConfig(f"{what} must be a number, got {x!r}")
     try:
         v = float(x)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise RejectedConfig(f"{what} must be a number, got {x!r}") from None
     if not math.isfinite(v):
         raise RejectedConfig(f"{what} must be finite, got {x!r}")
@@ -116,12 +113,11 @@ def _pair_cube_points(K: float) -> float:
     return (4 * math.isqrt(_nsq_max(K)) + 1) ** 3
 
 
-def _block(block, what: str, allowed: tuple | None = None) -> dict:
-    """A JSON object; with `allowed` given, any other key in it is
-    rejected."""
+def _block(block, what: str, allowed: tuple) -> dict:
+    """A JSON object whose keys are all in `allowed`."""
     if not isinstance(block, dict):
         raise RejectedConfig(f"{what} must be a JSON object")
-    unknown = set(block) - set(allowed) if allowed is not None else set()
+    unknown = set(block) - set(allowed)
     if unknown:
         raise RejectedConfig(f"unknown keys in {what}: {sorted(unknown)}")
     return block
@@ -160,7 +156,7 @@ def parse_config(raw: dict) -> RunConfig:
     structural problem."""
     _block(raw, "configuration", (
         "N", "beta", "kappa", "R", "cutoff_K_over_2pi", "cutoff_K2_over_2pi",
-        "scattering", "oracle", "out",
+        "scattering", "oracle",
     ))
     for key in ("N", "beta", "kappa", "R"):
         if key not in raw:
@@ -205,7 +201,8 @@ def parse_config(raw: dict) -> RunConfig:
     if tol <= 0.0:
         raise RejectedConfig("scattering tol must be > 0")
 
-    ob = _block(raw.get("oracle", {}), "oracle")
+    ob = _block(raw.get("oracle", {}), "oracle",
+                ("modes", "n_max", "rel_tol_pert", "rel_tol_g2"))
     nsq_max, vectors = _oracle_modes(ob)
     n_max = ob.get("n_max", [5, 7, 9])
     if not isinstance(n_max, list) or not n_max:
@@ -215,7 +212,6 @@ def parse_config(raw: dict) -> RunConfig:
         modes_vectors=vectors,
         # the Fock basis packs occupations as uint8
         n_max_list=tuple(_integer(n, "oracle.n_max entry", 0, 255) for n in n_max),
-        N=_particle_number(ob["N"], "oracle.N") if "N" in ob else None,
     )
 
     warnings = []
@@ -228,9 +224,6 @@ def parse_config(raw: dict) -> RunConfig:
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise RejectedConfig(f"out must be a path, got {out!r}")
     return RunConfig(
         N_values=n_values,
         beta=beta,
@@ -241,7 +234,6 @@ def parse_config(raw: dict) -> RunConfig:
         tol=tol,
         max_iter=max_iter,
         oracle=oracle,
-        out=out,
         warnings=tuple(warnings),
         config_hash=digest,
     )

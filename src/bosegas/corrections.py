@@ -29,7 +29,7 @@ from .bogoliubov import (
     e01,
     sc_minus_eta,
 )
-from .errors import NotCubicInvariant, ZeroMomentumArgument
+from .errors import NotCubicInvariant
 from .lattice_potential import born2_sum
 from .scattering import make_convolver, scattering_length
 from .sums import det_rows, det_sum
@@ -190,24 +190,6 @@ def _f_rows(ctx: _PairContext, i: int):
     f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6], fpq)
     f[ctx.neg[i]] = 0.0
     return f, epq
-
-
-def f_pq(tables: BogoliubovTables, K2: float, p, q) -> float:
-    """Symmetrized cubic vertex f(p, q) for lattice vectors p, q.
-
-    Symmetric under all relabelings of the triple (p, q, -p-q).
-    """
-    p = np.asarray(p, dtype=np.int64)
-    q = np.asarray(q, dtype=np.int64)
-    if not p.any() or not q.any() or not (p + q).any():
-        raise ZeroMomentumArgument(f"p={p.tolist()}, q={q.tolist()}")
-    ctx = _PairContext(tables, K2)
-    iq = tables.lattice.lookup(q[None, :])[0]
-    ip = tables.lattice.lookup(p[None, :])[0]
-    if ip < 0 or iq < 0 or ip >= ctx.M2 or iq >= ctx.M2:
-        raise ValueError("p and q must lie inside the K2-ball")
-    f, _ = _f_rows(ctx, ip)
-    return float(f[iq])
 
 
 class EPertTilde(NamedTuple):

@@ -47,10 +47,6 @@ class NonFiniteSum(BosegasError):
     left the range of floats, so the coupling is out of regime."""
 
 
-class ZeroMomentumArgument(BosegasError):
-    """Cubic vertex evaluated with p, q or p+q at the zero mode."""
-
-
 class BasisTooLarge(BosegasError):
     """Fock basis enumeration exceeded the configured dimension limit."""
 

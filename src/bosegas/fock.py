@@ -215,7 +215,6 @@ class SparseSymmetricOperator:
     """Real symmetric operator in coordinate-assembled CSR form."""
 
     mat: sp.csr_matrix
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -336,7 +335,7 @@ class _Assembler:
         self.cols.append(idx)
         self.vals.append(0.5 * np.asarray(diag, dtype=float))
 
-    def build(self, meta: dict | None = None) -> SparseSymmetricOperator:
+    def build(self) -> SparseSymmetricOperator:
         D = len(self.basis)
         if not self.rows:
             mat = sp.csr_matrix((D, D))
@@ -350,7 +349,7 @@ class _Assembler:
             ).tocsr()
             half.sum_duplicates()
             mat = (half + half.T).tocsr()
-        return SparseSymmetricOperator(mat=mat, meta=meta or {})
+        return SparseSymmetricOperator(mat=mat)
 
 
 def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricOperator:
@@ -363,7 +362,7 @@ def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricO
         np.zeros((m, 0), dtype=np.int64),
         0.5 * np.asarray(G, dtype=float),
     )
-    return asm.build({"kind": "quadratic"})
+    return asm.build()
 
 
 @dataclass(frozen=True)
@@ -425,14 +424,13 @@ def _index_of(modes: ModeSet, points: np.ndarray) -> np.ndarray:
 
 def _mode_pairs(modes: ModeSet):
     """(i, j, k) rows with mode_i + mode_j = mode_k inside the set, i
-    major, plus the count of (i, j) pairs whose sum leaves the set."""
+    major."""
     vecs = modes.vectors
     total = vecs[:, None, :] + vecs[None, :, :]
     k = _index_of(modes, total)
     pair = total.any(axis=-1)
     i, j = np.nonzero(pair & (k >= 0))
-    dropped = int(np.count_nonzero(pair & (k < 0)))
-    return np.stack([i, j, k[i, j]], axis=1), dropped
+    return np.stack([i, j, k[i, j]], axis=1)
 
 
 def build_G1tilde(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
@@ -442,11 +440,10 @@ def build_G1tilde(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOper
       + (1/sqrt N) sum_{p,q}   vhat_p c_{p+q} c_p s_q  a+_{p+q} a+_{-p} a+_{-q}
       + h.c.
 
-    Triples with p + q outside the set are dropped and counted.
+    Triples with p + q outside the set are dropped.
     """
     asm = _Assembler(basis)
-    pairs, dropped = _mode_pairs(rt.modes)
-    i, j, k = pairs.T
+    i, j, k = _mode_pairs(rt.modes).T
     neg = rt.modes.neg_index
     base = 1.0 / np.sqrt(rt.N) * rt.v[i] * rt.c[k] * rt.c[i]
     # each pair's two terms in turn: a+ a+ a, then a+ a+ a+
@@ -456,7 +453,7 @@ def build_G1tilde(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOper
         np.stack([j, none], axis=1).reshape(-1, 1),
         np.stack([base * rt.c[j], base * rt.s[j]], axis=1).ravel(),
     )
-    return asm.build({"kind": "cubic", "dropped_pairs": dropped})
+    return asm.build()
 
 
 def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
@@ -478,7 +475,6 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
     qr = vecs[None, None, :, :] + r[:, :, None, :]   # [p, p + r, q]
     iqr = _index_of(rt.modes, qr)
     valid = moves[:, :, None] & qr.any(axis=-1)
-    dropped = int(np.count_nonzero(valid & (iqr < 0)))
     ip, ipr, iq = np.nonzero(valid & (iqr >= 0))
     iqr = iqr[ip, ipr, iq]
     c = rt.c
@@ -487,7 +483,7 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
         np.stack([ipr, iq], axis=1), np.stack([ip, iqr], axis=1), coeff,
         half=True,
     )
-    return asm.build({"kind": "quartic", "dropped_triples": dropped})
+    return asm.build()
 
 
 def ground_state(
@@ -584,7 +580,7 @@ def rs_pt2(
 
 def restricted_e_pert_tilde(rt: RestrictedTables) -> float:
     """Closed-form second-order cubic energy over in-set triples only."""
-    pairs, _ = _mode_pairs(rt.modes)
+    pairs = _mode_pairs(rt.modes)
     i, j, k = pairs.T
     f = _f_restricted(rt, pairs)
     return -(6.0 / rt.N) * det_sum(f * f / (rt.e[k] + rt.e[i] + rt.e[j]))

@@ -1,8 +1,8 @@
 """Bit-stable text rendering of reports.
 
-All floats render with 17 significant digits so identical runs produce
-identical bytes; the two wall-time columns are the only fields excluded
-from determinism comparisons.
+All floats render with 17 significant digits, so runs that compute the
+same numbers write the same bytes; only the two wall-time fields differ
+from run to run.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import json
 from dataclasses import asdict
 
 from .corrections import EnergyReport
-
-_TIMING_COLUMNS = ("t_scatter_ms", "t_sums_ms")
 
 
 def fmt(x) -> str:
@@ -29,15 +27,8 @@ def csv_header() -> str:
     return ",".join(EnergyReport.CSV_COLUMNS)
 
 
-def render_csv_row(report: EnergyReport, physics_only: bool = False) -> str:
-    cols = EnergyReport.CSV_COLUMNS
-    vals = report.csv_values()
-    parts = []
-    for name, val in zip(cols, vals):
-        if physics_only and name in _TIMING_COLUMNS:
-            continue
-        parts.append(fmt(val))
-    return ",".join(parts)
+def render_csv_row(report: EnergyReport) -> str:
+    return ",".join(fmt(v) for v in report.csv_values())
 
 
 def report_to_json(report: EnergyReport, config_hash: str = "") -> str:

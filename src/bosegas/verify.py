@@ -6,19 +6,16 @@ inputs surface as named failing checks rather than crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bogoliubov import e00, e00_summand
 from .config import RunConfig
 from .corrections import assemble_report
 from .errors import BosegasError, DiagonalizationFailure
 from .fock import shell_modes
 from .oracle import run_oracle
 from .pipeline import run_pipeline, run_tables
-from .reporting import render_csv_row
-from .sums import det_sum
 
 
 @dataclass(frozen=True)
@@ -135,21 +132,9 @@ def run_verify(cfg: RunConfig) -> list[Check]:
               pt2 < 0.0 if cfg.kappa > 0.0 else pt2 == 0.0, pt2)
     )
 
-    # order independence of compensated sums
-    fwd = e00(tables.table.at_zero, lat).value
-    rev = 0.5 * det_sum(
-        np.ascontiguousarray(e00_summand(psq, tables.table.at_zero)[::-1])
-    )
-    denom = max(abs(fwd), 1e-300)
-    order_gap = abs(fwd - rev) / denom
-    checks.append(Check("sum_order_independent", order_gap <= 1e-12, order_gap))
-
-    # determinism: a fresh end-to-end run must reproduce the physics bit
-    # for bit (wall-time columns excluded, they cannot be reproducible)
-    report2 = run_pipeline(cfg)
-    row1 = render_csv_row(report, physics_only=True)
-    row2 = render_csv_row(report2, physics_only=True)
-    checks.append(
-        Check("deterministic_rerun", row1 == row2, 0.0 if row1 == row2 else 1.0)
-    )
+    # determinism: a fresh end-to-end run must reproduce every report
+    # field bit for bit but the two wall times, which `report` leaves 0
+    rerun = replace(run_pipeline(cfg), t_scatter_ms=0.0, t_sums_ms=0.0)
+    same = report == rerun
+    checks.append(Check("deterministic_rerun", same, 0.0 if same else 1.0))
     return checks

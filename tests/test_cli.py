@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
@@ -117,6 +120,15 @@ class TestConfigValidation:
         # misspelled nested keys
         {"scattering": {"tolerance": 1e-3}},
         {"oracle": {"modes": {"nsqmax": 2}}},
+        {"oracle": {"nmax": [3]}},
+        # a number is a JSON number: no bool, no numeric string
+        {"kappa": True},
+        {"R": "0.25"},
+        {"cutoff_K_over_2pi": True, "cutoff_K2_over_2pi": 1},
+        {"scattering": {"tol": True}},
+        # the output path is --out, the particle number is N
+        {"out": "x.json"},
+        {"oracle": {"N": 100}},
     ])
     def test_malformed_numeric_field_rejected(self, override):
         with pytest.raises(RejectedConfig):
@@ -189,8 +201,8 @@ class TestScan:
 
     def test_csv_columns_fixed_order(self, tmp_path):
         out = tmp_path / "scan.csv"
-        path = write_config(tmp_path, N=[300, 600], out=str(out))
-        assert main(["scan", "--config", path]) == 0
+        path = write_config(tmp_path, N=[300, 600])
+        assert main(["scan", "--config", path, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == csv_header()
         assert lines[1].startswith(
@@ -202,8 +214,8 @@ class TestScan:
 
     def test_zero_coupling_scan_zero_columns(self, tmp_path):
         out = tmp_path / "scan.csv"
-        path = write_config(tmp_path, N=[300, 600], kappa=0.0, out=str(out))
-        assert main(["scan", "--config", path]) == 0
+        path = write_config(tmp_path, N=[300, 600], kappa=0.0)
+        assert main(["scan", "--config", path, "--out", str(out)]) == 0
         for line in out.read_text().splitlines()[2:]:
             cells = line.split(",")
             # every physics column after the run parameters is zero
@@ -212,10 +224,9 @@ class TestScan:
     def test_determinism_bit_identical(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        p1 = write_config(tmp_path, "c1.json", N=[300, 500], out=str(out1))
-        p2 = write_config(tmp_path, "c2.json", N=[300, 500], out=str(out2))
-        assert main(["scan", "--config", p1]) == 0
-        assert main(["scan", "--config", p2]) == 0
+        path = write_config(tmp_path, N=[300, 500])
+        assert main(["scan", "--config", path, "--out", str(out1)]) == 0
+        assert main(["scan", "--config", path, "--out", str(out2)]) == 0
 
         def physics(text):
             rows = []
@@ -236,9 +247,9 @@ class TestWarnings:
 class TestScanFailures:
     def test_row_failures_recorded_run_continues(self, tmp_path):
         out = tmp_path / "scan.csv"
-        path = write_config(tmp_path, N=[300, 600], out=str(out),
+        path = write_config(tmp_path, N=[300, 600],
                             scattering={"tol": 1e-30, "max_iter": 2})
-        assert main(["scan", "--config", path]) == 1
+        assert main(["scan", "--config", path, "--out", str(out)]) == 1
         text = out.read_text()
         assert text.count("failed") == 2  # both rows recorded, run continued
 
@@ -268,11 +279,26 @@ class TestVerify:
         # mutant: the Fock cubic channel is the zero operator
         monkeypatch.setattr(
             "bosegas.oracle.build_G1tilde",
-            lambda basis, rt: _Assembler(basis).build({"kind": "cubic"}),
+            lambda basis, rt: _Assembler(basis).build(),
         )
         cfg = parse_config(dict(BASE, N=10**4, cutoff_K_over_2pi=4))
         failed = [c.name for c in run_verify(cfg) if not c.passed]
         assert failed == ["rs_pt2_nonpositive"]
+
+    def test_rerun_moving_a_non_csv_field_fails(self, monkeypatch):
+        # mutant: the rerun's born2_tail, which no CSV column shows, moves
+        # by one part in 1e12
+        real = bosegas.verify.run_pipeline
+
+        def drifting(cfg):
+            report = real(cfg)
+            return dataclasses.replace(
+                report, born2_tail=report.born2_tail * (1.0 + 1e-12)
+            )
+
+        monkeypatch.setattr("bosegas.verify.run_pipeline", drifting)
+        failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
+        assert failed == ["deterministic_rerun"]
 
     def test_one_shell_ball_fails_the_probe(self, tmp_path, capsys):
         # below 2 pi sqrt 2 only |n| = 1 modes exist and no cubic triple
@@ -332,11 +358,12 @@ class TestImports:
 
     @staticmethod
     def run_child(tmp_path, command, **overrides):
-        path = write_config(tmp_path, out=str(tmp_path / "out.txt"), **overrides)
+        path = write_config(tmp_path, **overrides)
+        out = str(tmp_path / "out.txt")
         code = (
             "import json, sys\n"
             "from bosegas.cli import main\n"
-            f"rc = main([{command!r}, '--config', {path!r}])\n"
+            f"rc = main([{command!r}, '--config', {path!r}, '--out', {out!r}])\n"
             "print(json.dumps([rc, 'scipy' in sys.modules]))\n"
         )
         src = os.path.dirname(os.path.dirname(bosegas.__file__))
@@ -361,13 +388,52 @@ class TestImports:
         assert scipy_loaded
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench")
+
+
+def _perfbench_source(name):
+    with open(os.path.join(PERFBENCH, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestBenchmarkInputs:
+    """What the benchmark harness reads of the package still exists.  The
+    harness files are read as text and never imported, so nothing is
+    written under perfbench/."""
+
+    def test_traced_functions_are_module_functions(self):
+        tree = ast.parse(_perfbench_source("run.py"))
+        names = next(
+            ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "TRACED_FUNCTIONS"
+        )
+        missing = []
+        for name in names:
+            module, _, attr = name.partition(".")
+            mod = importlib.import_module(f"bosegas.{module}")
+            fn = getattr(mod, attr, None)
+            if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__):
+                missing.append(name)
+        assert names and missing == []
+
+    def test_workload_configs_parse(self):
+        scope = {"__name__": "workloads"}
+        exec(compile(_perfbench_source("workloads.py"), "workloads.py", "exec"),
+             scope)
+        for _, make_config, _ in scope["WORKLOADS"].values():
+            for seed in range(20):
+                parse_config(make_config(seed))
+
+
 # Property tests over configuration documents.  Runs are derandomized, so
 # the suite draws the same examples every time, and keep no example
 # database on disk.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 KEYS = ("N", "beta", "kappa", "R", "cutoff_K_over_2pi", "cutoff_K2_over_2pi",
-        "scattering", "oracle", "out")
-SUBKEYS = ("tol", "max_iter", "modes", "nsq_max", "vectors", "n_max", "N",
+        "scattering", "oracle")
+SUBKEYS = ("tol", "max_iter", "modes", "nsq_max", "vectors", "n_max",
            "rel_tol_pert", "rel_tol_g2")
 # 10**400 is a JSON number that no float holds
 JSON_VALUE = st.recursive(

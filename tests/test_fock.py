@@ -116,7 +116,7 @@ def ref_G0(basis, F, G):
     neg = basis.modes.neg_index
     for i in range(len(basis.modes)):
         asm.apply_term([(i, +1), (int(neg[i]), +1)], 0.5 * float(G[i]), "hc")
-    return asm.build({"kind": "quadratic"})
+    return asm.build()
 
 
 def ref_G1tilde(basis, rt):
@@ -125,7 +125,6 @@ def ref_G1tilde(basis, rt):
     lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
     neg = rt.modes.neg_index
     pref = 1.0 / np.sqrt(rt.N)
-    dropped = 0
     for i in range(len(vecs)):
         for j in range(len(vecs)):
             s = vecs[i] + vecs[j]
@@ -133,7 +132,6 @@ def ref_G1tilde(basis, rt):
                 continue
             k = lookup.get(tuple(s), -1)
             if k < 0:
-                dropped += 1
                 continue
             base = pref * rt.v[i] * rt.c[k] * rt.c[i]
             asm.apply_term(
@@ -143,7 +141,7 @@ def ref_G1tilde(basis, rt):
                 [(k, +1), (int(neg[i]), +1), (int(neg[j]), +1)],
                 base * rt.s[j], "hc",
             )
-    return asm.build({"kind": "cubic", "dropped_pairs": dropped})
+    return asm.build()
 
 
 def ref_G2(basis, rt):
@@ -152,7 +150,6 @@ def ref_G2(basis, rt):
     lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
     m = len(vecs)
     pref = 1.0 / (2.0 * rt.N)
-    dropped = 0
     for ip in range(m):
         for ipr in range(m):
             r = vecs[ipr] - vecs[ip]
@@ -165,13 +162,12 @@ def ref_G2(basis, rt):
                     continue
                 iqr = lookup.get(tuple(s), -1)
                 if iqr < 0:
-                    dropped += 1
                     continue
                 coeff = pref * vr * rt.c[ipr] * rt.c[iq] * rt.c[ip] * rt.c[iqr]
                 asm.apply_term(
                     [(ipr, +1), (iq, +1), (ip, -1), (iqr, -1)], coeff, "half"
                 )
-    return asm.build({"kind": "quartic", "dropped_triples": dropped})
+    return asm.build()
 
 
 class TestBasis:
@@ -416,7 +412,6 @@ class TestCubicChannel:
         b = build_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
         assert g1.mat.nnz == 0
-        assert g1.meta["dropped_pairs"] > 0
         assert restricted_e_pert_tilde(rt) == 0.0
 
 
@@ -442,7 +437,6 @@ class TestAssemblyReference:
     def assert_same(new, ref):
         assert new.mat.dtype == ref.mat.dtype
         assert (new.mat != ref.mat).nnz == 0
-        assert new.meta == ref.meta
 
     # the closed set at cap 9 reaches occupations at which the order of
     # the sqrt factors shows in the last bit
