@@ -8,8 +8,8 @@ off.  The `E0` and `depletion` targets are the report's own
 tables; the two pair sums keep the triples inside the mode set.  The
 cubic identity needs momentum-conserving triples inside the mode set;
 the first shell alone admits none (|n_1 + n_2| is never 1 for unit
-vectors), in which case both sides are exactly zero and the row records
-the degenerate agreement.
+vectors), in which case both sides are exactly zero, the row records
+the degenerate agreement and `bosegas oracle` warns.
 """
 
 from __future__ import annotations

@@ -341,6 +341,15 @@ class TestOracle:
         assert names == ["E0", "e_pert_tilde", "g2_expect", "depletion"]
         assert "relgap_n5" in lines[1]
 
+    @pytest.mark.parametrize("nsq_max, warns", [(1, True), (2, False)])
+    def test_warns_when_no_triple_closes(self, tmp_path, capsys, nsq_max, warns):
+        path = write_config(
+            tmp_path, oracle={"modes": {"nsq_max": nsq_max}, "n_max": [3]}
+        )
+        assert main(["oracle", "--config", path]) == 0
+        err = capsys.readouterr().err
+        assert ("warning: " in err and "triple" in err) == warns
+
     @pytest.mark.parametrize("nsq_max", [4, 10**6, 10**400])
     def test_mode_shells_over_the_cap_exit_2(self, tmp_path, capsys, nsq_max):
         # 10**6 would be a 2001^3 enumeration if the cap were checked after it
@@ -353,39 +362,99 @@ class TestOracle:
         assert "modes" in capsys.readouterr().err
 
 
+HAS_PROC_TASKS = os.path.isdir("/proc/self/task")
+
+
+def child_env(blas_threads=None):
+    """The test process's environment with src/ on the path and
+    OPENBLAS_NUM_THREADS set to `blas_threads`, or unset for None.
+    Importing bosegas.cli here has already written its own value into
+    os.environ, so the child's is chosen explicitly."""
+    src = os.path.dirname(os.path.dirname(bosegas.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    return env
+
+
 class TestImports:
-    """energy/scan import numpy only; scipy loads with oracle and verify."""
+    """energy/scan import numpy only; scipy loads with oracle and verify.
+    The CLI caps OpenBLAS at one thread unless the caller sets it."""
 
     @staticmethod
-    def run_child(tmp_path, command, **overrides):
+    def run_child(tmp_path, command, blas_threads=None, **overrides):
         path = write_config(tmp_path, **overrides)
         out = str(tmp_path / "out.txt")
         code = (
-            "import json, sys\n"
+            "import json, os, sys\n"
             "from bosegas.cli import main\n"
             f"rc = main([{command!r}, '--config', {path!r}, '--out', {out!r}])\n"
-            "print(json.dumps([rc, 'scipy' in sys.modules]))\n"
+            "tasks = '/proc/self/task'\n"
+            "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+            "print(json.dumps([rc, 'scipy' in sys.modules, threads]))\n"
         )
-        src = os.path.dirname(os.path.dirname(bosegas.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         res = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, check=True,
+            [sys.executable, "-c", code], env=child_env(blas_threads),
+            capture_output=True, text=True, check=True,
         )
         return json.loads(res.stdout.splitlines()[-1])
 
     def test_energy_loads_no_scipy(self, tmp_path):
-        rc, scipy_loaded = self.run_child(tmp_path, "energy")
+        rc, scipy_loaded, _ = self.run_child(tmp_path, "energy")
         assert rc == 0
         assert not scipy_loaded
 
     def test_oracle_still_runs(self, tmp_path):
-        rc, scipy_loaded = self.run_child(
+        rc, scipy_loaded, _ = self.run_child(
             tmp_path, "oracle", oracle={"modes": {"nsq_max": 1}, "n_max": [3]}
         )
         assert rc == 0
         assert scipy_loaded
+
+    @pytest.mark.skipif(not HAS_PROC_TASKS, reason="no /proc/self/task")
+    @pytest.mark.parametrize("command", ["energy", "oracle"])
+    def test_one_thread_by_default(self, tmp_path, command):
+        rc, _, threads = self.run_child(
+            tmp_path, command, oracle={"modes": {"nsq_max": 1}, "n_max": [3]}
+        )
+        assert rc == 0
+        assert threads == 1
+
+    @pytest.mark.skipif(not HAS_PROC_TASKS, reason="no /proc/self/task")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core")
+    def test_caller_thread_count_kept(self, tmp_path):
+        rc, _, threads = self.run_child(tmp_path, "energy", blas_threads=2)
+        assert rc == 0
+        assert threads > 1
+
+
+class TestThreadDeterminism:
+    """Output under the one-thread cap equals output with two threads."""
+
+    @staticmethod
+    def run_cli(tmp_path, command, blas_threads):
+        path = write_config(
+            tmp_path, cutoff_K_over_2pi=4, cutoff_K2_over_2pi=2,
+            oracle={"modes": {"nsq_max": 2}, "n_max": [3]},
+        )
+        res = subprocess.run(
+            [sys.executable, "-m", "bosegas.cli", command, "--config", path],
+            env=child_env(blas_threads), capture_output=True, text=True,
+            check=True,
+        )
+        return res.stdout
+
+    def test_energy_report_bitwise(self, tmp_path):
+        one, two = (json.loads(self.run_cli(tmp_path, "energy", n))
+                    for n in (None, 2))
+        for doc in (one, two):
+            del doc["t_scatter_ms"], doc["t_sums_ms"]
+        assert one == two
+
+    def test_oracle_table_bytewise(self, tmp_path):
+        assert (self.run_cli(tmp_path, "oracle", None)
+                == self.run_cli(tmp_path, "oracle", 2))
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
