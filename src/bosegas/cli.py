@@ -1,7 +1,9 @@
 """Batch front end: energy, scan, verify, oracle.
 
-Exit codes: 0 success, 1 runtime or invariant failure, 2 invalid
-configuration.
+Exit codes: 0 success, 1 runtime or invariant failure, 2 invalid or
+unreadable config or unwritable `--out`.  `main` is the one exit path: it
+loads the config, prints every warning, writes a command's text only once
+the command has returned, and picks the exit code.
 
 `energy` and `scan` import numpy only; `verify` and `oracle` import their
 modules, and with them scipy.sparse, when they run.
@@ -29,39 +31,29 @@ from .pipeline import run_pipeline, run_tables  # noqa: E402
 from .reporting import csv_header, fmt, render_csv_row, report_to_json  # noqa: E402
 
 
-def _write(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_energy(cfg: RunConfig, out: str | None) -> int:
+def cmd_energy(cfg: RunConfig) -> tuple[str, list, int]:
     report = run_pipeline(cfg)
-    _write(report_to_json(report, cfg.config_hash) + "\n", out)
-    for w in cfg.warnings + report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return 0
+    return report_to_json(report, cfg.config_hash), list(report.warnings), 0
 
 
-def cmd_scan(cfg: RunConfig, out: str | None) -> int:
+def cmd_scan(cfg: RunConfig) -> tuple[str, list, int]:
     if len(cfg.N_values) < 2:
         raise RejectedConfig("scan needs at least two values of N")
     lines = [f"# config {cfg.config_hash}", csv_header()]
+    warnings = []
     failures = 0
     for N in cfg.N_values:
         try:
             report = run_pipeline(cfg, N)
             lines.append(render_csv_row(report))
+            warnings += [f"N={N}: {w}" for w in report.warnings]
         except BosegasError as exc:
             failures += 1
             lines.append(f"# N={N} failed: {exc}")
-    _write("\n".join(lines) + "\n", out)
-    return 0 if failures == 0 else 1
+    return "\n".join(lines), warnings, 0 if failures == 0 else 1
 
 
-def cmd_verify(cfg: RunConfig, out: str | None) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[str, list, int]:
     from .verify import run_verify
 
     checks = run_verify(cfg)
@@ -73,21 +65,20 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
         lines.append(f"{c.name:<{width}}  {status}  margin={fmt(c.margin)}{detail}")
     ok = all(c.passed for c in checks)
     lines.append(f"{'all invariants' :<{width}}  {'pass' if ok else 'FAIL'}")
-    _write("\n".join(lines) + "\n", out)
-    return 0 if ok else 1
+    return "\n".join(lines), [], 0 if ok else 1
 
 
-def cmd_oracle(cfg: RunConfig, out: str | None) -> int:
+def cmd_oracle(cfg: RunConfig) -> tuple[str, list, int]:
     from .fock import _mode_pairs
     from .oracle import modes_from_config, run_oracle
 
     oracle_cfg = cfg.oracle
     modes = modes_from_config(oracle_cfg)
+    warnings = []
     if len(_mode_pairs(modes)) == 0:
-        print(
-            "warning: the oracle mode set closes no p + q = k triple, so "
-            "the e_pert_tilde row checks nothing of the cubic channel",
-            file=sys.stderr,
+        warnings.append(
+            "the oracle mode set closes no p + q = k triple, so the "
+            "e_pert_tilde row checks nothing of the cubic channel"
         )
     tables, _ = run_tables(cfg, cfg.N)
     rows = run_oracle(tables, modes, oracle_cfg.n_max_list)
@@ -107,8 +98,15 @@ def cmd_oracle(cfg: RunConfig, out: str | None) -> int:
                 + [fmt(g) for g in row.rel_gaps]
             )
         )
-    _write("\n".join(lines) + "\n", out)
-    return 0
+    return "\n".join(lines), warnings, 0
+
+
+COMMANDS = {
+    "energy": (cmd_energy, "one energy report (JSON)"),
+    "scan": (cmd_scan, "CSV row per N in the config list"),
+    "verify": (cmd_verify, "run the named invariant suite"),
+    "oracle": (cmd_oracle, "closed form vs Fock comparison table"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,36 +115,31 @@ def main(argv: list[str] | None = None) -> int:
         description="Torus Bose-gas energy expansion with brute-force oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("energy", "one energy report (JSON)"),
-        ("scan", "CSV row per N in the config list"),
-        ("verify", "run the named invariant suite"),
-        ("oracle", "closed form vs Fock comparison table"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    handler = COMMANDS[args.command][0]
 
     try:
         cfg = load_config(args.config)
+        for w in cfg.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        text, warnings, code = handler(cfg)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        return code
     except RejectedConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-
-    handler = {
-        "energy": cmd_energy,
-        "scan": cmd_scan,
-        "verify": cmd_verify,
-        "oracle": cmd_oracle,
-    }[args.command]
-    try:
-        return handler(cfg, args.out)
-    except RejectedConfig as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"cannot read config or write output: {exc}", file=sys.stderr)
         return 2
     except BosegasError as exc:
         print(f"error: {exc}", file=sys.stderr)

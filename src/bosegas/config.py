@@ -243,6 +243,6 @@ def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise RejectedConfig(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)

@@ -318,8 +318,9 @@ class EnergyReport:
     residual_norm: float
     iterations: int
     warnings: tuple = field(default_factory=tuple)
-    t_scatter_ms: float = 0.0
-    t_sums_ms: float = 0.0
+    # wall times: equal reports may differ in them
+    t_scatter_ms: float = field(default=0.0, compare=False)
+    t_sums_ms: float = field(default=0.0, compare=False)
 
     CSV_COLUMNS = (
         "N", "beta", "kappa", "a_box", "leading", "E00", "E01", "C1", "C2",

@@ -34,10 +34,10 @@ class DiagonalizationFailure(BosegasError):
     """|G_p| >= F_p for some mode; the quadratic form is not diagonalizable."""
 
     def __init__(self, point, ratio: float, N: int, kappa: float):
-        self.point = tuple(point)
+        self.point = tuple(int(i) for i in point)
         self.ratio = ratio
         super().__init__(
-            f"|G|/F = {ratio:.6g} >= 1 at lattice point {tuple(point)} "
+            f"|G|/F = {ratio:.6g} >= 1 at lattice point {self.point} "
             f"(N={N}, kappa={kappa}); out of regime"
         )
 

@@ -161,6 +161,16 @@ class TestConfigValidation:
     def test_missing_file(self):
         assert main(["energy", "--config", "/nonexistent/cfg.json"]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                                     # not UTF-8
+        b'{"N": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # nested too deep
+    ], ids=["non_utf8", "nested_too_deep"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["energy", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_beta_outside_window_warns(self):
         cfg = parse_config(dict(BASE, beta=0.3))
         assert any("1/2" in w for w in cfg.warnings)
@@ -243,6 +253,43 @@ class TestWarnings:
         assert main(["energy", "--config", path]) == 0
         assert "1/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("scan", {"N": [300, 600]}),
+        ("verify", {}),
+        ("oracle", {"oracle": {"modes": {"nsq_max": 2}, "n_max": [3]}}),
+    ], ids=["scan", "verify", "oracle"])
+    def test_every_command_warns_on_stderr(self, tmp_path, capsys,
+                                           command, overrides):
+        path = write_config(tmp_path, beta=0.4, **overrides)
+        main([command, "--config", path])
+        assert "warning: beta = 0.4 is outside (1/2, 1)" in capsys.readouterr().err
+
+    def test_scan_prints_each_rows_regime_warning(self, tmp_path, capsys):
+        # K = 6 pi, K2 = 4 pi: |G|/F passes 1/2 at both N, stays below 1
+        path = write_config(tmp_path, N=[300, 1000], kappa=20000.0)
+        assert main(["scan", "--config", path]) == 0
+        err = capsys.readouterr().err
+        for N in (300, 1000):
+            assert f"warning: N={N}: |G_p|/F_p <= 1/2 violated" in err
+        assert err.count("warning: ") == 2
+
+
+class TestOutput:
+    @pytest.mark.parametrize("target", ["missing/out.json", "."],
+                             ids=["missing_dir", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        out = str(tmp_path / target)
+        path = write_config(tmp_path)
+        assert main(["energy", "--config", path, "--out", out]) == 2
+        assert out in capsys.readouterr().err
+
+    def test_failed_run_leaves_out_untouched(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous run\n")
+        path = write_config(tmp_path, scattering={"tol": 1e-30, "max_iter": 2})
+        assert main(["energy", "--config", path, "--out", str(out)]) == 1
+        assert out.read_bytes() == b"previous run\n"
+
 
 class TestScanFailures:
     def test_row_failures_recorded_run_continues(self, tmp_path):
@@ -264,11 +311,13 @@ class TestVerify:
 
     def test_out_of_regime_surfaces_named_failure(self, tmp_path, capsys):
         # the built-in family needs an enormous coupling before |G| >= F
-        path = write_config(tmp_path, kappa=30000.0)
+        # (at kappa = 3e4 the maximum |G|/F is still 0.97)
+        path = write_config(tmp_path, kappa=1e5)
         code = main(["verify", "--config", path])
         out = capsys.readouterr().out
         assert code == 1
-        assert "diagonalizable" in out and "FAIL" in out
+        assert out.split()[:2] == ["diagonalizable", "FAIL"]
+        assert "at lattice point (-2, -2, -1)" in out and "np.int64" not in out
 
     def test_zero_coupling_trivially_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, kappa=0.0)
