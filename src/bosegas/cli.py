@@ -5,8 +5,9 @@ unreadable config or unwritable `--out`.  `main` is the one exit path: it
 loads the config, prints every warning, writes a command's text only once
 the command has returned, and picks the exit code.
 
-`energy` and `scan` import numpy only; `verify` and `oracle` import their
-modules, and with them scipy.sparse, when they run.
+Every command runs on numpy alone; `verify` and `oracle` import their
+modules when they run.  A list of N runs only under `scan`; the other
+commands reject it rather than run its first entry.
 
 The CLI process runs OpenBLAS on one thread: its dense work is small
 matrix products, and the default pool's idle workers spin on a second
@@ -124,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.command != "scan" and len(cfg.N_values) > 1:
+            raise RejectedConfig("N lists run only under scan")
         for w in cfg.warnings:
             print(f"warning: {w}", file=sys.stderr)
         text, warnings, code = handler(cfg)

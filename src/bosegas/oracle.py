@@ -84,7 +84,7 @@ def run_oracle(
         g1 = build_G1tilde(basis, rt)
         values["e_pert_tilde"].append(rs_pt2(g0, g1, e0, gs))
         g2 = build_G2(basis, rt)
-        values["g2_expect"].append(float(gs @ (g2.mat @ gs)))
+        values["g2_expect"].append(float(gs @ (g2 @ gs)))
         # the doubly-rotated vacuum is the ground state of the quadratic
         # form with unit gap and pairing -tanh(2(eta + tau))
         gd = build_G0(basis, np.ones(len(modes)), -np.tanh(2.0 * theta))

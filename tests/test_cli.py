@@ -185,6 +185,14 @@ class TestConfigValidation:
         assert a.config_hash != b.config_hash
 
 
+class TestNList:
+    @pytest.mark.parametrize("command", ["energy", "verify", "oracle"])
+    def test_n_list_outside_scan_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, N=[300, 600])
+        assert main([command, "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 class TestEnergy:
     def test_zero_coupling_all_zero_columns(self, tmp_path, capsys):
         path = write_config(tmp_path, kappa=0.0)
@@ -428,8 +436,8 @@ def child_env(blas_threads=None):
 
 
 class TestImports:
-    """energy/scan import numpy only; scipy loads with oracle and verify.
-    The CLI caps OpenBLAS at one thread unless the caller sets it."""
+    """No command imports scipy.  The CLI caps OpenBLAS at one thread
+    unless the caller sets it."""
 
     @staticmethod
     def run_child(tmp_path, command, blas_threads=None, **overrides):
@@ -449,17 +457,16 @@ class TestImports:
         )
         return json.loads(res.stdout.splitlines()[-1])
 
-    def test_energy_loads_no_scipy(self, tmp_path):
-        rc, scipy_loaded, _ = self.run_child(tmp_path, "energy")
+    @pytest.mark.parametrize("command, overrides", [
+        ("energy", {}),
+        ("scan", {"N": [300, 600]}),
+        ("verify", {}),
+        ("oracle", {"oracle": {"modes": {"nsq_max": 1}, "n_max": [3]}}),
+    ], ids=["energy", "scan", "verify", "oracle"])
+    def test_loads_no_scipy(self, tmp_path, command, overrides):
+        rc, scipy_loaded, _ = self.run_child(tmp_path, command, **overrides)
         assert rc == 0
         assert not scipy_loaded
-
-    def test_oracle_still_runs(self, tmp_path):
-        rc, scipy_loaded, _ = self.run_child(
-            tmp_path, "oracle", oracle={"modes": {"nsq_max": 1}, "n_max": [3]}
-        )
-        assert rc == 0
-        assert scipy_loaded
 
     @pytest.mark.skipif(not HAS_PROC_TASKS, reason="no /proc/self/task")
     @pytest.mark.parametrize("command", ["energy", "oracle"])

@@ -7,11 +7,17 @@ import scipy.sparse as sp
 
 from bosegas.bogoliubov import bogoliubov_ground_energy, build_tables
 from bosegas.corrections import depletion
-from bosegas.errors import BasisTooLarge, EigenNonConvergence, MomentumViolation
+from bosegas.errors import (
+    BasisTooLarge,
+    EigenNonConvergence,
+    LinearSolveNonConvergence,
+    MomentumViolation,
+)
 from bosegas.fock import (
     RestrictedTables,
     SparseSymmetricOperator,
     _Assembler,
+    _cg,
     build_basis,
     build_G0,
     build_G1tilde,
@@ -252,7 +258,7 @@ class TestQuadratic:
         b = build_basis(modes, 3)
         F = 1.0 + np.arange(len(modes), dtype=float)
         g0 = build_G0(b, F, np.zeros(len(modes)))
-        dense = g0.mat.toarray()
+        dense = g0.toarray()
         assert np.array_equal(np.diag(np.diag(dense)), dense)
         assert np.allclose(np.diag(dense), b.occ.astype(float) @ F)
 
@@ -260,7 +266,7 @@ class TestQuadratic:
         modes = mode_set(CLOSED_SET)
         b = build_basis(modes, 4)
         g0 = build_G0(b, np.ones(len(modes)) * 2.0, np.ones(len(modes)) * 0.5)
-        assert g0.mat[b.vacuum_index, b.vacuum_index] == 0.0
+        assert g0.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
 
     def test_two_mode_closed_form(self):
         b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 40)
@@ -294,21 +300,21 @@ class TestQuadratic:
 
 class TestGroundState:
     def test_diagonal(self):
-        mat = sp.csr_matrix(np.diag([3.0, -2.0, 7.0]))
-        lam, vec = ground_state(SparseSymmetricOperator(mat=mat))
+        op = SparseSymmetricOperator.from_dense(np.diag([3.0, -2.0, 7.0]))
+        lam, vec = ground_state(op)
         assert lam == pytest.approx(-2.0, abs=1e-14)
         assert abs(vec[1]) == pytest.approx(1.0)
 
     def test_offdiagonal_2x2(self):
-        mat = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        lam, _ = ground_state(SparseSymmetricOperator(mat=mat))
+        op = SparseSymmetricOperator.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lam, _ = ground_state(op)
         assert lam == pytest.approx(-1.0, abs=1e-14)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(40, 40))
         A = (A + A.T) / 2
-        op = SparseSymmetricOperator(mat=sp.csr_matrix(A))
+        op = SparseSymmetricOperator.from_dense(A)
         lam, vec = ground_state(op, tol=1e-12)
         scale = np.max(np.abs(A))
         assert np.linalg.norm(A @ vec - lam * vec) <= 1e-12 * scale
@@ -317,9 +323,46 @@ class TestGroundState:
     def test_failed_factorization_raises(self):
         # A - sigma I is strictly diagonally dominant, so only a non-finite
         # entry can make its factorization fail
-        mat = sp.csr_matrix(np.array([[np.nan, 1.0], [1.0, 3.0]]))
+        op = SparseSymmetricOperator.from_dense(np.array([[np.nan, 1.0], [1.0, 3.0]]))
         with pytest.raises(EigenNonConvergence):
-            ground_state(SparseSymmetricOperator(mat=mat))
+            ground_state(op)
+
+    def test_infinite_entry_raises(self):
+        op = SparseSymmetricOperator.from_dense(np.array([[np.inf, 1.0], [1.0, 3.0]]))
+        with pytest.raises(EigenNonConvergence):
+            ground_state(op)
+
+    def test_one_by_one(self):
+        lam, vec = ground_state(SparseSymmetricOperator.from_dense([[2.5]]))
+        assert lam == 2.5
+        assert vec.tolist() == [1.0]
+
+    def test_ground_state_in_last_component(self, monkeypatch):
+        # three components in index order, by Gershgorin bound: the second
+        # (bound -4, lowest level -2.24) is factored first, the third
+        # (bound -3.5, lowest level -3.22) holds the ground state, and the
+        # first (bound 9) lies above it and is never factored
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(len(a)) or cholesky(a))
+        skipped = np.array([[10.0, 1.0], [1.0, 10.0]])
+        visited = np.array([[-1.0, 3.0], [3.0, 5.0]])
+        ground = np.array([[-3.0, 0.5, 0.0], [0.5, -2.0, 0.5], [0.0, 0.5, -1.0]])
+        A = np.zeros((7, 7))
+        A[:2, :2], A[2:4, 2:4], A[4:, 4:] = skipped, visited, ground
+        # interleave the states so no component is a contiguous range
+        perm = np.array([4, 0, 2, 5, 1, 3, 6])
+        A = A[np.ix_(perm, perm)]
+        lam, vec = ground_state(SparseSymmetricOperator.from_dense(A))
+        ref = np.linalg.eigvalsh(A)
+        assert lam == pytest.approx(ref[0], abs=1e-14)
+        assert np.linalg.norm(A @ vec - lam * vec) <= 1e-13
+        outside = ~np.isin(perm, [4, 5, 6])
+        assert np.all(vec[outside] == 0.0)
+        assert factored == [2, 3]
+        # the visited component holds the second level overall
+        assert ref[0] < -3.2 and -2.25 < ref[1] < -2.24
 
     def test_closed_set_at_reference_coupling(self, pot_ref, lat6):
         # at cap 24 (D = 1,995) Lanczos for the smallest eigenvalue of G0
@@ -336,13 +379,13 @@ class TestRsPt2:
         b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 6)
         g0 = build_G0(b, np.array([2.0, 2.0]), np.array([0.5, 0.5]))
         e0, gs = ground_state(g0)
-        zero = SparseSymmetricOperator(mat=sp.csr_matrix((len(b), len(b))))
+        zero = SparseSymmetricOperator.from_dense(np.zeros((len(b), len(b))))
         assert rs_pt2(g0, zero, e0, gs) == 0.0
 
     def test_two_level_textbook(self):
         delta, g = 1.7, 0.23
-        g0 = SparseSymmetricOperator(mat=sp.csr_matrix(np.diag([0.0, delta])))
-        v = SparseSymmetricOperator(mat=sp.csr_matrix(np.array([[0.0, g], [g, 0.0]])))
+        g0 = SparseSymmetricOperator.from_dense(np.diag([0.0, delta]))
+        v = SparseSymmetricOperator.from_dense(np.array([[0.0, g], [g, 0.0]]))
         e0, gs = ground_state(g0)
         assert rs_pt2(g0, v, e0, gs) == pytest.approx(-g * g / delta, rel=1e-12)
 
@@ -353,10 +396,31 @@ class TestRsPt2:
             A = A + A.T
             B = rng.normal(size=(25, 25))
             B = B + B.T
-            g0 = SparseSymmetricOperator(mat=sp.csr_matrix(A))
-            v = SparseSymmetricOperator(mat=sp.csr_matrix(B))
+            g0 = SparseSymmetricOperator.from_dense(A)
+            v = SparseSymmetricOperator.from_dense(B)
             e0, gs = ground_state(g0)
             assert rs_pt2(g0, v, e0, gs) <= 0.0
+
+
+class TestConjugateGradient:
+    @staticmethod
+    def system():
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 30))
+        return X @ X.T + np.eye(30), rng.normal(size=30)
+
+    def test_matches_scipy_cg(self):
+        from scipy.sparse.linalg import cg
+
+        A, b = self.system()
+        ref, info = cg(A, b, rtol=1e-13, atol=0.0, maxiter=5000)
+        assert info == 0
+        assert np.array_equal(_cg(lambda x: A @ x, b, 1e-13, 5000), ref)
+
+    def test_step_limit_raises(self):
+        A, b = self.system()
+        with pytest.raises(LinearSolveNonConvergence):
+            _cg(lambda x: A @ x, b, 1e-13, 3)
 
 
 class TestCubicChannel:
@@ -369,20 +433,20 @@ class TestCubicChannel:
         )
         b = build_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        assert g1.mat.nnz == 0
-        assert build_G2(b, rt).mat.nnz == 0
+        assert g1.nnz == 0
+        assert build_G2(b, rt).nnz == 0
 
     def test_vacuum_diagonal_zero(self):
         rt = synthetic_tables(CLOSED_SET)
         b = build_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        assert g1.mat[b.vacuum_index, b.vacuum_index] == 0.0
+        assert g1.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
 
     def test_vacuum_column_pure_triples(self):
         rt = synthetic_tables(CLOSED_SET)
         b = build_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        col = np.asarray(g1.mat[:, b.vacuum_index].todense()).ravel()
+        col = g1.toarray()[:, b.vacuum_index]
         occ_tot = b.occ.sum(axis=1)
         assert np.all(occ_tot[np.nonzero(col)[0]] == 3)
 
@@ -394,7 +458,7 @@ class TestCubicChannel:
         rt = synthetic_tables(CLOSED_SET, tau_scale=0.0)
         b = build_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        col = np.asarray(g1.mat[:, b.vacuum_index].todense()).ravel()
+        col = g1.toarray()[:, b.vacuum_index]
         vecs = rt.modes.vectors.tolist()
         i_p, i_q, i_k = vecs.index([1, 0, 0]), vecs.index([0, 1, 0]), vecs.index([1, 1, 0])
         occ = np.zeros(len(rt.modes), dtype=np.uint8)
@@ -411,7 +475,7 @@ class TestCubicChannel:
                                (0, 0, 1), (0, 0, -1)])
         b = build_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        assert g1.mat.nnz == 0
+        assert g1.nnz == 0
         assert restricted_e_pert_tilde(rt) == 0.0
 
 
@@ -420,7 +484,7 @@ class TestQuarticChannel:
         rt = synthetic_tables(CLOSED_SET)
         b = build_basis(rt.modes, 5)
         g2 = build_G2(b, rt)
-        assert g2.mat[b.vacuum_index, b.vacuum_index] == 0.0
+        assert g2.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
 
     def test_exact_symmetry(self):
         rt = synthetic_tables(CLOSED_SET)
@@ -429,14 +493,49 @@ class TestQuarticChannel:
         assert build_G1tilde(b, rt).symmetry_defect() == 0.0
 
 
+class TestOperator:
+    @pytest.mark.parametrize("channel", ["G0", "G1tilde", "G2"])
+    def test_matvec_matches_dense(self, channel):
+        rt = synthetic_tables(shell_modes(2).vectors.tolist())
+        b = build_basis(rt.modes, 6)
+        op = {
+            "G0": lambda: build_G0(b, rt.F, rt.G),
+            "G1tilde": lambda: build_G1tilde(b, rt),
+            "G2": lambda: build_G2(b, rt),
+        }[channel]()
+        x = np.random.default_rng(5).normal(size=len(b))
+        dense = op.toarray()
+        assert op.nnz == np.count_nonzero(dense) > 0
+        got = op @ x
+        np.testing.assert_allclose(got, dense @ x, rtol=0,
+                                   atol=1e-13 * np.abs(dense).sum(axis=1).max())
+        # each row summed in column order, as the CSR product does
+        assert np.array_equal(got, sp.csr_matrix(dense) @ x)
+
+    def test_from_dense_round_trip(self):
+        A = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -1.0], [2.0, -1.0, 3.0]])
+        op = SparseSymmetricOperator.from_dense(A)
+        assert op.nnz == 6
+        assert np.array_equal(op.toarray(), A)
+        assert np.array_equal(op.diagonal(), np.diag(A))
+        assert op.symmetry_defect() == 0.0
+
+    def test_symmetry_defect_of_a_nonsymmetric_matrix(self):
+        A = np.array([[1.0, 0.5, 0.0], [0.25, 0.0, 0.0], [2.0, 0.0, 3.0]])
+        assert SparseSymmetricOperator.from_dense(A).symmetry_defect() == 2.0
+
+
 class TestAssemblyReference:
     """Grouped assembly against the term-by-term loop: every entry and
     every duplicate sum bitwise equal."""
 
     @staticmethod
     def assert_same(new, ref):
-        assert new.mat.dtype == ref.mat.dtype
-        assert (new.mat != ref.mat).nnz == 0
+        assert new.dim == ref.dim
+        assert new.vals.dtype == ref.vals.dtype
+        assert np.array_equal(new.rows, ref.rows)
+        assert np.array_equal(new.cols, ref.cols)
+        assert np.array_equal(new.vals, ref.vals)
 
     # the closed set at cap 9 reaches occupations at which the order of
     # the sqrt factors shows in the last bit
@@ -492,7 +591,7 @@ class TestCentralIdentity:
             g0 = build_G0(b, rt.F, rt.G)
             _, gs = ground_state(g0)
             g2 = build_G2(b, rt)
-            gaps.append(abs(float(gs @ (g2.mat @ gs)) - target) / abs(target))
+            gaps.append(abs(float(gs @ (g2 @ gs)) - target) / abs(target))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] <= 1e-7
 
