@@ -22,7 +22,7 @@ from .lattice_potential import (
     born2_sum,
 )
 from .scattering import ScatteringSolution, make_convolver
-from .sums import det_sum
+from .sums import Term, det_sum
 
 _SC_SERIES_RADIUS = 1e-3
 
@@ -254,17 +254,7 @@ def a_coefficient(tables: BogoliubovTables) -> np.ndarray:
     return -(2.0 * v * conv + conv * conv / N) / N
 
 
-@dataclass(frozen=True)
-class E01Result:
-    ball: float
-    tail: float
-
-    @property
-    def value(self) -> float:
-        return self.ball + self.tail
-
-
-def e01(tables: BogoliubovTables, K2: float) -> E01Result:
+def e01(tables: BogoliubovTables, K2: float) -> Term:
     """Order-N^(beta-1) vacuum-energy term.
 
     Two double sums over the K2-ball with the p = q diagonal excluded:
@@ -281,8 +271,7 @@ def e01(tables: BogoliubovTables, K2: float) -> E01Result:
 
     The q-sums grow like N^beta through momenta beyond any practical ball;
     their continuum tails factor against the p-sums (Born closure for
-    s_q c_q, nearest-argument closure for vhat(p-q)) and are included in
-    the reported value, separately from the exact ball part.
+    s_q c_q, nearest-argument closure for vhat(p-q)) and make the tail.
     """
     sub = tables.table.sub_table(K2)
     convolve = make_convolver(sub)
@@ -304,6 +293,6 @@ def e01(tables: BogoliubovTables, K2: float) -> E01Result:
     )
 
     # factored q-tail: bracket -> vhat_q/(2 q^2), vhat(p-q) -> vhat(q)
-    _, t2x = born2_sum(sub)
+    t2x = born2_sum(sub).tail
     tail = (det_sum(scm) + 2.0 * det_sum(w2)) * (-t2x / (2.0 * N))
-    return E01Result(ball=ball, tail=tail)
+    return Term(ball, tail)

@@ -15,7 +15,7 @@ discrepancy sits far below the rounding floor of the O(N) totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from .bogoliubov import (
 from .errors import NotCubicInvariant
 from .lattice_potential import born2_sum
 from .scattering import make_convolver, scattering_length
-from .sums import det_rows, det_sum
+from .sums import Term, det_rows, det_sum
 
 
 def c1_resolvent_summand(psq, vhat0: float):
@@ -79,23 +79,6 @@ def c_constant(tables: BogoliubovTables) -> CConstants:
     )
     c2 = det_sum(pair_weight(tables))
     return CConstants(C1=c1, C2=c2, value=c1 + c2)
-
-
-class ECorr(NamedTuple):
-    value: float
-    inner_ball: float
-    inner_tail: float
-
-
-def e_corr(c_nb: float, tables: BogoliubovTables) -> ECorr:
-    """E_corr = C_{N,beta} * ( -(1/2N) sum_p vhat_p^2/(2p^2) ).
-
-    The inner sum is O(N^beta); its continuum tail beyond the ball is part
-    of the defining value and is included (and reported separately).
-    """
-    ball, tail = born2_sum(tables.table)
-    inner = -(ball + tail) / (2.0 * tables.N)
-    return ECorr(value=c_nb * inner, inner_ball=ball, inner_tail=tail)
 
 
 class _PairContext:
@@ -192,13 +175,7 @@ def _f_rows(ctx: _PairContext, i: int):
     return f, epq
 
 
-class EPertTilde(NamedTuple):
-    value: float
-    ball: float
-    tail: float
-
-
-def e_pert_tilde(tables: BogoliubovTables, K2: float) -> EPertTilde:
+def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
     """Second-order energy of the cubic channel:
 
         -(6/N) sum_{p,q, p+q != 0} f(p,q)^2 / (e(p+q) + e(p) + e(q)) .
@@ -207,7 +184,7 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> EPertTilde:
     of `_PairContext` with one gather: the tables inside the K ball, the
     first-Born closure with closed-form dispersion outside it (tail
     policy).  The |p| > K2 continuum tail factors through the reduced
-    pair weight C2 (`c_constant`) and is included in the value.
+    pair weight C2 (`c_constant`).
 
     The tables are constant on cubic orbits (checked) and the K2-ball is a
     union of whole orbits, so the q-sum of row p depends on p's orbit
@@ -235,9 +212,9 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> EPertTilde:
 
     rows = det_rows(row, len(reps))
     ball = -(6.0 / tables.N) * det_sum(np.repeat(rows, sizes))
-    _, t2x = born2_sum(ctx.sub)
+    t2x = born2_sum(ctx.sub).tail
     tail = det_sum(pair_weight(tables)) * (-t2x / (2.0 * tables.N))
-    return EPertTilde(value=ball + tail, ball=ball, tail=tail)
+    return Term(ball, tail)
 
 
 def g2_expectation(tables: BogoliubovTables, K2: float) -> float:
@@ -281,7 +258,12 @@ def depletion(tables) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """All assembled energy terms with truncation metadata."""
+    """All assembled energy terms with truncation metadata.
+
+    `E01`, `e_pert_tilde` and `born2` (the inner sum of `E_corr`) are
+    Terms: their continuum tails are in their values.  `E00_tail` and
+    `a_tail_bound` are estimates that are not.
+    """
 
     N: int
     beta: float
@@ -294,19 +276,14 @@ class EnergyReport:
     leading: float
     E00: float
     E00_tail: float
-    E01: float
-    E01_ball: float
-    E01_tail: float
+    E01: Term
     C1: float
     C2: float
     C_NB: float
     E_corr: float
-    born2_ball: float
-    born2_tail: float
+    born2: Term
     g2_expect: float
-    e_pert_tilde: float
-    e_pert_tilde_ball: float
-    e_pert_tilde_tail: float
+    e_pert_tilde: Term
     E0: float
     C_const: float
     total_route_A: float
@@ -332,11 +309,24 @@ class EnergyReport:
     def csv_values(self) -> tuple:
         return (
             self.N, self.beta, self.kappa, self.a_box, self.leading,
-            self.E00, self.E01, self.C1, self.C2, self.E_corr,
-            self.g2_expect, self.e_pert_tilde, self.E0, self.C_const,
+            self.E00, self.E01.value, self.C1, self.C2, self.E_corr,
+            self.g2_expect, self.e_pert_tilde.value, self.E0, self.C_const,
             self.total_route_A, self.total_route_B, self.route_discrepancy,
             self.depletion, self.t_scatter_ms, self.t_sums_ms,
         )
+
+    def flat(self) -> dict:
+        """Every field under its report key; a Term `x` gives `x`, `x_ball`
+        and `x_tail`."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Term):
+                out[f.name + "_ball"] = v.ball
+                out[f.name + "_tail"] = v.tail
+                v = v.value
+            out[f.name] = v
+        return out
 
 
 def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
@@ -360,21 +350,23 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
     e00_res = e00(tables.table.at_zero, lat)
     e01_res = e01(tables, K2)
     cc = c_constant(tables)
-    ec = e_corr(cc.value, tables)
+    born2 = born2_sum(tables.table)
+    # E_corr = C_{N,beta} * ( -(1/2N) sum_p vhat_p^2/(2p^2) )
+    e_corr = cc.value * (-born2.value / (2.0 * N))
     g2 = g2_expectation(tables, K2)
     ept = e_pert_tilde(tables, K2)
     e0 = bogoliubov_ground_energy(tables)
     big_c = constant_C(tables)
     depl = depletion(tables)
 
-    total_a = det_sum([leading, e00_res.value, ec.value])
+    total_a = det_sum([leading, e00_res.value, e_corr])
     total_b = det_sum([big_c.value, e0, ept.value, g2])
     discrepancy = abs(
         det_sum(
             [
                 leading_excess,
                 e00_res.value,
-                ec.value,
+                e_corr,
                 -big_c.excess,
                 -e0,
                 -ept.value,
@@ -383,7 +375,7 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
         )
     )
     corr_minus_parts = det_sum(
-        [ec.value, -e01_res.value, -ept.value, -g2]
+        [e_corr, -e01_res.value, -ept.value, -g2]
     )
 
     return EnergyReport(
@@ -398,19 +390,14 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
         leading=leading,
         E00=e00_res.value,
         E00_tail=e00_res.tail_estimate,
-        E01=e01_res.value,
-        E01_ball=e01_res.ball,
-        E01_tail=e01_res.tail,
+        E01=e01_res,
         C1=cc.C1,
         C2=cc.C2,
         C_NB=cc.value,
-        E_corr=ec.value,
-        born2_ball=ec.inner_ball,
-        born2_tail=ec.inner_tail,
+        E_corr=e_corr,
+        born2=born2,
         g2_expect=g2,
-        e_pert_tilde=ept.value,
-        e_pert_tilde_ball=ept.ball,
-        e_pert_tilde_tail=ept.tail,
+        e_pert_tilde=ept,
         E0=e0,
         C_const=big_c.value,
         total_route_A=total_a,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BetaOutOfRange, CutoffTooSmall, InconsistentLattice
-from .sums import det_sum
+from .sums import Term, det_sum
 
 TWO_PI = 2.0 * np.pi
 
@@ -299,14 +299,13 @@ def quartic_shape_tail(x: float) -> float:
     return det_sum((half * _GL_WEIGHTS * _shape_factor(w) ** 4).ravel())
 
 
-def born2_sum(table: ScaledPotentialTable) -> tuple[float, float]:
+def born2_sum(table: ScaledPotentialTable) -> Term:
     """The scaled-potential sum  sum_p vhat(p/N^beta)^2 / (2 p^2).
 
-    Returns (ball part, analytic tail), truncating at the table's cutoff K;
-    pass `table.sub_table(K2)` for an inner cutoff.  The summand grows with
-    N like N^beta through momenta of order N^beta, far beyond any practical
-    ball, so the tail is evaluated as the continuum integral over |p| > K
-    and reported alongside the exact lattice part.
+    The ball part truncates at the table's cutoff K; pass
+    `table.sub_table(K2)` for an inner cutoff.  The summand grows with N
+    like N^beta through momenta of order N^beta, far beyond any practical
+    ball, so the tail is the continuum integral over |p| > K.
     """
     lat = table.lattice
     ball = det_sum(table.values**2 / (2.0 * lat.psq))
@@ -315,4 +314,4 @@ def born2_sum(table: ScaledPotentialTable) -> tuple[float, float]:
     prefac = (pot.kappa * (4.0 * np.pi * pot.R**3) ** 2) ** 2 / pot.R
     x = pot.R * lat.cutoff_K / nbeta
     tail = nbeta / (4.0 * np.pi**2) * prefac * quartic_shape_tail(x)
-    return ball, tail
+    return Term(ball, tail)

@@ -8,7 +8,6 @@ from run to run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from .corrections import EnergyReport
 
@@ -32,7 +31,7 @@ def render_csv_row(report: EnergyReport) -> str:
 
 
 def report_to_json(report: EnergyReport, config_hash: str = "") -> str:
-    doc = asdict(report)
+    doc = report.flat()
     doc["warnings"] = list(report.warnings)
     doc["config_hash"] = config_hash
     rendered = {

@@ -264,8 +264,7 @@ def scattering_length(sol: ScatteringSolution) -> ScatteringLength:
     """
     table = sol.table
     s = det_sum(table.values * sol.eta) / sol.N
-    _, tail = born2_sum(table)
     return ScatteringLength(
         value=(table.at_zero + s) / (8.0 * np.pi),
-        tail_bound=2.0 * tail / sol.N / (8.0 * np.pi),
+        tail_bound=2.0 * born2_sum(table).tail / sol.N / (8.0 * np.pi),
     )

@@ -10,11 +10,24 @@ reported number independent of chunking, bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import NonFiniteSum
+
+
+class Term(NamedTuple):
+    """A truncated sum: its exact ball part and the continuum tail beyond
+    the ball, both in the value.  The report writes a Term `x` as the keys
+    `x`, `x_ball` and `x_tail`."""
+
+    ball: float
+    tail: float
+
+    @property
+    def value(self) -> float:
+        return self.ball + self.tail
 
 
 def det_sum(values: Iterable[float]) -> float:

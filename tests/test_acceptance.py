@@ -206,8 +206,9 @@ def test_criterion_6_scaling_exponents(scan_reports):
     beta = 0.8
     logn = np.log10([r.N for r in scan_reports])
     slopes = {}
-    for name in ("E_corr", "E01"):
-        y = np.log10([abs(getattr(r, name)) for r in scan_reports])
+    for name, values in (("E_corr", [r.E_corr for r in scan_reports]),
+                         ("E01", [r.E01.value for r in scan_reports])):
+        y = np.log10(np.abs(values))
         slopes[name] = float(np.polyfit(logn, y, 1)[0])
     lo, hi = beta - 1.0 - 0.05, beta - 1.0 + 0.05
     ok = all(lo <= s <= hi for s in slopes.values())
@@ -248,7 +249,7 @@ def test_criterion_8_invariant_suite():
     failed = [c.name for c in checks if not c.passed]
     needed = {
         "F_lower_bound", "pairing_ratio", "tau_identity",
-        "eta_negation_symmetric", "tables_negation_symmetric",
+        "tables_cubic_symmetric",
         "e_pert_tilde_nonpositive", "rs_pt2_nonpositive",
         "deterministic_rerun",
     }
@@ -269,9 +270,9 @@ def test_criterion_9_zero_coupling_collapse():
                         "cutoff_K2_over_2pi": 2})
     rep = run_pipeline(cfg)
     elapsed = time.perf_counter() - t0
-    physics = (rep.a_box, rep.leading, rep.E00, rep.E01, rep.C1, rep.C2,
-               rep.E_corr, rep.g2_expect, rep.e_pert_tilde, rep.E0,
-               rep.C_const, rep.total_route_A, rep.total_route_B,
+    physics = (rep.a_box, rep.leading, rep.E00, rep.E01.value, rep.C1,
+               rep.C2, rep.E_corr, rep.g2_expect, rep.e_pert_tilde.value,
+               rep.E0, rep.C_const, rep.total_route_A, rep.total_route_B,
                rep.route_discrepancy, rep.depletion)
     ok = all(v == 0.0 for v in physics) and elapsed <= 1.0
     announce(9, "zero-coupling collapse", ok,
@@ -284,7 +285,7 @@ def test_criterion_9_zero_coupling_collapse():
 def test_reference_regression(ref_tables):
     """Report at the reference configuration against the pinned record."""
     path = os.path.join(DATA_DIR, "reference_report.json")
-    rep = assemble_report(ref_tables, K_HALF)
+    rep = assemble_report(ref_tables, K_HALF).flat()
     if not os.path.exists(path):
         pytest.fail("pinned reference record missing; regenerate with "
                     "tools/make_reference.py")
@@ -295,7 +296,7 @@ def test_reference_regression(ref_tables):
         if key in ("t_scatter_ms", "t_sums_ms", "config_hash", "warnings",
                    "iterations"):
             continue
-        got = getattr(rep, key)
+        got = rep[key]
         ref = float(val)
         gap = abs(got - ref) / max(abs(ref), 1e-300)
         if gap > worst[1]:

@@ -211,6 +211,27 @@ class TestEnergy:
         assert float(doc["cutoff_K"]) > float(doc["cutoff_K2"])
         assert "born2_tail" in doc and "E01_tail" in doc
 
+    def test_terms_flatten_to_value_ball_tail(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["energy", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == sorted([
+            "C1", "C2", "C_NB", "C_const", "E0", "E00", "E00_tail", "E01",
+            "E01_ball", "E01_tail", "E_corr", "N", "R", "a_box",
+            "a_tail_bound", "beta", "born2", "born2_ball", "born2_tail",
+            "config_hash", "corr_minus_parts", "cutoff_K", "cutoff_K2",
+            "depletion", "depletion_fraction", "e_pert_tilde",
+            "e_pert_tilde_ball", "e_pert_tilde_tail", "g2_expect",
+            "iterations", "kappa", "leading", "residual_norm",
+            "route_discrepancy", "t_scatter_ms", "t_sums_ms",
+            "total_route_A", "total_route_B", "warnings",
+        ])
+        # 17 significant digits round-trip, so the identity is exact
+        for x in ("E01", "e_pert_tilde", "born2"):
+            assert float(doc[x]) == (
+                float(doc[x + "_ball"]) + float(doc[x + "_tail"])
+            ), x
+
 
 class TestScan:
     def test_single_n_rejected(self, tmp_path):
@@ -342,15 +363,31 @@ class TestVerify:
         failed = [c.name for c in run_verify(cfg) if not c.passed]
         assert failed == ["rs_pt2_nonpositive"]
 
+    def test_negation_asymmetric_tau_fails_cubic_check(self, monkeypatch):
+        # mutant: tau at p = (1, 0, 0) differs from tau at -p; -p lies in
+        # p's cubic orbit, so the cubic check sees every negation defect
+        real = bosegas.verify.run_tables
+
+        def skewed(cfg, N):
+            tables, t_scatter = real(cfg, N)
+            tau = tables.tau.copy()
+            tau[int(tables.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-12
+            return dataclasses.replace(tables, tau=tau), t_scatter
+
+        monkeypatch.setattr("bosegas.verify.run_tables", skewed)
+        failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
+        assert "tables_cubic_symmetric" in failed
+
     def test_rerun_moving_a_non_csv_field_fails(self, monkeypatch):
-        # mutant: the rerun's born2_tail, which no CSV column shows, moves
+        # mutant: the rerun's born2 tail, which no CSV column shows, moves
         # by one part in 1e12
         real = bosegas.verify.run_pipeline
 
         def drifting(cfg):
             report = real(cfg)
+            born2 = report.born2
             return dataclasses.replace(
-                report, born2_tail=report.born2_tail * (1.0 + 1e-12)
+                report, born2=born2._replace(tail=born2.tail * (1.0 + 1e-12))
             )
 
         monkeypatch.setattr("bosegas.verify.run_pipeline", drifting)

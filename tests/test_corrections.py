@@ -11,7 +11,6 @@ from bosegas.corrections import (
     c1_resolvent_summand,
     c_constant,
     depletion,
-    e_corr,
     e_pert_tilde,
     g2_expectation,
     pair_weight,
@@ -402,9 +401,6 @@ class TestCConstants:
 
 
 class TestECorr:
-    def test_zero_coupling(self, zero_tables):
-        assert e_corr(0.0, zero_tables).value == 0.0
-
     def test_inner_sum_brute(self, tables_first_shell):
         tb = tables_first_shell
         lat = tb.lattice
@@ -415,8 +411,7 @@ class TestECorr:
         assert ball == pytest.approx(acc, rel=1e-13)
 
     def test_negative(self, tables_small):
-        c = c_constant(tables_small)
-        assert e_corr(c.value, tables_small).value < 0.0
+        assert assemble_report(tables_small, TWO_PI * 3).E_corr < 0.0
 
 
 class TestDepletion:
@@ -440,11 +435,11 @@ class TestDepletion:
 class TestReport:
     def test_zero_coupling_all_zero(self, zero_tables):
         rep = assemble_report(zero_tables, TWO_PI * 2)
-        for name in ("a_box", "leading", "E00", "E01", "C1", "C2", "E_corr",
-                     "g2_expect", "e_pert_tilde", "E0", "C_const",
-                     "total_route_A", "total_route_B", "route_discrepancy",
-                     "depletion"):
+        for name in ("a_box", "leading", "E00", "C1", "C2", "E_corr",
+                     "g2_expect", "E0", "C_const", "total_route_A",
+                     "total_route_B", "route_discrepancy", "depletion"):
             assert getattr(rep, name) == 0.0, name
+        assert rep.E01.value == 0.0 and rep.e_pert_tilde.value == 0.0
 
     @pytest.mark.parametrize("pair_sum", [
         assemble_report,
@@ -470,9 +465,8 @@ class TestReport:
         assert e01_hi.ball == e01_lo.ball
         assert g2_expectation(tb, hi) == g2_expectation(tb, lo)
         assert e_pert_tilde(tb, hi).ball == e_pert_tilde(tb, lo).ball
-        tail_ratio = born2_sum(tb.table.sub_table(hi))[1] / born2_sum(
-            tb.table.sub_table(lo)
-        )[1]
+        tail_ratio = (born2_sum(tb.table.sub_table(hi)).tail
+                      / born2_sum(tb.table.sub_table(lo)).tail)
         assert tail_ratio < 1.0
         assert e01_hi.tail == pytest.approx(e01_lo.tail * tail_ratio, rel=1e-14)
 
@@ -485,7 +479,7 @@ class TestReport:
         cc = c_constant(tables_small)
         rep2 = assemble_report(tables_small, K2)
         assert rep1.g2_expect == g2
-        assert rep1.e_pert_tilde == ept.value
+        assert rep1.e_pert_tilde.value == ept.value
         assert rep1.C_NB == cc.value
         for name in ("total_route_A", "total_route_B", "route_discrepancy"):
             assert getattr(rep1, name) == getattr(rep2, name)
@@ -496,7 +490,8 @@ class TestReport:
             rep.leading + rep.E00 + rep.E_corr, rel=1e-15
         )
         assert rep.total_route_B == pytest.approx(
-            rep.C_const + rep.E0 + rep.e_pert_tilde + rep.g2_expect, rel=1e-15
+            rep.C_const + rep.E0 + rep.e_pert_tilde.value + rep.g2_expect,
+            rel=1e-15
         )
 
     def test_corr_vs_parts_improves_with_n(self, pot_ref):

@@ -8,7 +8,6 @@ K2 = 20 pi.
 
 import json
 import os
-from dataclasses import asdict
 
 from bosegas.config import parse_config
 from bosegas.pipeline import run_pipeline
@@ -22,7 +21,7 @@ def main():
     report = run_pipeline(parse_config(REFERENCE))
     doc = {
         k: v
-        for k, v in asdict(report).items()
+        for k, v in report.flat().items()
         if isinstance(v, (int, float)) and k not in ("t_scatter_ms", "t_sums_ms")
     }
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
