@@ -30,6 +30,7 @@ from bosegas.fock import (
     rs_pt2,
     shell_modes,
 )
+from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
 from bosegas.oracle import run_oracle
 from bosegas.scattering import solve_eta
 
@@ -315,14 +316,13 @@ class TestGroundState:
         A = rng.normal(size=(40, 40))
         A = (A + A.T) / 2
         op = SparseSymmetricOperator.from_dense(A)
-        lam, vec = ground_state(op, tol=1e-12)
+        lam, vec = ground_state(op)
         scale = np.max(np.abs(A))
         assert np.linalg.norm(A @ vec - lam * vec) <= 1e-12 * scale
         assert lam == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-12 * scale)
 
     def test_failed_factorization_raises(self):
-        # A - sigma I is strictly diagonally dominant, so only a non-finite
-        # entry can make its factorization fail
+        # a NaN entry stops the solve before any block is diagonalized
         op = SparseSymmetricOperator.from_dense(np.array([[np.nan, 1.0], [1.0, 3.0]]))
         with pytest.raises(EigenNonConvergence):
             ground_state(op)
@@ -339,13 +339,13 @@ class TestGroundState:
 
     def test_ground_state_in_last_component(self, monkeypatch):
         # three components in index order, by Gershgorin bound: the second
-        # (bound -4, lowest level -2.24) is factored first, the third
+        # (bound -4, lowest level -2.24) is diagonalized first, the third
         # (bound -3.5, lowest level -3.22) holds the ground state, and the
-        # first (bound 9) lies above it and is never factored
+        # first (bound 9) lies above it and is never diagonalized
         factored = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: factored.append(len(a)) or cholesky(a))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: factored.append(len(a)) or eigh(a))
         skipped = np.array([[10.0, 1.0], [1.0, 10.0]])
         visited = np.array([[-1.0, 3.0], [3.0, 5.0]])
         ground = np.array([[-3.0, 0.5, 0.0], [0.5, -2.0, 0.5], [0.0, 0.5, -1.0]])
@@ -366,12 +366,46 @@ class TestGroundState:
 
     def test_closed_set_at_reference_coupling(self, pot_ref, lat6):
         # at cap 24 (D = 1,995) Lanczos for the smallest eigenvalue of G0
-        # itself stops on the first excited level (E0 = 78.96 against
-        # -5.8e-19) with a residual that passes; only a solver for which
-        # the ground state dominates gets every row right here
+        # stops on the first excited level (E0 = 78.96 against -5.8e-19)
+        # with a residual that passes: a residual check alone cannot tell
+        # the levels apart, so this guards against any solver that stops
+        # on an excited level
         tables = build_tables(solve_eta(pot_ref, lat6, N=10**4, beta=0.75))
         for row in run_oracle(tables, mode_set(CLOSED_SET), [9, 24]):
             assert row.rel_gaps[-1] <= 1e-12, row.name
+
+    @pytest.mark.parametrize("name, n_max", [
+        ("G0", 5), ("G0", 6), ("rotated", 5), ("rotated", 6), ("coupled", 5),
+    ])
+    def test_matches_dense_at_oracle_coupling(self, rt_oracle, name, n_max):
+        # G0 and the rotated-vacuum form split into many components; the
+        # coupled G0 + G1tilde + G2 is one block (345 states at cap 5)
+        rt = rt_oracle
+        basis = build_basis(rt.modes, n_max)
+        if name == "rotated":
+            theta = rt.eta + rt.tau
+            op = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
+        else:
+            op = build_G0(basis, rt.F, rt.G)
+        if name == "coupled":
+            op = SparseSymmetricOperator.from_dense(
+                op.toarray() + build_G1tilde(basis, rt).toarray()
+                + build_G2(basis, rt).toarray())
+        dense = op.toarray()
+        scale = max(1.0, np.max(np.abs(dense)))
+        lam, vec = ground_state(op)
+        assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0],
+                                    abs=1e-12 * scale)
+        assert np.linalg.norm(dense @ vec - lam * vec) <= 1e-12 * scale
+
+
+@pytest.fixture(scope="module")
+def rt_oracle():
+    """The oracle-fock coupling (kappa 1000, beta 0.75, R 0.25, K = 8 pi)
+    on the 18 modes |n|^2 <= 2."""
+    sol = solve_eta(Potential(kappa=1000.0, R=0.25), enumerate_lattice(TWO_PI * 4),
+                    N=3000, beta=0.75)
+    return restrict_tables(build_tables(sol), shell_modes(2))
 
 
 class TestRsPt2:
