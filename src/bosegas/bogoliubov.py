@@ -121,11 +121,11 @@ class BogoliubovTables:
 
     @property
     def N(self) -> int:
-        return self.sol.N
+        return self.sol.table.N
 
     @property
     def beta(self) -> float:
-        return self.sol.beta
+        return self.sol.table.beta
 
     @property
     def eta(self) -> np.ndarray:
@@ -141,7 +141,7 @@ def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
     # macroscopic term, so G's leading part is twice the solver defect.
     conv = sol.convolve(c * s)
     F, G = coefficients_FG(sol.table, s, c, conv)
-    tau = tau_table(F, G, sol.lattice, sol.N, sol.table.pot.kappa)
+    tau = tau_table(F, G, sol.lattice, sol.table.N, sol.table.pot.kappa)
     e = dispersion(F, G)
     warnings = []
     psq = sol.lattice.psq

@@ -343,7 +343,7 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
     pot = tables.table.pot
 
     a = scattering_length(sol)
-    leading = 4.0 * np.pi * (N - 1) * a.value
+    leading = 4.0 * np.pi * (N - 1) * a
     leading_excess = (N - 1) / (2.0 * N) * det_sum(
         tables.table.values * sol.eta
     )
@@ -385,8 +385,9 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
         R=pot.R,
         cutoff_K=lat.cutoff_K,
         cutoff_K2=float(K2),
-        a_box=a.value,
-        a_tail_bound=a.tail_bound,
+        a_box=a,
+        # a_box's truncated sum, from the Born tail with a factor-2 margin
+        a_tail_bound=2.0 * born2.tail / N / (8.0 * np.pi),
         leading=leading,
         E00=e00_res.value,
         E00_tail=e00_res.tail_estimate,

@@ -5,13 +5,13 @@ define a finite zero-total-momentum sector.  The sector is enumerated
 meet-in-the-middle: each half of the modes lists its occupations as
 arrays, and the halves join on opposite momenta.  The quadratic, cubic and
 quartic channels are assembled as explicit sparse symmetric matrices
-(row-major coordinate arrays) with standard bosonic ladder rules, from
-term lists grouped by their annihilated modes: each group's annihilators
-select the surviving states once, and only those states meet the group's
-creators, so the work follows the entries emitted.  Ground states come
-from the connected components of the operator's sparsity graph, visited
-in the order of their Gershgorin lower bounds: each visited block is
-diagonalized whole by one dense LAPACK eigensolve.  Second-order
+(row-major coordinate arrays) with standard bosonic ladder rules: one
+boolean screen per block of terms marks the (term, state) pairs that
+hold every annihilated mode and stay within the cap, and only those
+pairs meet the ladder operators.  Ground states come from the connected
+components of the operator's sparsity graph, visited in the order of
+their Gershgorin lower bounds: each visited block is diagonalized whole
+by one dense LAPACK eigensolve.  Second-order
 perturbation theory is a projected resolvent conjugate-gradient solve.
 Everything runs on numpy alone, and each solver has one path at every
 basis dimension.  None of it reuses the closed-form route it is meant
@@ -41,8 +41,10 @@ from .sums import det_sum
 
 MAX_MODES = 30
 DEFAULT_DIM_LIMIT = 2_000_000
-# candidate entries per assembly block: bounds the transient arrays
-_BLOCK = 1 << 13
+# screened (term, state) pairs per assembly block: bounds the transient
+# arrays; on the 18-mode oracle at cap 6, 2^14 measured slower and 2^17
+# or more no faster, at a higher peak RSS
+_BLOCK = 1 << 16
 # residual bounds: ground_state's relative to max(1, max |A_ij|),
 # rs_pt2's relative to max(1, |Q V gs0|)
 _EIG_RTOL = 1e-12
@@ -297,76 +299,54 @@ class _Assembler:
         transpose supplies the h.c.); half=True emits half weight (a
         self-adjoint sum written once).
 
-        Terms that share their annihilators form one group, and each
-        group's annihilators select the surviving states once; a term's
-        creators then act on those states only.  Each amplitude is coeff
-        times one sqrt per operator in the order they act, and entries
-        are emitted term by term, each in source order, as a term-by-term
-        loop over the whole basis would emit them.
+        Each block of terms screens every (term, state) pair at once: a
+        state survives a term when it holds each annihilated mode at least
+        as often as the term lowers it, and the term's net change keeps it
+        within the cap.  The screen is read term by term, each term's
+        states in source order, as a term-by-term loop over the whole
+        basis would emit them; each amplitude is coeff times one sqrt per
+        operator in the order they act.
         """
         coeff = np.asarray(coeff, dtype=float)
         live = np.nonzero(coeff != 0.0)[0]
-        if len(live) == 0:
-            return
         basis = self.basis
         occ = basis.occ
-        ann = annihilate[live]
-        n_ann = ann.shape[1]
-        key = (ann + 1) @ (occ.shape[1] + 1) ** np.arange(n_ann, dtype=np.int64)
-        _, first, member = np.unique(key, return_index=True, return_inverse=True)
-        member = member.ravel()
-        survivors = []
-        for group in ann[first]:
-            alive = np.ones(len(basis), dtype=bool)
-            for mode in group[group >= 0]:
-                alive &= occ[:, mode] >= np.count_nonzero(group == mode)
-            survivors.append(np.nonzero(alive)[0])
-        size = np.array([len(s) for s in survivors])
-        start = np.cumsum(size) - size
-        survivor = np.concatenate(survivors)
-
-        # the ladder operators in the order they act, +1 raising and -1
-        # lowering; seen = the shift from the operators before it on the
-        # same mode, plus one for a creator, added to its source occupancy
-        ops = np.concatenate([create[live], ann], axis=1)[:, ::-1]
-        step = np.where(np.arange(ops.shape[1]) < n_ann, -1, 1)
-        step = np.where(ops >= 0, step, 0)
-        seen = np.zeros_like(ops)
-        for i in range(ops.shape[1]):
-            same = ops[:, :i] == ops[:, i:i + 1]
-            seen[:, i] = (same * step[:, :i]).sum(axis=1) + (step[:, i] > 0)
-        net = step.sum(axis=1)
+        D, m = occ.shape
+        n_ann = annihilate.shape[1]
+        # the ladder operators in the order they act, annihilators first
+        ops = np.concatenate([create[live], annihilate[live]], axis=1)[:, ::-1]
+        ann = ops[:, :n_ann]
+        # how often the term lowers each annihilated mode, 0 in an empty
+        # slot; a state within the cap afterwards has a total of at most
+        # room.  The narrow integer types keep the screen's compares cheap.
+        need = (ann[:, :, None] == ann[:, None, :]).sum(
+            axis=2, dtype=np.uint8) * (ann >= 0)
+        net = np.count_nonzero(ops[:, n_ann:] >= 0, axis=1) - np.count_nonzero(
+            ann >= 0, axis=1)
+        room = (basis.n_max - net).astype(np.int16)
+        used = occ.sum(axis=1, dtype=np.int16)
         root = np.sqrt(np.arange(basis.n_max + ops.shape[1] + 1, dtype=float))
-        used = occ.sum(axis=1, dtype=np.int64)
-
-        n_cand = size[member]
-        ends = np.cumsum(n_cand)
-        lo = 0
-        while lo < len(live):  # blocks of about _BLOCK candidate entries
-            hi = max(lo + 1, int(np.searchsorted(
-                ends, ends[lo] - n_cand[lo] + _BLOCK, side="right")))
-            reps = n_cand[lo:hi]
-            t = np.repeat(np.arange(lo, hi), reps)
-            src = survivor[np.repeat(start[member[lo:hi]], reps)
-                           + _group_offsets(reps)]
-            in_cap = used[src] + net[t] <= basis.n_max
-            t, src = t[in_cap], src[in_cap]
-            lo = hi
-            if len(t) == 0:
-                continue
+        per = max(1, _BLOCK // D)
+        for lo in range(0, len(live), per):
+            block = slice(lo, lo + per)
+            screen = used <= room[block, None]
+            for j in range(n_ann):
+                screen &= occ.T[ann[block, j]] >= need[block, j, None]
+            t, src = np.divmod(np.flatnonzero(screen), D)
+            t += lo
             amp = coeff[live[t]]
             target = occ[src]
-            rows = np.arange(len(t))
-            for i in range(ops.shape[1]):
-                mode = ops[t, i]
+            flat = target.reshape(-1)
+            row = np.arange(0, len(t) * m, m)
+            # a lowers after its sqrt(n), a+ raises before it
+            for i, mode in enumerate(ops[t].T):
                 on = mode >= 0
-                f = root[occ[src, np.maximum(mode, 0)] + seen[t, i]]
-                f[~on] = 1.0
-                amp *= f
+                at = (row + mode)[on]
+                if i >= n_ann:
+                    flat[at] += 1
+                amp[on] *= root[flat[at]]
                 if i < n_ann:
-                    target[rows[on], mode[on]] -= 1
-                else:
-                    target[rows[on], mode[on]] += 1
+                    flat[at] -= 1
             tgt = basis.lookup(target)
             if np.any(tgt < 0):
                 raise MomentumViolation(
@@ -588,24 +568,19 @@ def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
     diag = op.diagonal()
     radius = np.bincount(op.rows, np.abs(op.vals), minlength=D) - np.abs(diag)
     comp = _components(op)
-    states = np.argsort(comp, kind="stable")
-    size = np.bincount(comp)
-    first = np.cumsum(size) - size
-    local = np.empty(D, dtype=np.intp)
-    local[states] = _group_offsets(size)
-    lower = np.minimum.reduceat((diag - radius)[states], first)
-    entries = np.argsort(comp[op.rows], kind="stable")
-    n_entries = np.bincount(comp[op.rows], minlength=len(size))
-    entry_first = np.cumsum(n_entries) - n_entries
+    lower = np.full(comp.max() + 1, np.inf)
+    np.minimum.at(lower, comp, diag - radius)
+    owner = comp[op.rows]
 
     best, v = math.inf, None
     for c in np.argsort(lower, kind="stable"):
         if lower[c] > best:
             break
-        b = size[c]
-        e = entries[entry_first[c]:entry_first[c] + n_entries[c]]
-        block = np.zeros((b, b))
-        block[local[op.rows[e]], local[op.cols[e]]] = op.vals[e]
+        states = np.nonzero(comp == c)[0]
+        e = owner == c
+        block = np.zeros((len(states), len(states)))
+        block[np.searchsorted(states, op.rows[e]),
+              np.searchsorted(states, op.cols[e])] = op.vals[e]
         try:
             levels, vectors = np.linalg.eigh(block)
         except np.linalg.LinAlgError as exc:
@@ -613,7 +588,7 @@ def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
         if levels[0] < best:
             best = float(levels[0])
             v = np.zeros(D)
-            v[states[first[c]:first[c] + b]] = vectors[:, 0]
+            v[states] = vectors[:, 0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     lam0 = float(v @ (op @ v))

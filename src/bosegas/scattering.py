@@ -25,7 +25,7 @@ regime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .lattice_potential import (
     LatticeBall,
     Potential,
     ScaledPotentialTable,
-    born2_sum,
     scaled_table,
 )
 from .sums import det_sum
@@ -150,8 +149,6 @@ class ScatteringSolution:
 
     table: ScaledPotentialTable
     eta: np.ndarray
-    N: int
-    beta: float
     tol: float
     iterations: int
     residual_norm: float
@@ -208,8 +205,6 @@ def solve_eta(
     return ScatteringSolution(
         table=table,
         eta=best_eta,
-        N=int(N),
-        beta=float(beta),
         tol=tol,
         iterations=it,
         residual_norm=best_res,
@@ -250,21 +245,13 @@ def eta_tail(pot: Potential, N: int, beta: float, p) -> float:
     return -float(pot.vhat_radial(np.sqrt(psq) / N**beta)) / (2.0 * psq)
 
 
-class ScatteringLength(NamedTuple):
-    value: float
-    tail_bound: float
-
-
-def scattering_length(sol: ScatteringSolution) -> ScatteringLength:
-    """Box scattering length: 8*pi*a = vhat(0) + (1/N) sum_p vhat_p eta_p.
+def scattering_length(sol: ScatteringSolution) -> float:
+    """Box scattering length a: 8*pi*a = vhat(0) + (1/N) sum_p vhat_p eta_p.
 
     The zero mode contributes vhat(0) exactly under the eta_0 = 0
-    convention.  The returned tail bound covers the truncated part of the
-    sum, estimated from the Born tail rule with a factor-2 margin.
+    convention.  The sum stops at the ball; the report bounds the
+    truncated part from the `born2_sum` tail (`a_tail_bound`).
     """
     table = sol.table
-    s = det_sum(table.values * sol.eta) / sol.N
-    return ScatteringLength(
-        value=(table.at_zero + s) / (8.0 * np.pi),
-        tail_bound=2.0 * born2_sum(table).tail / sol.N / (8.0 * np.pi),
-    )
+    s = det_sum(table.values * sol.eta) / table.N
+    return (table.at_zero + s) / (8.0 * np.pi)

@@ -127,7 +127,7 @@ def test_criterion_3_born2_scattering_length(ref_lattice):
         a = scattering_length(sol)
         born2 = det_sum(sol.table.values**2 / sol.lattice.psq) / (2.0 * REF_N)
         coef[kappa] = (
-            (pot.vhat0 - 8.0 * math.pi * a.value) / kappa**2,
+            (pot.vhat0 - 8.0 * math.pi * a) / kappa**2,
             born2 / kappa**2,
         )
     elapsed = time.perf_counter() - t0

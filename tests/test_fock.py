@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from bosegas.bogoliubov import bogoliubov_ground_energy, build_tables
 from bosegas.corrections import depletion
+from bosegas import fock
 from bosegas.errors import (
     BasisTooLarge,
     EigenNonConvergence,
@@ -560,7 +561,7 @@ class TestOperator:
 
 
 class TestAssemblyReference:
-    """Grouped assembly against the term-by-term loop: every entry and
+    """Screened assembly against the term-by-term loop: every entry and
     every duplicate sum bitwise equal."""
 
     @staticmethod
@@ -572,13 +573,19 @@ class TestAssemblyReference:
         assert np.array_equal(new.vals, ref.vals)
 
     # the closed set at cap 9 reaches occupations at which the order of
-    # the sqrt factors shows in the last bit
-    @pytest.mark.parametrize("vectors,n_max", [
-        (shell_modes(2).vectors.tolist(), 5),
-        (shell_modes(2).vectors.tolist(), 6),
-        (CLOSED_SET, 9),
-    ], ids=["shell2-5", "shell2-6", "closed-9"])
-    def test_operators_bitwise_equal(self, vectors, n_max):
+    # the sqrt factors shows in the last bit; block=1 screens one term per
+    # block, so every term starts a block
+    @pytest.mark.parametrize("vectors,n_max,block", [
+        (shell_modes(2).vectors.tolist(), 5, None),
+        (shell_modes(2).vectors.tolist(), 6, None),
+        (CLOSED_SET, 9, None),
+        (shell_modes(2).vectors.tolist(), 5, 1),
+        (CLOSED_SET, 9, 1),
+    ], ids=["shell2-5", "shell2-6", "closed-9", "shell2-5-block1",
+            "closed-9-block1"])
+    def test_operators_bitwise_equal(self, vectors, n_max, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(fock, "_BLOCK", block)
         rt = synthetic_tables(vectors)
         b = build_basis(rt.modes, n_max)
         self.assert_same(build_G0(b, rt.F, rt.G), ref_G0(b, rt.F, rt.G))
