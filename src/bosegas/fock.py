@@ -5,10 +5,14 @@ define a finite zero-total-momentum sector.  The sector is enumerated
 meet-in-the-middle: each half of the modes lists its occupations as
 arrays, and the halves join on opposite momenta.  The quadratic, cubic and
 quartic channels are assembled as explicit sparse symmetric matrices
-(row-major coordinate arrays) with standard bosonic ladder rules: one
-boolean screen per block of terms marks the (term, state) pairs that
-hold every annihilated mode and stay within the cap, and only those
-pairs meet the ladder operators.  Ground states come from the connected
+(row-major coordinate arrays) with standard bosonic ladder rules.  The
+terms of one monomial class (slot permutations, and a monomial with its
+transpose) are merged first, so each class is applied once; one boolean
+screen per block of classes marks the (class, state) pairs that hold
+every annihilated mode and stay within the cap, and only those pairs
+meet the ladder operators.  The entries agree with a term-by-term loop
+over the whole basis to within the summation-rounding bound the tests
+keep.  Ground states come from the connected
 components of the operator's sparsity graph, visited in the order of
 their Gershgorin lower bounds: each visited block is diagonalized whole
 by one dense LAPACK eigensolve.  Second-order
@@ -41,9 +45,10 @@ from .sums import det_sum
 
 MAX_MODES = 30
 DEFAULT_DIM_LIMIT = 2_000_000
-# screened (term, state) pairs per assembly block: bounds the transient
-# arrays; on the 18-mode oracle at cap 6, 2^14 measured slower and 2^17
-# or more no faster, at a higher peak RSS
+# screened (class, state) pairs per assembly block: bounds the transient
+# arrays; on the 18-mode oracle at caps 5 and 6, run_oracle measured the
+# same from 2^14 to 2^18 (medians 82-87 ms, quartiles overlapping) at the
+# same CLI peak RSS, 43.3 MB
 _BLOCK = 1 << 16
 # residual bounds: ground_state's relative to max(1, max |A_ij|),
 # rs_pt2's relative to max(1, |Q V gs0|)
@@ -278,6 +283,39 @@ class SparseSymmetricOperator:
         return float(np.max(np.abs(d), initial=0.0))
 
 
+def _monomial_classes(create, annihilate, coeff):
+    """One row per distinct monomial of `_Assembler.add_terms`' terms:
+    (create, annihilate, coeff) with the slots of each kind in descending
+    order (empty slots last), a monomial with as many creators as
+    annihilators written as the lesser of itself and its transpose, the
+    rows ascending and each row's coefficient the sum of its terms' in
+    term order."""
+    wc, wa = create.shape[1], annihilate.shape[1]
+    w = max(wc, wa)
+
+    def slots(x):
+        padded = np.full((len(x), w), -1, dtype=np.int64)
+        padded[:, : x.shape[1]] = x
+        return -np.sort(-padded, axis=1)
+
+    cre, ann = slots(create), slots(annihilate)
+    key = np.concatenate([cre, ann], axis=1)
+    flip = np.concatenate([ann, cre], axis=1)
+    # flip < key where the rows first differ (nowhere if M = M^T)
+    first = np.argmax(key != flip, axis=1)
+    at = np.arange(len(key))
+    fold = (np.count_nonzero(cre >= 0, axis=1)
+            == np.count_nonzero(ann >= 0, axis=1))
+    fold &= flip[at, first] < key[at, first]
+    key[fold] = flip[fold]
+    classes, inverse = np.unique(key, axis=0, return_inverse=True)
+    # numpy 2.0.0 shapes the inverse (n, 1)
+    total = np.bincount(inverse.reshape(-1), weights=coeff,
+                        minlength=len(classes))
+    # a folded row holds at most min(wc, wa) operators of each kind
+    return classes[:, :wc], classes[:, w : w + wa], total
+
+
 class _Assembler:
     """Collects half-operator entries X; the built operator is X + X^T,
     which is symmetric exactly (float addition commutes entrywise)."""
@@ -288,26 +326,32 @@ class _Assembler:
         self.cols: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
 
-    def add_terms(self, create, annihilate, coeff, half: bool = False):
+    def add_terms(self, create, annihilate, coeff):
         """Normal-ordered monomials, one per row t:
 
             coeff[t] a+_{create[t, 0]} a+_{create[t, 1]} ...
                      a_{annihilate[t, 0]} a_{annihilate[t, 1]} ... ,
 
-        with -1 marking an empty slot.  The ladder operators act right to
-        left on every basis state.  half=False emits each term once (its
-        transpose supplies the h.c.); half=True emits half weight (a
-        self-adjoint sum written once).
+        with -1 marking an empty slot.  The built operator is X + X^T, so
+        each term is written once and its transpose supplies the h.c.; a
+        self-adjoint sum is written once at half weight.
 
-        Each block of terms screens every (term, state) pair at once: a
-        state survives a term when it holds each annihilated mode at least
-        as often as the term lowers it, and the term's net change keeps it
-        within the cap.  The screen is read term by term, each term's
-        states in source order, as a term-by-term loop over the whole
-        basis would emit them; each amplitude is coeff times one sqrt per
-        operator in the order they act.
+        Equal monomials are emitted once, as one class: operators of one
+        kind commute, so each term's creators and its annihilators are
+        sorted, and a term with as many creators as annihilators shares
+        its class with its transpose, which X + X^T sees alike.  A class
+        carries its terms' coefficients summed in term order, and the
+        classes are emitted in ascending order of their slots.
+
+        Each block of classes screens every (class, state) pair at once: a
+        state survives a class when it holds each annihilated mode at
+        least as often as the class lowers it, and the net change keeps it
+        within the cap.  The screen is read class by class, each class's
+        states in source order; each amplitude is the coefficient times
+        one sqrt per operator in the order they act.
         """
-        coeff = np.asarray(coeff, dtype=float)
+        create, annihilate, coeff = _monomial_classes(
+            create, annihilate, np.asarray(coeff, dtype=float))
         live = np.nonzero(coeff != 0.0)[0]
         basis = self.basis
         occ = basis.occ
@@ -354,7 +398,7 @@ class _Assembler:
                 )
             self.rows.append(tgt)
             self.cols.append(src)
-            self.vals.append(0.5 * amp if half else amp)
+            self.vals.append(amp)
 
     def add_diagonal(self, diag: np.ndarray):
         idx = np.arange(len(self.basis))
@@ -511,9 +555,9 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
     iqr = iqr[ip, ipr, iq]
     c = rt.c
     coeff = 1.0 / (2.0 * rt.N) * vr[ip, ipr] * c[ipr] * c[iq] * c[ip] * c[iqr]
+    # self-adjoint: written once at half weight
     asm.add_terms(
-        np.stack([ipr, iq], axis=1), np.stack([ip, iqr], axis=1), coeff,
-        half=True,
+        np.stack([ipr, iq], axis=1), np.stack([ip, iqr], axis=1), 0.5 * coeff
     )
     return asm.build()
 

@@ -61,9 +61,11 @@ def synthetic_tables(vectors, eta_scale=0.25, tau_scale=0.15, N=64):
 CLOSED_SET = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 0)]
 
 
-# Exact references: the depth-first enumeration and the term-by-term
-# assembly over the whole basis that the array code replaced.  The fast
-# paths keep their arithmetic, so they must agree bit for bit.
+# Exact references: the depth-first enumeration that `build_basis`
+# replaced, and the assembly that applies each term over the whole basis.
+# The builders merge equal monomials into one class before applying them,
+# which reorders sums: merged=True merges the same way and must agree bit
+# for bit, the term-by-term loop within a rounding bound.
 
 def ref_basis_occ(modes, n_max):
     m = len(modes)
@@ -92,7 +94,7 @@ def ref_basis_occ(modes, n_max):
 
 
 class RefAssembler(_Assembler):
-    def apply_term(self, ops, coeff, mirror):
+    def apply_term(self, ops, coeff):
         if coeff == 0.0:
             return
         basis = self.basis
@@ -112,27 +114,53 @@ class RefAssembler(_Assembler):
             return
         tgt = basis.lookup(occ[alive])
         assert np.all(tgt >= 0)
-        weight = amp[alive] if mirror == "hc" else 0.5 * amp[alive]
         self.rows.append(tgt)
         self.cols.append(np.nonzero(alive)[0])
-        self.vals.append(weight)
+        self.vals.append(amp[alive])
 
 
-def ref_G0(basis, F, G):
+def monomial_class(ops):
+    """(creators, annihilators), each descending; with as many creators
+    as annihilators, the lesser of the monomial and its transpose."""
+    cre = tuple(sorted((m for m, kind in ops if kind > 0), reverse=True))
+    ann = tuple(sorted((m for m, kind in ops if kind < 0), reverse=True))
+    if len(cre) == len(ann):
+        return min((cre, ann), (ann, cre))
+    return cre, ann
+
+
+def ref_assemble(basis, terms, diagonal=None, merged=False):
+    """The unbuilt assembler of `terms`, each (ops, coeff) with ops
+    [(mode, +1 for a+ | -1 for a)] in written order.  merged=True sums
+    each monomial class's coefficients in term order and applies the
+    classes in ascending order."""
+    if merged:
+        classes = {}
+        for ops, coeff in terms:
+            key = monomial_class(ops)
+            classes[key] = classes.get(key, 0.0) + coeff
+        terms = [([(m, +1) for m in cre] + [(m, -1) for m in ann], coeff)
+                 for (cre, ann), coeff in sorted(classes.items())]
     asm = RefAssembler(basis)
-    asm.add_diagonal(basis.occ.astype(float) @ np.asarray(F, dtype=float))
-    neg = basis.modes.neg_index
-    for i in range(len(basis.modes)):
-        asm.apply_term([(i, +1), (int(neg[i]), +1)], 0.5 * float(G[i]), "hc")
-    return asm.build()
+    if diagonal is not None:
+        asm.add_diagonal(diagonal)
+    for ops, coeff in terms:
+        asm.apply_term(ops, coeff)
+    return asm
 
 
-def ref_G1tilde(basis, rt):
-    asm = RefAssembler(basis)
+def g0_terms(modes, G):
+    neg = modes.neg_index
+    return [([(i, +1), (int(neg[i]), +1)], 0.5 * float(G[i]))
+            for i in range(len(modes))]
+
+
+def g1tilde_terms(rt):
     vecs = rt.modes.vectors
     lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
     neg = rt.modes.neg_index
     pref = 1.0 / np.sqrt(rt.N)
+    terms = []
     for i in range(len(vecs)):
         for j in range(len(vecs)):
             s = vecs[i] + vecs[j]
@@ -142,22 +170,19 @@ def ref_G1tilde(basis, rt):
             if k < 0:
                 continue
             base = pref * rt.v[i] * rt.c[k] * rt.c[i]
-            asm.apply_term(
-                [(k, +1), (int(neg[i]), +1), (j, -1)], base * rt.c[j], "hc"
-            )
-            asm.apply_term(
-                [(k, +1), (int(neg[i]), +1), (int(neg[j]), +1)],
-                base * rt.s[j], "hc",
-            )
-    return asm.build()
+            terms.append(([(k, +1), (int(neg[i]), +1), (j, -1)], base * rt.c[j]))
+            terms.append(([(k, +1), (int(neg[i]), +1), (int(neg[j]), +1)],
+                          base * rt.s[j]))
+    return terms
 
 
-def ref_G2(basis, rt):
-    asm = RefAssembler(basis)
+def g2_terms(rt):
+    """Self-adjoint, so each term at half weight."""
     vecs = rt.modes.vectors
     lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
     m = len(vecs)
     pref = 1.0 / (2.0 * rt.N)
+    terms = []
     for ip in range(m):
         for ipr in range(m):
             r = vecs[ipr] - vecs[ip]
@@ -172,10 +197,24 @@ def ref_G2(basis, rt):
                 if iqr < 0:
                     continue
                 coeff = pref * vr * rt.c[ipr] * rt.c[iq] * rt.c[ip] * rt.c[iqr]
-                asm.apply_term(
-                    [(ipr, +1), (iq, +1), (ip, -1), (iqr, -1)], coeff, "half"
+                terms.append(
+                    ([(ipr, +1), (iq, +1), (ip, -1), (iqr, -1)], 0.5 * coeff)
                 )
-    return asm.build()
+    return terms
+
+
+def ref_G0(basis, F, G, merged=False):
+    diagonal = basis.occ.astype(float) @ np.asarray(F, dtype=float)
+    return ref_assemble(basis, g0_terms(basis.modes, G), diagonal,
+                        merged).build()
+
+
+def ref_G1tilde(basis, rt, merged=False):
+    return ref_assemble(basis, g1tilde_terms(rt), merged=merged).build()
+
+
+def ref_G2(basis, rt, merged=False):
+    return ref_assemble(basis, g2_terms(rt), merged=merged).build()
 
 
 class TestBasis:
@@ -561,8 +600,9 @@ class TestOperator:
 
 
 class TestAssemblyReference:
-    """Screened assembly against the term-by-term loop: every entry and
-    every duplicate sum bitwise equal."""
+    """Screened assembly against the loop that applies each term over the
+    whole basis: bitwise equal to it once it merges monomial classes the
+    same way, within a rounding bound of it term by term."""
 
     @staticmethod
     def assert_same(new, ref):
@@ -573,8 +613,8 @@ class TestAssemblyReference:
         assert np.array_equal(new.vals, ref.vals)
 
     # the closed set at cap 9 reaches occupations at which the order of
-    # the sqrt factors shows in the last bit; block=1 screens one term per
-    # block, so every term starts a block
+    # the sqrt factors shows in the last bit; block=1 screens one class
+    # per block, so every class starts a block
     @pytest.mark.parametrize("vectors,n_max,block", [
         (shell_modes(2).vectors.tolist(), 5, None),
         (shell_modes(2).vectors.tolist(), 6, None),
@@ -588,9 +628,83 @@ class TestAssemblyReference:
             monkeypatch.setattr(fock, "_BLOCK", block)
         rt = synthetic_tables(vectors)
         b = build_basis(rt.modes, n_max)
-        self.assert_same(build_G0(b, rt.F, rt.G), ref_G0(b, rt.F, rt.G))
-        self.assert_same(build_G1tilde(b, rt), ref_G1tilde(b, rt))
-        self.assert_same(build_G2(b, rt), ref_G2(b, rt))
+        self.assert_same(build_G0(b, rt.F, rt.G),
+                         ref_G0(b, rt.F, rt.G, merged=True))
+        self.assert_same(build_G1tilde(b, rt), ref_G1tilde(b, rt, merged=True))
+        self.assert_same(build_G2(b, rt), ref_G2(b, rt, merged=True))
+
+    # Both sides sum the same products c_t sqrt(n_1) ... sqrt(n_q), q <= 4,
+    # in different orders.  Against the exact sum, a product carries 2q <= 8
+    # roundings, a merged class coefficient at most 7 additions (a class
+    # holds at most 8 terms: two slot swaps and the transpose), and a
+    # position of X + X^T at most k - 1 additions of its k contributions.
+    # So each side lies within gamma_{k+14} sum_t |c_t prod_t| of the
+    # exact value, gamma_n = n u / (1 - n u) with u = 2^-53; n = k + 16
+    # also covers the rounding of the computed absolute sum.
+    @pytest.mark.parametrize("vectors,n_max", [
+        (shell_modes(2).vectors.tolist(), 5),
+        (shell_modes(2).vectors.tolist(), 6),
+        (CLOSED_SET, 9),
+    ], ids=["shell2-5", "shell2-6", "closed-9"])
+    def test_term_by_term_within_rounding(self, vectors, n_max):
+        rt = synthetic_tables(vectors)
+        b = build_basis(rt.modes, n_max)
+        D = len(b)
+        diagonal = b.occ.astype(float) @ rt.F
+        u = np.finfo(float).eps / 2
+        for new, ref, terms, diag in [
+            (build_G0(b, rt.F, rt.G), ref_G0(b, rt.F, rt.G),
+             g0_terms(rt.modes, rt.G), np.abs(diagonal)),
+            (build_G1tilde(b, rt), ref_G1tilde(b, rt), g1tilde_terms(rt), None),
+            (build_G2(b, rt), ref_G2(b, rt), g2_terms(rt), None),
+        ]:
+            assert np.array_equal(new.rows, ref.rows)
+            assert np.array_equal(new.cols, ref.cols)
+            # the same contributions, each at its absolute value
+            asm = ref_assemble(b, [(ops, abs(c)) for ops, c in terms], diag)
+            rows, cols = np.concatenate(asm.rows), np.concatenate(asm.cols)
+            k = np.unique(np.concatenate([rows * D + cols, cols * D + rows]),
+                          return_counts=True)[1].max()
+            absolute = asm.build().toarray()[ref.rows, ref.cols]
+            n = k + 16
+            gamma = n * u / (1 - n * u)
+            assert np.all(np.abs(new.vals - ref.vals) <= 2 * gamma * absolute)
+
+    def test_monomial_class_invariance(self):
+        # dyadic coefficients sum exactly, so a monomial written as its slot
+        # permutations and its transpose builds the operator of one term
+        b = build_basis(shell_modes(2), 4)
+        at = {tuple(v): i for i, v in enumerate(b.modes.vectors.tolist())}
+        x, y, z, w, xy, nx, ny = (at[v] for v in [
+            (1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, 1), (1, 1, 0),
+            (-1, 0, 0), (0, -1, 0)])
+
+        def built(create, annihilate, coeff):
+            asm = _Assembler(b)
+            asm.add_terms(np.array(create), np.array(annihilate),
+                          np.array(coeff))
+            return asm.build()
+
+        split = [0.5, -0.25, 1.0, 0.125, 2.0, -0.75, 0.0625, 0.5, 0.375]
+        # a+_x a+_y a_z a_w (x + y = z + w), its swaps and its transpose
+        quartic = built(
+            [[x, y], [y, x], [x, y], [y, x], [z, w], [w, z], [z, w], [w, z]],
+            [[z, w], [z, w], [w, z], [w, z], [x, y], [x, y], [y, x], [y, x]],
+            split[:8],
+        )
+        assert quartic.nnz > 0
+        for one in ([[x, y]], [[z, w]]), ([[z, w]], [[x, y]]):
+            self.assert_same(quartic, built(*one, [sum(split[:8])]))
+        # a+_{x+y} a+_{-x} a_y with an empty creator slot anywhere
+        cubic = built([[xy, nx, -1], [nx, xy, -1], [-1, xy, nx]],
+                      [[y], [y], [y]], split[:3])
+        assert cubic.nnz > 0
+        self.assert_same(cubic, built([[xy, nx, -1]], [[y]], [sum(split[:3])]))
+        # a+_{x+y} a+_{-x} a+_{-y} in all six slot orders
+        triple = built([list(p) for p in itertools.permutations([xy, nx, ny])],
+                       np.full((6, 1), -1), split[:6])
+        assert triple.nnz > 0
+        self.assert_same(triple, built([[xy, nx, ny]], [[-1]], [sum(split[:6])]))
 
     def test_momentum_violation_raises(self):
         # a+_x a+_x takes the vacuum to total momentum 2x
