@@ -79,18 +79,6 @@ def dispersion(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.sqrt((F - G) * (F + G))
 
 
-def dispersion_closed_form(table: ScaledPotentialTable, triples: np.ndarray):
-    """sqrt(p^4 + 2 p^2 vhat(p/N^beta)) at arbitrary integer triples.
-
-    Fallback dispersion for momenta outside the tabulated ball (the table
-    correction there is dominated by the truncation error at that radius).
-    """
-    t = np.asarray(triples, dtype=np.int64)
-    psq = (2.0 * np.pi) ** 2 * np.sum(t * t, axis=-1).astype(float)
-    v = table.value_at(t)
-    return np.sqrt(psq * (psq + 2.0 * v))
-
-
 @dataclass(frozen=True)
 class BogoliubovTables:
     """All per-momentum tables of one solution, aligned with its lattice.

@@ -12,12 +12,12 @@ Keys (defaults in parentheses):
                       is attached (the expansion targets that window)
   kappa               coupling, >= 0
   R                   potential support radius, in (0, 1/4] on the unit torus
-  cutoff_K_over_2pi   single-sum cutoff K / (2 pi), >= 1 (20).  The p+q
-                      cube of a ball inside [-L, L]^3, (4L+1)^3 points and
-                      the largest grid a run with K2 = K allocates, may
-                      hold at most MAX_PAIR_CUBE_POINTS
-  cutoff_K2_over_2pi  double-sum cutoff K2 / (2 pi), in [1, K / (2 pi)]
-                      (the smaller of 10 and K / (2 pi))
+  cutoff_K_over_2pi   single-sum cutoff K / (2 pi), >= 2 (20).  The dense
+                      index grid of a ball inside [-L, L]^3, (2L+1)^3
+                      points, may hold at most MAX_BALL_GRID_POINTS
+  cutoff_K2_over_2pi  double-sum cutoff K2 / (2 pi), in [1, K / (4 pi)],
+                      so that every p + q of two K2 momenta lies in the K
+                      ball (the smaller of 10 and K / (4 pi))
   scattering          {"tol": > 0 (scattering.DEFAULT_TOL),
                        "max_iter": >= 1 (scattering.DEFAULT_MAX_ITER)}
   oracle              {"modes": {"nsq_max": int >= 1} or
@@ -41,9 +41,9 @@ from .errors import RejectedConfig
 from .lattice_potential import TWO_PI, _nsq_max
 from .scattering import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-# memory budget of the cutoff: K = 80 pi needs a 161^3 pair cube, and
-# every K below 100 pi (L <= 49, 197^3) fits
-MAX_PAIR_CUBE_POINTS = 200**3
+# memory budget of the cutoff: K = 80 pi needs an 81^3 ball grid, and
+# every K below 100 pi (L <= 49, 99^3) fits
+MAX_BALL_GRID_POINTS = 100**3
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,12 @@ def _number(x, what: str) -> float:
     return v
 
 
-def _pair_cube_points(K: float) -> float:
-    """Points of the p+q cube of the ball |p| <= K: (4L+1)^3, with L as
-    `enumerate_lattice` computes it."""
-    if 4.0 * K / TWO_PI > MAX_PAIR_CUBE_POINTS:  # the side alone is too long
+def _ball_grid_points(K: float) -> float:
+    """Points of the dense index grid of the ball |p| <= K: (2L+1)^3,
+    with L as `enumerate_lattice` computes it."""
+    if 2.0 * K / TWO_PI > MAX_BALL_GRID_POINTS:  # the side alone is too long
         return math.inf
-    return (4 * math.isqrt(_nsq_max(K)) + 1) ** 3
+    return (2 * math.isqrt(_nsq_max(K)) + 1) ** 3
 
 
 def _block(block, what: str, allowed: tuple) -> dict:
@@ -176,22 +176,24 @@ def parse_config(raw: dict) -> RunConfig:
         )
 
     x = _number(raw.get("cutoff_K_over_2pi", 20.0), "cutoff_K_over_2pi")
-    x2 = _number(raw.get("cutoff_K2_over_2pi", min(10.0, x)),
+    x2 = _number(raw.get("cutoff_K2_over_2pi", min(10.0, x / 2.0)),
                  "cutoff_K2_over_2pi")
-    K = TWO_PI * x
-    K2 = TWO_PI * x2
-    if K < TWO_PI:
-        raise RejectedConfig(f"cutoff_K_over_2pi below the first shell 1: {x}")
-    if _pair_cube_points(K) > MAX_PAIR_CUBE_POINTS:
+    if x < 2.0:
         raise RejectedConfig(
-            f"cutoff_K_over_2pi = {x} needs a pair cube of more than "
-            f"{MAX_PAIR_CUBE_POINTS} points"
+            f"cutoff_K_over_2pi below 2, twice the first shell: {x}"
         )
-    if K2 < TWO_PI:
-        raise RejectedConfig(f"cutoff_K2_over_2pi below the first shell 1: {x2}")
-    if K2 > K * (1.0 + 1e-12):
+    K = TWO_PI * x
+    if _ball_grid_points(K) > MAX_BALL_GRID_POINTS:
         raise RejectedConfig(
-            f"cutoff_K2_over_2pi = {x2} exceeds cutoff_K_over_2pi = {x}"
+            f"cutoff_K_over_2pi = {x} needs a ball grid of more than "
+            f"{MAX_BALL_GRID_POINTS} points"
+        )
+    if x2 < 1.0:
+        raise RejectedConfig(f"cutoff_K2_over_2pi below the first shell 1: {x2}")
+    if x2 > x / 2.0:
+        raise RejectedConfig(
+            f"cutoff_K2_over_2pi = {x2} exceeds half of cutoff_K_over_2pi "
+            f"= {x}: the pair sums read p + q, up to 2 K2, in the K ball"
         )
 
     scat = _block(raw.get("scattering", {}), "scattering", ("tol", "max_iter"))
@@ -230,7 +232,7 @@ def parse_config(raw: dict) -> RunConfig:
         kappa=kappa,
         R=R,
         cutoff_K=K,
-        cutoff_K2=K2,
+        cutoff_K2=TWO_PI * x2,
         tol=tol,
         max_iter=max_iter,
         oracle=oracle,

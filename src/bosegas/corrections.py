@@ -24,13 +24,12 @@ from .bogoliubov import (
     BogoliubovTables,
     bogoliubov_ground_energy,
     constant_C,
-    dispersion_closed_form,
     e00,
     e01,
     sc_minus_eta,
 )
-from .errors import NotCubicInvariant
-from .lattice_potential import born2_sum
+from .errors import InconsistentLattice, NotCubicInvariant
+from .lattice_potential import _nsq_max, born2_sum
 from .scattering import make_convolver, scattering_length
 from .sums import Term, det_rows, det_sum
 
@@ -82,58 +81,47 @@ def c_constant(tables: BogoliubovTables) -> CConstants:
 
 
 class _PairContext:
-    """The K2-ball vertex factors of the cubic pair sum and its pair table.
+    """The K2-ball vertex factors of the cubic pair sum, read through the
+    K ball's own grid.
 
     `sub` is the K2 sub-table (`ScaledPotentialTable.sub_table`, which
     rejects K2 beyond the tables' cutoff); its lattice gives the points,
-    M2, L2 and each point's negation.  `fac` holds the rows (X, Y, P, Q,
-    vX, vY) of `vertex_factors` and the dispersion e on the K2-ball.  For
-    p, q in it, inside [-L2, L2]^3,
-    p + q spans the cube [-2 L2, 2 L2]^3; `pair` holds the same rows at
-    every point of that cube a pair reaches (|p + q| <= 2 max |q|),
-    filled once: the tables inside the K ball, the first-Born closure
-    (tau = 0, eta = -vhat/(2 p^2)) with the closed-form dispersion outside
-    it.  The cube is flattened so that p_i + q_j sits at `base[i] +
-    flat[j]`, and a row of the pair sum reads all its p + q with one
-    gather.  The zero mode and the points no pair reaches hold zeros; the
-    row zeroes its term at q = -p_i (`neg[i]`).
+    M2 and each point's negation.  For p, q in the K2-ball,
+    |p + q|^2 <= 4 max |n|^2(K2), a prefix of the K ball of M4 points
+    (InconsistentLattice when it is not inside the K ball, i.e. 2 K2 > K
+    up to shells).  `ball` holds the rows (X, Y, P, Q, vX, vY) of
+    `vertex_factors` and the dispersion e on that prefix, plus a last
+    zero column; `fac` is its K2 part.  The K ball's dense grid `grid`
+    maps p_i + q_j, at `base[i] + flat[j]`, to its index, and to -1 at
+    p + q = 0, which reads the zero column; so a row of the pair sum
+    reads all its p + q with one two-level gather.  The row zeroes its
+    term at q = -p_i (`neg[i]`).
     """
 
     def __init__(self, tables: BogoliubovTables, K2: float):
-        t = tables.table
-        self.sub = t.sub_table(K2)
+        lat = tables.lattice
+        self.sub = tables.table.sub_table(K2)
         sub_lat = self.sub.lattice
-        self.M2 = M2 = len(sub_lat)
-        pts = sub_lat.points
-        ball = np.stack([
-            *vertex_factors(t.values, tables.c, tables.s, tables.ct, tables.st),
-            tables.e,
-        ])
-        self.fac = ball[:, :M2]
+        self.M2 = len(sub_lat)
+        nsq4 = 4 * _nsq_max(K2)
+        if nsq4 > _nsq_max(lat.cutoff_K):
+            raise InconsistentLattice(
+                f"pair sums at K2 = {K2} reach |p + q| = 2 K2 beyond the "
+                f"cutoff {lat.cutoff_K}"
+            )
+        M4 = int(np.searchsorted(lat.nsq, nsq4, side="right"))
+        self.ball = np.zeros((7, M4 + 1))
+        np.stack([
+            *vertex_factors(tables.table.values[:M4], tables.c[:M4],
+                            tables.s[:M4], tables.ct[:M4], tables.st[:M4]),
+            tables.e[:M4],
+        ], out=self.ball[:, :M4])
+        self.fac = self.ball[:, : self.M2]
         self.neg = sub_lat.negation_index()
-
-        nsq2 = int(sub_lat.nsq[-1])
-        L2 = sub_lat._L
-        side = 4 * L2 + 1
-        axis = np.arange(-2 * L2, 2 * L2 + 1, dtype=np.int64)
-        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-        cube = cube.reshape(-1, 3)
-        cube_nsq = np.sum(cube * cube, axis=1)
-        idx = tables.lattice.lookup(cube)
-        inside = idx >= 0
-        far = ~inside & (cube_nsq > 0) & (cube_nsq <= 4 * nsq2)
-        self.pair = np.zeros((7, len(cube)))
-        self.pair[:, inside] = ball[:, idx[inside]]
-        t_far = cube[far]
-        v_far = t.value_at(t_far)
-        psq_far = (2.0 * np.pi) ** 2 * cube_nsq[far].astype(float)
-        eta_b = -v_far / (2.0 * psq_far)
-        self.pair[:, far] = np.stack([
-            *vertex_factors(v_far, np.cosh(eta_b), np.sinh(eta_b), 1.0, 0.0),
-            dispersion_closed_form(t, t_far),
-        ])
-        self.flat = pts @ np.array([side * side, side, 1], dtype=np.int64)
-        self.base = self.flat + len(cube) // 2  # the center is p + q = 0
+        self.grid = lat._grid
+        side = 2 * lat._L + 1
+        self.flat = sub_lat.points @ np.array([side * side, side, 1], dtype=np.int64)
+        self.base = self.flat + len(self.grid) // 2  # the center is p + q = 0
 
 
 def vertex_factors(v, c, s, ct, st):
@@ -169,7 +157,7 @@ def symmetrized_vertex(fa, fb, fc):
 
 def _f_rows(ctx: _PairContext, i: int):
     """f(p_i, q) for all q in the K2-ball, zero at q = -p_i, and e(p_i + q)."""
-    *fpq, epq = ctx.pair[:, ctx.base[i] + ctx.flat]
+    *fpq, epq = ctx.ball[:, ctx.grid[ctx.base[i] + ctx.flat]]
     f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6], fpq)
     f[ctx.neg[i]] = 0.0
     return f, epq
@@ -180,11 +168,10 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
 
         -(6/N) sum_{p,q, p+q != 0} f(p,q)^2 / (e(p+q) + e(p) + e(q)) .
 
-    Pair sum over the K2-ball; each row reads its p+q from the pair table
-    of `_PairContext` with one gather: the tables inside the K ball, the
-    first-Born closure with closed-form dispersion outside it (tail
-    policy).  The |p| > K2 continuum tail factors through the reduced
-    pair weight C2 (`c_constant`).
+    Pair sum over the K2-ball; each row reads its p+q from the K ball's
+    tables through `_PairContext`, so the sum needs 2 K2 <= K.  The
+    |p| > K2 continuum tail factors through the reduced pair weight C2
+    (`c_constant`).
 
     The tables are constant on cubic orbits (checked) and the K2-ball is a
     union of whole orbits, so the q-sum of row p depends on p's orbit

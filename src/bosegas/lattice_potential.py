@@ -208,7 +208,9 @@ def enumerate_lattice(K: float) -> LatticeBall:
     nsq = np.sum(pts * pts, axis=1)
     keep = (nsq > 0) & (nsq <= nsq_max)
     pts, nsq = pts[keep], nsq[keep]
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], nsq))
+    # the meshgrid rows are in lexicographic order already, so a stable
+    # sort on |n|^2 gives the canonical order
+    order = np.argsort(nsq, kind="stable")
     return _ball(K, pts[order], nsq[order], L)
 
 

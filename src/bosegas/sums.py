@@ -34,7 +34,9 @@ def det_sum(values: Iterable[float]) -> float:
     """Exactly rounded sum of a sequence of floats; NonFiniteSum where
     the sum overflows or adds opposite infinities."""
     if isinstance(values, np.ndarray):
-        values = values.tolist()
+        # fsum reads the buffer's items as the floats tolist would give,
+        # without building the list
+        values = memoryview(np.ascontiguousarray(values))
     try:
         return math.fsum(values)
     except (OverflowError, ValueError) as exc:

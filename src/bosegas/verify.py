@@ -110,8 +110,9 @@ def run_verify(cfg: RunConfig) -> list[Check]:
                         report.depletion))
 
     # cubic second-order sign probe on |n|^2 <= 2 at cap 4, where triples
-    # close (on the first shell none does, and pt2 is 0 for any vertex)
-    probe = shell_modes(min(2, int(lat.nsq[-1])))
+    # close (on the first shell none does, and pt2 is 0 for any vertex);
+    # K >= 2 K2 >= 4 pi holds that set
+    probe = shell_modes(2)
     rows = {r.name: r for r in run_oracle(tables, probe, [4])}
     pt2 = rows["e_pert_tilde"].fock_values[0]
     checks.append(

@@ -293,12 +293,3 @@ class TestE01:
         got = e01(tb, K2).ball
         assert abs(got - expected) <= 1e-13 * abs(expected)
 
-
-def test_dispersion_fallback_law(tables_small):
-    from bosegas.bogoliubov import dispersion_closed_form
-
-    trips = np.array([[7, 0, 0], [3, 3, 3], [1, 1, 0]])
-    got = dispersion_closed_form(tables_small.table, trips)
-    psq = TWO_PI**2 * np.sum(trips * trips, axis=1)
-    v = tables_small.table.value_at(trips)
-    assert np.array_equal(got, np.sqrt(psq * (psq + 2.0 * v)))

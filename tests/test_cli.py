@@ -30,7 +30,7 @@ BASE = {
     "kappa": 0.1,
     "R": 0.25,
     "cutoff_K_over_2pi": 3,
-    "cutoff_K2_over_2pi": 2,
+    "cutoff_K2_over_2pi": 1.5,
 }
 
 
@@ -64,6 +64,20 @@ class TestConfigValidation:
     def test_k2_above_k_rejected(self):
         with pytest.raises(RejectedConfig):
             parse_config(dict(BASE, cutoff_K2_over_2pi=5))
+
+    @pytest.mark.parametrize("cutoffs", [
+        {"cutoff_K2_over_2pi": 1.5000001},
+        {"cutoff_K2_over_2pi": 3},
+        # K < 4 pi leaves no K2 in [2 pi, K/2]
+        {"cutoff_K_over_2pi": 1.3},
+    ])
+    def test_k2_above_half_k_exits_2(self, tmp_path, capsys, cutoffs):
+        # the cubic pair sum reads p + q, up to 2 K2, in the K ball
+        doc = {k: v for k, v in BASE.items() if k != "cutoff_K2_over_2pi"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(doc, **cutoffs)))
+        assert main(["energy", "--config", str(path)]) == 2
+        assert "config error: cutoff_K" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k2", [{"cutoff_K2_over_2pi": 0.5},
                                     {"cutoff_K2_over_2pi": -0.5}])
@@ -104,7 +118,7 @@ class TestConfigValidation:
         {"N": 10**400},
         {"cutoff_K_over_2pi": 1e308},
         {"oracle": {"N": 1}},
-        # pair cubes beyond the memory budget: 201^3, 40,001^3, overflow
+        # ball grids beyond the memory budget: 101^3, 20,001^3, overflow
         {"cutoff_K_over_2pi": 50},
         {"cutoff_K_over_2pi": 1e4},
         {"cutoff_K_over_2pi": 1.6e299},
@@ -145,10 +159,14 @@ class TestConfigValidation:
         cfg = parse_config({k: BASE[k] for k in ("N", "beta", "kappa", "R")})
         assert cfg.cutoff_K == 40 * math.pi
         assert cfg.cutoff_K2 == 20 * math.pi
+        # below K = 40 pi the default K2 is K/2
+        doc = {k: BASE[k] for k in ("N", "beta", "kappa", "R")}
+        cfg = parse_config(dict(doc, cutoff_K_over_2pi=6))
+        assert cfg.cutoff_K2 == 6 * math.pi
 
     @pytest.mark.parametrize("k_over_2pi", [40, 49.99])
     def test_cutoff_within_grid_budget_accepted(self, k_over_2pi):
-        # pair cubes of 161^3 and 197^3 points
+        # ball grids of 81^3 and 99^3 points
         assert parse_config(dict(BASE, cutoff_K_over_2pi=k_over_2pi))
 
     def test_unknown_key_rejected(self):
@@ -294,7 +312,7 @@ class TestWarnings:
         assert "warning: beta = 0.4 is outside (1/2, 1)" in capsys.readouterr().err
 
     def test_scan_prints_each_rows_regime_warning(self, tmp_path, capsys):
-        # K = 6 pi, K2 = 4 pi: |G|/F passes 1/2 at both N, stays below 1
+        # K = 6 pi, K2 = 3 pi: |G|/F passes 1/2 at both N, stays below 1
         path = write_config(tmp_path, N=[300, 1000], kappa=20000.0)
         assert main(["scan", "--config", path]) == 0
         err = capsys.readouterr().err
@@ -393,17 +411,6 @@ class TestVerify:
         monkeypatch.setattr("bosegas.verify.run_pipeline", drifting)
         failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
         assert failed == ["deterministic_rerun"]
-
-    def test_one_shell_ball_fails_the_probe(self, tmp_path, capsys):
-        # below 2 pi sqrt 2 only |n| = 1 modes exist and no cubic triple
-        # closes, so the probe's pt2 is 0
-        doc = {k: v for k, v in BASE.items() if k != "cutoff_K2_over_2pi"}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dict(doc, cutoff_K_over_2pi=1.3)))
-        assert main(["verify", "--config", str(path)]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        failed = [l.split()[0] for l in lines if " FAIL " in l]
-        assert failed == ["rs_pt2_nonpositive"]
 
 
 class TestConfigKnobs:
@@ -620,8 +627,8 @@ CONFIG_DOC = st.tuples(
 ).map(lambda t: {**{k: v for k, v in BASE.items() if k not in t[0]}, **t[1]})
 
 
-# documents that mostly pass validation, with K <= 6 * 2 pi and at most 300
-# solver iterations so that every run stays small
+# documents that mostly pass validation, with K <= 6 * 2 pi, K2 up to half
+# of that, and at most 300 solver iterations so that every run stays small
 SMALL_RUN_DOC = st.fixed_dictionaries(
     {
         "N": st.integers(min_value=-1) | st.just(10**400)
@@ -632,7 +639,7 @@ SMALL_RUN_DOC = st.fixed_dictionaries(
         "cutoff_K_over_2pi": st.floats(min_value=1.0, max_value=6.0),
     },
     optional={
-        "cutoff_K2_over_2pi": st.floats(min_value=0.0, max_value=6.0),
+        "cutoff_K2_over_2pi": st.floats(min_value=0.0, max_value=3.0),
         "scattering": st.fixed_dictionaries({}, optional={
             "tol": st.floats(min_value=0.0),
             "max_iter": st.integers(min_value=0, max_value=300),

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import build_tables, dispersion_closed_form, e01
+from bosegas.bogoliubov import build_tables, e01, sc_minus_eta
+from bosegas.config import parse_config
 from bosegas.corrections import (
     _f_rows,
     _PairContext,
@@ -19,7 +21,8 @@ from bosegas.corrections import (
 )
 from bosegas.errors import CutoffTooSmall, InconsistentLattice, NotCubicInvariant
 from bosegas.lattice_potential import TWO_PI, Potential, born2_sum, enumerate_lattice
-from bosegas.scattering import eta_tail, solve_eta
+from bosegas.pipeline import run_tables
+from bosegas.scattering import solve_eta
 from bosegas.sums import det_sum
 
 # convolution pair sums against their explicit row loops: a few ulps of
@@ -33,11 +36,18 @@ def zero_tables(lat3):
     return build_tables(sol)
 
 
-# (tables fixture, K2 in units of 2 pi): sqrt(17) > 6/2 lets p + q leave
-# the ball and ends on a shell of two cubic orbits, (4,1,0) and (3,2,2);
-# the first-shell tables run at K2 = K = 3, again two orbits in the last
-# shell, (3,0,0) and (2,2,1)
+# (tables fixture, K2 in units of 2 pi), each at K2 = K/2, the largest
+# the cubic pair sum admits: the radius-6 ball's K2 ends on a shell of two
+# cubic orbits, (3,0,0) and (2,2,1); the first-shell tables' on the one
+# orbit (1,1,0)
 PAIR_CASES = [
+    ("tables_small", 3.0),
+    ("tables_first_shell", 1.5),
+]
+# the quartic sum has no p + q and runs at any K2 <= K: sqrt(17) > 6/2
+# ends on a shell of two cubic orbits, (4,1,0) and (3,2,2), and K2 = K = 3
+# on two, (3,0,0) and (2,2,1)
+G2_CASES = [
     ("tables_small", math.sqrt(17.0)),
     ("tables_first_shell", 3.0),
 ]
@@ -101,67 +111,33 @@ def factored_vertex(slot_p, slot_q, slot_pq):
     )
 
 
-class TestPairTable:
-    def test_fill_is_ball_tables_inside_and_closure_outside(self, tables_small):
-        # K2 = sqrt(17) * 2 pi on the radius-6 ball: the pair cube spans
-        # [-8, 8]^3, and p + q reaches beyond the ball up to |n|^2 = 68
+class TestPairContext:
+    @pytest.mark.parametrize("k2_units", [3.0, 2.0])
+    def test_rows_read_p_plus_q_through_the_ball_grid(self, tables_small, k2_units):
+        # every p + q lies in the prefix |n|^2 <= 4 max |n|^2(K2) of the
+        # radius-6 ball (all of it at K2 = K/2, as at the reference point),
+        # and p + q = 0 reads the zero column
         tb = tables_small
         lat = tb.lattice
-        t = tb.table
-        ctx = _PairContext(tb, TWO_PI * math.sqrt(17.0))
-        side = 17
-        axis = np.arange(-8, 9)
-        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-        cube = cube.reshape(-1, 3)
-        assert ctx.pair.shape == (7, side**3)
-        idx = lat.lookup(cube)
-        inside = idx >= 0
-        ball = np.stack([*vertex_factors(t.values, tb.c, tb.s, tb.ct, tb.st), tb.e])
-        assert np.array_equal(ctx.fac, ball[:, : ctx.M2])
-        assert np.array_equal(ctx.pair[:, inside], ball[:, idx[inside]])
-        nsq = np.sum(cube * cube, axis=1)
-        far = ~inside & (nsq > 0) & (nsq <= 68)
-        assert far.sum() > 0
-        X, Y, P, Q, vX, vY, e = ctx.pair[:, far]
-        v = t.value_at(cube[far])
-        psq = TWO_PI**2 * nsq[far].astype(float)
-        eta = -v / (2.0 * psq)
-        c, s = np.cosh(eta), np.sinh(eta)
-        assert np.array_equal(X, c) and np.array_equal(Q, c)
-        assert np.array_equal(P, s) and np.array_equal(vX, v * c)
-        assert np.all(Y == 0.0) and np.all(vY == 0.0)
-        assert np.array_equal(e, dispersion_closed_form(t, cube[far]))
-        # eta_tail forms p^2 from the momentum vector, one ulp away; the
-        # shape factor's direct form, 3 eps / r^2 relative error, squared
-        # into vhat, turns that into at most 1.6e-13 at the smallest far
-        # r = 0.09
-        tail = np.array([
-            eta_tail(t.pot, tb.N, tb.beta, TWO_PI * n.astype(float))
-            for n in cube[far]
+        ctx = _PairContext(tb, TWO_PI * k2_units)
+        ball = np.stack([
+            *vertex_factors(tb.table.values, tb.c, tb.s, tb.ct, tb.st), tb.e
         ])
-        assert np.max(np.abs(eta - tail) / np.abs(tail)) <= 2e-13
-        # p_i + q_j sits at base[i] + flat[j], and every pair reads a
-        # filled point: the ball or the reachable closure
-        M2 = ctx.M2
-        for i in (0, 7, M2 - 1):
-            tgt = lat.points[i] + lat.points[:M2] + 8
-            at = (tgt[:, 0] * side + tgt[:, 1]) * side + tgt[:, 2]
-            assert np.array_equal(ctx.base[i] + ctx.flat, at)
-        read = (ctx.base[:, None] + ctx.flat[None, :]).ravel()
-        assert np.all((inside | far)[read] | (read == len(cube) // 2))
-
-    def test_no_closure_when_no_pair_leaves_the_ball(self, tables_small):
-        # K2 = K/2, as at the reference point: |p + q| <= K for every pair
-        ctx = _PairContext(tables_small, TWO_PI * 3.0)
-        axis = np.arange(-6, 7)
-        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-        outside = tables_small.lattice.lookup(cube.reshape(-1, 3)) < 0
-        assert np.all(ctx.pair[:, outside] == 0.0)
+        M4 = int(np.sum(lat.nsq <= 4 * k2_units**2))
+        assert ctx.ball.shape == (7, M4 + 1)
+        assert np.array_equal(ctx.ball[:, :-1], ball[:, :M4])
+        assert np.all(ctx.ball[:, -1] == 0.0)
+        assert np.array_equal(ctx.fac, ball[:, : ctx.M2])
+        pts = lat.points[: ctx.M2]
+        for i in range(ctx.M2):
+            idx = ctx.grid[ctx.base[i] + ctx.flat]
+            assert np.array_equal(idx, lat.lookup(pts[i] + pts))
+            assert np.array_equal(np.flatnonzero(idx < 0), [ctx.neg[i]])
 
 
 class TestVertex:
     def test_zero_coupling(self, zero_tables):
-        assert f_pq(zero_tables, TWO_PI * 2, (1, 0, 0), (0, 1, 0)) == 0.0
+        assert f_pq(zero_tables, TWO_PI * 1.5, (1, 0, 0), (0, 1, 0)) == 0.0
 
     def test_symmetry_random_pairs(self, tables_small):
         K2 = TWO_PI * 2.5
@@ -240,7 +216,7 @@ class TestVertex:
 
 class TestEPertTilde:
     def test_zero_coupling(self, zero_tables):
-        res = e_pert_tilde(zero_tables, zero_tables.lattice.cutoff_K)
+        res = e_pert_tilde(zero_tables, zero_tables.lattice.cutoff_K / 2.0)
         assert res.value == 0.0
 
     def test_nonpositive(self, tables_small):
@@ -261,13 +237,7 @@ class TestEPertTilde:
                 if not s.any():
                     continue
                 f = f_pq(tb, K2, p, q)
-                k = lat.lookup(s[None, :])[0]
-                if k >= 0:
-                    epq = tb.e[k]
-                else:
-                    psq = TWO_PI**2 * float(s @ s)
-                    vs = float(tb.table.value_at(s[None, :])[0])
-                    epq = math.sqrt(psq * (psq + 2 * vs))
+                epq = tb.e[lat.lookup(s)]
                 acc += f * f / (epq + tb.e[i] + tb.e[j])
         expected = -6.0 / tb.N * acc
         res = e_pert_tilde(tb, K2)
@@ -287,26 +257,38 @@ class TestEPertTilde:
         with pytest.raises(NotCubicInvariant):
             e_pert_tilde(replace(tables_small, e=e), TWO_PI * 2)
 
-    def test_out_of_ball_policy_uses_born_closure(self, tables_first_shell):
-        # p + q outside the ball: hyperbolics from the tail rule, squeezing
-        # absent; verified through the scalar vertex path
-        tb = tables_first_shell
-        K2 = TWO_PI
-        p = np.array([1, 0, 0])
-        q = np.array([0, 1, 0])
-        got = f_pq(tb, K2, p, q)
-        lat = tb.lattice
-        i, j = lat.lookup([[1, 0, 0], [0, 1, 0]])
-        s = p + q
-        psq = TWO_PI**2 * 2.0
-        vs = float(tb.table.value_at(s[None, :])[0])
-        eta_b = eta_tail(tb.table.pot, tb.N, tb.beta, TWO_PI * s.astype(float))
-        manual = factored_vertex(
-            (tb.table.values[i], tb.c[i], tb.s[i], tb.ct[i], tb.st[i]),
-            (tb.table.values[j], tb.c[j], tb.s[j], tb.ct[j], tb.st[j]),
-            (vs, math.cosh(eta_b), math.sinh(eta_b), 1.0, 0.0),
-        )
-        assert got == pytest.approx(manual, rel=1e-13)
+
+class TestEPertTildeMemory:
+    """The cubic pair sum allocates one table of the K-ball factors, on
+    the prefix where p + q lies, and per-row temporaries; nothing of the
+    size of the (4 L2 + 1)^3 offset cube."""
+
+    @pytest.fixture(scope="class")
+    def energy_ref_tables(self):
+        # the benchmark's energy-ref point: K = 40 pi, K2 = 20 pi
+        cfg = parse_config({"N": 10**4, "beta": 0.75, "kappa": 0.1, "R": 0.25,
+                            "cutoff_K_over_2pi": 20, "cutoff_K2_over_2pi": 10})
+        return run_tables(cfg, cfg.N)[0], cfg.cutoff_K2
+
+    def test_peak_below_table_bound(self, energy_ref_tables):
+        # table T = 7 (M4 + 1) doubles (M4 = M = 33,400 here: 1.87 MB);
+        # while it is filled, the six factor rows and one product in
+        # flight are at most another T; a row holds its index, its 7-row
+        # gather and the vertex's temporaries, under 24 M2 doubles
+        # (M2 = 4,168: 0.80 MB).  So the peak stays below 2 T + 24 M2
+        # doubles, 4.54 MB; the cube-filled table peaked at 10.4 MB.
+        tables, K2 = energy_ref_tables
+        M4 = len(tables.lattice)
+        M2 = len(tables.lattice.sub_ball(K2))
+        bound = 8 * (2 * 7 * (M4 + 1) + 24 * M2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            e_pert_tilde(tables, K2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestG2Expectation:
@@ -334,7 +316,7 @@ class TestG2Expectation:
         got = g2_expectation(tb, K2)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("fixture, k2_units", PAIR_CASES)
+    @pytest.mark.parametrize("fixture, k2_units", G2_CASES)
     def test_convolution_matches_row_loop(self, request, fixture, k2_units):
         tb = request.getfixturevalue(fixture)
         K2 = TWO_PI * k2_units
@@ -376,12 +358,15 @@ class TestCConstants:
         )
         assert direct == pytest.approx(0.00030911533738848325, abs=1e-16)
 
-    def test_c2_matches_vertex_extraction(self, tables_small):
+    def test_c2_matches_vertex_extraction(self, pot_coupled):
         # the pair weight is the large-momentum collapse of the vertex:
-        # w_q = 12 f(P, q) / (vhat_P + vhat_{P+q}) for |P| >> |q|
-        tb = tables_small
+        # w_q = 12 f(P, q) / (vhat_P + vhat_{P+q}) for |P| >> |q|; the
+        # tables_small coupling on a ball of twice its radius, so that a
+        # K2 = 6 ball holding P has every P + q in the tables
+        tb = build_tables(solve_eta(pot_coupled, enumerate_lattice(TWO_PI * 12),
+                                    N=500, beta=0.75))
         lat = tb.lattice
-        K2 = lat.cutoff_K
+        K2 = TWO_PI * 6
         w = np.sqrt(pair_weight(tb)) / 2.0
         big = (5, 3, 1)  # |n|^2 = 35, well separated from the first shell
         ib = int(lat.lookup(big))
@@ -434,24 +419,28 @@ class TestDepletion:
 
 class TestReport:
     def test_zero_coupling_all_zero(self, zero_tables):
-        rep = assemble_report(zero_tables, TWO_PI * 2)
+        rep = assemble_report(zero_tables, TWO_PI * 1.5)
         for name in ("a_box", "leading", "E00", "C1", "C2", "E_corr",
                      "g2_expect", "E0", "C_const", "total_route_A",
                      "total_route_B", "route_discrepancy", "depletion"):
             assert getattr(rep, name) == 0.0, name
         assert rep.E01.value == 0.0 and rep.e_pert_tilde.value == 0.0
 
-    @pytest.mark.parametrize("pair_sum", [
-        assemble_report,
-        e01,
-        g2_expectation,
-        e_pert_tilde,
-    ], ids=["assemble_report", "e01", "g2_expectation", "e_pert_tilde"])
-    def test_inconsistent_lattice(self, tables_small, pair_sum):
+    @pytest.mark.parametrize("pair_sum, k2_over_k, match", [
+        (assemble_report, 2.0, "sub-ball"),
+        (e01, 2.0, "sub-ball"),
+        (g2_expectation, 2.0, "sub-ball"),
+        (e_pert_tilde, 2.0, "sub-ball"),
+        # the cubic pair sum reads every p + q, up to |n|^2 = 4 * 10 > 36,
+        # in the tables of the radius-6 ball
+        (e_pert_tilde, math.sqrt(10.0) / 6.0, "2 K2"),
+    ], ids=["assemble_report", "e01", "g2_expectation", "e_pert_tilde",
+            "e_pert_tilde_2K2_above_K"])
+    def test_inconsistent_lattice(self, tables_small, pair_sum, k2_over_k, match):
         # every K2 sum cuts its sub-table through the one sub_ball check,
         # which also rejects a K2 below the first shell
-        with pytest.raises(InconsistentLattice, match="sub-ball"):
-            pair_sum(tables_small, tables_small.lattice.cutoff_K * 2.0)
+        with pytest.raises(InconsistentLattice, match=match):
+            pair_sum(tables_small, tables_small.lattice.cutoff_K * k2_over_k)
         with pytest.raises(CutoffTooSmall):
             pair_sum(tables_small, 0.5 * TWO_PI)
 
@@ -495,10 +484,20 @@ class TestReport:
         )
 
     def test_corr_vs_parts_improves_with_n(self, pot_ref):
+        # at K2 = K/2 the parts miss, at every N, C1's shell K2 < |p| <= K
+        # times the inner sum: E01's p-sums stop at K2, C_NB runs to K.
+        # What is left must shrink with N.
         lat = enumerate_lattice(TWO_PI * 6)
+        K2 = TWO_PI * 3
+        M2 = len(lat.sub_ball(K2))
         rel = []
         for N in (10**3, 10**5):
-            sol = solve_eta(pot_ref, lat, N, 0.8)
-            rep = assemble_report(build_tables(sol), TWO_PI * 6)
-            rel.append(abs(rep.corr_minus_parts / rep.E_corr))
+            tb = build_tables(solve_eta(pot_ref, lat, N, 0.8))
+            rep = assemble_report(tb, K2)
+            v0 = tb.table.at_zero
+            c1_shell = det_sum(sc_minus_eta(tb.eta)[M2:]) + 2.0 * v0 * v0 * det_sum(
+                c1_resolvent_summand(lat.psq, v0)[M2:]
+            )
+            shell = c1_shell * (-rep.born2.value / (2.0 * N))
+            rel.append(abs((rep.corr_minus_parts - shell) / rep.E_corr))
         assert rel[1] < rel[0]

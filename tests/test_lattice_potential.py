@@ -254,3 +254,19 @@ def test_det_sum_matches_fsum():
     rng = np.random.default_rng(3)
     x = rng.normal(size=1000) * 10.0**rng.integers(-8, 8, size=1000)
     assert det_sum(x) == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("x", [
+    np.array([]),
+    np.array([-0.0]),
+    np.array([-0.0, 0.0, -0.0]),
+    np.array([-0.0, -0.0]),
+    np.array([1.0, math.inf]),
+    np.array([1.0, math.nan]),
+    (np.arange(10.0) * 0.1)[::-3],
+    np.array([2**60 + 1, -(2**60), 3], dtype=np.int64),
+], ids=["empty", "neg_zero", "mixed_zeros", "neg_zeros", "inf", "nan",
+        "strided", "int64"])
+def test_det_sum_bitwise_fsum_of_list(x):
+    # the same floats reach fsum as from tolist, signs of zero included
+    assert det_sum(x).hex() == math.fsum(x.tolist()).hex()
