@@ -121,13 +121,13 @@ class BogoliubovTables:
 
 
 def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
-    """All tables from a solution, convolving on the solver's convolver."""
+    """All tables from a solution."""
     s, c = np.sinh(sol.eta), np.cosh(sol.eta)
     # (vhat_N^beta * cs)_p = sum_{q != p} vhat((p-q)/N^beta) c_q s_q.  The
     # q = p term is excluded, as in the scattering equation: its r = 0
     # interaction is the constant (N-1) vhat(0)/2 already carried by the
     # macroscopic term, so G's leading part is twice the solver defect.
-    conv = sol.convolve(c * s)
+    conv = make_convolver(sol.table)(c * s)
     F, G = coefficients_FG(sol.table, s, c, conv)
     tau = tau_table(F, G, sol.lattice, sol.table.N, sol.table.pot.kappa)
     e = dispersion(F, G)
@@ -174,7 +174,7 @@ def bogoliubov_ground_energy(tables) -> float:
 
 @dataclass(frozen=True)
 class ExtensiveConstant:
-    """The order-N constant split into its five constituent sums.
+    """The order-N constant C and its excess over the macroscopic term.
 
     `excess` is the value minus the macroscopic (N-1)/2 * vhat(0) term;
     route comparisons use it so that the O(N) piece cancels symbolically
@@ -183,7 +183,6 @@ class ExtensiveConstant:
 
     value: float
     excess: float
-    terms: dict
 
 
 def constant_C(tables: BogoliubovTables) -> ExtensiveConstant:
@@ -193,24 +192,16 @@ def constant_C(tables: BogoliubovTables) -> ExtensiveConstant:
     s, c, conv = tables.s, tables.c, tables.cs_conv
     cs = c * s
     v = t.values
-    terms = {
-        "macroscopic": 0.5 * (N - 1) * t.at_zero,
-        "kinetic_pairing": det_sum((lat.psq + v) * s * s),
-        "potential_cs": det_sum(v * cs),
-        "convolution_cs": det_sum(conv * cs) / (2.0 * N),
-        "cubic_remainder": -det_sum(v * (0.5 * cs + cs * s * s)) / N,
-    }
     excess = det_sum(
         [
-            terms["kinetic_pairing"],
-            terms["potential_cs"],
-            terms["convolution_cs"],
-            terms["cubic_remainder"],
+            det_sum((lat.psq + v) * s * s),              # kinetic pairing
+            det_sum(v * cs),                             # potential cs
+            det_sum(conv * cs) / (2.0 * N),              # convolution cs
+            -det_sum(v * (0.5 * cs + cs * s * s)) / N,   # cubic remainder
         ]
     )
-    return ExtensiveConstant(
-        value=terms["macroscopic"] + excess, excess=excess, terms=terms
-    )
+    return ExtensiveConstant(value=0.5 * (N - 1) * t.at_zero + excess,
+                             excess=excess)
 
 
 def e00_summand(psq: np.ndarray, vhat0: float) -> np.ndarray:

@@ -57,7 +57,8 @@ class MomentumViolation(BosegasError):
 
 
 class EigenNonConvergence(BosegasError):
-    """Iterative extremal eigensolver did not meet its residual target."""
+    """A block eigensolve of the Fock ground state failed, or its
+    eigenpair did not meet the residual target."""
 
 
 class LinearSolveNonConvergence(BosegasError):
@@ -65,7 +66,9 @@ class LinearSolveNonConvergence(BosegasError):
 
 
 class InconsistentLattice(BosegasError):
-    """Energy components were computed on different momentum lattices."""
+    """A lattice reaches beyond the ball it is read from: a sub-ball
+    beyond the cutoff, pair sums whose p + q pass the cutoff (2 K2 > K),
+    or a Fock mode set outside the tabulated ball."""
 
 
 class RejectedConfig(BosegasError):

@@ -3,23 +3,24 @@
 A small momentum mode set (closed under negation) and an occupancy cap
 define a finite zero-total-momentum sector.  The sector is enumerated
 meet-in-the-middle: each half of the modes lists its occupations as
-arrays, and the halves join on opposite momenta.  The quadratic, cubic and
-quartic channels are assembled as explicit sparse symmetric matrices
-(row-major coordinate arrays) with standard bosonic ladder rules.  The
-terms of one monomial class (slot permutations, and a monomial with its
+arrays, and the halves join on opposite momenta.  Integer rows (momenta,
+monomials) are matched by one lexicographic ranker, `_row_ids`.  Each of
+the quadratic, cubic and quartic channels is one `_assemble` call on its
+term list, which returns an explicit sparse symmetric matrix (row-major
+coordinate arrays) built with standard bosonic ladder rules.  The terms
+of one monomial class (slot permutations, and a monomial with its
 transpose) are merged first, so each class is applied once; one boolean
 screen per block of classes marks the (class, state) pairs that hold
 every annihilated mode and stay within the cap, and only those pairs
 meet the ladder operators.  The entries agree with a term-by-term loop
 over the whole basis to within the summation-rounding bound the tests
-keep.  Ground states come from the connected
-components of the operator's sparsity graph, visited in the order of
-their Gershgorin lower bounds: each visited block is diagonalized whole
-by one dense LAPACK eigensolve.  Second-order
-perturbation theory is a projected resolvent conjugate-gradient solve.
-Everything runs on numpy alone, and each solver has one path at every
-basis dimension.  None of it reuses the closed-form route it is meant
-to check.
+keep.  Ground states come from the connected components of the
+operator's sparsity graph, visited in the order of their Gershgorin
+lower bounds: each visited block is diagonalized whole by one dense
+LAPACK eigensolve.  Second-order perturbation theory is a projected
+resolvent conjugate-gradient solve.  Everything runs on numpy alone, and
+each solver has one path at every basis dimension.  None of it reuses
+the closed-form route it is meant to check.
 
 Its targets (`oracle.run_oracle`) are the report's own `E0` and
 `depletion` functions on the `RestrictedTables` of the mode set, and the
@@ -44,7 +45,8 @@ from .errors import (
 from .sums import det_sum
 
 MAX_MODES = 30
-DEFAULT_DIM_LIMIT = 2_000_000
+# most occupations either half of the modes, or the joined sector, may hold
+DIM_LIMIT = 2_000_000
 # screened (class, state) pairs per assembly block: bounds the transient
 # arrays; on the 18-mode oracle at caps 5 and 6, run_oracle measured the
 # same from 2^14 to 2^18 (medians 82-87 ms, quartiles overlapping) at the
@@ -54,6 +56,30 @@ _BLOCK = 1 << 16
 # rs_pt2's relative to max(1, |Q V gs0|)
 _EIG_RTOL = 1e-12
 _PT2_RTOL = 1e-11
+
+
+def _row_ids(rows: np.ndarray) -> np.ndarray:
+    """The rank of each row of an (n, k) integer array among its distinct
+    rows, in lexicographic order: 0, 1, ..., equal exactly when the rows
+    are equal."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.zeros(len(rows), dtype=np.int64)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids
+
+
+def _index_of(vecs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row index in the distinct (m, 3) array vecs of each integer triple
+    in points (..., 3); -1 where the triple is not a row of vecs."""
+    flat = points.reshape(-1, 3)
+    m = len(vecs)
+    ids = _row_ids(np.concatenate([vecs, flat]))
+    table = np.full(m + len(flat), -1, dtype=np.int64)
+    table[ids[:m]] = np.arange(m)
+    return table[ids[m:]].reshape(points.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -79,8 +105,7 @@ def mode_set(vectors) -> ModeSet:
     vecs = vecs[order]
     if len(vecs) > MAX_MODES:
         raise BasisTooLarge(f"{len(vecs)} modes exceeds the cap {MAX_MODES}")
-    lookup = {tuple(v): i for i, v in enumerate(vecs.tolist())}
-    neg = np.array([lookup.get(tuple(-v), -1) for v in vecs], dtype=np.int64)
+    neg = _index_of(vecs, -vecs)
     if np.any(neg < 0):
         raise ValueError("mode set is not closed under negation")
     return ModeSet(vectors=vecs, neg_index=neg)
@@ -139,18 +164,6 @@ class FockBasis:
         return out
 
 
-def _row_ids(rows: np.ndarray) -> np.ndarray:
-    """One integer per row of an (n, k) integer array, equal exactly
-    when the rows are equal."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=np.int64)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new)
-    return ids
-
-
 def _group_offsets(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., c - 1 for each count c, concatenated."""
     starts = np.cumsum(counts) - counts
@@ -173,9 +186,7 @@ def _half_sector(vecs: np.ndarray, n_max: int):
     return occ, used, P
 
 
-def build_basis(
-    modes: ModeSet, n_max: int, dim_limit: int = DEFAULT_DIM_LIMIT
-) -> FockBasis:
+def build_basis(modes: ModeSet, n_max: int) -> FockBasis:
     """Enumerate the constrained sector in deterministic lexicographic order.
 
     Meet in the middle: the modes split into two halves, each half's
@@ -183,8 +194,8 @@ def build_basis(
     state joins every right state of opposite momentum whose total fits
     the remaining cap.  One sort by the row key gives lexicographic order.
     Raises BasisTooLarge, before anything is allocated, when either half
-    holds more than dim_limit occupations (C(n_max + h, h) for h modes),
-    and when the joined sector holds more than dim_limit states.
+    holds more than DIM_LIMIT occupations (C(n_max + h, h) for h modes),
+    and when the joined sector holds more than DIM_LIMIT states.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -193,9 +204,9 @@ def build_basis(
     m = len(modes)
     h = m // 2
     for width in (h, m - h):
-        if math.comb(n_max + width, width) > dim_limit:
+        if math.comb(n_max + width, width) > DIM_LIMIT:
             raise BasisTooLarge(
-                f"{width} modes at cap {n_max} hold more than {dim_limit} "
+                f"{width} modes at cap {n_max} hold more than {DIM_LIMIT} "
                 f"occupations"
             )
     occ_l, used_l, P_l = _half_sector(modes.vectors[:h], n_max)
@@ -210,8 +221,8 @@ def build_basis(
     lo = np.searchsorted(key_r, base_l)
     hi = np.searchsorted(key_r, base_l + (n_max - used_l), side="right")
     count = hi - lo
-    if int(count.sum()) > dim_limit:
-        raise BasisTooLarge(f"sector dimension exceeds the limit {dim_limit}")
+    if int(count.sum()) > DIM_LIMIT:
+        raise BasisTooLarge(f"sector dimension exceeds the limit {DIM_LIMIT}")
     left = np.repeat(np.arange(len(lo)), count)
     right = order_r[np.repeat(lo, count) + _group_offsets(count)]
     occ = np.concatenate([occ_l[left], occ_r[right]], axis=1)
@@ -283,13 +294,34 @@ class SparseSymmetricOperator:
         return float(np.max(np.abs(d), initial=0.0))
 
 
+def _symmetrized(D: int, rows, cols, vals) -> SparseSymmetricOperator:
+    """X + X^T from the entries of X, given as lists of coordinate arrays:
+    the entries are summed per position in the order given, then each
+    position of the result receives X_ij and X_ji, so it is exactly
+    symmetric (float addition commutes); exact zeros are dropped."""
+    empty = np.zeros(0, dtype=np.intp)
+    rows, cols, vals = _coalesce(
+        np.concatenate([empty, *rows]),
+        np.concatenate([empty, *cols]),
+        np.concatenate([np.zeros(0), *vals]),
+        D,
+    )
+    rows, cols, vals = _coalesce(
+        np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+        np.concatenate([vals, vals]), D,
+    )
+    keep = vals != 0.0
+    return SparseSymmetricOperator(
+        rows=rows[keep], cols=cols[keep], vals=vals[keep], dim=D
+    )
+
+
 def _monomial_classes(create, annihilate, coeff):
-    """One row per distinct monomial of `_Assembler.add_terms`' terms:
-    (create, annihilate, coeff) with the slots of each kind in descending
-    order (empty slots last), a monomial with as many creators as
-    annihilators written as the lesser of itself and its transpose, the
-    rows ascending and each row's coefficient the sum of its terms' in
-    term order."""
+    """One row per distinct monomial of `_assemble`'s terms: (create,
+    annihilate, coeff) with the slots of each kind in descending order
+    (empty slots last), a monomial with as many creators as annihilators
+    written as the lesser of itself and its transpose, the rows ascending
+    and each row's coefficient the sum of its terms' in term order."""
     wc, wa = create.shape[1], annihilate.shape[1]
     w = max(wc, wa)
 
@@ -308,137 +340,112 @@ def _monomial_classes(create, annihilate, coeff):
             == np.count_nonzero(ann >= 0, axis=1))
     fold &= flip[at, first] < key[at, first]
     key[fold] = flip[fold]
-    classes, inverse = np.unique(key, axis=0, return_inverse=True)
-    # numpy 2.0.0 shapes the inverse (n, 1)
-    total = np.bincount(inverse.reshape(-1), weights=coeff,
-                        minlength=len(classes))
+    ids = _row_ids(key)
+    n = int(ids.max(initial=-1)) + 1
+    classes = np.empty((n, 2 * w), dtype=np.int64)
+    classes[ids] = key
+    total = np.bincount(ids, weights=coeff, minlength=n)
     # a folded row holds at most min(wc, wa) operators of each kind
     return classes[:, :wc], classes[:, w : w + wa], total
 
 
-class _Assembler:
-    """Collects half-operator entries X; the built operator is X + X^T,
-    which is symmetric exactly (float addition commutes entrywise)."""
+def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
+    """The operator X + X^T of normal-ordered monomials, one per row t:
 
-    def __init__(self, basis: FockBasis):
-        self.basis = basis
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
+        coeff[t] a+_{create[t, 0]} a+_{create[t, 1]} ...
+                 a_{annihilate[t, 0]} a_{annihilate[t, 1]} ... ,
 
-    def add_terms(self, create, annihilate, coeff):
-        """Normal-ordered monomials, one per row t:
+    with -1 marking an empty slot, plus diagonal / 2 on X's diagonal.
+    Each term is written once and its transpose supplies the h.c.; a
+    self-adjoint sum is written once at half weight.
 
-            coeff[t] a+_{create[t, 0]} a+_{create[t, 1]} ...
-                     a_{annihilate[t, 0]} a_{annihilate[t, 1]} ... ,
+    Equal monomials are applied once, as one class: operators of one
+    kind commute, so each term's creators and its annihilators are
+    sorted, and a term with as many creators as annihilators shares its
+    class with its transpose, which X + X^T sees alike.  A class carries
+    its terms' coefficients summed in term order, and the classes are
+    applied in ascending order of their slots, after the diagonal.
 
-        with -1 marking an empty slot.  The built operator is X + X^T, so
-        each term is written once and its transpose supplies the h.c.; a
-        self-adjoint sum is written once at half weight.
+    Each block of classes screens every (class, state) pair at once: a
+    state survives a class when it holds each annihilated mode at least
+    as often as the class lowers it, and the net change keeps it within
+    the cap.  The screen is read class by class, each class's states in
+    source order; each amplitude is the coefficient times one sqrt per
+    operator in the order they act.
+    """
+    create, annihilate, coeff = _monomial_classes(
+        create, annihilate, np.asarray(coeff, dtype=float))
+    live = np.nonzero(coeff != 0.0)[0]
+    occ = basis.occ
+    D, m = occ.shape
+    rows, cols, vals = [], [], []
+    if diagonal is not None:
+        rows.append(np.arange(D))
+        cols.append(np.arange(D))
+        vals.append(0.5 * np.asarray(diagonal, dtype=float))
+    n_ann = annihilate.shape[1]
+    # the ladder operators in the order they act, annihilators first
+    ops = np.concatenate([create[live], annihilate[live]], axis=1)[:, ::-1]
+    ann = ops[:, :n_ann]
+    # how often the term lowers each annihilated mode, 0 in an empty
+    # slot; a state within the cap afterwards has a total of at most
+    # room.  The narrow integer types keep the screen's compares cheap.
+    need = (ann[:, :, None] == ann[:, None, :]).sum(
+        axis=2, dtype=np.uint8) * (ann >= 0)
+    net = np.count_nonzero(ops[:, n_ann:] >= 0, axis=1) - np.count_nonzero(
+        ann >= 0, axis=1)
+    room = (basis.n_max - net).astype(np.int16)
+    used = occ.sum(axis=1, dtype=np.int16)
+    root = np.sqrt(np.arange(basis.n_max + ops.shape[1] + 1, dtype=float))
+    per = max(1, _BLOCK // D)
 
-        Equal monomials are emitted once, as one class: operators of one
-        kind commute, so each term's creators and its annihilators are
-        sorted, and a term with as many creators as annihilators shares
-        its class with its transpose, which X + X^T sees alike.  A class
-        carries its terms' coefficients summed in term order, and the
-        classes are emitted in ascending order of their slots.
+    def entries(lo):
+        """(target, source, amplitude) of the block of classes from lo;
+        its arrays are freed on return, before `_symmetrized` runs."""
+        block = slice(lo, lo + per)
+        screen = used <= room[block, None]
+        for j in range(n_ann):
+            screen &= occ.T[ann[block, j]] >= need[block, j, None]
+        t, src = np.divmod(np.flatnonzero(screen), D)
+        t += lo
+        amp = coeff[live[t]]
+        target = occ[src]
+        flat = target.reshape(-1)
+        row = np.arange(0, len(t) * m, m)
+        # a lowers after its sqrt(n), a+ raises before it
+        for i, mode in enumerate(ops[t].T):
+            on = mode >= 0
+            at = (row + mode)[on]
+            if i >= n_ann:
+                flat[at] += 1
+            amp[on] *= root[flat[at]]
+            if i < n_ann:
+                flat[at] -= 1
+        tgt = basis.lookup(target)
+        if np.any(tgt < 0):
+            raise MomentumViolation(
+                "an operator term leaves the zero-momentum sector"
+            )
+        return tgt, src, amp
 
-        Each block of classes screens every (class, state) pair at once: a
-        state survives a class when it holds each annihilated mode at
-        least as often as the class lowers it, and the net change keeps it
-        within the cap.  The screen is read class by class, each class's
-        states in source order; each amplitude is the coefficient times
-        one sqrt per operator in the order they act.
-        """
-        create, annihilate, coeff = _monomial_classes(
-            create, annihilate, np.asarray(coeff, dtype=float))
-        live = np.nonzero(coeff != 0.0)[0]
-        basis = self.basis
-        occ = basis.occ
-        D, m = occ.shape
-        n_ann = annihilate.shape[1]
-        # the ladder operators in the order they act, annihilators first
-        ops = np.concatenate([create[live], annihilate[live]], axis=1)[:, ::-1]
-        ann = ops[:, :n_ann]
-        # how often the term lowers each annihilated mode, 0 in an empty
-        # slot; a state within the cap afterwards has a total of at most
-        # room.  The narrow integer types keep the screen's compares cheap.
-        need = (ann[:, :, None] == ann[:, None, :]).sum(
-            axis=2, dtype=np.uint8) * (ann >= 0)
-        net = np.count_nonzero(ops[:, n_ann:] >= 0, axis=1) - np.count_nonzero(
-            ann >= 0, axis=1)
-        room = (basis.n_max - net).astype(np.int16)
-        used = occ.sum(axis=1, dtype=np.int16)
-        root = np.sqrt(np.arange(basis.n_max + ops.shape[1] + 1, dtype=float))
-        per = max(1, _BLOCK // D)
-        for lo in range(0, len(live), per):
-            block = slice(lo, lo + per)
-            screen = used <= room[block, None]
-            for j in range(n_ann):
-                screen &= occ.T[ann[block, j]] >= need[block, j, None]
-            t, src = np.divmod(np.flatnonzero(screen), D)
-            t += lo
-            amp = coeff[live[t]]
-            target = occ[src]
-            flat = target.reshape(-1)
-            row = np.arange(0, len(t) * m, m)
-            # a lowers after its sqrt(n), a+ raises before it
-            for i, mode in enumerate(ops[t].T):
-                on = mode >= 0
-                at = (row + mode)[on]
-                if i >= n_ann:
-                    flat[at] += 1
-                amp[on] *= root[flat[at]]
-                if i < n_ann:
-                    flat[at] -= 1
-            tgt = basis.lookup(target)
-            if np.any(tgt < 0):
-                raise MomentumViolation(
-                    "an operator term leaves the zero-momentum sector"
-                )
-            self.rows.append(tgt)
-            self.cols.append(src)
-            self.vals.append(amp)
-
-    def add_diagonal(self, diag: np.ndarray):
-        idx = np.arange(len(self.basis))
-        self.rows.append(idx)
-        self.cols.append(idx)
-        self.vals.append(0.5 * np.asarray(diag, dtype=float))
-
-    def build(self) -> SparseSymmetricOperator:
-        """X + X^T: the entries of X are summed per position, then each
-        position of the result receives X_ij and X_ji, so it is exactly
-        symmetric; exact zeros are dropped."""
-        D = len(self.basis)
-        empty = np.zeros(0, dtype=np.intp)
-        rows, cols, vals = _coalesce(
-            np.concatenate([empty, *self.rows]),
-            np.concatenate([empty, *self.cols]),
-            np.concatenate([np.zeros(0), *self.vals]),
-            D,
-        )
-        rows, cols, vals = _coalesce(
-            np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-            np.concatenate([vals, vals]), D,
-        )
-        keep = vals != 0.0
-        return SparseSymmetricOperator(
-            rows=rows[keep], cols=cols[keep], vals=vals[keep], dim=D
-        )
+    for lo in range(0, len(live), per):
+        tgt, src, amp = entries(lo)
+        rows.append(tgt)
+        cols.append(src)
+        vals.append(amp)
+    return _symmetrized(D, rows, cols, vals)
 
 
 def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricOperator:
     """sum_p F_p n_p + (1/2) sum_p G_p (a+_p a+_{-p} + a_p a_{-p})."""
-    asm = _Assembler(basis)
-    asm.add_diagonal(basis.occ.astype(float) @ np.asarray(F, dtype=float))
     m = len(basis.modes)
-    asm.add_terms(
+    return _assemble(
+        basis,
         np.stack([np.arange(m), basis.modes.neg_index], axis=1),
         np.zeros((m, 0), dtype=np.int64),
         0.5 * np.asarray(G, dtype=float),
+        diagonal=basis.occ.astype(float) @ np.asarray(F, dtype=float),
     )
-    return asm.build()
 
 
 @dataclass(frozen=True)
@@ -487,23 +494,12 @@ def restrict_tables(tables, modes: ModeSet) -> RestrictedTables:
     )
 
 
-def _index_of(modes: ModeSet, points: np.ndarray) -> np.ndarray:
-    """Mode index of each integer triple in points (..., 3); -1 where the
-    triple is not in the set."""
-    flat = points.reshape(-1, 3)
-    m = len(modes)
-    ids = _row_ids(np.concatenate([modes.vectors, flat]))
-    table = np.full(m + len(flat) + 1, -1, dtype=np.int64)
-    table[ids[:m]] = np.arange(m)
-    return table[ids[m:]].reshape(points.shape[:-1])
-
-
 def _mode_pairs(modes: ModeSet):
     """(i, j, k) rows with mode_i + mode_j = mode_k inside the set, i
     major."""
     vecs = modes.vectors
     total = vecs[:, None, :] + vecs[None, :, :]
-    k = _index_of(modes, total)
+    k = _index_of(vecs, total)
     pair = total.any(axis=-1)
     i, j = np.nonzero(pair & (k >= 0))
     return np.stack([i, j, k[i, j]], axis=1)
@@ -518,18 +514,17 @@ def build_G1tilde(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOper
 
     Triples with p + q outside the set are dropped.
     """
-    asm = _Assembler(basis)
     i, j, k = _mode_pairs(rt.modes).T
     neg = rt.modes.neg_index
     base = 1.0 / np.sqrt(rt.N) * rt.v[i] * rt.c[k] * rt.c[i]
     # each pair's two terms in turn: a+ a+ a, then a+ a+ a+
     none = np.full_like(i, -1)
-    asm.add_terms(
+    return _assemble(
+        basis,
         np.stack([k, neg[i], none, k, neg[i], neg[j]], axis=1).reshape(-1, 3),
         np.stack([j, none], axis=1).reshape(-1, 1),
         np.stack([base * rt.c[j], base * rt.s[j]], axis=1).ravel(),
     )
-    return asm.build()
 
 
 def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
@@ -541,7 +536,6 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
     with p, q, p+r, q+r in the mode set and the transfer r any nonzero
     lattice vector.
     """
-    asm = _Assembler(basis)
     vecs = rt.modes.vectors
     m = len(vecs)
     r = vecs[None, :, :] - vecs[:, None, :]          # [p, p + r]
@@ -549,17 +543,17 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
     moves = r.any(axis=-1)
     vr[moves] = rt.value_at(r[moves])
     qr = vecs[None, None, :, :] + r[:, :, None, :]   # [p, p + r, q]
-    iqr = _index_of(rt.modes, qr)
+    iqr = _index_of(vecs, qr)
     valid = moves[:, :, None] & qr.any(axis=-1)
     ip, ipr, iq = np.nonzero(valid & (iqr >= 0))
     iqr = iqr[ip, ipr, iq]
     c = rt.c
     coeff = 1.0 / (2.0 * rt.N) * vr[ip, ipr] * c[ipr] * c[iq] * c[ip] * c[iqr]
     # self-adjoint: written once at half weight
-    asm.add_terms(
-        np.stack([ipr, iq], axis=1), np.stack([ip, iqr], axis=1), 0.5 * coeff
+    return _assemble(
+        basis, np.stack([ipr, iq], axis=1), np.stack([ip, iqr], axis=1),
+        0.5 * coeff,
     )
-    return asm.build()
 
 
 def _components(op: SparseSymmetricOperator) -> np.ndarray:

@@ -11,8 +11,8 @@ excludes that term, so the (vhat * cs) convolution of
 exclude it too.  On the N-particle space the r = 0 part of the
 interaction is vhat(0)/(2N) * n(n-1) = (N-1) vhat(0)/2, a constant that
 the macroscopic and leading terms already carry; eta must solve the
-r != 0 equation to cancel the pairing term that G is built from.  Keeping the q = p term would leave vhat(0) eta_p / N uncancelled
-in G.
+r != 0 equation to cancel the pairing term that G is built from.
+Keeping the q = p term would leave vhat(0) eta_p / N uncancelled in G.
 
 Every run convolves on one cosine-transform convolver per potential table
 (`make_convolver`); the exact double loop `conv_direct` is kept as the
@@ -24,8 +24,7 @@ regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,8 +142,6 @@ class ScatteringSolution:
 
     The zero mode is fixed to eta_0 = 0 by convention; beyond the cutoff
     the first Born term serves as the tail rule (see `eta_tail`).
-    `convolve` is the solver's convolver on `table`, kept so the table
-    build reuses it instead of setting up another.
     """
 
     table: ScaledPotentialTable
@@ -152,7 +149,6 @@ class ScatteringSolution:
     tol: float
     iterations: int
     residual_norm: float
-    convolve: Callable = field(repr=False, compare=False)
 
     @property
     def lattice(self) -> LatticeBall:
@@ -208,7 +204,6 @@ def solve_eta(
         tol=tol,
         iterations=it,
         residual_norm=best_res,
-        convolve=convolve,
     )
 
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ import bosegas
 from bosegas.cli import main
 from bosegas.config import OracleConfig, RunConfig, parse_config
 from bosegas.errors import RejectedConfig
-from bosegas.fock import _Assembler
+from bosegas.fock import _assemble
 from bosegas.reporting import csv_header
 from bosegas.verify import run_verify
 
@@ -375,7 +376,8 @@ class TestVerify:
         # mutant: the Fock cubic channel is the zero operator
         monkeypatch.setattr(
             "bosegas.oracle.build_G1tilde",
-            lambda basis, rt: _Assembler(basis).build(),
+            lambda basis, rt: _assemble(
+                basis, np.zeros((0, 1), int), np.zeros((0, 1), int), []),
         )
         cfg = parse_config(dict(BASE, N=10**4, cutoff_K_over_2pi=4))
         failed = [c.name for c in run_verify(cfg) if not c.passed]
@@ -480,11 +482,15 @@ def child_env(blas_threads=None):
 
 
 class TestImports:
-    """No command imports scipy.  The CLI caps OpenBLAS at one thread
-    unless the caller sets it."""
+    """No command imports scipy, and `energy` and `scan` load none of the
+    modules `verify` and `oracle` import when they run.  The CLI caps
+    OpenBLAS at one thread unless the caller sets it."""
 
-    @staticmethod
-    def run_child(tmp_path, command, blas_threads=None, **overrides):
+    LAZY = ("bosegas.fock", "bosegas.oracle", "bosegas.verify")
+
+    @classmethod
+    def run_child(cls, tmp_path, command, blas_threads=None, **overrides):
+        """[exit code, scipy loaded, thread count, lazy modules loaded]."""
         path = write_config(tmp_path, **overrides)
         out = str(tmp_path / "out.txt")
         code = (
@@ -493,7 +499,8 @@ class TestImports:
             f"rc = main([{command!r}, '--config', {path!r}, '--out', {out!r}])\n"
             "tasks = '/proc/self/task'\n"
             "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
-            "print(json.dumps([rc, 'scipy' in sys.modules, threads]))\n"
+            f"lazy = [m for m in {cls.LAZY!r} if m in sys.modules]\n"
+            "print(json.dumps([rc, 'scipy' in sys.modules, threads, lazy]))\n"
         )
         res = subprocess.run(
             [sys.executable, "-c", code], env=child_env(blas_threads),
@@ -501,21 +508,24 @@ class TestImports:
         )
         return json.loads(res.stdout.splitlines()[-1])
 
-    @pytest.mark.parametrize("command, overrides", [
-        ("energy", {}),
-        ("scan", {"N": [300, 600]}),
-        ("verify", {}),
-        ("oracle", {"oracle": {"modes": {"nsq_max": 1}, "n_max": [3]}}),
+    @pytest.mark.parametrize("command, overrides, lazy", [
+        ("energy", {}, []),
+        ("scan", {"N": [300, 600]}, []),
+        ("verify", {}, list(LAZY)),
+        ("oracle", {"oracle": {"modes": {"nsq_max": 1}, "n_max": [3]}},
+         list(LAZY[:2])),
     ], ids=["energy", "scan", "verify", "oracle"])
-    def test_loads_no_scipy(self, tmp_path, command, overrides):
-        rc, scipy_loaded, _ = self.run_child(tmp_path, command, **overrides)
+    def test_loads_no_scipy(self, tmp_path, command, overrides, lazy):
+        rc, scipy_loaded, _, loaded = self.run_child(tmp_path, command,
+                                                     **overrides)
         assert rc == 0
         assert not scipy_loaded
+        assert loaded == lazy
 
     @pytest.mark.skipif(not HAS_PROC_TASKS, reason="no /proc/self/task")
     @pytest.mark.parametrize("command", ["energy", "oracle"])
     def test_one_thread_by_default(self, tmp_path, command):
-        rc, _, threads = self.run_child(
+        rc, _, threads, _ = self.run_child(
             tmp_path, command, oracle={"modes": {"nsq_max": 1}, "n_max": [3]}
         )
         assert rc == 0
@@ -524,7 +534,7 @@ class TestImports:
     @pytest.mark.skipif(not HAS_PROC_TASKS, reason="no /proc/self/task")
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core")
     def test_caller_thread_count_kept(self, tmp_path):
-        rc, _, threads = self.run_child(tmp_path, "energy", blas_threads=2)
+        rc, _, threads, _ = self.run_child(tmp_path, "energy", blas_threads=2)
         assert rc == 0
         assert threads > 1
 

@@ -17,8 +17,10 @@ from bosegas.errors import (
 from bosegas.fock import (
     RestrictedTables,
     SparseSymmetricOperator,
-    _Assembler,
+    _assemble,
     _cg,
+    _row_ids,
+    _symmetrized,
     build_basis,
     build_G0,
     build_G1tilde,
@@ -93,7 +95,20 @@ def ref_basis_occ(modes, n_max):
     return np.frombuffer(b"".join(out), dtype=np.uint8).reshape(len(out), m)
 
 
-class RefAssembler(_Assembler):
+class RefAssembler:
+    """Collects the entries of X term by term; `build` forms X + X^T as
+    the builders do."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add_diagonal(self, diag):
+        idx = np.arange(len(self.basis))
+        self.rows.append(idx)
+        self.cols.append(idx)
+        self.vals.append(0.5 * np.asarray(diag, dtype=float))
+
     def apply_term(self, ops, coeff):
         if coeff == 0.0:
             return
@@ -117,6 +132,9 @@ class RefAssembler(_Assembler):
         self.rows.append(tgt)
         self.cols.append(np.nonzero(alive)[0])
         self.vals.append(amp[alive])
+
+    def build(self):
+        return _symmetrized(len(self.basis), self.rows, self.cols, self.vals)
 
 
 def monomial_class(ops):
@@ -244,19 +262,23 @@ class TestBasis:
         mom = b.occ.astype(np.int64) @ b.modes.vectors
         assert not mom.any()
 
-    def test_dimension_limit(self):
+    def test_dimension_limit(self, monkeypatch):
+        monkeypatch.setattr(fock, "DIM_LIMIT", 100)
         with pytest.raises(BasisTooLarge):
-            build_basis(shell_modes(2), 9, dim_limit=100)
+            build_basis(shell_modes(2), 9)
 
-    def test_dimension_limit_on_the_joined_sector(self):
+    def test_dimension_limit_on_the_joined_sector(self, monkeypatch):
         # each three-mode half holds C(43, 3) = 12,341 occupations at cap
         # 40, the sector 12,453 states
         modes = mode_set(CLOSED_SET)
-        assert len(build_basis(modes, 40, dim_limit=12_453)) == 12_453
+        monkeypatch.setattr(fock, "DIM_LIMIT", 12_453)
+        assert len(build_basis(modes, 40)) == 12_453
+        monkeypatch.setattr(fock, "DIM_LIMIT", 12_452)
         with pytest.raises(BasisTooLarge):
-            build_basis(modes, 40, dim_limit=12_452)
+            build_basis(modes, 40)
+        monkeypatch.setattr(fock, "DIM_LIMIT", 12_340)
         with pytest.raises(BasisTooLarge):
-            build_basis(modes, 40, dim_limit=12_340)
+            build_basis(modes, 40)
 
     @pytest.mark.parametrize("vectors", [
         [], [(1, 0, 0), (-1, 0, 0)], CLOSED_SET,
@@ -291,6 +313,20 @@ class TestBasis:
         a = build_basis(mode_set(CLOSED_SET), 6)
         b = build_basis(mode_set(CLOSED_SET), 6)
         assert np.array_equal(a.occ, b.occ)
+
+    def test_row_ids_rank_rows_lexicographically(self):
+        rows = np.array([[0, -1, 2], [-2, 5, -1], [0, -1, 2], [-1, -1, -1],
+                         [3, -7, 0], [-2, 4, 9], [-1, -1, -1], [0, -1, -2]])
+        ranked = sorted(set(map(tuple, rows.tolist())))
+        assert _row_ids(rows).tolist() == [ranked.index(r)
+                                           for r in map(tuple, rows.tolist())]
+        assert _row_ids(np.zeros((0, 3), dtype=np.int64)).tolist() == []
+
+    def test_negation_index(self):
+        modes = mode_set(CLOSED_SET)
+        assert np.array_equal(modes.vectors[modes.neg_index], -modes.vectors)
+        with pytest.raises(ValueError, match="negation"):
+            mode_set([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
 
 
 class TestQuadratic:
@@ -680,10 +716,8 @@ class TestAssemblyReference:
             (-1, 0, 0), (0, -1, 0)])
 
         def built(create, annihilate, coeff):
-            asm = _Assembler(b)
-            asm.add_terms(np.array(create), np.array(annihilate),
-                          np.array(coeff))
-            return asm.build()
+            return _assemble(b, np.array(create), np.array(annihilate),
+                             np.array(coeff))
 
         split = [0.5, -0.25, 1.0, 0.125, 2.0, -0.75, 0.0625, 0.5, 0.375]
         # a+_x a+_y a_z a_w (x + y = z + w), its swaps and its transpose
@@ -710,10 +744,16 @@ class TestAssemblyReference:
         # a+_x a+_x takes the vacuum to total momentum 2x
         b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 4)
         x = int(np.nonzero(b.modes.vectors[:, 0] == 1)[0][0])
-        asm = _Assembler(b)
         with pytest.raises(MomentumViolation):
-            asm.add_terms(np.array([[x, x]]), np.zeros((1, 0), dtype=np.int64),
-                          np.array([1.0]))
+            _assemble(b, np.array([[x, x]]), np.zeros((1, 0), dtype=np.int64),
+                      np.array([1.0]))
+
+    def test_no_terms_build_the_zero_operator(self):
+        b = build_basis(mode_set(CLOSED_SET), 4)
+        none = np.zeros((0, 2), dtype=np.int64)
+        op = _assemble(b, none, none, np.zeros(0))
+        assert op.dim == len(b) > 1
+        assert op.nnz == 0
 
 
 @pytest.fixture(scope="module")
