@@ -57,12 +57,10 @@ class MomentumViolation(BosegasError):
 
 
 class EigenNonConvergence(BosegasError):
-    """A block eigensolve of the Fock ground state failed, or its
-    eigenpair did not meet the residual target."""
-
-
-class LinearSolveNonConvergence(BosegasError):
-    """Projected resolvent linear system did not meet its residual target."""
+    """A dense block eigensolve of a Fock operator failed, or a result
+    built on those spectra did not hold: the ground eigenpair missed its
+    residual target, or the second-order resolvent met a level not above
+    E0 or missed its residual target."""
 
 
 class InconsistentLattice(BosegasError):

@@ -11,14 +11,13 @@ from bosegas import fock
 from bosegas.errors import (
     BasisTooLarge,
     EigenNonConvergence,
-    LinearSolveNonConvergence,
     MomentumViolation,
 )
 from bosegas.fock import (
     RestrictedTables,
     SparseSymmetricOperator,
     _assemble,
-    _cg,
+    _components,
     _row_ids,
     _symmetrized,
     build_basis,
@@ -511,26 +510,70 @@ class TestRsPt2:
             e0, gs = ground_state(g0)
             assert rs_pt2(g0, v, e0, gs) <= 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_level_at_e0_raises(self):
+        # the second state is its own component, with the ground energy
+        g0 = SparseSymmetricOperator.from_dense(np.diag([0.0, 0.0]))
+        v = SparseSymmetricOperator.from_dense(np.array([[0.0, 0.3], [0.3, 0.0]]))
+        e0, gs = ground_state(g0)
+        with pytest.raises(EigenNonConvergence):
+            rs_pt2(g0, v, e0, gs)
 
-class TestConjugateGradient:
+    @pytest.mark.filterwarnings("error")
+    def test_nan_perturbation_raises(self):
+        g0 = SparseSymmetricOperator.from_dense(np.diag([0.0, 1.7]))
+        v = SparseSymmetricOperator.from_dense(
+            np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        e0, gs = ground_state(g0)
+        with pytest.raises(EigenNonConvergence):
+            rs_pt2(g0, v, e0, gs)
+
     @staticmethod
-    def system():
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(30, 30))
-        return X @ X.T + np.eye(30), rng.normal(size=30)
+    def assert_matches_dense(g0, v):
+        """rs_pt2 against -w^T pinv(G0 - E0) w, gs0's level removed, from
+        one eigh of the whole dense G0.  The bound is the residual gate's,
+        |w| rtol max(1, |w|) / (smallest kept gap), plus the reference's
+        rounding, D eps (spread / gap) sum |terms|."""
+        e0, gs = ground_state(g0)
+        val = rs_pt2(g0, v, e0, gs)
+        w = v @ gs
+        w = w - (gs @ w) * gs
+        lam, U = np.linalg.eigh(g0.toarray())
+        kept = np.arange(len(lam)) != np.argmax(np.abs(U.T @ gs))
+        gap = lam[kept] - e0
+        terms = (U[:, kept].T @ w) ** 2 / gap
+        ref = -terms.sum()
+        wn = np.linalg.norm(w)
+        bound = wn * fock._PT2_RTOL * max(1.0, wn) / gap.min()
+        bound += len(lam) * np.finfo(float).eps * (
+            gap.max() / gap.min()) * np.abs(terms).sum()
+        assert abs(val - ref) <= bound
+        return gs, w
 
-    def test_matches_scipy_cg(self):
-        from scipy.sparse.linalg import cg
+    @pytest.mark.parametrize("n_max", [5, 6])
+    def test_matches_dense_at_oracle_coupling(self, rt_oracle, n_max):
+        basis = build_basis(rt_oracle.modes, n_max)
+        g0 = build_G0(basis, rt_oracle.F, rt_oracle.G)
+        gs, w = self.assert_matches_dense(g0, build_G1tilde(basis, rt_oracle))
+        comp = _components(g0)
+        reached = np.unique(comp[w != 0])
+        assert len(reached) > 1
+        assert comp[np.argmax(np.abs(gs))] not in reached
 
-        A, b = self.system()
-        ref, info = cg(A, b, rtol=1e-13, atol=0.0, maxiter=5000)
-        assert info == 0
-        assert np.array_equal(_cg(lambda x: A @ x, b, 1e-13, 5000), ref)
-
-    def test_step_limit_raises(self):
-        A, b = self.system()
-        with pytest.raises(LinearSolveNonConvergence):
-            _cg(lambda x: A @ x, b, 1e-13, 3)
+    def test_matches_dense_interleaved_components(self):
+        # state i in component i % 3; V couples every pair of states,
+        # inside gs0's component too
+        rng = np.random.default_rng(24)
+        label = np.arange(24) % 3
+        A = rng.normal(size=(24, 24))
+        A = (A + A.T) * (label[:, None] == label[None, :])
+        B = rng.normal(size=(24, 24))
+        g0 = SparseSymmetricOperator.from_dense(A)
+        gs, w = self.assert_matches_dense(
+            g0, SparseSymmetricOperator.from_dense(B + B.T))
+        comp = _components(g0)
+        assert np.array_equal(comp, label)
+        assert np.array_equal(np.unique(comp[w != 0]), [0, 1, 2])
 
 
 class TestCubicChannel:
