@@ -81,46 +81,45 @@ def c_constant(tables: BogoliubovTables) -> CConstants:
 
 
 class _PairContext:
-    """The K2-ball vertex factors of the cubic pair sum, read through the
-    K ball's own grid.
+    """The K2-ball of the cubic pair sum in cubic-orbit order, with each
+    p + q read through the K ball's own grid.
 
     `sub` is the K2 sub-table (`ScaledPotentialTable.sub_table`, which
-    rejects K2 beyond the tables' cutoff); its lattice gives the points,
-    M2 and each point's negation.  For p, q in the K2-ball,
-    |p + q|^2 <= 4 max |n|^2(K2), a prefix of the K ball of M4 points
-    (InconsistentLattice when it is not inside the K ball, i.e. 2 K2 > K
-    up to shells).  `ball` holds the rows (X, Y, P, Q, vX, vY) of
-    `vertex_factors` and the dispersion e on that prefix, plus a last
-    zero column; `fac` is its K2 part.  The K ball's dense grid `grid`
-    maps p_i + q_j, at `base[i] + flat[j]`, to its index, and to -1 at
-    p + q = 0, which reads the zero column; so a row of the pair sum
-    reads all its p + q with one two-level gather.  The row zeroes its
-    term at q = -p_i (`neg[i]`).
+    rejects K2 beyond the tables' cutoff); its lattice gives the points and
+    M2.  `order` lists them by cubic orbit (a stable argsort of `orbit`),
+    so each orbit is one run that starts at its first member, and every
+    array below is in that order: `fac` holds the rows (X, Y, P, Q, vX,
+    vY) of `vertex_factors` and the dispersion e, `neg[i]` the position of
+    -p_i.  For p, q in the K2-ball, |p + q|^2 <= 4 max |n|^2(K2) lies
+    inside the K ball unless 2 K2 > K up to shells, which raises
+    InconsistentLattice: the gather would read wrong entries, not fail.
+    The K ball's dense grid `grid` maps p_i + q_j, at `base[i] + flat[j]`,
+    to its index in the K ball's `tables`, and to -1 at j = neg[i]; -1
+    reads their last entry, a real one, and the row zeroes that term.
     """
 
     def __init__(self, tables: BogoliubovTables, K2: float):
         lat = tables.lattice
+        self.tables = tables
         self.sub = tables.table.sub_table(K2)
         sub_lat = self.sub.lattice
         self.M2 = len(sub_lat)
-        nsq4 = 4 * _nsq_max(K2)
-        if nsq4 > _nsq_max(lat.cutoff_K):
+        if 4 * _nsq_max(K2) > _nsq_max(lat.cutoff_K):
             raise InconsistentLattice(
                 f"pair sums at K2 = {K2} reach |p + q| = 2 K2 beyond the "
                 f"cutoff {lat.cutoff_K}"
             )
-        M4 = int(np.searchsorted(lat.nsq, nsq4, side="right"))
-        self.ball = np.zeros((7, M4 + 1))
-        np.stack([
-            *vertex_factors(tables.table.values[:M4], tables.c[:M4],
-                            tables.s[:M4], tables.ct[:M4], tables.st[:M4]),
-            tables.e[:M4],
-        ], out=self.ball[:, :M4])
-        self.fac = self.ball[:, : self.M2]
-        self.neg = sub_lat.negation_index()
+        o = self.order = np.argsort(sub_lat.orbit, kind="stable")
+        self.neg = np.argsort(o)[sub_lat.negation_index()[o]]
+        # the K2 points are the K ball's first M2, so o indexes its tables
+        self.fac = np.stack([
+            *vertex_factors(tables.table.values[o], tables.c[o], tables.s[o],
+                            tables.ct[o], tables.st[o]),
+            tables.e[o],
+        ])
         self.grid = lat._grid
         side = 2 * lat._L + 1
-        self.flat = sub_lat.points @ np.array([side * side, side, 1], dtype=np.int64)
+        self.flat = sub_lat.points[o] @ np.array([side * side, side, 1], dtype=np.int64)
         self.base = self.flat + len(self.grid) // 2  # the center is p + q = 0
 
 
@@ -156,11 +155,17 @@ def symmetrized_vertex(fa, fb, fc):
 
 
 def _f_rows(ctx: _PairContext, i: int):
-    """f(p_i, q) for all q in the K2-ball, zero at q = -p_i, and e(p_i + q)."""
-    *fpq, epq = ctx.ball[:, ctx.grid[ctx.base[i] + ctx.flat]]
-    f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6], fpq)
-    f[ctx.neg[i]] = 0.0
-    return f, epq
+    """f(p, q) and e(p + q) for the point p at orbit-order position i and
+    every q from position i on, f zero at q = -p.  The p + q slot gathers
+    the K ball's tables and takes its `vertex_factors` on the gather."""
+    idx = ctx.grid[ctx.base[i] + ctx.flat[i:]]
+    tb = ctx.tables
+    fpq = vertex_factors(tb.table.values[idx], tb.c[idx], tb.s[idx],
+                         tb.ct[idx], tb.st[idx])
+    f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6, i:], fpq)
+    if ctx.neg[i] >= i:
+        f[ctx.neg[i] - i] = 0.0
+    return f, tb.e[idx]
 
 
 def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
@@ -175,10 +180,14 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
 
     The tables are constant on cubic orbits (checked) and the K2-ball is a
     union of whole orbits, so the q-sum of row p depends on p's orbit
-    only: its terms are those of any other member, permuted.  One row per
-    orbit is summed exactly, and the rows, each repeated by its orbit
-    size, are summed exactly again: the result is bitwise the full row
-    sum.
+    only, and the summand is symmetric in p <-> q.  So one row per orbit
+    k, at its first member, runs over the q of orbits >= k only, the terms
+    of orbits > k doubled (exactly); the rows, each summed exactly and
+    repeated by its orbit size, are summed exactly again.  Every summand
+    is bitwise a term of the full row sum, or twice one; the result is
+    within a few ulps of that sum's exact value, as each row and the total
+    are rounded once and the computed summand is symmetric only up to its
+    own rounding.
     """
     ctx = _PairContext(tables, K2)
     lat = tables.lattice
@@ -188,16 +197,18 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
             raise NotCubicInvariant(
                 f"table {name} varies within a cubic orbit by {gap:.3e}"
             )
-    reps = ctx.sub.lattice.orbit_first
     sizes = ctx.sub.lattice.orbit_size
+    starts = np.cumsum(sizes) - sizes
+    e = ctx.fac[6]
 
     def row(k: int) -> float:
-        i = int(reps[k])
+        i = int(starts[k])
         f, epq = _f_rows(ctx, i)
-        e = ctx.fac[6]
-        return det_sum(f * f / (epq + e[i] + e))
+        t = f * f / (epq + e[i] + e[i:])
+        t[sizes[k]:] *= 2.0
+        return det_sum(t)
 
-    rows = det_rows(row, len(reps))
+    rows = det_rows(row, len(sizes))
     ball = -(6.0 / tables.N) * det_sum(np.repeat(rows, sizes))
     t2x = born2_sum(ctx.sub).tail
     tail = det_sum(pair_weight(tables)) * (-t2x / (2.0 * tables.N))

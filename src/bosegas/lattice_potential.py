@@ -199,19 +199,24 @@ def _nsq_max(K: float) -> int:
 
 
 def enumerate_lattice(K: float) -> LatticeBall:
-    """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K."""
+    """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K.
+
+    |n|^2 on the cube [-L, L]^3 is a broadcast sum of three squared axes,
+    its kept flat indices run in lexicographic order of n, and a stable
+    sort on |n|^2 puts them in the canonical order before they are
+    unravelled into points."""
     nsq_max = _nsq_max(K)
     L = math.isqrt(nsq_max)
-    axis = np.arange(-L, L + 1, dtype=np.int64)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    pts = grid.reshape(-1, 3)
-    nsq = np.sum(pts * pts, axis=1)
-    keep = (nsq > 0) & (nsq <= nsq_max)
-    pts, nsq = pts[keep], nsq[keep]
-    # the meshgrid rows are in lexicographic order already, so a stable
-    # sort on |n|^2 gives the canonical order
+    sq = np.arange(-L, L + 1, dtype=np.int64) ** 2
+    nsq = (sq[:, None, None] + sq[:, None] + sq).ravel()
+    flat = np.flatnonzero((nsq > 0) & (nsq <= nsq_max))
+    nsq = nsq[flat]
     order = np.argsort(nsq, kind="stable")
-    return _ball(K, pts[order], nsq[order], L)
+    flat, nsq = flat[order], nsq[order]
+    side = 2 * L + 1
+    pts = np.stack(np.unravel_index(flat, (side, side, side)), axis=1)
+    pts -= L
+    return _ball(K, pts, nsq, L)
 
 
 def _ball(K: float, pts: np.ndarray, nsq: np.ndarray, L: int) -> LatticeBall:

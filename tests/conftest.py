@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,15 @@ def brute_count(radius_n: float) -> int:
                 if 0 < n2 <= radius_n * radius_n + 1e-9:
                     c += 1
     return c
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that fn(*args) allocates above what was allocated before
+    it, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +24,13 @@ from bosegas.pipeline import run_tables
 from bosegas.scattering import solve_eta
 from bosegas.sums import det_sum
 
+from conftest import traced_peak
+
 # convolution pair sums against their explicit row loops: a few ulps of
 # FFT rounding, relative to the sum
 CONV_RTOL = 1e-13
+# unit roundoff of a double
+U = 2.0**-53
 
 
 @pytest.fixture(scope="module")
@@ -53,23 +56,33 @@ G2_CASES = [
 ]
 
 
-def e_pert_tilde_row_loop(tb, K2):
-    """Reference: the ball part of e_pert_tilde with one row per point."""
-    ctx = _PairContext(tb, K2)
-    e = ctx.fac[6]
-    rows = []
-    for i in range(ctx.M2):
-        f, epq = _f_rows(ctx, i)
-        rows.append(det_sum(f * f / (epq + e[i] + e)))
-    return -(6.0 / tb.N) * det_sum(rows)
+def pair_terms(tb, K2):
+    """Reference: the M2 x M2 summands f(p, q)^2 / (e(p+q) + e(p) + e(q))
+    of e_pert_tilde's ball part, row p and column q in canonical order,
+    zero at q = -p; every slot's factors are read by lattice lookup."""
+    lat = tb.lattice
+    M2 = len(lat.sub_ball(K2))
+    pts = lat.points[:M2]
+    fac = np.stack(vertex_factors(tb.table.values, tb.c, tb.s, tb.ct, tb.st))
+    terms = np.empty((M2, M2))
+    for i in range(M2):
+        k = lat.lookup(pts[i] + pts)
+        f = symmetrized_vertex(fac[:, i], fac[:, :M2], fac[:, k])
+        terms[i] = f * f / (tb.e[k] + tb.e[i] + tb.e[:M2])
+        terms[i, k < 0] = 0.0
+    return terms
 
 
 def f_pq(tb, K2, p, q):
-    """The vertex f(p, q) for p, q in the K2-ball, read from the
-    `_f_rows` row of p, the code that e_pert_tilde runs."""
-    ip, iq = tb.lattice.lookup(np.array([p, q]))
-    f, _ = _f_rows(_PairContext(tb, K2), ip)
-    return float(f[iq])
+    """The vertex f(p, q) for p, q in the K2-ball, read from a `_f_rows`
+    row, the code that e_pert_tilde runs.  A row holds the q from its own
+    orbit-order position on, so a q before p is read in the row of q, as
+    f(q, p)."""
+    ctx = _PairContext(tb, K2)
+    ip, iq = np.argsort(ctx.order)[tb.lattice.lookup(np.array([p, q]))]
+    ip, iq = min(ip, iq), max(ip, iq)
+    f, _ = _f_rows(ctx, int(ip))
+    return float(f[iq - ip])
 
 
 def _g_vertex(sp1, sp2, sp3):
@@ -114,25 +127,37 @@ def factored_vertex(slot_p, slot_q, slot_pq):
 class TestPairContext:
     @pytest.mark.parametrize("k2_units", [3.0, 2.0])
     def test_rows_read_p_plus_q_through_the_ball_grid(self, tables_small, k2_units):
-        # every p + q lies in the prefix |n|^2 <= 4 max |n|^2(K2) of the
-        # radius-6 ball (all of it at K2 = K/2, as at the reference point),
-        # and p + q = 0 reads the zero column
+        # the K2 points run by cubic orbit, each orbit one run from its
+        # first member; every p + q lies in the radius-6 ball (all of it
+        # at K2 = K/2, as at the reference point) and reads its index
+        # there, -1 only at q = -p_i; a row gathers the ball's own tables
+        # at those indices, the -1 included, and zeroes that term
         tb = tables_small
         lat = tb.lattice
-        ctx = _PairContext(tb, TWO_PI * k2_units)
-        ball = np.stack([
+        K2 = TWO_PI * k2_units
+        ctx = _PairContext(tb, K2)
+        sub = lat.sub_ball(K2)
+        order = ctx.order
+        assert np.array_equal(np.sort(order), np.arange(ctx.M2))
+        runs = sub.orbit[order]
+        assert np.all(np.diff(runs) >= 0)
+        assert np.array_equal(order[np.flatnonzero(np.diff(runs, prepend=-1))],
+                              sub.orbit_first)
+        fac = np.stack([
             *vertex_factors(tb.table.values, tb.c, tb.s, tb.ct, tb.st), tb.e
         ])
-        M4 = int(np.sum(lat.nsq <= 4 * k2_units**2))
-        assert ctx.ball.shape == (7, M4 + 1)
-        assert np.array_equal(ctx.ball[:, :-1], ball[:, :M4])
-        assert np.all(ctx.ball[:, -1] == 0.0)
-        assert np.array_equal(ctx.fac, ball[:, : ctx.M2])
-        pts = lat.points[: ctx.M2]
+        assert np.array_equal(ctx.fac, fac[:, order])
+        pts = lat.points[order]
         for i in range(ctx.M2):
             idx = ctx.grid[ctx.base[i] + ctx.flat]
             assert np.array_equal(idx, lat.lookup(pts[i] + pts))
             assert np.array_equal(np.flatnonzero(idx < 0), [ctx.neg[i]])
+            k = idx[i:]
+            f, epq = _f_rows(ctx, i)
+            ref = symmetrized_vertex(fac[:6, order[i]], fac[:6, order[i:]], fac[:6, k])
+            ref[k < 0] = 0.0
+            assert np.array_equal(f, ref)
+            assert np.array_equal(epq, tb.e[k])
 
 
 class TestVertex:
@@ -244,10 +269,29 @@ class TestEPertTilde:
         assert res.ball == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("fixture, k2_units", PAIR_CASES)
-    def test_orbit_rows_equal_full_row_loop(self, request, fixture, k2_units):
+    def test_orbit_rows_within_rounding_of_exact_sum(self, request, fixture, k2_units):
+        # The reference is the exactly rounded sum E of all M2^2 row-loop
+        # terms S, scaled by -6/N.  Every term e_pert_tilde adds is one of
+        # those S, bitwise, or twice one.  The fold takes the block of
+        # orbit pair (l, k), l > k, as that of (k, l); the two differ by
+        # the rounding asymmetry of S(p, q) against S(q, p) alone, at most
+        # A = sum_{p,q} |S(p, q) - S(q, p)| / 2 in all.  The rows (sums of
+        # nonnegative terms) are rounded once each and their weighted sum
+        # once (2u (E + A)); E and both scalings are rounded once each
+        # (3u (E + A)).  So |ball - exact| <= (6/N) (5u (E + A) + A) to
+        # first order in u = 2^-53; a sixth u covers the second order.
+        # The per-point row loop, unfolded, is within the same bound.
         tb = request.getfixturevalue(fixture)
         K2 = TWO_PI * k2_units
-        assert e_pert_tilde(tb, K2).ball == e_pert_tilde_row_loop(tb, K2)
+        terms = pair_terms(tb, K2)
+        scale = -(6.0 / tb.N)
+        total = math.fsum(terms.ravel())
+        asym = math.fsum(np.abs(terms - terms.T).ravel()) / 2.0
+        bound = abs(scale) * (6.0 * U * (total + asym) + asym)
+        exact = scale * total
+        assert abs(e_pert_tilde(tb, K2).ball - exact) <= bound
+        row_loop = scale * det_sum([det_sum(row) for row in terms])
+        assert abs(row_loop - exact) <= bound
 
     def test_tables_not_cubic_invariant_rejected(self, tables_small):
         from dataclasses import replace
@@ -259,9 +303,9 @@ class TestEPertTilde:
 
 
 class TestEPertTildeMemory:
-    """The cubic pair sum allocates one table of the K-ball factors, on
-    the prefix where p + q lies, and per-row temporaries; nothing of the
-    size of the (4 L2 + 1)^3 offset cube."""
+    """The cubic pair sum keeps the K2 ball's factors in orbit order and
+    per-row temporaries; it allocates no table of the K-ball factors and
+    nothing of the size of the (4 L2 + 1)^3 offset cube."""
 
     @pytest.fixture(scope="class")
     def energy_ref_tables(self):
@@ -271,6 +315,7 @@ class TestEPertTildeMemory:
         return run_tables(cfg, cfg.N)[0], cfg.cutoff_K2
 
     def test_peak_below_table_bound(self, energy_ref_tables):
+        # the ceiling of the K-ball factor table that rows once gathered:
         # table T = 7 (M4 + 1) doubles (M4 = M = 33,400 here: 1.87 MB);
         # while it is filled, the six factor rows and one product in
         # flight are at most another T; a row holds its index, its 7-row
@@ -281,14 +326,24 @@ class TestEPertTildeMemory:
         M4 = len(tables.lattice)
         M2 = len(tables.lattice.sub_ball(K2))
         bound = 8 * (2 * 7 * (M4 + 1) + 24 * M2)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            e_pert_tilde(tables, K2)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        assert traced_peak(e_pert_tilde, tables, K2) < bound
+
+    def test_peak_below_row_bound(self, energy_ref_tables):
+        # what stays allocated is the pair context: `fac` (7 rows),
+        # `order`, `neg`, `flat`, `base` and the K2 sub-ball's orbit ids,
+        # 12 M2 values, and the sub-ball's dense grid, (2 L2 + 1)^3 int64.
+        # On top of it runs one transient at a time: the cubic-invariance
+        # check's or the pair weight's two K-ball temporaries (2 M), or a
+        # row's index, six gathers, factors and vertex temporaries, or the
+        # context's own build (each under 24 M2).  So the peak stays below
+        # 12 M2 + (2 L2 + 1)^3 + max(2 M, 24 M2) values: 1.27 MB at
+        # M = 33,400, M2 = 4,168 and L2 = 10.
+        tables, K2 = energy_ref_tables
+        M = len(tables.lattice)
+        sub = tables.lattice.sub_ball(K2)
+        M2 = len(sub)
+        bound = 8 * (12 * M2 + (2 * sub._L + 1) ** 3 + max(2 * M, 24 * M2))
+        assert traced_peak(e_pert_tilde, tables, K2) < bound
 
 
 class TestG2Expectation:

@@ -22,7 +22,7 @@ from bosegas.lattice_potential import (
 )
 from bosegas.sums import det_sum
 
-from conftest import brute_count
+from conftest import brute_count, traced_peak
 
 
 class TestEnumerate:
@@ -40,6 +40,22 @@ class TestEnumerate:
         lat = enumerate_lattice(TWO_PI * 10)
         assert len(lat) == 4168
         assert len(lat) == brute_count(10.0)
+
+    def test_peak_below_point_arrays_bound(self):
+        # at K = 40 pi (L = 20, side = 41, M = 33,400) the peak is in the
+        # cubic-orbit numbering, with live: the kept flat indices, their
+        # sort order and |n|^2 (M each) and the points (3 M); the ball's
+        # dense grid (side^3) and shifted points (3 M); the sorted |n|
+        # components (3 M) and the orbit key (M); np.unique's flattened
+        # copy, sort permutation, sorted copy, running count and its
+        # shift or the inverse (5 M), its mask and per-orbit outputs
+        # (under 2 M).  So the peak stays below side^3 + 20 M int64,
+        # 5.90 MB.  The broadcast |n|^2 cube (side^3) is freed before;
+        # the stacked meshgrid and its square peaked at 7.95 MB.
+        K = TWO_PI * 20
+        lat = enumerate_lattice(K)
+        bound = 8 * ((2 * lat._L + 1) ** 3 + 20 * len(lat))
+        assert traced_peak(enumerate_lattice, K) < bound
 
     def test_too_small(self):
         with pytest.raises(CutoffTooSmall):
