@@ -10,7 +10,6 @@ order-one / order-N^(beta-1) vacuum-energy terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -79,8 +78,7 @@ def dispersion(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.sqrt((F - G) * (F + G))
 
 
-@dataclass(frozen=True)
-class BogoliubovTables:
+class BogoliubovTables(NamedTuple):
     """All per-momentum tables of one solution, aligned with its lattice.
 
     Every table is bitwise constant on cubic orbits, as the convolver's
@@ -97,7 +95,7 @@ class BogoliubovTables:
     st: np.ndarray          # sinh(tau)
     ct: np.ndarray          # cosh(tau)
     e: np.ndarray           # dispersion
-    warnings: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
 
     @property
     def lattice(self) -> LatticeBall:
@@ -172,8 +170,7 @@ def bogoliubov_ground_energy(tables) -> float:
     return det_sum(-G * G / (2.0 * (F + e)))
 
 
-@dataclass(frozen=True)
-class ExtensiveConstant:
+class ExtensiveConstant(NamedTuple):
     """The order-N constant C and its excess over the macroscopic term.
 
     `excess` is the value minus the macroscopic (N-1)/2 * vhat(0) term;

@@ -32,10 +32,10 @@ command line's `--out`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
+import zlib
+from typing import NamedTuple
 
 from .errors import RejectedConfig
 from .lattice_potential import TWO_PI, _nsq_max
@@ -46,15 +46,13 @@ from .scattering import DEFAULT_MAX_ITER, DEFAULT_TOL
 MAX_BALL_GRID_POINTS = 100**3
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(NamedTuple):
     modes_nsq_max: int          # 0 when modes_vectors is given
     modes_vectors: tuple
     n_max_list: tuple
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     N_values: tuple
     beta: float
     kappa: float
@@ -224,7 +222,7 @@ def parse_config(raw: dict) -> RunConfig:
         )
 
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    digest = f"{zlib.crc32(canonical.encode()):08x}"
 
     return RunConfig(
         N_values=n_values,

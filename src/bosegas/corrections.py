@@ -15,7 +15,6 @@ discrepancy sits far below the rounding floor of the O(N) totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -117,8 +116,8 @@ class _PairContext:
                             tables.ct[o], tables.st[o]),
             tables.e[o],
         ])
-        self.grid = lat._grid
-        side = 2 * lat._L + 1
+        self.grid = lat.grid
+        side = 2 * lat.L + 1
         self.flat = sub_lat.points[o] @ np.array([side * side, side, 1], dtype=np.int64)
         self.base = self.flat + len(self.grid) // 2  # the center is p + q = 0
 
@@ -254,8 +253,7 @@ def depletion(tables) -> float:
     return det_sum(x * x)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """All assembled energy terms with truncation metadata.
 
     `E01`, `e_pert_tilde` and `born2` (the inner sum of `E_corr`) are
@@ -292,10 +290,10 @@ class EnergyReport:
     depletion_fraction: float
     residual_norm: float
     iterations: int
-    warnings: tuple = field(default_factory=tuple)
-    # wall times: equal reports may differ in them
-    t_scatter_ms: float = field(default=0.0, compare=False)
-    t_sums_ms: float = field(default=0.0, compare=False)
+    warnings: tuple = ()
+    # wall times: compare reports with these zeroed (`_replace`)
+    t_scatter_ms: float = 0.0
+    t_sums_ms: float = 0.0
 
     CSV_COLUMNS = (
         "N", "beta", "kappa", "a_box", "leading", "E00", "E01", "C1", "C2",
@@ -317,13 +315,12 @@ class EnergyReport:
         """Every field under its report key; a Term `x` gives `x`, `x_ball`
         and `x_tail`."""
         out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name, v in zip(self._fields, self):
             if isinstance(v, Term):
-                out[f.name + "_ball"] = v.ball
-                out[f.name + "_tail"] = v.tail
+                out[name + "_ball"] = v.ball
+                out[name + "_tail"] = v.tail
                 v = v.value
-            out[f.name] = v
+            out[name] = v
         return out
 
 

@@ -31,7 +31,7 @@ pair sums restricted to in-set triples below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,12 +82,11 @@ def _index_of(vecs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return table[ids[m:]].reshape(points.shape[:-1])
 
 
-@dataclass(frozen=True)
-class ModeSet:
+class ModeSet(NamedTuple):
     """Ordered momenta (integer triples, p = 2*pi*n), closed under negation."""
 
     vectors: np.ndarray                 # (m, 3) int64, canonical order
-    neg_index: np.ndarray = field(repr=False)
+    neg_index: np.ndarray
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -136,14 +135,13 @@ def _row_keys(occupations: np.ndarray) -> np.ndarray:
     return padded.view(np.dtype((np.void, m + 1))).ravel()
 
 
-@dataclass(frozen=True)
-class FockBasis:
+class FockBasis(NamedTuple):
     """Occupation vectors with sum <= n_max in the zero-momentum sector."""
 
     modes: ModeSet
     n_max: int
-    occ: np.ndarray = field(repr=False)       # (D, m) uint8, lex order
-    _keys: np.ndarray = field(repr=False)     # _row_keys(occ), ascending
+    occ: np.ndarray         # (D, m) uint8, lex order
+    keys: np.ndarray        # _row_keys(occ), ascending
 
     def __len__(self) -> int:
         return self.occ.shape[0]
@@ -155,11 +153,11 @@ class FockBasis:
     def lookup(self, occupations: np.ndarray) -> np.ndarray:
         """Vectorized occupation -> index; -1 where absent."""
         tv = _row_keys(occupations)
-        pos = np.searchsorted(self._keys, tv)
+        pos = np.searchsorted(self.keys, tv)
         out = np.full(len(tv), -1, dtype=np.int64)
-        inb = pos < len(self._keys)
+        inb = pos < len(self.keys)
         hit = np.zeros(len(tv), dtype=bool)
-        hit[inb] = self._keys[pos[inb]] == tv[inb]
+        hit[inb] = self.keys[pos[inb]] == tv[inb]
         out[hit] = pos[hit]
         return out
 
@@ -229,7 +227,7 @@ def build_basis(modes: ModeSet, n_max: int) -> FockBasis:
     keys = _row_keys(occ)
     order = np.argsort(keys)
     return FockBasis(
-        modes=modes, n_max=int(n_max), occ=occ[order], _keys=keys[order]
+        modes=modes, n_max=int(n_max), occ=occ[order], keys=keys[order]
     )
 
 
@@ -243,15 +241,18 @@ def _coalesce(rows, cols, vals, dim: int):
     return rows[at], cols[at], np.add.reduceat(vals[order], first)
 
 
-@dataclass(frozen=True)
 class SparseSymmetricOperator:
     """Real symmetric operator in row-major, duplicate-free coordinate
-    form; `op @ x` sums each row in column order."""
+    form; `op @ x` sums each row in column order.  Not a tuple, so that
+    `+` between operators raises instead of concatenating."""
 
-    rows: np.ndarray      # (nnz,) intp, ascending with cols within a row
-    cols: np.ndarray      # (nnz,) intp
-    vals: np.ndarray      # (nnz,) float
-    dim: int
+    __slots__ = ("rows", "cols", "vals", "dim")
+
+    def __init__(self, rows, cols, vals, dim: int):
+        self.rows = rows      # (nnz,) intp, ascending with cols within a row
+        self.cols = cols      # (nnz,) intp
+        self.vals = vals      # (nnz,) float
+        self.dim = dim
 
     @classmethod
     def from_dense(cls, a) -> SparseSymmetricOperator:
@@ -448,8 +449,7 @@ def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricO
     )
 
 
-@dataclass(frozen=True)
-class RestrictedTables:
+class RestrictedTables(NamedTuple):
     """Per-mode coefficient slices used by the operator builders.
 
     `value_at` evaluates the scaled potential at arbitrary integer triples
@@ -468,7 +468,7 @@ class RestrictedTables:
     e: np.ndarray
     eta: np.ndarray
     tau: np.ndarray
-    value_at: object = field(repr=False)
+    value_at: object
 
 
 def restrict_tables(tables, modes: ModeSet) -> RestrictedTables:

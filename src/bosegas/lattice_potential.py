@@ -15,7 +15,7 @@ identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,22 +42,17 @@ def _shape_factor(r: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """Radial positive-type pair potential: coupling * ball self-convolution.
 
     R is the radius of the generating ball.  Runs on the unit torus require
     0 < R < 1/4 (support radius 2R below half the box); that bound is
-    enforced at configuration level, not here, so the transform stays a
-    total function usable at any radius.
+    enforced at configuration level, and R > 0 by `scaled_table`, not
+    here, so the transform stays a total function usable at any radius.
     """
 
     kappa: float
     R: float
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError(f"support radius must be positive, got {self.R}")
 
     def vhat_radial(self, rho) -> np.ndarray:
         """Fourier transform at radius rho (scalar or array)."""
@@ -89,8 +84,7 @@ def vhat_oracle(pot: Potential, rho: float) -> float:
     return pot.kappa * ball * ball
 
 
-@dataclass(frozen=True)
-class LatticeBall:
+class LatticeBall(NamedTuple):
     """Momenta p = 2*pi*n with 0 < |p| <= cutoff_K, canonically ordered.
 
     Ordering is ascending |n|^2 with lexicographic tie-break on n; the set
@@ -106,11 +100,11 @@ class LatticeBall:
     cutoff_K: float
     points: np.ndarray          # (M, 3) int64, canonical order
     nsq: np.ndarray             # (M,) int64, |n|^2 per point
-    orbit: np.ndarray = field(repr=False)        # (M,) cubic-orbit id per point
-    orbit_first: np.ndarray = field(repr=False)  # (n_orbits,) first member
-    orbit_size: np.ndarray = field(repr=False)   # (n_orbits,) member count
-    _grid: np.ndarray = field(repr=False)   # dense (2L+1)^3 index lookup
-    _L: int = field(repr=False)
+    orbit: np.ndarray           # (M,) cubic-orbit id per point
+    orbit_first: np.ndarray     # (n_orbits,) first member
+    orbit_size: np.ndarray      # (n_orbits,) member count
+    grid: np.ndarray            # dense (2L+1)^3 index lookup
+    L: int
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -129,12 +123,12 @@ class LatticeBall:
         """Vectorized point -> index map; -1 where outside the ball."""
         t = np.asarray(triples)
         flat = t.reshape(-1, 3)
-        inside = np.all(np.abs(flat) <= self._L, axis=1)
+        inside = np.all(np.abs(flat) <= self.L, axis=1)
         out = np.full(flat.shape[0], -1, dtype=np.int64)
         if np.any(inside):
-            sel = flat[inside] + self._L
-            side = 2 * self._L + 1
-            out[inside] = self._grid[
+            sel = flat[inside] + self.L
+            side = 2 * self.L + 1
+            out[inside] = self.grid[
                 (sel[:, 0] * side + sel[:, 1]) * side + sel[:, 2]
             ]
         return out.reshape(t.shape[:-1])
@@ -235,13 +229,12 @@ def _ball(K: float, pts: np.ndarray, nsq: np.ndarray, L: int) -> LatticeBall:
         orbit=orbit,
         orbit_first=orbit_first,
         orbit_size=orbit_size,
-        _grid=dense,
-        _L=L,
+        grid=dense,
+        L=L,
     )
 
 
-@dataclass(frozen=True)
-class ScaledPotentialTable:
+class ScaledPotentialTable(NamedTuple):
     """vhat(p / N^beta) tabulated on a lattice ball plus the zero mode."""
 
     pot: Potential
@@ -263,7 +256,7 @@ class ScaledPotentialTable:
         """This table on the sub-ball |p| <= K (`LatticeBall.sub_ball`):
         the same values, cut to its prefix."""
         sub = self.lattice.sub_ball(K)
-        return replace(self, lattice=sub, values=self.values[: len(sub)])
+        return self._replace(lattice=sub, values=self.values[: len(sub)])
 
 
 def scaled_table(
@@ -273,6 +266,8 @@ def scaled_table(
         raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
     if N < 2:
         raise ValueError(f"particle number must be >= 2, got {N}")
+    if not pot.R > 0:
+        raise ValueError(f"support radius must be positive, got {pot.R}")
     rho = lattice.norms / N**beta
     return ScaledPotentialTable(
         pot=pot,
@@ -284,10 +279,25 @@ def scaled_table(
     )
 
 
-# Gauss-Legendre rule per unit-width panel of `quartic_shape_tail`.  The
-# integrand's frequencies are at most 4; 10 nodes already agree with 40 to
-# rounding, and 20 leave a margin (tested against adaptive quadrature).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# 20-point Gauss-Legendre rule per unit-width panel of `quartic_shape_tail`.
+# The integrand's frequencies are at most 4; 10 nodes already agree with 40
+# to rounding, and 20 leave a margin (tested against adaptive quadrature).
+# The rule is symmetric: (node, weight) at its 10 positive nodes, mirrored,
+# equal numpy's legendre `leggauss(20)` bit for bit (tested).
+_GL_HALF = np.array([
+    (0.07652652113349734, 0.15275338713072628),
+    (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824),
+    (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186),
+    (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471),
+    (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446),
+    (0.993128599185095, 0.017614007139150893),
+])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 
 
 def quartic_shape_tail(x: float) -> float:

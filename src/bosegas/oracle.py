@@ -14,7 +14,7 @@ the degenerate agreement and `bosegas oracle` warns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .fock import (
 )
 
 
-@dataclass(frozen=True)
-class OracleRow:
+class OracleRow(NamedTuple):
     name: str
     closed_form: float
     fock_values: tuple

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 from .bogoliubov import build_tables
 from .config import RunConfig
@@ -26,4 +25,4 @@ def run_pipeline(cfg: RunConfig, N: int | None = None) -> EnergyReport:
     t0 = time.perf_counter()
     report = assemble_report(tables, cfg.cutoff_K2)
     t_sums = (time.perf_counter() - t0) * 1000.0
-    return replace(report, t_scatter_ms=t_scatter, t_sums_ms=t_sums)
+    return report._replace(t_scatter_ms=t_scatter, t_sums_ms=t_sums)

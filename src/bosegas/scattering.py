@@ -24,7 +24,7 @@ regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class _OctantConvolver:
     def __init__(self, table: ScaledPotentialTable):
         self.table = table
         lat = table.lattice
-        L = lat._L
+        L = lat.L
         self.shape = (2 * L + 1,) * 3
         j = np.arange(2 * L + 1)
         # the phase jk is reduced mod 4L first, so equal phases give
@@ -136,8 +136,7 @@ def make_convolver(table: ScaledPotentialTable) -> _OctantConvolver:
     return _OctantConvolver(table)
 
 
-@dataclass(frozen=True)
-class ScatteringSolution:
+class ScatteringSolution(NamedTuple):
     """Solved eta table on a lattice ball, with solver metadata.
 
     The zero mode is fixed to eta_0 = 0 by convention; beyond the cutoff

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import inspect
 import json
@@ -203,6 +202,20 @@ class TestConfigValidation:
         b = parse_config(dict(BASE, kappa=0.2))
         assert a.config_hash != b.config_hash
 
+    def test_hash_is_eight_hex_digits_in_any_process(self):
+        code = ("import json, sys; from bosegas.config import parse_config; "
+                "print(parse_config(json.loads(sys.argv[1])).config_hash)")
+        hashes = [
+            subprocess.run(
+                [sys.executable, "-c", code, json.dumps(BASE)],
+                env=dict(child_env(), PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for seed in ("1", "2")
+        ]
+        assert re.fullmatch("[0-9a-f]{8}", hashes[0])
+        assert hashes == [parse_config(dict(BASE)).config_hash] * 2
+
 
 class TestNList:
     @pytest.mark.parametrize("command", ["energy", "verify", "oracle"])
@@ -392,7 +405,7 @@ class TestVerify:
             tables, t_scatter = real(cfg, N)
             tau = tables.tau.copy()
             tau[int(tables.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-12
-            return dataclasses.replace(tables, tau=tau), t_scatter
+            return tables._replace(tau=tau), t_scatter
 
         monkeypatch.setattr("bosegas.verify.run_tables", skewed)
         failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
@@ -406,13 +419,23 @@ class TestVerify:
         def drifting(cfg):
             report = real(cfg)
             born2 = report.born2
-            return dataclasses.replace(
-                report, born2=born2._replace(tail=born2.tail * (1.0 + 1e-12))
+            return report._replace(
+                born2=born2._replace(tail=born2.tail * (1.0 + 1e-12))
             )
 
         monkeypatch.setattr("bosegas.verify.run_pipeline", drifting)
         failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
         assert failed == ["deterministic_rerun"]
+
+    def test_rerun_moving_only_wall_times_passes(self, monkeypatch):
+        real = bosegas.verify.run_pipeline
+
+        def slow(cfg):
+            return real(cfg)._replace(t_scatter_ms=1e6, t_sums_ms=-1.0)
+
+        monkeypatch.setattr("bosegas.verify.run_pipeline", slow)
+        failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
+        assert failed == []
 
 
 class TestConfigKnobs:
@@ -425,8 +448,7 @@ class TestConfigKnobs:
             if name.endswith(".py") and name != "config.py":
                 with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                     text += fh.read()
-        fields = [f.name for cls in (RunConfig, OracleConfig)
-                  for f in dataclasses.fields(cls)]
+        fields = [f for cls in (RunConfig, OracleConfig) for f in cls._fields]
         unread = [f for f in fields if not re.search(rf"\.{f}\b", text)]
         assert unread == []
 
@@ -483,14 +505,19 @@ def child_env(blas_threads=None):
 
 class TestImports:
     """No command imports scipy, and `energy` and `scan` load none of the
-    modules `verify` and `oracle` import when they run.  The CLI caps
+    modules `verify` and `oracle` import when they run.  No command loads
+    OpenSSL, numpy's polynomial package or dataclasses.  The CLI caps
     OpenBLAS at one thread unless the caller sets it."""
 
     LAZY = ("bosegas.fock", "bosegas.oracle", "bosegas.verify")
+    UNUSED = ("hashlib", "_hashlib", "numpy.polynomial", "dataclasses")
+    SMALL_ORACLE = {"modes": {"nsq_max": 1}, "n_max": [3]}
 
     @classmethod
-    def run_child(cls, tmp_path, command, blas_threads=None, **overrides):
-        """[exit code, scipy loaded, thread count, lazy modules loaded]."""
+    def run_child(cls, tmp_path, command, blas_threads=None, watch=LAZY,
+                  **overrides):
+        """[exit code, scipy loaded, thread count, modules of `watch`
+        loaded]."""
         path = write_config(tmp_path, **overrides)
         out = str(tmp_path / "out.txt")
         code = (
@@ -499,8 +526,8 @@ class TestImports:
             f"rc = main([{command!r}, '--config', {path!r}, '--out', {out!r}])\n"
             "tasks = '/proc/self/task'\n"
             "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
-            f"lazy = [m for m in {cls.LAZY!r} if m in sys.modules]\n"
-            "print(json.dumps([rc, 'scipy' in sys.modules, threads, lazy]))\n"
+            f"loaded = [m for m in {watch!r} if m in sys.modules]\n"
+            "print(json.dumps([rc, 'scipy' in sys.modules, threads, loaded]))\n"
         )
         res = subprocess.run(
             [sys.executable, "-c", code], env=child_env(blas_threads),
@@ -512,8 +539,7 @@ class TestImports:
         ("energy", {}, []),
         ("scan", {"N": [300, 600]}, []),
         ("verify", {}, list(LAZY)),
-        ("oracle", {"oracle": {"modes": {"nsq_max": 1}, "n_max": [3]}},
-         list(LAZY[:2])),
+        ("oracle", {"oracle": SMALL_ORACLE}, list(LAZY[:2])),
     ], ids=["energy", "scan", "verify", "oracle"])
     def test_loads_no_scipy(self, tmp_path, command, overrides, lazy):
         rc, scipy_loaded, _, loaded = self.run_child(tmp_path, command,
@@ -522,12 +548,19 @@ class TestImports:
         assert not scipy_loaded
         assert loaded == lazy
 
+    @pytest.mark.parametrize("command", ["energy", "oracle"])
+    def test_cold_start_loads_only_what_runs(self, tmp_path, command):
+        rc, _, _, loaded = self.run_child(
+            tmp_path, command, watch=self.UNUSED, oracle=self.SMALL_ORACLE
+        )
+        assert rc == 0
+        assert loaded == []
+
     @pytest.mark.skipif(not HAS_PROC_TASKS, reason="no /proc/self/task")
     @pytest.mark.parametrize("command", ["energy", "oracle"])
     def test_one_thread_by_default(self, tmp_path, command):
-        rc, _, threads, _ = self.run_child(
-            tmp_path, command, oracle={"modes": {"nsq_max": 1}, "n_max": [3]}
-        )
+        rc, _, threads, _ = self.run_child(tmp_path, command,
+                                           oracle=self.SMALL_ORACLE)
         assert rc == 0
         assert threads == 1
 

@@ -294,12 +294,10 @@ class TestEPertTilde:
         assert abs(row_loop - exact) <= bound
 
     def test_tables_not_cubic_invariant_rejected(self, tables_small):
-        from dataclasses import replace
-
         e = tables_small.e.copy()
         e[int(tables_small.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-15
         with pytest.raises(NotCubicInvariant):
-            e_pert_tilde(replace(tables_small, e=e), TWO_PI * 2)
+            e_pert_tilde(tables_small._replace(e=e), TWO_PI * 2)
 
 
 class TestEPertTildeMemory:
@@ -342,7 +340,7 @@ class TestEPertTildeMemory:
         M = len(tables.lattice)
         sub = tables.lattice.sub_ball(K2)
         M2 = len(sub)
-        bound = 8 * (12 * M2 + (2 * sub._L + 1) ** 3 + max(2 * M, 24 * M2))
+        bound = 8 * (12 * M2 + (2 * sub.L + 1) ** 3 + max(2 * M, 24 * M2))
         assert traced_peak(e_pert_tilde, tables, K2) < bound
 
 

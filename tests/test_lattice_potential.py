@@ -11,6 +11,8 @@ from bosegas.errors import (
     NonFiniteSum,
 )
 from bosegas.lattice_potential import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     TWO_PI,
     Potential,
     _shape_factor,
@@ -54,7 +56,7 @@ class TestEnumerate:
         # the stacked meshgrid and its square peaked at 7.95 MB.
         K = TWO_PI * 20
         lat = enumerate_lattice(K)
-        bound = 8 * ((2 * lat._L + 1) ** 3 + 20 * len(lat))
+        bound = 8 * ((2 * lat.L + 1) ** 3 + 20 * len(lat))
         assert traced_peak(enumerate_lattice, K) < bound
 
     def test_too_small(self):
@@ -93,8 +95,8 @@ class TestEnumerate:
     def test_sub_ball_equals_fresh_enumeration(self, lat6, radius):
         sub = lat6.sub_ball(TWO_PI * radius)
         ref = enumerate_lattice(TWO_PI * radius)
-        assert sub.cutoff_K == ref.cutoff_K and sub._L == ref._L
-        for name in ("points", "nsq", "orbit", "orbit_first", "orbit_size", "_grid"):
+        assert sub.cutoff_K == ref.cutoff_K and sub.L == ref.L
+        for name in ("points", "nsq", "orbit", "orbit_first", "orbit_size", "grid"):
             assert np.array_equal(getattr(sub, name), getattr(ref, name)), name
 
     def test_sub_ball_beyond_the_cutoff_rejected(self, lat6):
@@ -172,6 +174,11 @@ class TestScaledTable:
         with pytest.raises(BetaOutOfRange):
             scaled_table(pot_ref, lat3, 100, 1.0)
 
+    @pytest.mark.parametrize("R", [0.0, -0.1, math.nan])
+    def test_radius_not_positive_rejected(self, lat3, R):
+        with pytest.raises(ValueError, match="support radius"):
+            scaled_table(Potential(kappa=1.0, R=R), lat3, 100, 0.5)
+
     def test_large_N_limit(self, pot_ref, lat3):
         t = scaled_table(pot_ref, lat3, 10**8, 0.9)
         i = int(lat3.lookup((1, 0, 0)))
@@ -198,6 +205,10 @@ class TestScaledTable:
 
 
 class TestBorn2Sum:
+    def test_gauss_legendre_literals_are_numpys_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
     def test_l1_bound_stays_within_factor_three(self, pot_ref, lat6):
         # sum vhat^2/p^2 (= 2x the tabulated half-weight sum) over the
         # full lattice grows like N^beta; ball + analytic tail must track it
