@@ -18,11 +18,9 @@ Keys (defaults in parentheses):
   cutoff_K2_over_2pi  double-sum cutoff K2 / (2 pi), in [1, K / (4 pi)],
                       so that every p + q of two K2 momenta lies in the K
                       ball (the smaller of 10 and K / (4 pi))
-  scattering          {"tol": > 0 (scattering.DEFAULT_TOL),
-                       "max_iter": >= 1 (scattering.DEFAULT_MAX_ITER)}
   oracle              {"modes": {"nsq_max": int >= 1} or
                                 {"vectors": [[i,j,k], ...]} (first shell),
-                       "n_max": [5, 7, 9]}
+                       "n_max": [5, 7, 9]}; each vector n has |2 pi n| <= K
 
 Every block rejects unknown keys.  The `oracle` block also accepts, and
 ignores, `rel_tol_pert` and `rel_tol_g2`: the benchmark's oracle configs
@@ -39,7 +37,6 @@ from typing import NamedTuple
 
 from .errors import RejectedConfig
 from .lattice_potential import TWO_PI, _nsq_max
-from .scattering import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 # memory budget of the cutoff: K = 80 pi needs an 81^3 ball grid, and
 # every K below 100 pi (L <= 49, 99^3) fits
@@ -59,8 +56,6 @@ class RunConfig(NamedTuple):
     R: float
     cutoff_K: float
     cutoff_K2: float
-    tol: float
-    max_iter: int
     oracle: OracleConfig
     warnings: tuple
     config_hash: str
@@ -154,7 +149,7 @@ def parse_config(raw: dict) -> RunConfig:
     structural problem."""
     _block(raw, "configuration", (
         "N", "beta", "kappa", "R", "cutoff_K_over_2pi", "cutoff_K2_over_2pi",
-        "scattering", "oracle",
+        "oracle",
     ))
     for key in ("N", "beta", "kappa", "R"):
         if key not in raw:
@@ -194,16 +189,16 @@ def parse_config(raw: dict) -> RunConfig:
             f"= {x}: the pair sums read p + q, up to 2 K2, in the K ball"
         )
 
-    scat = _block(raw.get("scattering", {}), "scattering", ("tol", "max_iter"))
-    tol = _number(scat.get("tol", DEFAULT_TOL), "scattering.tol")
-    max_iter = _integer(scat.get("max_iter", DEFAULT_MAX_ITER),
-                        "scattering.max_iter", 1)
-    if tol <= 0.0:
-        raise RejectedConfig("scattering tol must be > 0")
-
     ob = _block(raw.get("oracle", {}), "oracle",
                 ("modes", "n_max", "rel_tol_pert", "rel_tol_g2"))
     nsq_max, vectors = _oracle_modes(ob)
+    # the oracle reads its modes' tables from the K ball; shells need no
+    # such check, as the mode cap keeps them to |n|^2 <= 3 and K >= 4 pi
+    # holds |n|^2 <= 4
+    if vectors and max(i * i + j * j + k * k for i, j, k in vectors) > _nsq_max(K):
+        raise RejectedConfig(
+            f"oracle.modes.vectors leave the ball |n| <= cutoff_K_over_2pi = {x}"
+        )
     n_max = ob.get("n_max", [5, 7, 9])
     if not isinstance(n_max, list) or not n_max:
         raise RejectedConfig("oracle.n_max must be a non-empty list")
@@ -231,8 +226,6 @@ def parse_config(raw: dict) -> RunConfig:
         R=R,
         cutoff_K=K,
         cutoff_K2=TWO_PI * x2,
-        tol=tol,
-        max_iter=max_iter,
         oracle=oracle,
         warnings=tuple(warnings),
         config_hash=digest,

@@ -303,12 +303,10 @@ class EnergyReport(NamedTuple):
     )
 
     def csv_values(self) -> tuple:
-        return (
-            self.N, self.beta, self.kappa, self.a_box, self.leading,
-            self.E00, self.E01.value, self.C1, self.C2, self.E_corr,
-            self.g2_expect, self.e_pert_tilde.value, self.E0, self.C_const,
-            self.total_route_A, self.total_route_B, self.route_discrepancy,
-            self.depletion, self.t_scatter_ms, self.t_sums_ms,
+        """`flat()` at CSV_COLUMNS; total_X is the report's total_route_X."""
+        flat = self.flat()
+        return tuple(
+            flat[c.replace("total_", "total_route_")] for c in self.CSV_COLUMNS
         )
 
     def flat(self) -> dict:

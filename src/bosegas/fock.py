@@ -42,6 +42,7 @@ from .errors import (
     InconsistentLattice,
     MomentumViolation,
 )
+from .lattice_potential import TWO_PI, enumerate_lattice
 from .sums import det_sum
 
 MAX_MODES = 30
@@ -94,8 +95,6 @@ class ModeSet(NamedTuple):
 
 def mode_set(vectors) -> ModeSet:
     vecs = np.asarray(sorted(set(tuple(int(c) for c in v) for v in vectors)))
-    if vecs.size == 0:
-        vecs = np.zeros((0, 3), dtype=np.int64)
     vecs = vecs.astype(np.int64).reshape(-1, 3)
     nsq = np.sum(vecs * vecs, axis=1)
     if np.any(nsq == 0):
@@ -115,14 +114,7 @@ def shell_modes(nsq_max: int) -> ModeSet:
     L = math.isqrt(nsq_max)
     if 6 * L > MAX_MODES:  # the axis points alone exceed the cap
         raise BasisTooLarge(f"|n|^2 <= {nsq_max} holds more than {MAX_MODES} modes")
-    vecs = [
-        (x, y, z)
-        for x in range(-L, L + 1)
-        for y in range(-L, L + 1)
-        for z in range(-L, L + 1)
-        if 0 < x * x + y * y + z * z <= nsq_max
-    ]
-    return mode_set(vecs)
+    return mode_set(enumerate_lattice(TWO_PI * math.sqrt(nsq_max)).points)
 
 
 def _row_keys(occupations: np.ndarray) -> np.ndarray:
@@ -154,12 +146,9 @@ class FockBasis(NamedTuple):
         """Vectorized occupation -> index; -1 where absent."""
         tv = _row_keys(occupations)
         pos = np.searchsorted(self.keys, tv)
-        out = np.full(len(tv), -1, dtype=np.int64)
-        inb = pos < len(self.keys)
-        hit = np.zeros(len(tv), dtype=bool)
-        hit[inb] = self.keys[pos[inb]] == tv[inb]
-        out[hit] = pos[hit]
-        return out
+        # the vacuum is always a basis state, so keys is never empty
+        hit = self.keys[np.minimum(pos, len(self.keys) - 1)] == tv
+        return np.where(hit, pos, -1)
 
 
 def _group_offsets(counts: np.ndarray) -> np.ndarray:

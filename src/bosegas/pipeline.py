@@ -15,7 +15,7 @@ def run_tables(cfg: RunConfig, N: int):
     pot = Potential(kappa=cfg.kappa, R=cfg.R)
     lattice = enumerate_lattice(cfg.cutoff_K)
     t0 = time.perf_counter()
-    sol = solve_eta(pot, lattice, N, cfg.beta, tol=cfg.tol, max_iter=cfg.max_iter)
+    sol = solve_eta(pot, lattice, N, cfg.beta)
     t_scatter = (time.perf_counter() - t0) * 1000.0
     return build_tables(sol), t_scatter
 

@@ -87,9 +87,13 @@ class TestConfigValidation:
         path.write_text(json.dumps(dict(doc, **k2)))
         assert main(["energy", "--config", str(path)]) == 2
 
-    def test_non_numeric_tol_exits_2(self, tmp_path):
-        path = write_config(tmp_path, scattering={"tol": "abc"})
+    def test_scattering_block_exits_2(self, tmp_path, capsys):
+        # the solver runs at its own tolerance and iteration cap: the block
+        # that set them is an unknown key
+        path = write_config(tmp_path, scattering={"tol": 1e-11})
         assert main(["energy", "--config", path]) == 2
+        assert "unknown keys in configuration: ['scattering']" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("override", [
         {"beta": "abc"},
@@ -98,7 +102,7 @@ class TestConfigValidation:
         {"R": [0.25]},
         {"cutoff_K_over_2pi": "x"},
         {"cutoff_K2_over_2pi": {}},
-        {"scattering": {"max_iter": "many"}},
+        {"scattering": {}},
         {"oracle": {"n_max": ["five"]}},
         {"oracle": {"n_max": []}},
         {"oracle": {"n_max": [-1]}},
@@ -106,7 +110,8 @@ class TestConfigValidation:
         {"oracle": {"n_max": [5.5]}},
         {"oracle": {"n_max": ["5"]}},
         {"oracle": {"n_max": [True]}},
-        {"scattering": {"max_iter": 5.5}},
+        # K = 6 pi holds |n|^2 <= 9
+        {"oracle": {"modes": {"vectors": [[2, 2, 2], [-2, -2, -2]]}}},
         {"oracle": {"modes": {"vectors": [[1.5, 0, 0]]}}},
         {"oracle": {"modes": {"vectors": [[10**400, 0, 0]]}}},
         {"oracle": {"N": "x"}},
@@ -132,14 +137,14 @@ class TestConfigValidation:
         {"oracle": {"modes": {"vectors": []}}},
         {"oracle": {"modes": {"nsq_max": 2, "vectors": [[1, 0, 0], [-1, 0, 0]]}}},
         # misspelled nested keys
-        {"scattering": {"tolerance": 1e-3}},
+        {"oracle": {"modes": {"vector": [[1, 0, 0], [-1, 0, 0]]}}},
         {"oracle": {"modes": {"nsqmax": 2}}},
         {"oracle": {"nmax": [3]}},
         # a number is a JSON number: no bool, no numeric string
         {"kappa": True},
         {"R": "0.25"},
         {"cutoff_K_over_2pi": True, "cutoff_K2_over_2pi": 1},
-        {"scattering": {"tol": True}},
+        {"oracle": {"modes": {"nsq_max": True}}},
         # the output path is --out, the particle number is N
         {"out": "x.json"},
         {"oracle": {"N": 100}},
@@ -347,7 +352,8 @@ class TestOutput:
     def test_failed_run_leaves_out_untouched(self, tmp_path):
         out = tmp_path / "out.json"
         out.write_bytes(b"previous run\n")
-        path = write_config(tmp_path, scattering={"tol": 1e-30, "max_iter": 2})
+        # |G|/F passes 1 at this coupling: DiagonalizationFailure
+        path = write_config(tmp_path, kappa=1e6)
         assert main(["energy", "--config", path, "--out", str(out)]) == 1
         assert out.read_bytes() == b"previous run\n"
 
@@ -355,8 +361,7 @@ class TestOutput:
 class TestScanFailures:
     def test_row_failures_recorded_run_continues(self, tmp_path):
         out = tmp_path / "scan.csv"
-        path = write_config(tmp_path, N=[300, 600],
-                            scattering={"tol": 1e-30, "max_iter": 2})
+        path = write_config(tmp_path, N=[300, 600], kappa=1e6)
         assert main(["scan", "--config", path, "--out", str(out)]) == 1
         text = out.read_text()
         assert text.count("failed") == 2  # both rows recorded, run continued
@@ -427,6 +432,18 @@ class TestVerify:
         failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
         assert failed == ["deterministic_rerun"]
 
+    def test_zero_coupling_checks_every_computed_field(self, monkeypatch):
+        # mutant: a kappa = 0 report whose a_tail_bound, which no CSV
+        # column shows, is not zero
+        real = bosegas.verify.assemble_report
+        monkeypatch.setattr(
+            "bosegas.verify.assemble_report",
+            lambda tables, K2: real(tables, K2)._replace(a_tail_bound=1e-30),
+        )
+        checks = run_verify(parse_config(dict(BASE, kappa=0.0)))
+        assert "zero_coupling_collapse" in [c.name for c in checks
+                                            if not c.passed]
+
     def test_rerun_moving_only_wall_times_passes(self, monkeypatch):
         real = bosegas.verify.run_pipeline
 
@@ -474,6 +491,18 @@ class TestOracle:
         assert main(["oracle", "--config", path]) == 0
         err = capsys.readouterr().err
         assert ("warning: " in err and "triple" in err) == warns
+
+    @pytest.mark.parametrize("command", ["energy", "oracle"])
+    def test_vectors_outside_the_ball_exit_2(self, tmp_path, capsys, command):
+        # K = 4 pi holds |n|^2 <= 4; the oracle reads its modes' tables
+        # from the K ball, and the config is rejected before any solve
+        vectors = {"vectors": [[3, 0, 0], [-3, 0, 0]]}
+        path = write_config(tmp_path, cutoff_K_over_2pi=2, cutoff_K2_over_2pi=1,
+                            oracle={"modes": vectors, "n_max": [3]})
+        assert main([command, "--config", path]) == 2
+        assert "oracle.modes.vectors" in capsys.readouterr().err
+        # on the ball's edge the vectors are accepted
+        assert parse_config(dict(BASE, oracle={"modes": vectors}))
 
     @pytest.mark.parametrize("nsq_max", [4, 10**6, 10**400])
     def test_mode_shells_over_the_cap_exit_2(self, tmp_path, capsys, nsq_max):
@@ -643,6 +672,8 @@ class TestBenchmarkInputs:
 # the suite draws the same examples every time, and keep no example
 # database on disk.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
+# `scattering`, `tol` and `max_iter` are keys of no block: their draws
+# exercise the unknown-key rejection
 KEYS = ("N", "beta", "kappa", "R", "cutoff_K_over_2pi", "cutoff_K2_over_2pi",
         "scattering", "oracle")
 SUBKEYS = ("tol", "max_iter", "modes", "nsq_max", "vectors", "n_max",
@@ -670,8 +701,8 @@ CONFIG_DOC = st.tuples(
 ).map(lambda t: {**{k: v for k, v in BASE.items() if k not in t[0]}, **t[1]})
 
 
-# documents that mostly pass validation, with K <= 6 * 2 pi, K2 up to half
-# of that, and at most 300 solver iterations so that every run stays small
+# documents that mostly pass validation, with K <= 6 * 2 pi and K2 up to
+# half of that, so that every run stays small
 SMALL_RUN_DOC = st.fixed_dictionaries(
     {
         "N": st.integers(min_value=-1) | st.just(10**400)
@@ -683,10 +714,6 @@ SMALL_RUN_DOC = st.fixed_dictionaries(
     },
     optional={
         "cutoff_K2_over_2pi": st.floats(min_value=0.0, max_value=3.0),
-        "scattering": st.fixed_dictionaries({}, optional={
-            "tol": st.floats(min_value=0.0),
-            "max_iter": st.integers(min_value=0, max_value=300),
-        }),
     },
 )
 
