@@ -20,12 +20,12 @@ class NotCubicInvariant(BosegasError):
 class NonConvergence(BosegasError):
     """Fixed-point scattering solver failed to reach the target residual."""
 
-    def __init__(self, iterations: int, last_residual: float):
+    def __init__(self, iterations: int, best_residual: float):
         self.iterations = iterations
-        self.last_residual = last_residual
+        self.best_residual = best_residual
         super().__init__(
             f"no convergence after {iterations} iterations "
-            f"(last residual {last_residual:.3e}); coupling or particle "
+            f"(smallest residual {best_residual:.3e}); coupling or particle "
             f"number is outside the contractive regime"
         )
 

@@ -38,8 +38,9 @@ from .lattice_potential import (
 )
 from .sums import det_sum
 
-DEFAULT_TOL = 1e-11
-DEFAULT_MAX_ITER = 200
+# the solver's target max-norm residual and iteration cap, read at call time
+TOL = 1e-11
+MAX_ITER = 200
 
 
 def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
@@ -145,7 +146,6 @@ class ScatteringSolution(NamedTuple):
 
     table: ScaledPotentialTable
     eta: np.ndarray
-    tol: float
     iterations: int
     residual_norm: float
 
@@ -160,16 +160,14 @@ def _defect(table: ScaledPotentialTable, eta: np.ndarray, conv: np.ndarray):
 
 
 def solve_eta(
-    pot: Potential,
-    lattice: LatticeBall,
-    N: int,
-    beta: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    pot: Potential, lattice: LatticeBall, N: int, beta: float
 ) -> ScatteringSolution:
-    """Damped fixed-point solution of the lattice scattering equation."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Damped fixed-point solution of the lattice scattering equation.
+
+    Iterates to a max-norm residual of at most `TOL` within `MAX_ITER`
+    iterations; otherwise, or at the first non-finite residual of a
+    diverging solve, raises NonConvergence with the smallest residual met.
+    """
     if len(lattice) == 0:
         raise ValueError("lattice is empty")
     table = scaled_table(pot, lattice, N, beta)
@@ -180,29 +178,27 @@ def solve_eta(
     prev_res = np.inf
     # once inside tolerance, keep contracting to the rounding floor: the
     # downstream identities between the two energy routes are limited by
-    # this residual, not by tol
+    # this residual, not by TOL
     floor = 64.0 * np.finfo(float).eps * max(table.at_zero, 1e-300)
     best_eta, best_res = eta, np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         defect = _defect(table, eta, convolve(eta))
         res = float(np.max(np.abs(defect)))
+        if not np.isfinite(res):
+            break
         if res < best_res:
             best_eta, best_res = eta, res
-        if res <= tol and (res <= floor or res > 0.25 * prev_res):
+        if res <= TOL and (res <= floor or res > 0.25 * prev_res):
             break
         if res > prev_res:
             # residual oscillation: marginal contraction, damp the step
             damping = max(0.125, 0.5 * damping)
         prev_res = res
         eta = eta - damping * defect / psq
-    if best_res > tol:
-        raise NonConvergence(max_iter, best_res)
+    if best_res > TOL:
+        raise NonConvergence(it, best_res)
     return ScatteringSolution(
-        table=table,
-        eta=best_eta,
-        tol=tol,
-        iterations=it,
-        residual_norm=best_res,
+        table=table, eta=best_eta, iterations=it, residual_norm=best_res
     )
 
 

@@ -35,17 +35,10 @@ def run_verify(cfg: RunConfig) -> list[Check]:
     except BosegasError as exc:
         checks.append(Check("pipeline", False, float("inf"), str(exc)))
         return checks
-    g_ratio = float(np.max(np.abs(tables.G / tables.F)))
-    checks.append(Check("diagonalizable", True, g_ratio))
-
     lat = tables.lattice
     sol = tables.sol
     psq = lat.psq
 
-    checks.append(
-        Check("scattering_residual", sol.residual_norm <= sol.tol,
-              sol.residual_norm, f"tol {sol.tol:g}")
-    )
     orbit_gap = max(
         lat.orbit_spread(arr)
         for arr in (sol.eta, tables.s, tables.c, tables.cs_conv, tables.F,
@@ -67,6 +60,7 @@ def run_verify(cfg: RunConfig) -> list[Check]:
         Check("F_upper_bound", f_upper <= 100.0 * (1.0 + tables.table.at_zero),
               f_upper, "F <= c (1 + p^2)")
     )
+    g_ratio = float(np.max(np.abs(tables.G / tables.F)))
     checks.append(Check("pairing_ratio", g_ratio <= 0.5, g_ratio, "|G|/F <= 1/2"))
 
     tau_id = float(np.max(np.abs(np.tanh(2.0 * tables.tau) + tables.G / tables.F)))
@@ -74,7 +68,7 @@ def run_verify(cfg: RunConfig) -> list[Check]:
 
     disp = float(np.min(tables.e / psq))
     checks.append(
-        Check("dispersion_bound", disp >= np.sqrt(3.0) / 2.0 * (1.0 - 1e-12),
+        Check("dispersion_bound", bool(disp >= np.sqrt(3.0) / 2.0 * (1.0 - 1e-12)),
               disp, "e >= p^2 sqrt(3)/2")
     )
 

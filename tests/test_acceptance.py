@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from bosegas import scattering
 from bosegas.bogoliubov import build_tables
 from bosegas.config import parse_config
 from bosegas.corrections import assemble_report
@@ -60,7 +61,7 @@ def ref_lattice():
 @pytest.fixture(scope="module")
 def ref_solution(ref_pot, ref_lattice):
     t0 = time.perf_counter()
-    sol = solve_eta(ref_pot, ref_lattice, REF_N, REF_BETA, tol=REF_TOL)
+    sol = solve_eta(ref_pot, ref_lattice, REF_N, REF_BETA)
     return sol, time.perf_counter() - t0
 
 
@@ -88,6 +89,8 @@ def scan_reports():
 
 
 def test_criterion_1_scattering_defect(ref_solution):
+    # every solve of these criteria runs at the solver's own tolerance
+    assert scattering.TOL == REF_TOL
     sol, elapsed = ref_solution
     res = residual(sol)
     ok = res <= 1e-10 and elapsed <= 30.0
@@ -106,7 +109,7 @@ def test_criterion_2_dense_equivalence(ref_pot):
         if len(lat) > 200:
             continue
         lattices += 1
-        sol = solve_eta(ref_pot, lat, REF_N, REF_BETA, tol=REF_TOL)
+        sol = solve_eta(ref_pot, lat, REF_N, REF_BETA)
         dense = dense_solve_eta(ref_pot, lat, REF_N, REF_BETA)
         worst = max(worst, float(np.max(np.abs(sol.eta - dense))))
     elapsed = time.perf_counter() - t0
@@ -123,7 +126,7 @@ def test_criterion_3_born2_scattering_length(ref_lattice):
     coef = {}
     for kappa in (1e-2, 1e-3):
         pot = Potential(kappa=kappa, R=REF_R)
-        sol = solve_eta(pot, ref_lattice, REF_N, REF_BETA, tol=REF_TOL)
+        sol = solve_eta(pot, ref_lattice, REF_N, REF_BETA)
         a = scattering_length(sol)
         born2 = det_sum(sol.table.values**2 / sol.lattice.psq) / (2.0 * REF_N)
         coef[kappa] = (

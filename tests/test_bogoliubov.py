@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bosegas import scattering
 from bosegas.bogoliubov import (
     a_coefficient,
     bogoliubov_ground_energy,
@@ -120,7 +121,7 @@ class TestCoefficients:
         )
         resid = np.max(np.abs(tb.G - main - g_rem))
         assert resid <= 1e-13 * max(1.0, float(np.max(np.abs(tb.G))))
-        assert np.max(np.abs(main)) <= 10.0 * tb.sol.tol
+        assert np.max(np.abs(main)) <= 10.0 * scattering.TOL
 
     def test_g_psq_certificate(self, tables_small):
         c = np.max(np.abs(tables_small.G) * tables_small.lattice.psq)

@@ -21,6 +21,7 @@ from bosegas.config import OracleConfig, RunConfig, parse_config
 from bosegas.errors import RejectedConfig
 from bosegas.fock import _assemble
 from bosegas.reporting import csv_header
+from bosegas.sums import det_sum
 from bosegas.verify import run_verify
 
 
@@ -367,6 +368,108 @@ class TestScanFailures:
         assert text.count("failed") == 2  # both rows recorded, run continued
 
 
+def _tables_mutant(**fields):
+    """Mutant of the tables `verify` reads: each named field replaced by
+    fields[name](tables).  It goes in through `bosegas.verify.run_tables`,
+    so the rerun, on the real tables, fails as well."""
+    def install(monkeypatch):
+        real = bosegas.verify.run_tables
+
+        def mutated(cfg, N):
+            tables, t_scatter = real(cfg, N)
+            changed = {name: f(tables) for name, f in fields.items()}
+            return tables._replace(**changed), t_scatter
+
+        monkeypatch.setattr("bosegas.verify.run_tables", mutated)
+    return install
+
+
+def _negation_skewed_tau(tables):
+    # tau at p = (1, 0, 0) differs from tau at -p; -p lies in p's cubic
+    # orbit, so the cubic check sees every negation defect
+    tau = tables.tau.copy()
+    tau[int(tables.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-12
+    return tau
+
+
+def _positive_pair_sum(monkeypatch):
+    # e_pert_tilde's ball sum loses the sign of its -(6/N) prefactor
+    real = bosegas.corrections.e_pert_tilde
+
+    def flipped(tables, K2):
+        term = real(tables, K2)
+        return term._replace(ball=-term.ball)
+
+    monkeypatch.setattr("bosegas.corrections.e_pert_tilde", flipped)
+
+
+def _unsquared_depletion(monkeypatch):
+    # the depletion sums sinh(eta + tau) instead of its square
+    monkeypatch.setattr("bosegas.corrections.depletion",
+                        lambda tables: det_sum(np.sinh(tables.eta + tables.tau)))
+
+
+def _nonzero_tail_bound(monkeypatch):
+    # a kappa = 0 report whose a_tail_bound, which no CSV column shows, is
+    # not zero
+    real = bosegas.verify.assemble_report
+    monkeypatch.setattr(
+        "bosegas.verify.assemble_report",
+        lambda tables, K2: real(tables, K2)._replace(a_tail_bound=1e-30),
+    )
+
+
+def _dropped_cubic_channel(monkeypatch):
+    # the Fock cubic channel is the zero operator
+    monkeypatch.setattr(
+        "bosegas.oracle.build_G1tilde",
+        lambda basis, rt: _assemble(
+            basis, np.zeros((0, 1), int), np.zeros((0, 1), int), []),
+    )
+
+
+def _drifting_rerun(monkeypatch):
+    # the rerun's born2 tail, which no CSV column shows, moves by one part
+    # in 1e12
+    real = bosegas.verify.run_pipeline
+
+    def drifting(cfg):
+        report = real(cfg)
+        born2 = report.born2
+        return report._replace(born2=born2._replace(tail=born2.tail * (1.0 + 1e-12)))
+
+    monkeypatch.setattr("bosegas.verify.run_pipeline", drifting)
+
+
+# check name -> (overrides of BASE, mutant installer or None for a real
+# input, whether the check must be the only one to fail)
+MUTANTS = {
+    # the solve diverges: NonConvergence
+    "pipeline": ({"N": 10, "beta": 0.5, "kappa": 1e8, "cutoff_K_over_2pi": 4,
+                  "cutoff_K2_over_2pi": 2}, None, True),
+    "diagonalizable": ({"kappa": 1e5}, None, True),
+    "tables_cubic_symmetric": ({}, _tables_mutant(tau=_negation_skewed_tau), False),
+    "hyperbolic_identity": ({}, _tables_mutant(ct=lambda t: t.ct * (1.0 + 1e-9)), False),
+    "F_lower_bound": ({}, _tables_mutant(F=lambda t: 0.4 * t.F), False),
+    "F_upper_bound": (
+        {}, _tables_mutant(F=lambda t: 200.0 * (1.0 + t.table.at_zero) * t.F), False),
+    "pairing_ratio": ({"kappa": 3e4}, None, True),
+    "tau_identity": ({}, _tables_mutant(tau=lambda t: 2.0 * t.tau), False),
+    "dispersion_bound": ({}, _tables_mutant(e=lambda t: 0.5 * t.e), False),
+    "e_pert_tilde_nonpositive": ({}, _positive_pair_sum, True),
+    "corr_constant_positive": ({"kappa": 6e4}, None, False),
+    "e_corr_negative": ({"kappa": 6e4}, None, False),
+    # the scattering solution with the wrong sign
+    "scattering_length_below_born0": (
+        {}, _tables_mutant(sol=lambda t: t.sol._replace(eta=-t.sol.eta)), False),
+    "depletion_nonnegative": ({}, _unsquared_depletion, True),
+    "zero_coupling_collapse": ({"kappa": 0.0}, _nonzero_tail_bound, False),
+    "rs_pt2_nonpositive": (
+        {"N": 10**4, "cutoff_K_over_2pi": 4}, _dropped_cubic_channel, True),
+    "deterministic_rerun": ({}, _drifting_rerun, True),
+}
+
+
 class TestVerify:
     def test_good_config_passes(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -390,59 +493,29 @@ class TestVerify:
         assert main(["verify", "--config", path]) == 0
         assert "zero_coupling_collapse" in capsys.readouterr().out
 
-    def test_dropped_cubic_channel_fails_the_probe(self, monkeypatch):
-        # mutant: the Fock cubic channel is the zero operator
-        monkeypatch.setattr(
-            "bosegas.oracle.build_G1tilde",
-            lambda basis, rt: _assemble(
-                basis, np.zeros((0, 1), int), np.zeros((0, 1), int), []),
-        )
-        cfg = parse_config(dict(BASE, N=10**4, cutoff_K_over_2pi=4))
-        failed = [c.name for c in run_verify(cfg) if not c.passed]
-        assert failed == ["rs_pt2_nonpositive"]
+    @pytest.mark.parametrize("check", list(MUTANTS))
+    def test_mutant_turns_its_check_red(self, monkeypatch, check):
+        overrides, install, alone = MUTANTS[check]
+        if install is not None:
+            install(monkeypatch)
+        checks = run_verify(parse_config(dict(BASE, **overrides)))
+        failed = [c.name for c in checks if not c.passed]
+        if alone:
+            assert failed == [check]
+        else:
+            assert check in failed
+        assert {c.name for c in checks} <= set(MUTANTS)
+        assert all(type(c.passed) is bool for c in checks)
 
-    def test_negation_asymmetric_tau_fails_cubic_check(self, monkeypatch):
-        # mutant: tau at p = (1, 0, 0) differs from tau at -p; -p lies in
-        # p's cubic orbit, so the cubic check sees every negation defect
-        real = bosegas.verify.run_tables
-
-        def skewed(cfg, N):
-            tables, t_scatter = real(cfg, N)
-            tau = tables.tau.copy()
-            tau[int(tables.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-12
-            return tables._replace(tau=tau), t_scatter
-
-        monkeypatch.setattr("bosegas.verify.run_tables", skewed)
-        failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
-        assert "tables_cubic_symmetric" in failed
-
-    def test_rerun_moving_a_non_csv_field_fails(self, monkeypatch):
-        # mutant: the rerun's born2 tail, which no CSV column shows, moves
-        # by one part in 1e12
-        real = bosegas.verify.run_pipeline
-
-        def drifting(cfg):
-            report = real(cfg)
-            born2 = report.born2
-            return report._replace(
-                born2=born2._replace(tail=born2.tail * (1.0 + 1e-12))
-            )
-
-        monkeypatch.setattr("bosegas.verify.run_pipeline", drifting)
-        failed = [c.name for c in run_verify(parse_config(BASE)) if not c.passed]
-        assert failed == ["deterministic_rerun"]
-
-    def test_zero_coupling_checks_every_computed_field(self, monkeypatch):
-        # mutant: a kappa = 0 report whose a_tail_bound, which no CSV
-        # column shows, is not zero
-        real = bosegas.verify.assemble_report
-        monkeypatch.setattr(
-            "bosegas.verify.assemble_report",
-            lambda tables, K2: real(tables, K2)._replace(a_tail_bound=1e-30),
-        )
-        checks = run_verify(parse_config(dict(BASE, kappa=0.0)))
-        assert "zero_coupling_collapse" in [c.name for c in checks
-                                            if not c.passed]
+    def test_every_check_has_a_mutant(self):
+        # a check that no input can fail certifies nothing: every name
+        # `run_verify` can emit needs a row in MUTANTS
+        tree = ast.parse(inspect.getsource(bosegas.verify))
+        names = {
+            ast.literal_eval(node.args[0]) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Check"
+        }
+        assert names == set(MUTANTS)
 
     def test_rerun_moving_only_wall_times_passes(self, monkeypatch):
         real = bosegas.verify.run_pipeline

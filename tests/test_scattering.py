@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from bosegas import scattering
 from bosegas.errors import NonConvergence, NotCubicInvariant
 from bosegas.lattice_potential import (
     TWO_PI,
@@ -47,21 +49,34 @@ class TestSolver:
         assert len(lat) <= 200
         sol = solve_eta(pot, lat, N=10**4, beta=0.75)
         dense = dense_solve_eta(pot, lat, 10**4, 0.75)
-        assert np.max(np.abs(sol.eta - dense)) <= 10.0 * sol.tol
+        assert np.max(np.abs(sol.eta - dense)) <= 10.0 * scattering.TOL
 
     def test_converged_residual_within_tol(self, sol_small):
-        assert residual(sol_small) <= sol_small.tol
+        assert residual(sol_small) <= scattering.TOL
 
     def test_symmetry_exact(self, sol_small):
         neg = sol_small.lattice.negation_index()
         assert np.all(sol_small.eta == sol_small.eta[neg])
 
-    def test_nonconvergence_reports(self, lat3):
+    def test_nonconvergence_reports(self, lat3, monkeypatch):
+        monkeypatch.setattr(scattering, "TOL", 1e-30)
+        monkeypatch.setattr(scattering, "MAX_ITER", 3)
         pot = Potential(kappa=0.5, R=0.2)
         with pytest.raises(NonConvergence) as exc:
-            solve_eta(pot, lat3, N=100, beta=0.6, tol=1e-30, max_iter=3)
+            solve_eta(pot, lat3, N=100, beta=0.6)
         assert exc.value.iterations == 3
-        assert exc.value.last_residual > 0
+        assert exc.value.best_residual > 0
+
+    def test_divergence_stops_at_first_non_finite_residual(self):
+        # far outside the contractive regime the iterates overflow; the
+        # solve stops there, before any numpy warning, not at MAX_ITER
+        lat = enumerate_lattice(8.0 * math.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergence) as exc:
+                solve_eta(Potential(kappa=1e8, R=0.25), lat, N=10, beta=0.5)
+        assert exc.value.iterations < scattering.MAX_ITER
+        assert math.isfinite(exc.value.best_residual)
 
 
 class TestResidual:
@@ -135,7 +150,7 @@ class TestConvolution:
         # equation with the exact convolution as well
         sol = solve_eta(pot_coupled, lat3, 400, 0.7)
         exact = conv_direct(sol.table, sol.eta)
-        assert np.max(np.abs(_defect(sol.table, sol.eta, exact))) <= sol.tol
+        assert np.max(np.abs(_defect(sol.table, sol.eta, exact))) <= scattering.TOL
 
 
 class TestTailRule:
