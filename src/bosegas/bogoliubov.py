@@ -6,6 +6,10 @@ coefficients F_p, G_p, the diagonalizing angles tau_p with their
 hyperbolics, and the dispersion e_p = sqrt(F_p^2 - G_p^2), plus the scalar
 constants: the extensive constant C, the quadratic ground energy, and the
 order-one / order-N^(beta-1) vacuum-energy terms.
+
+The interaction is radial, so every table, like the eta it is built from,
+is one value per cubic orbit of the ball; a ball sum repeats each value by
+its orbit size (`LatticeBall.total`), bitwise the sum over the points.
 """
 
 from __future__ import annotations
@@ -61,14 +65,16 @@ def tau_table(
 ) -> np.ndarray:
     """Diagonalizing angles: tanh(2 tau_p) = -G_p/F_p.
 
-    Computed as tau = (1/4) [log1p(-G/F) - log1p(G/F)].
+    Computed as tau = (1/4) [log1p(-G/F) - log1p(G/F)].  Where |G| >= F
+    it raises DiagonalizationFailure at the first such orbit's first
+    member in canonical order, (-c, -b, -a) for its sorted |n| = (a, b, c).
     """
     g = G / F
     bad = ~(np.abs(g) < 1.0)  # NaN too: F and G have left the float range
     if np.any(bad):
         i = int(np.argmax(np.abs(g)))
         raise DiagonalizationFailure(
-            lattice.points[i], float(abs(g[i])), N, kappa
+            -lattice.reps[i, ::-1], float(abs(g[i])), N, kappa
         )
     return 0.25 * (np.log1p(-g) - np.log1p(g))
 
@@ -79,10 +85,11 @@ def dispersion(F: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 class BogoliubovTables(NamedTuple):
-    """All per-momentum tables of one solution, aligned with its lattice.
+    """All per-momentum tables of one solution, one value per cubic orbit
+    of its lattice (`LatticeBall`), aligned with `lattice.reps`.
 
-    Every table is bitwise constant on cubic orbits, as the convolver's
-    output is (`scattering._OctantConvolver`).
+    Read a table at a point through `lattice.lookup`; sum it over the
+    ball with `total`.
     """
 
     sol: ScatteringSolution
@@ -116,6 +123,10 @@ class BogoliubovTables(NamedTuple):
     @property
     def eta(self) -> np.ndarray:
         return self.sol.eta
+
+    def total(self, values: np.ndarray) -> float:
+        """Exact sum of an orbit table over the points of the ball."""
+        return self.sol.lattice.total(values)
 
 
 def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
@@ -164,10 +175,11 @@ def bogoliubov_ground_energy(tables) -> float:
 
     Summed in the cancellation-free form -G_p^2 / (2 (F_p + e_p)); the
     summand decays like |p|^-6 so the ball sum converges absolutely.
-    Reads only F, G and e: it also runs on `fock.RestrictedTables`.
+    Reads only F, G, e and `total`: it also runs on
+    `fock.RestrictedTables`.
     """
     F, G, e = tables.F, tables.G, tables.e
-    return det_sum(-G * G / (2.0 * (F + e)))
+    return tables.total(-G * G / (2.0 * (F + e)))
 
 
 class ExtensiveConstant(NamedTuple):
@@ -191,10 +203,10 @@ def constant_C(tables: BogoliubovTables) -> ExtensiveConstant:
     v = t.values
     excess = det_sum(
         [
-            det_sum((lat.psq + v) * s * s),              # kinetic pairing
-            det_sum(v * cs),                             # potential cs
-            det_sum(conv * cs) / (2.0 * N),              # convolution cs
-            -det_sum(v * (0.5 * cs + cs * s * s)) / N,   # cubic remainder
+            lat.total((lat.psq + v) * s * s),             # kinetic pairing
+            lat.total(v * cs),                            # potential cs
+            lat.total(conv * cs) / (2.0 * N),             # convolution cs
+            -lat.total(v * (0.5 * cs + cs * s * s)) / N,  # cubic remainder
         ]
     )
     return ExtensiveConstant(value=0.5 * (N - 1) * t.at_zero + excess,
@@ -214,7 +226,7 @@ def e00_summand(psq: np.ndarray, vhat0: float) -> np.ndarray:
 
 def e00(vhat0: float, lattice: LatticeBall) -> ScalarWithTail:
     """Order-one vacuum energy, ball sum plus |p|^-4 tail estimate."""
-    value = 0.5 * det_sum(e00_summand(lattice.psq, vhat0))
+    value = 0.5 * lattice.total(e00_summand(lattice.psq, vhat0))
     tail = 1.5 * vhat0**3 / (8.0 * np.pi**2 * lattice.cutoff_K)
     return ScalarWithTail(value, tail)
 
@@ -241,8 +253,7 @@ def e01(tables: BogoliubovTables, K2: float) -> Term:
     Each q-sum is a convolution over q != p, evaluated for all p at once
     on the convolver of the K2 sub-table (`ScaledPotentialTable.sub_table`),
     whose transform grid fits K2 rather than the full cutoff; the p-sums
-    are exact.  Both convolved weights are cubic-invariant, as the tables
-    are.  The result agrees with the explicit pair loop to a few ulps
+    are exact.  The result agrees with the explicit pair loop to a few ulps
     relative.
 
     The q-sums grow like N^beta through momenta beyond any practical ball;
@@ -252,23 +263,24 @@ def e01(tables: BogoliubovTables, K2: float) -> Term:
     sub = tables.table.sub_table(K2)
     convolve = make_convolver(sub)
     N = tables.N
-    M2 = len(sub.values)
-    psq = sub.lattice.psq
+    n2 = len(sub.values)
+    lat = sub.lattice
+    psq = lat.psq
     v = sub.values
-    scm = sc_minus_eta(tables.eta[:M2])
-    sc = (tables.s * tables.c)[:M2]
+    scm = sc_minus_eta(tables.eta[:n2])
+    sc = (tables.s * tables.c)[:n2]
     S = np.sqrt(psq * (psq + 2.0 * v))
     w2 = v * v / (S * (psq + S))
     bracket = sc + v / psq
 
     ball = det_sum(
         [
-            -det_sum(scm * convolve(bracket)) / (2.0 * N),
-            det_sum(w2 * convolve(sc)) / N,
+            -lat.total(scm * convolve(bracket)) / (2.0 * N),
+            lat.total(w2 * convolve(sc)) / N,
         ]
     )
 
     # factored q-tail: bracket -> vhat_q/(2 q^2), vhat(p-q) -> vhat(q)
     t2x = born2_sum(sub).tail
-    tail = (det_sum(scm) + 2.0 * det_sum(w2)) * (-t2x / (2.0 * N))
+    tail = (lat.total(scm) + 2.0 * lat.total(w2)) * (-t2x / (2.0 * N))
     return Term(ball, tail)

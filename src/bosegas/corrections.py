@@ -27,7 +27,7 @@ from .bogoliubov import (
     e01,
     sc_minus_eta,
 )
-from .errors import InconsistentLattice, NotCubicInvariant
+from .errors import InconsistentLattice
 from .lattice_potential import _nsq_max, born2_sum
 from .scattering import make_convolver, scattering_length
 from .sums import Term, det_rows, det_sum
@@ -72,34 +72,35 @@ def c_constant(tables: BogoliubovTables) -> CConstants:
     route-agreement diagnostics by a factor 2 (tested).
     """
     vhat0 = tables.table.at_zero
-    c1 = det_sum(sc_minus_eta(tables.eta)) + 2.0 * vhat0 * vhat0 * det_sum(
-        c1_resolvent_summand(tables.lattice.psq, vhat0)
+    c1 = tables.total(sc_minus_eta(tables.eta)) + 2.0 * vhat0 * vhat0 * (
+        tables.total(c1_resolvent_summand(tables.lattice.psq, vhat0))
     )
-    c2 = det_sum(pair_weight(tables))
+    c2 = tables.total(pair_weight(tables))
     return CConstants(C1=c1, C2=c2, value=c1 + c2)
 
 
 class _PairContext:
-    """The K2-ball of the cubic pair sum in cubic-orbit order, with each
-    p + q read through the K ball's own grid.
+    """The K2-ball of the cubic pair sum, its points by cubic orbit, with
+    each p + q read through the K ball's own grid.
 
     `sub` is the K2 sub-table (`ScaledPotentialTable.sub_table`, which
-    rejects K2 beyond the tables' cutoff); its lattice gives the points and
-    M2.  `order` lists them by cubic orbit (a stable argsort of `orbit`),
-    so each orbit is one run that starts at its first member, and every
-    array below is in that order: `fac` holds the rows (X, Y, P, Q, vX,
-    vY) of `vertex_factors` and the dispersion e, `neg[i]` the position of
-    -p_i.  For p, q in the K2-ball, |p + q|^2 <= 4 max |n|^2(K2) lies
+    rejects K2 beyond the tables' cutoff); its lattice gives the points
+    (`LatticeBall.points`: each orbit one run from its first member, at
+    `starts`) and M2.  `orbit_fac` holds the rows (X, Y, P, Q, vX, vY) of
+    `vertex_factors` and the dispersion e per orbit of the K ball; `fac`
+    is its K2 part with each orbit's column repeated over its run, so in
+    point order, like `neg[i]`, the position of -p_i: negation reverses
+    lexicographic order and keeps the orbit, so -p_i mirrors p_i within
+    its run.  For p, q in the K2-ball, |p + q|^2 <= 4 max |n|^2(K2) lies
     inside the K ball unless 2 K2 > K up to shells, which raises
     InconsistentLattice: the gather would read wrong entries, not fail.
     The K ball's dense grid `grid` maps p_i + q_j, at `base[i] + flat[j]`,
-    to its index in the K ball's `tables`, and to -1 at j = neg[i]; -1
-    reads their last entry, a real one, and the row zeroes that term.
+    to its orbit in `orbit_fac`, and to -1 at j = neg[i]; -1 reads the
+    last orbit, a real one, and the row zeroes that term.
     """
 
     def __init__(self, tables: BogoliubovTables, K2: float):
         lat = tables.lattice
-        self.tables = tables
         self.sub = tables.table.sub_table(K2)
         sub_lat = self.sub.lattice
         self.M2 = len(sub_lat)
@@ -108,17 +109,19 @@ class _PairContext:
                 f"pair sums at K2 = {K2} reach |p + q| = 2 K2 beyond the "
                 f"cutoff {lat.cutoff_K}"
             )
-        o = self.order = np.argsort(sub_lat.orbit, kind="stable")
-        self.neg = np.argsort(o)[sub_lat.negation_index()[o]]
-        # the K2 points are the K ball's first M2, so o indexes its tables
-        self.fac = np.stack([
-            *vertex_factors(tables.table.values[o], tables.c[o], tables.s[o],
-                            tables.ct[o], tables.st[o]),
-            tables.e[o],
+        size = sub_lat.size
+        self.starts = np.cumsum(size) - size
+        self.neg = np.repeat(2 * self.starts + size - 1, size) - np.arange(self.M2)
+        self.orbit_fac = np.stack([
+            *vertex_factors(tables.table.values, tables.c, tables.s,
+                            tables.ct, tables.st),
+            tables.e,
         ])
+        # the K2 orbits are the K ball's first ones
+        self.fac = np.repeat(self.orbit_fac[:, :len(size)], size, axis=1)
         self.grid = lat.grid
         side = 2 * lat.L + 1
-        self.flat = sub_lat.points[o] @ np.array([side * side, side, 1], dtype=np.int64)
+        self.flat = sub_lat.points() @ np.array([side * side, side, 1], dtype=np.int64)
         self.base = self.flat + len(self.grid) // 2  # the center is p + q = 0
 
 
@@ -154,17 +157,14 @@ def symmetrized_vertex(fa, fb, fc):
 
 
 def _f_rows(ctx: _PairContext, i: int):
-    """f(p, q) and e(p + q) for the point p at orbit-order position i and
-    every q from position i on, f zero at q = -p.  The p + q slot gathers
-    the K ball's tables and takes its `vertex_factors` on the gather."""
-    idx = ctx.grid[ctx.base[i] + ctx.flat[i:]]
-    tb = ctx.tables
-    fpq = vertex_factors(tb.table.values[idx], tb.c[idx], tb.s[idx],
-                         tb.ct[idx], tb.st[idx])
-    f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6, i:], fpq)
+    """f(p, q) and e(p + q) for the point p at position i and every q from
+    position i on, f zero at q = -p.  The p + q slot gathers the K ball's
+    per-orbit factors."""
+    pq = ctx.orbit_fac[:, ctx.grid[ctx.base[i] + ctx.flat[i:]]]
+    f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6, i:], pq[:6])
     if ctx.neg[i] >= i:
         f[ctx.neg[i] - i] = 0.0
-    return f, tb.e[idx]
+    return f, pq[6]
 
 
 def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
@@ -177,31 +177,23 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
     |p| > K2 continuum tail factors through the reduced pair weight C2
     (`c_constant`).
 
-    The tables are constant on cubic orbits (checked) and the K2-ball is a
-    union of whole orbits, so the q-sum of row p depends on p's orbit
-    only, and the summand is symmetric in p <-> q.  So one row per orbit
-    k, at its first member, runs over the q of orbits >= k only, the terms
-    of orbits > k doubled (exactly); the rows, each summed exactly and
-    repeated by its orbit size, are summed exactly again.  Every summand
+    The tables are one value per cubic orbit and the K2-ball is a union of
+    whole orbits, so the q-sum of row p depends on p's orbit only, and the
+    summand is symmetric in p <-> q.  So one row per orbit k, at its first
+    member, runs over the q of orbits >= k only, the terms of orbits > k
+    doubled (exactly); the rows, each summed exactly and repeated by its
+    orbit size, are summed exactly again.  Every summand
     is bitwise a term of the full row sum, or twice one; the result is
     within a few ulps of that sum's exact value, as each row and the total
     are rounded once and the computed summand is symmetric only up to its
     own rounding.
     """
     ctx = _PairContext(tables, K2)
-    lat = tables.lattice
-    for name in ("c", "s", "ct", "st", "e"):
-        gap = lat.orbit_spread(getattr(tables, name))
-        if gap > 0.0:
-            raise NotCubicInvariant(
-                f"table {name} varies within a cubic orbit by {gap:.3e}"
-            )
-    sizes = ctx.sub.lattice.orbit_size
-    starts = np.cumsum(sizes) - sizes
+    sizes = ctx.sub.lattice.size
     e = ctx.fac[6]
 
     def row(k: int) -> float:
-        i = int(starts[k])
+        i = int(ctx.starts[k])
         f, epq = _f_rows(ctx, i)
         t = f * f / (epq + e[i] + e[i:])
         t[sizes[k]:] *= 2.0
@@ -210,7 +202,7 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
     rows = det_rows(row, len(sizes))
     ball = -(6.0 / tables.N) * det_sum(np.repeat(rows, sizes))
     t2x = born2_sum(ctx.sub).tail
-    tail = det_sum(pair_weight(tables)) * (-t2x / (2.0 * tables.N))
+    tail = tables.total(pair_weight(tables)) * (-t2x / (2.0 * tables.N))
     return Term(ball, tail)
 
 
@@ -225,19 +217,19 @@ def g2_expectation(tables: BogoliubovTables, K2: float) -> float:
     whole sum).  With q = p+r it is (1/2N) sum_p [w_p (vhat * w)_p +
     w2_p (vhat * w2)_p], w = c^2 st ct and w2 = c^2 st^2, the
     convolutions over q != p running on the convolver of the K2
-    sub-table (`ScaledPotentialTable.sub_table`; both weights are
-    cubic-invariant) and the p-sums exactly.  The second Wick pairing,
+    sub-table (`ScaledPotentialTable.sub_table`) and the p-sums exactly.  The second Wick pairing,
     quartic in the squeezing, is negligible at physical couplings but
     kept for exactness against the Fock oracle.
     """
     sub = tables.table.sub_table(K2)
     convolve = make_convolver(sub)
-    M2 = len(sub.values)
-    c, st, ct = tables.c[:M2], tables.st[:M2], tables.ct[:M2]
+    n2 = len(sub.values)
+    c, st, ct = tables.c[:n2], tables.st[:n2], tables.ct[:n2]
     w = c * c * st * ct
     w2 = c * c * st * st
+    lat = sub.lattice
     return det_sum(
-        [det_sum(w * convolve(w)), det_sum(w2 * convolve(w2))]
+        [lat.total(w * convolve(w)), lat.total(w2 * convolve(w2))]
     ) / (2.0 * tables.N)
 
 
@@ -246,11 +238,11 @@ def depletion(tables) -> float:
 
     The two same-mode squeezings compose additively in their parameters,
     so the occupation of mode p in the approximate ground state is
-    sinh^2(eta_p + tau_p).  Reads only eta and tau: it also runs on
-    `fock.RestrictedTables`.
+    sinh^2(eta_p + tau_p).  Reads only eta, tau and `total`: it also runs
+    on `fock.RestrictedTables`.
     """
     x = np.sinh(tables.eta + tables.tau)
-    return det_sum(x * x)
+    return tables.total(x * x)
 
 
 class EnergyReport(NamedTuple):
@@ -337,7 +329,7 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
 
     a = scattering_length(sol)
     leading = 4.0 * np.pi * (N - 1) * a
-    leading_excess = (N - 1) / (2.0 * N) * det_sum(
+    leading_excess = (N - 1) / (2.0 * N) * tables.total(
         tables.table.values * sol.eta
     )
     e00_res = e00(tables.table.at_zero, lat)

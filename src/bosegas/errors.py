@@ -13,10 +13,6 @@ class BetaOutOfRange(BosegasError):
     """Scaling exponent outside (0, 1)."""
 
 
-class NotCubicInvariant(BosegasError):
-    """Input to the convolver is not constant on cubic orbits."""
-
-
 class NonConvergence(BosegasError):
     """Fixed-point scattering solver failed to reach the target residual."""
 

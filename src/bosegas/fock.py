@@ -114,7 +114,7 @@ def shell_modes(nsq_max: int) -> ModeSet:
     L = math.isqrt(nsq_max)
     if 6 * L > MAX_MODES:  # the axis points alone exceed the cap
         raise BasisTooLarge(f"|n|^2 <= {nsq_max} holds more than {MAX_MODES} modes")
-    return mode_set(enumerate_lattice(TWO_PI * math.sqrt(nsq_max)).points)
+    return mode_set(enumerate_lattice(TWO_PI * math.sqrt(nsq_max)).points())
 
 
 def _row_keys(occupations: np.ndarray) -> np.ndarray:
@@ -458,6 +458,10 @@ class RestrictedTables(NamedTuple):
     eta: np.ndarray
     tau: np.ndarray
     value_at: object
+
+    def total(self, values: np.ndarray) -> float:
+        """Exact sum over the modes, each counted once."""
+        return det_sum(values)
 
 
 def restrict_tables(tables, modes: ModeSet) -> RestrictedTables:

@@ -10,10 +10,15 @@ closed-form, everywhere nonnegative Fourier transform
 continuously extended at p = 0 where it equals kappa*(4*pi*R^3/3)^2.
 Evaluations are keyed on |p|^2 so that opposite momenta receive bitwise
 identical values.
+
+The transform is radial, so the momentum ball (`LatticeBall`) and every
+table on it hold one entry per cubic orbit and no per-point array (at
+K = 40 pi, 900 orbits hold the 33,400 points).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -85,42 +90,64 @@ def vhat_oracle(pot: Potential, rho: float) -> float:
 
 
 class LatticeBall(NamedTuple):
-    """Momenta p = 2*pi*n with 0 < |p| <= cutoff_K, canonically ordered.
+    """Momenta p = 2*pi*n with 0 < |p| <= cutoff_K, one entry per cubic
+    orbit.
 
-    Ordering is ascending |n|^2 with lexicographic tie-break on n; the set
-    is closed under negation and excludes the zero mode.
+    The ball excludes the zero mode and is closed under the 48-element
+    cubic group (coordinate permutations and sign flips).  Two points share
+    an orbit exactly when their sorted |n| components a <= b <= c agree,
+    and every table on the ball is radial, so it is stored as one value per
+    orbit, aligned with `reps`.  The orbits run by ascending |n|^2, then
+    lexicographically by their first member (-c, -b, -a): the order in
+    which they first appear among the points in canonical order (ascending
+    |n|^2, lexicographic tie-break), so every prefix of whole shells holds
+    exactly the orbits 0..k-1.  A sum over the ball repeats each orbit's
+    value by its size (`total`).
 
-    The ball is also closed under the 48-element cubic group (coordinate
-    permutations and sign flips).  Two points share an orbit exactly when
-    their sorted |n| components agree; `orbit` numbers the orbits in order
-    of first appearance, so every prefix of whole shells holds exactly the
-    orbits 0..k-1.
+    `grid` maps n + L, flattened over the (2L+1)^3 cube, to n's orbit and
+    to -1 outside the ball, in the smallest signed integer type that holds
+    the orbit ids; `points` expands the members from it.
     """
 
     cutoff_K: float
-    points: np.ndarray          # (M, 3) int64, canonical order
-    nsq: np.ndarray             # (M,) int64, |n|^2 per point
-    orbit: np.ndarray           # (M,) cubic-orbit id per point
-    orbit_first: np.ndarray     # (n_orbits,) first member
-    orbit_size: np.ndarray      # (n_orbits,) member count
-    grid: np.ndarray            # dense (2L+1)^3 index lookup
+    reps: np.ndarray            # (n_orbits, 3) sorted |n| components
+    nsq: np.ndarray             # (n_orbits,) int64, |n|^2 per orbit
+    size: np.ndarray            # (n_orbits,) member count
+    grid: np.ndarray            # flat (2L+1)^3 orbit ids, -1 outside
     L: int
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        """The number of points M."""
+        return int(self.size.sum())
 
     @property
     def norms(self) -> np.ndarray:
-        """|p| per point."""
+        """|p| per orbit."""
         return TWO_PI * np.sqrt(self.nsq.astype(float))
 
     @property
     def psq(self) -> np.ndarray:
-        """|p|^2 per point."""
+        """|p|^2 per orbit."""
         return TWO_PI * TWO_PI * self.nsq.astype(float)
 
+    def total(self, values: np.ndarray) -> float:
+        """Exact sum over the points of an orbit table: each value repeated
+        by its orbit size, so bitwise the sum over every point (`det_sum`
+        is correctly rounded; a sum of size * value is not)."""
+        return det_sum(np.repeat(values, self.size))
+
+    def points(self) -> np.ndarray:
+        """(M, 3) points by orbit, each orbit's members in lexicographic
+        order, expanded from the grid on every call."""
+        flat = np.flatnonzero(self.grid >= 0)
+        # sorted as intp: numpy's stable sort of 8- and 16-bit integers is a
+        # radix sort that maps another 64 KB of its code into the process
+        flat = flat[np.argsort(self.grid[flat].astype(np.intp), kind="stable")]
+        side = 2 * self.L + 1
+        return np.stack(np.unravel_index(flat, (side, side, side)), axis=1) - self.L
+
     def lookup(self, triples: np.ndarray) -> np.ndarray:
-        """Vectorized point -> index map; -1 where outside the ball."""
+        """Vectorized point -> orbit id map; -1 where outside the ball."""
         t = np.asarray(triples)
         flat = t.reshape(-1, 3)
         inside = np.all(np.abs(flat) <= self.L, axis=1)
@@ -134,8 +161,8 @@ class LatticeBall(NamedTuple):
         return out.reshape(t.shape[:-1])
 
     def sub_ball(self, K: float) -> "LatticeBall":
-        """The ball |p| <= K <= cutoff_K, a prefix of this one: equal to
-        `enumerate_lattice(K)` without enumerating again.
+        """The ball |p| <= K <= cutoff_K, an orbit prefix of this one:
+        equal to `enumerate_lattice(K)` without enumerating again.
 
         The one rule from an inner cutoff to its prefix, and the one check
         that it lies inside this ball (InconsistentLattice beyond it,
@@ -143,43 +170,9 @@ class LatticeBall(NamedTuple):
         if K > self.cutoff_K * (1.0 + 1e-12):
             raise InconsistentLattice(f"sub-ball {K} exceeds cutoff {self.cutoff_K}")
         nsq_max = _nsq_max(K)
-        M = int(np.searchsorted(self.nsq, nsq_max, side="right"))
-        return _ball(K, self.points[:M], self.nsq[:M], math.isqrt(nsq_max))
-
-    def negation_index(self) -> np.ndarray:
-        """Index of -p for every p (always valid)."""
-        return self.lookup(-self.points)
-
-    def orbit_spread(self, values: np.ndarray) -> float:
-        """Largest |values_p - values_rep(p)| over the ball, rep(p) being
-        the first member of p's cubic orbit; 0 for cubic-invariant input."""
-        values = np.asarray(values)
-        return float(np.max(np.abs(values - values[self.orbit_first[self.orbit]])))
-
-    def orbit_mean(self, values: np.ndarray) -> np.ndarray:
-        """Replace every entry by the mean over its cubic orbit.
-
-        Each orbit's mean is accumulated once, over its members in
-        canonical order, and written to every member, so the result is
-        bitwise constant on orbits.
-        """
-        sums = np.bincount(self.orbit, weights=values, minlength=len(self.orbit_size))
-        return (sums / self.orbit_size)[self.orbit]
-
-
-def _cubic_orbits(pts: np.ndarray, L: int):
-    """Orbit id (numbered by first appearance), first member and size of
-    every cubic orbit of the canonically ordered points."""
-    a = np.sort(np.abs(pts), axis=1)
-    base = L + 1
-    key = (a[:, 0] * base + a[:, 1]) * base + a[:, 2]
-    _, first, inverse, size = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order], size[order]
+        n = int(np.searchsorted(self.nsq, nsq_max, side="right"))
+        return _ball(K, self.reps[:n], self.nsq[:n], self.size[:n],
+                     math.isqrt(nsq_max))
 
 
 def _nsq_max(K: float) -> int:
@@ -193,43 +186,53 @@ def _nsq_max(K: float) -> int:
 
 
 def enumerate_lattice(K: float) -> LatticeBall:
-    """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K.
+    """All p = 2*pi*n, n in Z^3 without the origin, |p| <= K, by orbit.
 
-    |n|^2 on the cube [-L, L]^3 is a broadcast sum of three squared axes,
-    its kept flat indices run in lexicographic order of n, and a stable
-    sort on |n|^2 puts them in the canonical order before they are
-    unravelled into points."""
+    The orbits are the sorted triples a <= b <= c of the (L+1)^3 octant
+    with 0 < |n|^2 <= nsq_max; an orbit of e equal adjacent components and
+    z zero ones has 6, 3 or 1 (e = 0, 1, 2) orderings times 2^(3-z) sign
+    patterns as members."""
     nsq_max = _nsq_max(K)
     L = math.isqrt(nsq_max)
-    sq = np.arange(-L, L + 1, dtype=np.int64) ** 2
-    nsq = (sq[:, None, None] + sq[:, None] + sq).ravel()
-    flat = np.flatnonzero((nsq > 0) & (nsq <= nsq_max))
-    nsq = nsq[flat]
-    order = np.argsort(nsq, kind="stable")
-    flat, nsq = flat[order], nsq[order]
-    side = 2 * L + 1
-    pts = np.stack(np.unravel_index(flat, (side, side, side)), axis=1)
-    pts -= L
-    return _ball(K, pts, nsq, L)
-
-
-def _ball(K: float, pts: np.ndarray, nsq: np.ndarray, L: int) -> LatticeBall:
-    """The LatticeBall of canonically ordered points inside [-L, L]^3."""
-    side = 2 * L + 1
-    dense = np.full(side * side * side, -1, dtype=np.int64)
-    shifted = pts + L
-    dense[(shifted[:, 0] * side + shifted[:, 1]) * side + shifted[:, 2]] = (
-        np.arange(len(pts), dtype=np.int64)
+    i = np.arange(L + 1)
+    sq = i * i
+    nsq = sq[:, None, None] + sq[:, None] + sq
+    a, b, c = np.nonzero(
+        (i[:, None, None] <= i[:, None]) & (i[:, None] <= i)
+        & (nsq > 0) & (nsq <= nsq_max)
     )
-    orbit, orbit_first, orbit_size = _cubic_orbits(pts, L)
+    nsq = nsq[a, b, c]
+    order = np.lexsort((-a, -b, -c, nsq))
+    reps = np.stack([a, b, c], axis=1)[order]
+    equal = (reps[:, 0] == reps[:, 1]).astype(int) + (reps[:, 1] == reps[:, 2])
+    size = np.array([6, 3, 1])[equal] << np.count_nonzero(reps, axis=1)
+    return _ball(K, reps, nsq[order], size, L)
+
+
+def _fold_axis(L: int) -> np.ndarray:
+    """|k| for k = -L, ..., L, the octant index of each position on an axis
+    of the grid; built without np.abs, whose loop for three elements (L = 1)
+    maps another 64 KB of numpy's code into the process."""
+    i = np.arange(L + 1)
+    return np.concatenate((i[:0:-1], i))
+
+
+def _ball(K: float, reps: np.ndarray, nsq: np.ndarray, size: np.ndarray,
+          L: int) -> LatticeBall:
+    """The LatticeBall of the ordered orbits `reps` inside [-L, L]^3: its
+    grid is the octant table of orbit ids at every ordering of each
+    (a, b, c), read at |n| by broadcast indexing."""
+    ids = np.arange(len(reps), dtype=np.min_scalar_type(-len(reps)))
+    octant = np.full((L + 1,) * 3, -1, dtype=ids.dtype)
+    for perm in itertools.permutations(range(3)):
+        octant[tuple(reps[:, list(perm)].T)] = ids
+    ab = _fold_axis(L)
     return LatticeBall(
         cutoff_K=float(K),
-        points=pts,
+        reps=reps,
         nsq=nsq,
-        orbit=orbit,
-        orbit_first=orbit_first,
-        orbit_size=orbit_size,
-        grid=dense,
+        size=size,
+        grid=octant[ab[:, None, None], ab[:, None], ab].ravel(),
         L=L,
     )
 
@@ -241,7 +244,7 @@ class ScaledPotentialTable(NamedTuple):
     lattice: LatticeBall
     N: int
     beta: float
-    values: np.ndarray      # aligned with lattice.points
+    values: np.ndarray      # one per orbit, aligned with lattice.reps
     at_zero: float
 
     def value_at(self, triples: np.ndarray) -> np.ndarray:
@@ -256,7 +259,7 @@ class ScaledPotentialTable(NamedTuple):
         """This table on the sub-ball |p| <= K (`LatticeBall.sub_ball`):
         the same values, cut to its prefix."""
         sub = self.lattice.sub_ball(K)
-        return self._replace(lattice=sub, values=self.values[: len(sub)])
+        return self._replace(lattice=sub, values=self.values[: len(sub.nsq)])
 
 
 def scaled_table(
@@ -325,7 +328,7 @@ def born2_sum(table: ScaledPotentialTable) -> Term:
     ball, so the tail is the continuum integral over |p| > K.
     """
     lat = table.lattice
-    ball = det_sum(table.values**2 / (2.0 * lat.psq))
+    ball = lat.total(table.values**2 / (2.0 * lat.psq))
     nbeta = table.N**table.beta
     pot = table.pot
     prefac = (pot.kappa * (4.0 * np.pi * pot.R**3) ** 2) ** 2 / pot.R

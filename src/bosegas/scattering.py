@@ -14,12 +14,14 @@ the macroscopic and leading terms already carry; eta must solve the
 r != 0 equation to cancel the pairing term that G is built from.
 Keeping the q = p term would leave vhat(0) eta_p / N uncancelled in G.
 
-Every run convolves on one cosine-transform convolver per potential table
-(`make_convolver`); the exact double loop `conv_direct` is kept as the
-reference the tests compare it against, as `dense_solve_eta` is for the
-solver.  The solver iterates the fixed-point map from the first Born
-term; the map contracts with a factor O(N^(beta-1)) in the targeted
-regime.
+eta, like every table on the ball, is one value per cubic orbit
+(`LatticeBall`): the kernel is radial, so the equation maps orbit-constant
+tables to orbit-constant tables.  Every run convolves on one
+cosine-transform convolver per potential table (`make_convolver`); the
+exact double loop `conv_direct` is kept as the reference the tests compare
+it against, as `dense_solve_eta` is for the solver, both per point.
+The solver iterates the fixed-point map from the first Born term; the
+map contracts with a factor O(N^(beta-1)) in the targeted regime.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergence, NotCubicInvariant
+from .errors import NonConvergence
 from .lattice_potential import (
     TWO_PI,
     LatticeBall,
     Potential,
     ScaledPotentialTable,
+    _fold_axis,
     scaled_table,
 )
 from .sums import det_sum
@@ -44,17 +47,16 @@ MAX_ITER = 200
 
 
 def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
-    """(vhat_N^beta * values)_p over q != p by explicit double loop.
+    """(vhat_N^beta * values)_p over q != p by explicit double loop, on
+    values at every point of `lattice.points()` and in that order.
 
     The exact O(M^2) reference that tests hold the fast convolver to; no
     run path calls it.
     """
-    lat = table.lattice
-    pts = lat.points
-    out = np.empty(len(lat), dtype=float)
-    for i in range(len(lat)):
-        diffs = pts[i] - pts
-        kern = table.value_at(diffs)
+    pts = table.lattice.points()
+    out = np.empty(len(pts), dtype=float)
+    for i in range(len(pts)):
+        kern = table.value_at(pts[i] - pts)
         kern[i] = 0.0
         out[i] = det_sum(kern * values)
     return out
@@ -73,19 +75,18 @@ class _OctantConvolver:
     p - q spans [-2L, 2L] per axis for a ball inside [-L, L]^3.  Modulo 4L
     only +2L and -2L coincide, and the even kernel has one value there, so
     the period-4L circular convolution is the exact linear one.  Input is
-    checked to be cubic-invariant (NotCubicInvariant otherwise) and the
-    kernel is radial, so both are even along every axis and the period-4L
-    DFT reduces per axis to the DCT-I  X_k = sum_{j=0}^{2L} w_j x_j
-    cos(2 pi jk / 4L), w = (1, 2, ..., 2, 1), its own inverse up to 1/4L.
-    The input scatters onto (L+1)^3 by |n_i|, the kernel is transformed
-    once on (2L+1)^3 (`shape`), and the output is read back on (L+1)^3,
-    each transform three products with one matrix.
+    one value per cubic orbit and the kernel is radial, so both are even
+    along every axis and the period-4L DFT reduces per axis to the DCT-I
+    X_k = sum_{j=0}^{2L} w_j x_j cos(2 pi jk / 4L), w = (1, 2, ..., 2, 1),
+    its own inverse up to 1/4L.  The input scatters onto (L+1)^3 through
+    the ball's octant of orbit ids, the kernel is transformed once on
+    (2L+1)^3 (`shape`), and the output is read back on (L+1)^3, each
+    transform three products with one matrix.
 
     The transform includes q = p; vhat(0) * values_p is subtracted after.
-    The output is replaced by its mean over each cubic orbit, which makes
-    it bitwise cubic-invariant (a change below its 1e-12 budget against
-    `conv_direct`), so every downstream table inherits the exact negation
-    and cubic symmetry the orbit-reduced pair sums rely on.
+    The output is averaged over each cubic orbit, its members summed in
+    lexicographic order (one `np.bincount` over the ball's grid cells in
+    flat order), which is below its 1e-12 budget against `conv_direct`.
     """
 
     def __init__(self, table: ScaledPotentialTable):
@@ -106,29 +107,29 @@ class _OctantConvolver:
         d2 = j * j
         kern = vals[d2[:, None, None] + d2[None, :, None] + d2[None, None, :]]
         self._kern_hat = _apply(kern, W) / float(4 * L) ** 3
-        a = np.abs(lat.points)
+        grid = lat.grid.reshape(self.shape)
+        self._octant = grid[L:, L:, L:]
+        # every point of the ball in flat grid order: its orbit and octant cell
+        inside = grid >= 0
+        self._member_orbit = grid[inside].astype(np.intp)
+        ab = _fold_axis(L)
         n = L + 1
-        self._octant = (a[:, 0] * n + a[:, 1]) * n + a[:, 2]
+        self._member_cell = ((ab[:, None, None] * n + ab[:, None]) * n + ab)[inside]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         lat = self.table.lattice
-        gap = lat.orbit_spread(values)
-        if gap > 0.0:  # NaN passes: a diverging solve reports NonConvergence
-            raise NotCubicInvariant(
-                f"convolution input varies within a cubic orbit by {gap:.3e}"
-            )
-        n = self._fwd.shape[0]
-        sig = np.zeros(n * n * n, dtype=float)
-        sig[self._octant] = values
-        spec = _apply(sig.reshape(n, n, n), self._fwd) * self._kern_hat
-        out = _apply(spec, self._inv).reshape(-1)[self._octant]
-        return lat.orbit_mean(out) - self.table.at_zero * values
+        # the octant's -1 cells (outside the ball, the origin) read the 0
+        sig = np.append(values, 0.0)[self._octant]
+        spec = _apply(sig, self._fwd) * self._kern_hat
+        out = _apply(spec, self._inv).reshape(-1)[self._member_cell]
+        sums = np.bincount(self._member_orbit, weights=out, minlength=len(values))
+        return sums / lat.size - self.table.at_zero * values
 
 
 def make_convolver(table: ScaledPotentialTable) -> _OctantConvolver:
     """Return the convolver of `table`: the potential convolution over
-    q != p by the octant cosine transforms of `_OctantConvolver`, for
-    cubic-invariant input.
+    q != p by the octant cosine transforms of `_OctantConvolver`, on one
+    value per cubic orbit.
 
     It is the only convolver of a run, at every ball size: the direct
     double loop `conv_direct` is slower at every size, and tests hold this
@@ -138,7 +139,8 @@ def make_convolver(table: ScaledPotentialTable) -> _OctantConvolver:
 
 
 class ScatteringSolution(NamedTuple):
-    """Solved eta table on a lattice ball, with solver metadata.
+    """Solved eta table on a lattice ball, one value per cubic orbit, with
+    solver metadata.
 
     The zero mode is fixed to eta_0 = 0 by convention; beyond the cutoff
     the first Born term serves as the tail rule (see `eta_tail`).
@@ -214,16 +216,17 @@ def dense_solve_eta(
     """Direct dense linear solve of the same truncated equation (oracle).
 
     The coupling matrix vhat(p-q)/(2N) has its diagonal set to zero (the
-    q = p term is excluded, as in the solver), leaving p^2 there.
+    q = p term is excluded, as in the solver), leaving p^2 there.  The
+    solution is per point, at `lattice.points()` and in that order.
     """
     table = scaled_table(pot, lattice, N, beta)
-    pts = lattice.points
-    M = len(lattice)
+    pts = lattice.points()
+    M = len(pts)
     A = np.zeros((M, M), dtype=float)
     for i in range(M):
         A[i, :] = table.value_at(pts[i] - pts) / (2.0 * N)
-    A[np.diag_indices(M)] = lattice.psq
-    return np.linalg.solve(A, -0.5 * table.values)
+    A[np.diag_indices(M)] = np.repeat(lattice.psq, lattice.size)
+    return np.linalg.solve(A, -0.5 * np.repeat(table.values, lattice.size))
 
 
 def eta_tail(pot: Potential, N: int, beta: float, p) -> float:
@@ -243,5 +246,5 @@ def scattering_length(sol: ScatteringSolution) -> float:
     truncated part from the `born2_sum` tail (`a_tail_bound`).
     """
     table = sol.table
-    s = det_sum(table.values * sol.eta) / table.N
+    s = table.lattice.total(table.values * sol.eta) / table.N
     return (table.at_zero + s) / (8.0 * np.pi)

@@ -56,6 +56,12 @@ def brute_count(radius_n: float) -> int:
     return c
 
 
+def per_point(lat, values: np.ndarray) -> np.ndarray:
+    """An orbit table of `lat` at every point of `lat.points()`, in that
+    order."""
+    return np.repeat(values, lat.size)
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes that fn(*args) allocates above what was allocated before
     it, as tracemalloc sees it."""

@@ -20,6 +20,8 @@ from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
 from bosegas.scattering import make_convolver, solve_eta
 from bosegas.sums import det_sum
 
+from conftest import per_point
+
 
 @pytest.fixture(scope="module")
 def zero_tables(lat3):
@@ -68,8 +70,9 @@ class TestConvolutionCS:
     def test_brute_force_small(self, tables_first_shell):
         tb = tables_first_shell
         lat = tb.lattice
-        pts = lat.points
-        cs = tb.c * tb.s
+        pts = lat.points()
+        cs = per_point(lat, tb.c * tb.s)
+        cs_conv = per_point(lat, tb.cs_conv)
         table = tb.table
         for i in range(len(lat)):
             acc = 0.0
@@ -77,7 +80,7 @@ class TestConvolutionCS:
                 if j == i:
                     continue
                 acc += float(table.value_at(pts[i] - pts[j])) * cs[j]
-            assert tb.cs_conv[i] == pytest.approx(acc, rel=1e-12, abs=1e-300)
+            assert cs_conv[i] == pytest.approx(acc, rel=1e-12, abs=1e-300)
 
     def test_sup_bound_certificate(self, tables_small):
         tb = tables_small
@@ -139,8 +142,8 @@ class TestTau:
 
     def test_closed_form_value(self, lat3):
         # G/F = -3/5 gives tau = artanh(3/5)/2 = ln(4)/4
-        F = np.full(len(lat3), 5.0)
-        G = np.full(len(lat3), -3.0)
+        F = np.full(len(lat3.nsq), 5.0)
+        G = np.full(len(lat3.nsq), -3.0)
         tau = tau_table(F, G, lat3, 100, 0.0)
         assert np.max(np.abs(tau - math.log(4.0) / 4.0)) <= 1e-15
 
@@ -156,6 +159,8 @@ class TestTau:
         with pytest.raises(DiagonalizationFailure) as exc:
             tau_table(F, G, lat3, 100, 9.9)
         assert exc.value.ratio == pytest.approx(1.5)
+        # orbit 3's first member in canonical order
+        assert exc.value.point == tuple(lat3.points()[np.sum(lat3.size[:3])])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowed_coefficients_raise(self, lat3):
@@ -165,7 +170,7 @@ class TestTau:
         F[3] = G[3] = np.inf
         with pytest.raises(DiagonalizationFailure) as exc:
             tau_table(F, G, lat3, 100, 9.9)
-        assert exc.value.point == tuple(lat3.points[3])
+        assert exc.value.point == tuple(-lat3.reps[3, ::-1])
 
     def test_p4_certificate(self, tables_small):
         tb = tables_small
@@ -232,7 +237,7 @@ class TestE00:
         lat = tables_small.lattice
         v0 = tables_small.table.at_zero
         fwd = e00(v0, lat).value
-        rev = 0.5 * det_sum(np.ascontiguousarray(e00_summand(lat.psq, v0)[::-1]))
+        rev = 0.5 * det_sum(per_point(lat, e00_summand(lat.psq, v0))[::-1].copy())
         assert abs(fwd - rev) <= 1e-12 * abs(fwd)
 
 
@@ -246,11 +251,11 @@ class TestE01:
         lat = tb.lattice
         K2 = TWO_PI * 1.0
         M2 = len(lat.sub_ball(K2))
-        pts = lat.points[:M2]
-        psq = lat.psq[:M2]
-        v = tb.table.values[:M2]
-        eta = tb.sol.eta[:M2]
-        sc = (tb.c * tb.s)[:M2]
+        pts = lat.points()[:M2]
+        psq = per_point(lat, lat.psq)[:M2]
+        v = per_point(lat, tb.table.values)[:M2]
+        eta = per_point(lat, tb.sol.eta)[:M2]
+        sc = per_point(lat, tb.c * tb.s)[:M2]
         scm = sc_minus_eta(eta)
         S = np.sqrt(psq * (psq + 2 * v))
         acc1 = acc2 = 0.0
@@ -277,11 +282,11 @@ class TestE01:
         K2 = TWO_PI * k2_units
         lat = tb.lattice
         M2 = len(lat.sub_ball(K2))
-        pts = lat.points[:M2]
-        psq = lat.psq[:M2]
-        v = tb.table.values[:M2]
-        scm = sc_minus_eta(tb.sol.eta[:M2])
-        sc = (tb.s * tb.c)[:M2]
+        pts = lat.points()[:M2]
+        psq = per_point(lat, lat.psq)[:M2]
+        v = per_point(lat, tb.table.values)[:M2]
+        scm = sc_minus_eta(per_point(lat, tb.sol.eta)[:M2])
+        sc = per_point(lat, tb.s * tb.c)[:M2]
         S = np.sqrt(psq * (psq + 2.0 * v))
         w2 = v * v / (S * (psq + S))
         bracket = sc + v / psq

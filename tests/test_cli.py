@@ -384,14 +384,6 @@ def _tables_mutant(**fields):
     return install
 
 
-def _negation_skewed_tau(tables):
-    # tau at p = (1, 0, 0) differs from tau at -p; -p lies in p's cubic
-    # orbit, so the cubic check sees every negation defect
-    tau = tables.tau.copy()
-    tau[int(tables.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-12
-    return tau
-
-
 def _positive_pair_sum(monkeypatch):
     # e_pert_tilde's ball sum loses the sign of its -(6/N) prefactor
     real = bosegas.corrections.e_pert_tilde
@@ -448,7 +440,6 @@ MUTANTS = {
     "pipeline": ({"N": 10, "beta": 0.5, "kappa": 1e8, "cutoff_K_over_2pi": 4,
                   "cutoff_K2_over_2pi": 2}, None, True),
     "diagonalizable": ({"kappa": 1e5}, None, True),
-    "tables_cubic_symmetric": ({}, _tables_mutant(tau=_negation_skewed_tau), False),
     "hyperbolic_identity": ({}, _tables_mutant(ct=lambda t: t.ct * (1.0 + 1e-9)), False),
     "F_lower_bound": ({}, _tables_mutant(F=lambda t: 0.4 * t.F), False),
     "F_upper_bound": (
@@ -516,6 +507,14 @@ class TestVerify:
             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Check"
         }
         assert names == set(MUTANTS)
+
+    def test_tau_off_by_a_part_in_1e9_fails_tau_identity(self, monkeypatch):
+        # the bound is relative to |G/F|: an absolute 1e-12 passed this
+        # tau, whose identity residual is about 1e-9 |G/F|
+        _tables_mutant(tau=lambda t: t.tau * (1.0 + 1e-9))(monkeypatch)
+        checks = {c.name: c for c in run_verify(parse_config(BASE))}
+        assert not checks["tau_identity"].passed
+        assert checks["tau_identity"].margin > 1e6
 
     def test_rerun_moving_only_wall_times_passes(self, monkeypatch):
         real = bosegas.verify.run_pipeline

@@ -18,13 +18,13 @@ from bosegas.corrections import (
     symmetrized_vertex,
     vertex_factors,
 )
-from bosegas.errors import CutoffTooSmall, InconsistentLattice, NotCubicInvariant
+from bosegas.errors import CutoffTooSmall, InconsistentLattice
 from bosegas.lattice_potential import TWO_PI, Potential, born2_sum, enumerate_lattice
-from bosegas.pipeline import run_tables
+from bosegas.pipeline import run_pipeline, run_tables
 from bosegas.scattering import solve_eta
 from bosegas.sums import det_sum
 
-from conftest import traced_peak
+from conftest import per_point, traced_peak
 
 # convolution pair sums against their explicit row loops: a few ulps of
 # FFT rounding, relative to the sum
@@ -58,17 +58,18 @@ G2_CASES = [
 
 def pair_terms(tb, K2):
     """Reference: the M2 x M2 summands f(p, q)^2 / (e(p+q) + e(p) + e(q))
-    of e_pert_tilde's ball part, row p and column q in canonical order,
-    zero at q = -p; every slot's factors are read by lattice lookup."""
+    of e_pert_tilde's ball part, row p and column q in point order, zero
+    at q = -p; every slot's factors are read by lattice lookup."""
     lat = tb.lattice
     M2 = len(lat.sub_ball(K2))
-    pts = lat.points[:M2]
+    pts = lat.points()[:M2]
+    o = lat.lookup(pts)
     fac = np.stack(vertex_factors(tb.table.values, tb.c, tb.s, tb.ct, tb.st))
     terms = np.empty((M2, M2))
     for i in range(M2):
         k = lat.lookup(pts[i] + pts)
-        f = symmetrized_vertex(fac[:, i], fac[:, :M2], fac[:, k])
-        terms[i] = f * f / (tb.e[k] + tb.e[i] + tb.e[:M2])
+        f = symmetrized_vertex(fac[:, o[i]], fac[:, o], fac[:, k])
+        terms[i] = f * f / (tb.e[k] + tb.e[o[i]] + tb.e[o])
         terms[i, k < 0] = 0.0
     return terms
 
@@ -76,10 +77,10 @@ def pair_terms(tb, K2):
 def f_pq(tb, K2, p, q):
     """The vertex f(p, q) for p, q in the K2-ball, read from a `_f_rows`
     row, the code that e_pert_tilde runs.  A row holds the q from its own
-    orbit-order position on, so a q before p is read in the row of q, as
-    f(q, p)."""
+    position on, so a q before p is read in the row of q, as f(q, p)."""
     ctx = _PairContext(tb, K2)
-    ip, iq = np.argsort(ctx.order)[tb.lattice.lookup(np.array([p, q]))]
+    pts = ctx.sub.lattice.points()
+    ip, iq = (int(np.flatnonzero(np.all(pts == x, axis=1))[0]) for x in (p, q))
     ip, iq = min(ip, iq), max(ip, iq)
     f, _ = _f_rows(ctx, int(ip))
     return float(f[iq - ip])
@@ -129,32 +130,31 @@ class TestPairContext:
     def test_rows_read_p_plus_q_through_the_ball_grid(self, tables_small, k2_units):
         # the K2 points run by cubic orbit, each orbit one run from its
         # first member; every p + q lies in the radius-6 ball (all of it
-        # at K2 = K/2, as at the reference point) and reads its index
-        # there, -1 only at q = -p_i; a row gathers the ball's own tables
-        # at those indices, the -1 included, and zeroes that term
+        # at K2 = K/2, as at the reference point) and reads its orbit
+        # there, -1 only at q = -p_i; a row gathers the ball's own orbit
+        # factors at those ids, the -1 included, and zeroes that term
         tb = tables_small
         lat = tb.lattice
         K2 = TWO_PI * k2_units
         ctx = _PairContext(tb, K2)
         sub = lat.sub_ball(K2)
-        order = ctx.order
-        assert np.array_equal(np.sort(order), np.arange(ctx.M2))
-        runs = sub.orbit[order]
-        assert np.all(np.diff(runs) >= 0)
-        assert np.array_equal(order[np.flatnonzero(np.diff(runs, prepend=-1))],
-                              sub.orbit_first)
+        pts = sub.points()
+        o = lat.lookup(pts)
+        assert np.array_equal(o, np.repeat(np.arange(len(sub.nsq)), sub.size))
+        assert np.array_equal(pts[ctx.starts], -sub.reps[:, ::-1])
         fac = np.stack([
             *vertex_factors(tb.table.values, tb.c, tb.s, tb.ct, tb.st), tb.e
         ])
-        assert np.array_equal(ctx.fac, fac[:, order])
-        pts = lat.points[order]
+        assert np.array_equal(ctx.orbit_fac, fac)
+        assert np.array_equal(ctx.fac, fac[:, o])
         for i in range(ctx.M2):
             idx = ctx.grid[ctx.base[i] + ctx.flat]
             assert np.array_equal(idx, lat.lookup(pts[i] + pts))
             assert np.array_equal(np.flatnonzero(idx < 0), [ctx.neg[i]])
+            assert np.array_equal(pts[ctx.neg[i]], -pts[i])
             k = idx[i:]
             f, epq = _f_rows(ctx, i)
-            ref = symmetrized_vertex(fac[:6, order[i]], fac[:6, order[i:]], fac[:6, k])
+            ref = symmetrized_vertex(fac[:6, o[i]], fac[:6, o[i:]], fac[:6, k])
             ref[k < 0] = 0.0
             assert np.array_equal(f, ref)
             assert np.array_equal(epq, tb.e[k])
@@ -167,17 +167,19 @@ class TestVertex:
     def test_symmetry_random_pairs(self, tables_small):
         K2 = TWO_PI * 2.5
         lat = tables_small.lattice
-        M2 = len(lat.sub_ball(K2))
+        sub = lat.sub_ball(K2)
+        M2, n2 = len(sub), len(sub.nsq)
+        pts = sub.points()
         rng = np.random.default_rng(5)
         checked = 0
         while checked < 100:
             i, j = rng.integers(0, M2, size=2)
-            p = lat.points[i]
-            q = lat.points[j]
+            p = pts[i]
+            q = pts[j]
             s = p + q
             if not s.any():
                 continue
-            if lat.lookup(s[None, :])[0] >= M2 or lat.lookup(s[None, :])[0] < 0:
+            if lat.lookup(s[None, :])[0] >= n2 or lat.lookup(s[None, :])[0] < 0:
                 continue
             base = f_pq(tables_small, K2, p, q)
             variants = [
@@ -253,17 +255,19 @@ class TestEPertTilde:
         K2 = TWO_PI * 1.0
         lat = tb.lattice
         M2 = len(lat.sub_ball(K2))
+        pts = lat.points()
+        e = per_point(lat, tb.e)
         acc = 0.0
         for i in range(M2):
             for j in range(M2):
-                p = lat.points[i]
-                q = lat.points[j]
+                p = pts[i]
+                q = pts[j]
                 s = p + q
                 if not s.any():
                     continue
                 f = f_pq(tb, K2, p, q)
                 epq = tb.e[lat.lookup(s)]
-                acc += f * f / (epq + tb.e[i] + tb.e[j])
+                acc += f * f / (epq + e[i] + e[j])
         expected = -6.0 / tb.N * acc
         res = e_pert_tilde(tb, K2)
         assert res.ball == pytest.approx(expected, rel=1e-12)
@@ -293,17 +297,12 @@ class TestEPertTilde:
         row_loop = scale * det_sum([det_sum(row) for row in terms])
         assert abs(row_loop - exact) <= bound
 
-    def test_tables_not_cubic_invariant_rejected(self, tables_small):
-        e = tables_small.e.copy()
-        e[int(tables_small.lattice.lookup((1, 0, 0)))] *= 1.0 + 1e-15
-        with pytest.raises(NotCubicInvariant):
-            e_pert_tilde(tables_small._replace(e=e), TWO_PI * 2)
-
 
 class TestEPertTildeMemory:
-    """The cubic pair sum keeps the K2 ball's factors in orbit order and
-    per-row temporaries; it allocates no table of the K-ball factors and
-    nothing of the size of the (4 L2 + 1)^3 offset cube."""
+    """The cubic pair sum keeps the K2 ball's factors in point order, the
+    K ball's per orbit, and per-row temporaries; it allocates no per-point
+    table of the K-ball factors and nothing of the size of the
+    (4 L2 + 1)^3 offset cube."""
 
     @pytest.fixture(scope="class")
     def energy_ref_tables(self):
@@ -327,21 +326,41 @@ class TestEPertTildeMemory:
         assert traced_peak(e_pert_tilde, tables, K2) < bound
 
     def test_peak_below_row_bound(self, energy_ref_tables):
-        # what stays allocated is the pair context: `fac` (7 rows),
-        # `order`, `neg`, `flat`, `base` and the K2 sub-ball's orbit ids,
-        # 12 M2 values, and the sub-ball's dense grid, (2 L2 + 1)^3 int64.
-        # On top of it runs one transient at a time: the cubic-invariance
-        # check's or the pair weight's two K-ball temporaries (2 M), or a
-        # row's index, six gathers, factors and vertex temporaries, or the
-        # context's own build (each under 24 M2).  So the peak stays below
-        # 12 M2 + (2 L2 + 1)^3 + max(2 M, 24 M2) values: 1.27 MB at
-        # M = 33,400, M2 = 4,168 and L2 = 10.
+        # what stays allocated is the pair context: `fac` (7 rows), `neg`,
+        # `flat` and `base`, 10 M2 values, the K ball's orbit factors
+        # (7 rows of one value per orbit, under M) and the sub-ball's
+        # dense grid, (2 L2 + 1)^3 ids.  On top of it runs one transient at
+        # a time: the pair weight's K-ball temporaries (under 2 M), or a
+        # row's index, gather, factors and vertex temporaries, or the
+        # context's own build, its point expansion included (each under
+        # 24 M2).  So the peak stays below 12 M2 + (2 L2 + 1)^3 +
+        # max(2 M, 24 M2) values: 1.27 MB at M = 33,400, M2 = 4,168 and
+        # L2 = 10.
         tables, K2 = energy_ref_tables
         M = len(tables.lattice)
         sub = tables.lattice.sub_ball(K2)
         M2 = len(sub)
         bound = 8 * (12 * M2 + (2 * sub.L + 1) ** 3 + max(2 * M, 24 * M2))
         assert traced_peak(e_pert_tilde, tables, K2) < bound
+
+
+class TestPipelineMemory:
+    def test_energy_ref_peak_below_orbit_bound(self):
+        # the benchmark's energy-ref point: K = 40 pi (L = 20, side = 41,
+        # M = 33,400 points in 900 orbits), K2 = 20 pi.  Every table is one
+        # value per orbit, so what a run holds is the ball (its int16 grid,
+        # under side^3 / 4 values) and a convolver: the kernel spectrum
+        # (side^3) and the member index arrays (2 M).  On top of it runs
+        # one transient at a time: the kernel's build (its index cube, the
+        # kernel cube and a transform's input, transposed copy and result,
+        # under 4 side^3), the member arrays' octant-cell cube (side^3), a
+        # call's transforms (under 4 side^3, its output read at M points),
+        # or the pair sums (under 2 M + 24 M2, M2 = 4,168).  So the peak
+        # stays below 6 side^3 + 3 M values, 4.10 MB.
+        cfg = parse_config({"N": 10**4, "beta": 0.75, "kappa": 0.1, "R": 0.25,
+                            "cutoff_K_over_2pi": 20, "cutoff_K2_over_2pi": 10})
+        side, M = 41, 33_400
+        assert traced_peak(run_pipeline, cfg) < 8 * (6 * side**3 + 3 * M)
 
 
 class TestG2Expectation:
@@ -353,17 +372,19 @@ class TestG2Expectation:
         K2 = TWO_PI
         lat = tb.lattice
         M2 = len(lat.sub_ball(K2))
+        pts = lat.points()
+        c, st, ct = (per_point(lat, x) for x in (tb.c, tb.st, tb.ct))
         acc = 0.0
         for i in range(M2):
             for j in range(M2):
                 if i == j:
                     continue
-                r = lat.points[j] - lat.points[i]
+                r = pts[j] - pts[i]
                 vr = float(tb.table.value_at(r[None, :])[0])
-                w = tb.c[i] ** 2 * tb.c[j] ** 2
+                w = c[i] ** 2 * c[j] ** 2
                 acc += vr * w * (
-                    tb.st[i] * tb.st[j] * tb.ct[i] * tb.ct[j]
-                    + tb.st[i] ** 2 * tb.st[j] ** 2
+                    st[i] * st[j] * ct[i] * ct[j]
+                    + st[i] ** 2 * st[j] ** 2
                 )
         expected = acc / (2.0 * tb.N)
         got = g2_expectation(tb, K2)
@@ -373,9 +394,10 @@ class TestG2Expectation:
     def test_convolution_matches_row_loop(self, request, fixture, k2_units):
         tb = request.getfixturevalue(fixture)
         K2 = TWO_PI * k2_units
-        M2 = len(tb.lattice.sub_ball(K2))
-        pts = tb.lattice.points[:M2]
-        c, st, ct = tb.c[:M2], tb.st[:M2], tb.ct[:M2]
+        lat = tb.lattice
+        M2 = len(lat.sub_ball(K2))
+        pts = lat.points()[:M2]
+        c, st, ct = (per_point(lat, x)[:M2] for x in (tb.c, tb.st, tb.ct))
         w = c * c * st * ct
         w2 = c * c * st * st
         rows = []
@@ -442,9 +464,10 @@ class TestECorr:
     def test_inner_sum_brute(self, tables_first_shell):
         tb = tables_first_shell
         lat = tb.lattice
+        values, psq = per_point(lat, tb.table.values), per_point(lat, lat.psq)
         acc = 0.0
         for i in range(len(lat)):
-            acc += tb.table.values[i] ** 2 / (2.0 * lat.psq[i])
+            acc += values[i] ** 2 / (2.0 * psq[i])
         ball, _ = born2_sum(tb.table)
         assert ball == pytest.approx(acc, rel=1e-13)
 
@@ -458,7 +481,7 @@ class TestDepletion:
 
     def test_matches_definition(self, tables_small):
         tb = tables_small
-        x = np.sinh(tb.sol.eta + tb.tau)
+        x = per_point(tb.lattice, np.sinh(tb.sol.eta + tb.tau))
         assert depletion(tb) == pytest.approx(float(np.sum(x * x)), rel=1e-12)
 
     def test_fraction_shrinks_with_n(self, pot_coupled, lat3):
@@ -548,8 +571,9 @@ class TestReport:
             tb = build_tables(solve_eta(pot_ref, lat, N, 0.8))
             rep = assemble_report(tb, K2)
             v0 = tb.table.at_zero
-            c1_shell = det_sum(sc_minus_eta(tb.eta)[M2:]) + 2.0 * v0 * v0 * det_sum(
-                c1_resolvent_summand(lat.psq, v0)[M2:]
+            c1_shell = det_sum(per_point(lat, sc_minus_eta(tb.eta))[M2:]) + (
+                2.0 * v0 * v0
+                * det_sum(per_point(lat, c1_resolvent_summand(lat.psq, v0))[M2:])
             )
             shell = c1_shell * (-rep.born2.value / (2.0 * N))
             rel.append(abs((rep.corr_minus_parts - shell) / rep.E_corr))

@@ -24,14 +24,14 @@ from bosegas.lattice_potential import (
 )
 from bosegas.sums import det_sum
 
-from conftest import brute_count, traced_peak
+from conftest import brute_count, per_point, traced_peak
 
 
 class TestEnumerate:
     def test_first_shell(self):
         lat = enumerate_lattice(TWO_PI)
         assert len(lat) == 6
-        assert set(map(tuple, lat.points.tolist())) == {
+        assert set(map(tuple, lat.points().tolist())) == {
             (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
         }
 
@@ -43,52 +43,87 @@ class TestEnumerate:
         assert len(lat) == 4168
         assert len(lat) == brute_count(10.0)
 
-    def test_peak_below_point_arrays_bound(self):
-        # at K = 40 pi (L = 20, side = 41, M = 33,400) the peak is in the
-        # cubic-orbit numbering, with live: the kept flat indices, their
-        # sort order and |n|^2 (M each) and the points (3 M); the ball's
-        # dense grid (side^3) and shifted points (3 M); the sorted |n|
-        # components (3 M) and the orbit key (M); np.unique's flattened
-        # copy, sort permutation, sorted copy, running count and its
-        # shift or the inverse (5 M), its mask and per-orbit outputs
-        # (under 2 M).  So the peak stays below side^3 + 20 M int64,
-        # 5.90 MB.  The broadcast |n|^2 cube (side^3) is freed before;
-        # the stacked meshgrid and its square peaked at 7.95 MB.
-        K = TWO_PI * 20
-        lat = enumerate_lattice(K)
-        bound = 8 * ((2 * lat.L + 1) ** 3 + 20 * len(lat))
-        assert traced_peak(enumerate_lattice, K) < bound
+    def test_peak_below_orbit_arrays_bound(self):
+        # at K = 40 pi (L = 20, side = 41, n = 900 orbits of M = 33,400
+        # points) nothing of size M is built.  Live at once are at most:
+        # the octant's |n|^2 cube (int64) and up to three boolean masks of
+        # it, under 2 (L+1)^3 int64; the orbits' components, keys, sort
+        # order, stacked and sorted copies, sizes and a permuted copy, under
+        # 24 n int64; the octant table of ids (under (L+1)^3 int64) and the
+        # ball's grid (side^3 int16).  So the peak stays below
+        # 2 side^3 + 8 (3 (L+1)^3 + 24 n) bytes, 0.53 MB.
+        L = 20
+        n = sum(1 for a, b, c in itertools.combinations_with_replacement(range(L + 1), 3)
+                if 0 < a * a + b * b + c * c <= L * L)
+        assert n == 900
+        bound = 2 * (2 * L + 1) ** 3 + 8 * (3 * (L + 1) ** 3 + 24 * n)
+        assert traced_peak(enumerate_lattice, TWO_PI * L) < bound
 
     def test_too_small(self):
         with pytest.raises(CutoffTooSmall):
             enumerate_lattice(0.9 * TWO_PI)
 
     def test_negation_closed(self, lat6):
-        neg = lat6.negation_index()
-        assert np.all(neg >= 0)
-        assert np.array_equal(lat6.points[neg], -lat6.points)
+        # -p is a point of p's own orbit, and the mirror of p in the
+        # orbit's lexicographic run
+        pts = lat6.points()
+        assert np.array_equal(lat6.lookup(-pts), lat6.lookup(pts))
+        starts = np.cumsum(lat6.size) - lat6.size
+        mirror = np.repeat(2 * starts + lat6.size - 1, lat6.size) - np.arange(len(pts))
+        assert np.array_equal(pts[mirror], -pts)
 
     def test_canonical_order(self, lat6):
+        # orbits by |n|^2, then by first member (-c, -b, -a); each orbit's
+        # points in lexicographic order from that member
         nsq = lat6.nsq
         assert np.all(np.diff(nsq) >= 0)
+        assert np.all(np.diff(lat6.reps, axis=1) >= 0)
+        assert np.array_equal(np.sum(lat6.reps**2, axis=1), nsq)
+        first = -lat6.reps[:, ::-1]
         for shell in np.unique(nsq):
-            pts = lat6.points[nsq == shell].tolist()
-            assert pts == sorted(pts)
+            assert first[nsq == shell].tolist() == sorted(first[nsq == shell].tolist())
+        pts = lat6.points()
+        starts = np.cumsum(lat6.size) - lat6.size
+        assert np.array_equal(pts[starts], first)
+        for k, s in enumerate(starts):
+            run = pts[s:s + lat6.size[k]].tolist()
+            assert run == sorted(run)
 
-    @pytest.mark.parametrize("radius", [1.0, math.sqrt(7.5), 6.0, 10.0])
+    @pytest.mark.parametrize("radius", [1.0, math.sqrt(2), 3.0, math.sqrt(7.5),
+                                        6.0, 10.0, 20.0])
     def test_shells_match_point_loop(self, radius):
-        # shell by ascending |n|^2, each shell's points in lexicographic
-        # order, as a loop over the integer cube collects them
-        lat = enumerate_lattice(TWO_PI * radius)
+        # a loop over the integer cube collects the points in canonical
+        # order (shell by ascending |n|^2, each shell lexicographic) and
+        # numbers each by the first appearance of its sorted |n|
+        # components; the ball's points are that list regrouped stably by
+        # orbit
         L = int(radius)
-        shells = {}
-        for n in itertools.product(range(-L, L + 1), repeat=3):
-            nsq = n[0] ** 2 + n[1] ** 2 + n[2] ** 2
-            if 0 < nsq <= radius**2 + 1e-9:
-                shells.setdefault(nsq, []).append(list(n))
-        assert lat.points.tolist() == [
-            n for nsq in sorted(shells) for n in shells[nsq]
-        ]
+        canon = sorted(
+            (n[0] ** 2 + n[1] ** 2 + n[2] ** 2, n)
+            for n in itertools.product(range(-L, L + 1), repeat=3)
+            if 0 < n[0] ** 2 + n[1] ** 2 + n[2] ** 2 <= radius**2 + 1e-9
+        )
+        pts = np.array([n for _, n in canon])
+        first_seen = {}
+        ids = np.array([
+            first_seen.setdefault(tuple(sorted(map(abs, n))), len(first_seen))
+            for n in pts.tolist()
+        ])
+        lat = enumerate_lattice(TWO_PI * radius)
+        assert np.array_equal(lat.lookup(pts), ids)
+        assert int(lat.size.sum()) == len(lat) == len(pts)
+        assert np.array_equal(lat.points(), pts[np.argsort(ids, kind="stable")])
+        # an inner ball is the orbit prefix
+        inner_radius = max(1.0, radius / 2.0)
+        sub = lat.sub_ball(TWO_PI * inner_radius)
+        n2 = len(sub.nsq)
+        assert n2 == int(np.sum(lat.nsq <= inner_radius**2 + 1e-9))
+        for name in ("reps", "nsq", "size"):
+            assert np.array_equal(getattr(sub, name), getattr(lat, name)[:n2]), name
+        assert np.array_equal(sub.points(), lat.points()[:len(sub)])
+        inner = pts[np.max(np.abs(pts), axis=1) <= sub.L]
+        ref = lat.lookup(inner)
+        assert np.array_equal(sub.lookup(inner), np.where(ref < n2, ref, -1))
 
     # sqrt(7) and sqrt(7.5) end below a |n|^2 that no point has
     @pytest.mark.parametrize("radius", [1.0, math.sqrt(7), math.sqrt(7.5), 3.0, 6.0])
@@ -96,8 +131,9 @@ class TestEnumerate:
         sub = lat6.sub_ball(TWO_PI * radius)
         ref = enumerate_lattice(TWO_PI * radius)
         assert sub.cutoff_K == ref.cutoff_K and sub.L == ref.L
-        for name in ("points", "nsq", "orbit", "orbit_first", "orbit_size", "grid"):
+        for name in ("reps", "nsq", "size", "grid"):
             assert np.array_equal(getattr(sub, name), getattr(ref, name)), name
+        assert sub.grid.dtype == ref.grid.dtype
 
     def test_sub_ball_beyond_the_cutoff_rejected(self, lat6):
         with pytest.raises(InconsistentLattice):
@@ -108,11 +144,12 @@ class TestEnumerate:
     def test_deterministic(self):
         a = enumerate_lattice(TWO_PI * 4)
         b = enumerate_lattice(TWO_PI * 4)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.points(), b.points())
+        assert np.array_equal(a.grid, b.grid)
 
     def test_lookup(self, lat6):
-        idx = lat6.lookup(lat6.points)
-        assert np.array_equal(idx, np.arange(len(lat6)))
+        idx = lat6.lookup(lat6.points())
+        assert np.array_equal(idx, np.repeat(np.arange(len(lat6.nsq)), lat6.size))
         assert lat6.lookup(np.array([[99, 0, 0]]))[0] == -1
 
 
@@ -195,9 +232,11 @@ class TestScaledTable:
         assert t.values[i] == direct
 
     def test_negation_symmetry_exact(self, pot_ref, lat6):
+        # the orbit value is the transform at every member and its negation
         t = scaled_table(pot_ref, lat6, 777, 0.7)
-        neg = lat6.negation_index()
-        assert np.all(t.values == t.values[neg])
+        pts = lat6.points()
+        assert np.array_equal(t.value_at(pts), per_point(lat6, t.values))
+        assert np.array_equal(t.value_at(-pts), per_point(lat6, t.values))
 
     def test_all_nonnegative(self, pot_coupled, lat6):
         t = scaled_table(pot_coupled, lat6, 300, 0.8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bosegas import scattering
-from bosegas.errors import NonConvergence, NotCubicInvariant
+from bosegas.errors import NonConvergence
 from bosegas.lattice_potential import (
     TWO_PI,
     Potential,
@@ -23,7 +23,13 @@ from bosegas.scattering import (
     scattering_length,
     solve_eta,
 )
-from bosegas.sums import det_sum
+
+from conftest import per_point
+
+
+def orbit_starts(lat):
+    """Position of every orbit's first member in `lat.points()`."""
+    return np.cumsum(lat.size) - lat.size
 
 
 class TestSolver:
@@ -38,7 +44,7 @@ class TestSolver:
         lat = enumerate_lattice(TWO_PI)
         sol = solve_eta(pot, lat, N=100, beta=0.6)
         dense = dense_solve_eta(pot, lat, 100, 0.6)
-        assert np.max(np.abs(sol.eta - dense)) <= 1e-12
+        assert np.max(np.abs(per_point(lat, sol.eta) - dense)) <= 1e-12
 
     @pytest.mark.parametrize("n_over", [1.0, math.sqrt(2), math.sqrt(3), 2.0,
                                         math.sqrt(5), 3.0, math.sqrt(12)])
@@ -49,14 +55,17 @@ class TestSolver:
         assert len(lat) <= 200
         sol = solve_eta(pot, lat, N=10**4, beta=0.75)
         dense = dense_solve_eta(pot, lat, 10**4, 0.75)
-        assert np.max(np.abs(sol.eta - dense)) <= 10.0 * scattering.TOL
+        assert np.max(np.abs(per_point(lat, sol.eta) - dense)) <= 10.0 * scattering.TOL
 
     def test_converged_residual_within_tol(self, sol_small):
         assert residual(sol_small) <= scattering.TOL
 
     def test_symmetry_exact(self, sol_small):
-        neg = sol_small.lattice.negation_index()
-        assert np.all(sol_small.eta == sol_small.eta[neg])
+        # one value per cubic orbit: every point and its negation read it
+        lat = sol_small.lattice
+        pts = lat.points()
+        assert sol_small.eta.shape == lat.nsq.shape
+        assert np.array_equal(lat.lookup(-pts), lat.lookup(pts))
 
     def test_nonconvergence_reports(self, lat3, monkeypatch):
         monkeypatch.setattr(scattering, "TOL", 1e-30)
@@ -89,19 +98,22 @@ class TestResidual:
         # over q != p
         N, beta = 300, 0.7
         table = scaled_table(pot_coupled, lat3, N, beta)
-        psq = lat3.psq
-        born = -table.values / (2.0 * psq)
-        pts = lat3.points
+        born = -table.values / (2.0 * lat3.psq)
+        psq = per_point(lat3, lat3.psq)
+        values = per_point(lat3, table.values)
+        born_pt = per_point(lat3, born)
+        pts = lat3.points()
         M = len(lat3)
         defect = np.empty(M)
         for i in range(M):
             acc = 0.0
             for j in range(M):
                 if j != i:
-                    acc += float(table.value_at(pts[i] - pts[j])) * born[j]
-            defect[i] = psq[i] * born[i] + acc / (2 * N) + 0.5 * table.values[i]
+                    acc += float(table.value_at(pts[i] - pts[j])) * born_pt[j]
+            defect[i] = psq[i] * born_pt[i] + acc / (2 * N) + 0.5 * values[i]
         expected = float(np.max(np.abs(defect)))
-        got = float(np.max(np.abs(_defect(table, born, conv_direct(table, born)))))
+        conv = conv_direct(table, born_pt)[orbit_starts(lat3)]
+        got = float(np.max(np.abs(_defect(table, born, conv))))
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -110,16 +122,13 @@ class TestConvolution:
         lat = enumerate_lattice(TWO_PI * 5)
         table = scaled_table(pot_coupled, lat, 1000, 0.75)
         rng = np.random.default_rng(11)
-        vals = lat.orbit_mean(rng.normal(size=len(lat)))  # cubic-invariant
-        a = conv_direct(table, vals)
-        b = _OctantConvolver(table)(vals)
+        vals = rng.normal(size=len(lat.nsq))  # one value per orbit
+        a = conv_direct(table, per_point(lat, vals))
+        b = per_point(lat, _OctantConvolver(table)(vals))
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
-        # the fast path is exactly cubic-invariant (so even), like the
-        # direct path
-        assert lat.orbit_spread(a) == 0.0
-        assert lat.orbit_spread(b) == 0.0
-        assert np.all(b == b[lat.negation_index()])
+        # the direct path is exactly cubic-invariant, as the orbit tables are
+        assert np.array_equal(a, per_point(lat, a[orbit_starts(lat)]))
 
     # period 4L is the shortest exact one: offsets of +-2L along an axis
     # share its index 2L, and the kernel is transformed on the (2L+1)^3
@@ -131,25 +140,16 @@ class TestConvolution:
         conv = _OctantConvolver(table)
         assert conv.shape == (2 * L + 1,) * 3
         rng = np.random.default_rng(L)
-        vals = lat.orbit_mean(rng.normal(size=len(lat)))
-        a = conv_direct(table, vals)
-        assert np.max(np.abs(a - conv(vals))) <= 1e-12 * np.max(np.abs(a))
-
-    def test_fft_refuses_input_that_is_not_cubic_invariant(self, pot_coupled):
-        lat = enumerate_lattice(TWO_PI * 3)
-        conv = _OctantConvolver(scaled_table(pot_coupled, lat, 1000, 0.75))
-        vals = np.ones(len(lat))
-        conv(vals)
-        # even, but not invariant under coordinate permutations
-        vals[lat.lookup(np.array([[1, 0, 0], [-1, 0, 0]]))] = 2.0
-        with pytest.raises(NotCubicInvariant):
-            conv(vals)
+        vals = rng.normal(size=len(lat.nsq))
+        a = conv_direct(table, per_point(lat, vals))
+        b = per_point(lat, conv(vals))
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
     def test_fft_solve_satisfies_exact_equation(self, pot_coupled, lat3):
         # the solve runs on the octant convolver; its eta must solve the
         # equation with the exact convolution as well
         sol = solve_eta(pot_coupled, lat3, 400, 0.7)
-        exact = conv_direct(sol.table, sol.eta)
+        exact = conv_direct(sol.table, per_point(lat3, sol.eta))[orbit_starts(lat3)]
         assert np.max(np.abs(_defect(sol.table, sol.eta, exact))) <= scattering.TOL
 
 
@@ -169,8 +169,8 @@ class TestTailRule:
         lat = enumerate_lattice(TWO_PI * 6)
         sol = solve_eta(pot_ref, lat, N, beta)
         start = int(np.searchsorted(lat.nsq, lat.nsq[-1]))
-        for i in range(start, min(len(lat), start + 4)):
-            p = TWO_PI * lat.points[i].astype(float)
+        for i in range(start, len(lat.nsq)):
+            p = TWO_PI * lat.reps[i].astype(float)
             tail = eta_tail(pot_ref, N, beta, p)
             bound = 5.0 * N ** (beta - 1) * pot_ref.vhat0 / float(p @ p)
             assert abs(sol.eta[i] - tail) <= bound
@@ -193,7 +193,7 @@ class TestScatteringLength:
             pot = Potential(kappa=kappa, R=0.25)
             sol = solve_eta(pot, lat6, N, beta)
             a = scattering_length(sol)
-            born2 = det_sum(sol.table.values**2 / sol.lattice.psq) / (2.0 * N)
+            born2 = sol.lattice.total(sol.table.values**2 / sol.lattice.psq) / (2.0 * N)
             coefs[kappa] = (
                 (pot.vhat0 - 8.0 * math.pi * a) / kappa**2,
                 born2 / kappa**2,
