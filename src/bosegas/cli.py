@@ -82,16 +82,17 @@ def cmd_oracle(cfg: RunConfig) -> tuple[str, list, int]:
             "e_pert_tilde row checks nothing of the cubic channel"
         )
     tables, _ = run_tables(cfg, cfg.N)
-    rows = run_oracle(tables, modes, oracle_cfg.n_max_list)
+    run = run_oracle(tables, modes, oracle_cfg.n_max_list)
     lines = [
         f"# config {cfg.config_hash}  modes={len(modes)}  "
-        f"n_max={list(oracle_cfg.n_max_list)}",
+        f"n_max={list(oracle_cfg.n_max_list)}  dim={list(run.dims)}  "
+        f"sector={list(run.sector_dims)}",
         "quantity,closed_form,"
         + ",".join(f"fock_n{n}" for n in oracle_cfg.n_max_list)
         + ","
         + ",".join(f"relgap_n{n}" for n in oracle_cfg.n_max_list),
     ]
-    for row in rows:
+    for row in run.rows:
         lines.append(
             ",".join(
                 [row.name, fmt(row.closed_form)]

@@ -14,14 +14,26 @@ screen per block of classes marks the (class, state) pairs that hold
 every annihilated mode and stay within the cap, and only those pairs
 meet the ladder operators.  The entries agree with a term-by-term loop
 over the whole basis to within the summation-rounding bound the tests
-keep.  Ground states come from the connected components of the
-operator's sparsity graph, visited in the order of their Gershgorin
-lower bounds: each visited block is diagonalized whole by one dense
-LAPACK eigensolve.  Second-order perturbation theory sums the projected
+keep.
+
+The tables hold one value per cubic orbit, so every signed axis
+permutation that maps the mode set onto itself (48 on a shell set)
+permutes the basis and commutes with each operator.  Each basis state
+carries its orbit under these maps (`FockBasis.orbit`), labelled from a
+generating subset of them, and `SparseSymmetricOperator.projected`
+restricts an operator to the trivial sector, one state per orbit.  The
+oracle's targets all lie in that sector, which is 14-16 times smaller
+than the basis on the 18 modes |n|^2 <= 2; the operators are still
+assembled on the whole basis.
+
+Ground states come from the connected components of the operator's
+sparsity graph, visited in the order of their Gershgorin lower bounds:
+each visited block is diagonalized whole by one dense LAPACK
+eigensolve.  Second-order perturbation theory sums the projected
 resolvent over the same dense block spectra, one per component the
-perturbed state reaches.  Everything runs on numpy alone, and
-each solver has one path at every basis dimension.  None of it reuses
-the closed-form route it is meant to check.
+perturbed state reaches.  Everything runs on numpy alone, and each
+solver has one path at every basis dimension.  None of it reuses the
+closed-form route it is meant to check.
 
 Its targets (`oracle.run_oracle`) are the report's own `E0` and
 `depletion` functions on the `RestrictedTables` of the mode set, and the
@@ -30,6 +42,7 @@ pair sums restricted to in-set triples below.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -45,13 +58,16 @@ from .errors import (
 from .lattice_potential import TWO_PI, enumerate_lattice
 from .sums import det_sum
 
+# bounds build_G2's (m, m, m, 3) candidate array, which DIM_LIMIT does
+# not: at cap 2 the basis holds only m/2 + 1 states
 MAX_MODES = 30
 # most occupations either half of the modes, or the joined sector, may hold
 DIM_LIMIT = 2_000_000
 # screened (class, state) pairs per assembly block: bounds the transient
 # arrays; on the 18-mode oracle at caps 5 and 6, run_oracle measured the
-# same from 2^14 to 2^18 (medians 82-87 ms, quartiles overlapping) at the
-# same CLI peak RSS, 43.3 MB
+# same from 2^14 to 2^18 (medians 82-87 ms, quartiles overlapping) at one
+# CLI peak RSS for every size; that run now peaks at 36.3 MB, in the
+# whole-basis build_G2 at cap 6
 _BLOCK = 1 << 16
 # residual bounds: ground_state's relative to max(1, max |A_ij|),
 # rs_pt2's relative to max(1, |Q V gs0|)
@@ -62,8 +78,8 @@ _PT2_RTOL = 1e-11
 def _row_ids(rows: np.ndarray) -> np.ndarray:
     """The rank of each row of an (n, k) integer array among its distinct
     rows, in lexicographic order: 0, 1, ..., equal exactly when the rows
-    are equal."""
-    order = np.lexsort(rows.T[::-1])
+    are equal (as all are when there are no columns)."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
     ranked = rows[order]
     new = np.zeros(len(rows), dtype=np.int64)
     new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
@@ -88,9 +104,43 @@ class ModeSet(NamedTuple):
 
     vectors: np.ndarray                 # (m, 3) int64, canonical order
     neg_index: np.ndarray
+    generators: np.ndarray              # (k, m): maps generating _symmetry_maps
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
+
+
+def _symmetry_maps(vecs: np.ndarray) -> np.ndarray:
+    """The distinct permutations of the modes that the 48 signed axis
+    permutations induce, among those that map the set onto itself: rows
+    (k, m), row g sending mode i to mode g[i], the identity first.  They
+    include negation (row `neg_index`)."""
+    axes = np.array(list(itertools.permutations(range(3))))
+    signs = np.array(list(itertools.product((1, -1), repeat=3)))
+    images = vecs[:, axes].transpose(1, 0, 2)[None] * signs[:, None, None]
+    maps = _index_of(vecs, images.reshape(48, len(vecs), 3))
+    maps = maps[np.all(maps >= 0, axis=1)]
+    # np.unique(maps, axis=0) adds 1 MB to the CLI oracle's peak RSS
+    ids = _row_ids(maps)
+    distinct = np.empty_like(maps)
+    distinct[ids] = maps
+    return distinct[: ids.max() + 1]
+
+
+def _generators(maps: np.ndarray) -> np.ndarray:
+    """Rows of `_symmetry_maps` that generate them all: a row joins when
+    the rows before it do not generate it."""
+    group = {tuple(maps[0].tolist())}
+    gens = []
+    for p in maps[1:].tolist():
+        if tuple(p) in group:
+            continue
+        gens.append(p)
+        new = group
+        while new:
+            new = {tuple(a[i] for i in g) for a in new for g in gens} - group
+            group |= new
+    return np.array(gens, dtype=np.int64).reshape(len(gens), maps.shape[1])
 
 
 def mode_set(vectors) -> ModeSet:
@@ -106,7 +156,8 @@ def mode_set(vectors) -> ModeSet:
     neg = _index_of(vecs, -vecs)
     if np.any(neg < 0):
         raise ValueError("mode set is not closed under negation")
-    return ModeSet(vectors=vecs, neg_index=neg)
+    return ModeSet(vectors=vecs, neg_index=neg,
+                   generators=_generators(_symmetry_maps(vecs)))
 
 
 def shell_modes(nsq_max: int) -> ModeSet:
@@ -134,6 +185,7 @@ class FockBasis(NamedTuple):
     n_max: int
     occ: np.ndarray         # (D, m) uint8, lex order
     keys: np.ndarray        # _row_keys(occ), ascending
+    orbit: np.ndarray       # (D,) intp, each state's orbit: `_orbits`
 
     def __len__(self) -> int:
         return self.occ.shape[0]
@@ -144,11 +196,17 @@ class FockBasis(NamedTuple):
 
     def lookup(self, occupations: np.ndarray) -> np.ndarray:
         """Vectorized occupation -> index; -1 where absent."""
-        tv = _row_keys(occupations)
-        pos = np.searchsorted(self.keys, tv)
-        # the vacuum is always a basis state, so keys is never empty
-        hit = self.keys[np.minimum(pos, len(self.keys) - 1)] == tv
-        return np.where(hit, pos, -1)
+        return _lookup(self.keys, occupations)
+
+
+def _lookup(keys: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """Index of each occupation row among the ascending keys of a basis;
+    -1 where absent."""
+    tv = _row_keys(occupations)
+    pos = np.searchsorted(keys, tv)
+    # the vacuum is always a basis state, so keys is never empty
+    hit = keys[np.minimum(pos, len(keys) - 1)] == tv
+    return np.where(hit, pos, -1)
 
 
 def _group_offsets(counts: np.ndarray) -> np.ndarray:
@@ -215,9 +273,21 @@ def build_basis(modes: ModeSet, n_max: int) -> FockBasis:
     occ = np.concatenate([occ_l[left], occ_r[right]], axis=1)
     keys = _row_keys(occ)
     order = np.argsort(keys)
-    return FockBasis(
-        modes=modes, n_max=int(n_max), occ=occ[order], keys=keys[order]
-    )
+    occ, keys = occ[order], keys[order]
+    return FockBasis(modes=modes, n_max=int(n_max), occ=occ, keys=keys,
+                     orbit=_orbits(occ, keys, modes.generators))
+
+
+def _orbits(occ: np.ndarray, keys: np.ndarray, generators) -> np.ndarray:
+    """The orbit of each state under the mode set's maps, numbered in
+    order of each orbit's first state: the components of the graph that
+    joins each state to its images under the generators, each looked up
+    once.  occ[:, g] moves a state by g's inverse; the inverses generate
+    the same group."""
+    D, k = occ.shape[0], len(generators)
+    images = np.array([_lookup(keys, occ[:, g]) for g in generators],
+                      dtype=np.intp).reshape(k, D)
+    return _components(np.repeat(np.arange(D), k), images.T.ravel(), D)
 
 
 def _coalesce(rows, cols, vals, dim: int):
@@ -273,6 +343,29 @@ class SparseSymmetricOperator:
         dense = np.zeros((self.dim, self.dim))
         dense[self.rows, self.cols] = self.vals
         return dense
+
+    def projected(self, orbit: np.ndarray) -> SparseSymmetricOperator:
+        """The operator on the orbit states |O> = |O|^(-1/2) sum_{a in O} |a>,
+        for orbit ids 0, 1, ... per state: entry (O, O') is the sum of
+        A_ab over a in O and b in O', times 1/sqrt(|O| |O'|).  Each sum
+        with O <= O' is taken in row-major order and mirrored, so the
+        result is exactly symmetric; exact zeros are dropped.  On an
+        operator that every map of the orbits commutes with, this is the
+        operator on the trivial sector."""
+        size = np.bincount(orbit)
+        d = len(size)
+        r, c = orbit[self.rows], orbit[self.cols]
+        upper = r <= c
+        r, c, vals = _coalesce(r[upper], c[upper], self.vals[upper], d)
+        vals = vals / np.sqrt(size[r] * size[c])
+        keep = vals != 0.0
+        r, c, vals = r[keep], c[keep], vals[keep]
+        off = r != c
+        rows, cols, vals = _coalesce(
+            np.concatenate([r, c[off]]), np.concatenate([c, r[off]]),
+            np.concatenate([vals, vals[off]]), d,
+        )
+        return SparseSymmetricOperator(rows=rows, cols=cols, vals=vals, dim=d)
 
     def symmetry_defect(self) -> float:
         _, _, d = _coalesce(
@@ -549,21 +642,24 @@ def build_G2(basis: FockBasis, rt: RestrictedTables) -> SparseSymmetricOperator:
     )
 
 
-def _components(op: SparseSymmetricOperator) -> np.ndarray:
-    """Connected component of each state in the sparsity graph of op,
-    numbered in order of each component's first state.
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """Connected component of each of dim nodes in the graph with an edge
+    from each rows[i] (ascending) to cols[i], numbered in order of each
+    component's first node.
 
     Each pass lowers every label to the least label in its row and then
-    follows labels to their fixed point.  A label always names a state
-    of the same component, and once a pass changes nothing every entry
-    joins equal labels (the pattern is symmetric)."""
-    label = np.arange(op.dim)
-    starts = np.flatnonzero(np.diff(op.rows, prepend=-1))
-    owner = op.rows[starts]
+    follows labels to their fixed point.  A label always names a node of
+    the same component, and once a pass changes nothing no label exceeds
+    its neighbours', so every edge joins equal labels when each edge lies
+    on a cycle: an operator's sparsity pattern is symmetric, and a
+    permutation's edges close into cycles."""
+    label = np.arange(dim)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    owner = rows[starts]
     while len(starts):
         low = label.copy()
         low[owner] = np.minimum(
-            label[owner], np.minimum.reduceat(label[op.cols], starts)
+            label[owner], np.minimum.reduceat(label[cols], starts)
         )
         while not np.array_equal(low[low], low):
             low = low[low]
@@ -600,12 +696,15 @@ def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
 
     Each visited component's block is diagonalized whole by LAPACK
     (`_block`), and its lowest eigenpair is taken, so no level of the
-    block can be missed.  The cost grows as b^3 in the block size
-    b (one OpenBLAS thread, 2-vCPU Xeon): about 4 ms for the 220-state
-    vacuum block at cap 6 of the 18 modes |n|^2 <= 2, 1.4 s at
-    b = 1,771 (the closed six-mode set at cap 40).  The vector's largest
-    entry is made positive, and its residual must be at most 1e-12 times
-    max(1, max |A_ij|).
+    block can be missed.  The cost grows as b^3 in the block size b (one
+    OpenBLAS thread, 2-vCPU Xeon).  The oracle solves in the trivial
+    sector: at cap 6 of the 18 modes |n|^2 <= 2 its 67 states form 15
+    components, and one block is visited, the vacuum's 29 states
+    (0.3 ms; the whole basis's vacuum block holds 220 states, 4.5 ms).
+    On the closed six-mode set at cap 40 the sector's vacuum block holds
+    946 states (0.15 s for the solve), the whole basis's 1,771 (1.4 s).
+    The vector's largest entry is made positive, and its residual must
+    be at most 1e-12 times max(1, max |A_ij|).
     """
     if not np.all(np.isfinite(op.vals)):
         raise EigenNonConvergence("the operator has a non-finite entry")
@@ -613,7 +712,7 @@ def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
     scale = max(1.0, float(np.max(np.abs(op.vals), initial=0.0)))
     diag = op.diagonal()
     radius = np.bincount(op.rows, np.abs(op.vals), minlength=D) - np.abs(diag)
-    comp = _components(op)
+    comp = _components(op.rows, op.cols, op.dim)
     lower = np.full(comp.max() + 1, np.inf)
     np.minimum.at(lower, comp, diag - radius)
 
@@ -660,7 +759,7 @@ def rs_pt2(
     wn = np.linalg.norm(w)
     if wn == 0.0:
         return 0.0
-    comp = _components(g0_op)
+    comp = _components(g0_op.rows, g0_op.cols, g0_op.dim)
     home = comp[np.argmax(np.abs(gs0))]
     y = np.zeros_like(w)
     # the components w reaches, ascending (np.unique's hash path costs

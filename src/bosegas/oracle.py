@@ -23,6 +23,7 @@ from .corrections import depletion
 from .errors import BasisTooLarge, RejectedConfig
 from .fock import (
     ModeSet,
+    RestrictedTables,
     build_basis,
     build_G0,
     build_G1tilde,
@@ -48,6 +49,12 @@ class OracleRow(NamedTuple):
         return self.rel_gaps[-1]
 
 
+class OracleRun(NamedTuple):
+    rows: list
+    dims: tuple         # basis dimension per cap
+    sector_dims: tuple  # trivial-sector dimension per cap
+
+
 def _gap(closed: float, fock: float) -> float:
     if closed == 0.0 and fock == 0.0:
         return 0.0
@@ -63,9 +70,30 @@ def modes_from_config(cfg_oracle) -> ModeSet:
         raise RejectedConfig(f"bad oracle mode set: {exc}") from exc
 
 
-def run_oracle(
-    tables: BogoliubovTables, modes: ModeSet, n_max_list
-) -> list[OracleRow]:
+def _fock_values(rt: RestrictedTables, n_max: int):
+    """The Fock E0, e_pert_tilde, g2_expect and depletion at one cap, the
+    basis dimension and the sector dimension.  Each operator is
+    assembled on the whole basis and projected onto the trivial sector of
+    the mode set's maps, where every target lies; the number operator is
+    constant on each orbit, so it becomes its orbit mean."""
+    basis = build_basis(rt.modes, n_max)
+    orbit = basis.orbit
+    g0 = build_G0(basis, rt.F, rt.G).projected(orbit)
+    e0, gs = ground_state(g0)
+    pt2 = rs_pt2(g0, build_G1tilde(basis, rt).projected(orbit), e0, gs)
+    g2 = float(gs @ (build_G2(basis, rt).projected(orbit) @ gs))
+    # the doubly-rotated vacuum is the ground state of the quadratic
+    # form with unit gap and pairing -tanh(2(eta + tau))
+    theta = rt.eta + rt.tau
+    gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
+    _, gsd = ground_state(gd.projected(orbit))
+    size = np.bincount(orbit)
+    number = np.bincount(orbit, basis.occ.sum(axis=1)) / size
+    values = (e0, pt2, g2, float(gsd @ (number * gsd)))
+    return values, len(basis), len(size)
+
+
+def run_oracle(tables: BogoliubovTables, modes: ModeSet, n_max_list) -> OracleRun:
     rt = restrict_tables(tables, modes)
     targets = {
         "E0": bogoliubov_ground_energy(rt),
@@ -73,31 +101,17 @@ def run_oracle(
         "g2_expect": restricted_g2_expectation(rt),
         "depletion": depletion(rt),
     }
-    values = {name: [] for name in targets}
-    theta = rt.eta + rt.tau
-    for n_max in n_max_list:
-        basis = build_basis(modes, int(n_max))
-        g0 = build_G0(basis, rt.F, rt.G)
-        e0, gs = ground_state(g0)
-        values["E0"].append(e0)
-        g1 = build_G1tilde(basis, rt)
-        values["e_pert_tilde"].append(rs_pt2(g0, g1, e0, gs))
-        g2 = build_G2(basis, rt)
-        values["g2_expect"].append(float(gs @ (g2 @ gs)))
-        # the doubly-rotated vacuum is the ground state of the quadratic
-        # form with unit gap and pairing -tanh(2(eta + tau))
-        gd = build_G0(basis, np.ones(len(modes)), -np.tanh(2.0 * theta))
-        _, gsd = ground_state(gd)
-        values["depletion"].append(float(gsd @ (basis.occ.sum(axis=1) * gsd)))
+    fock = [_fock_values(rt, int(n)) for n in n_max_list]
     rows = []
-    for name, closed in targets.items():
-        fock = tuple(values[name])
+    for k, (name, closed) in enumerate(targets.items()):
+        values = tuple(v[k] for v, _, _ in fock)
         rows.append(
             OracleRow(
                 name=name,
                 closed_form=closed,
-                fock_values=fock,
-                rel_gaps=tuple(_gap(closed, f) for f in fock),
+                fock_values=values,
+                rel_gaps=tuple(_gap(closed, f) for f in values),
             )
         )
-    return rows
+    return OracleRun(rows=rows, dims=tuple(d for _, d, _ in fock),
+                     sector_dims=tuple(d for _, _, d in fock))

@@ -116,7 +116,7 @@ def run_verify(cfg: RunConfig) -> list[Check]:
     # close (on the first shell none does, and pt2 is 0 for any vertex);
     # K >= 2 K2 >= 4 pi holds that set
     probe = shell_modes(2)
-    rows = {r.name: r for r in run_oracle(tables, probe, [4])}
+    rows = {r.name: r for r in run_oracle(tables, probe, [4]).rows}
     pt2 = rows["e_pert_tilde"].fock_values[0]
     checks.append(
         Check("rs_pt2_nonpositive",

@@ -172,7 +172,7 @@ def test_criterion_5_perturbation_identity(ref_tables):
     shell1 = shell_modes(1)
     rt1 = restrict_tables(ref_tables, shell1)
     assert restricted_e_pert_tilde(rt1) == 0.0
-    rows1 = {r.name: r for r in run_oracle(ref_tables, shell1, sweeps)}
+    rows1 = {r.name: r for r in run_oracle(ref_tables, shell1, sweeps).rows}
     assert all(v == 0.0 for v in rows1["e_pert_tilde"].fock_values)
     assert rows1["e_pert_tilde"].final_gap == 0.0
     g2_gap_shell1 = rows1["g2_expect"].final_gap
@@ -180,7 +180,7 @@ def test_criterion_5_perturbation_identity(ref_tables):
     # triple-closed companion set exercises the identity nontrivially
     closed = mode_set([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                        (1, 1, 0), (-1, -1, 0)])
-    rows2 = {r.name: r for r in run_oracle(ref_tables, closed, sweeps)}
+    rows2 = {r.name: r for r in run_oracle(ref_tables, closed, sweeps).rows}
     pert = rows2["e_pert_tilde"]
     assert pert.closed_form < 0.0
     gaps = pert.rel_gaps

@@ -554,6 +554,12 @@ class TestOracle:
         names = [l.split(",")[0] for l in lines[2:]]
         assert names == ["E0", "e_pert_tilde", "g2_expect", "depletion"]
         assert "relgap_n5" in lines[1]
+        # on the first shell only opposite pairs carry zero momentum: the
+        # vacuum and one pair (cap 3), plus one pair twice or two pairs
+        # (cap 5); the maps permute the three axes' pairs
+        assert lines[0].startswith("# config ")
+        assert lines[0].endswith("  modes=6  n_max=[3, 5]  dim=[4, 10]  "
+                                 "sector=[2, 4]")
 
     @pytest.mark.parametrize("nsq_max, warns", [(1, True), (2, False)])
     def test_warns_when_no_triple_closes(self, tmp_path, capsys, nsq_max, warns):

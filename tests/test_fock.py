@@ -33,8 +33,9 @@ from bosegas.fock import (
     shell_modes,
 )
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
-from bosegas.oracle import run_oracle
+from bosegas.oracle import _fock_values, run_oracle
 from bosegas.scattering import solve_eta
+from conftest import traced_peak
 
 
 def synthetic_tables(vectors, eta_scale=0.25, tau_scale=0.15, N=64):
@@ -60,6 +61,9 @@ def synthetic_tables(vectors, eta_scale=0.25, tau_scale=0.15, N=64):
 
 
 CLOSED_SET = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 0)]
+# no signed axis permutation but +-1 maps it onto itself: (2, 0, 0) pins
+# the x axis, (1, 1, 0) then pins y (z is 0 throughout); its triples close
+NEGATION_ONLY_SET = CLOSED_SET + [(2, 0, 0), (-2, 0, 0)]
 
 
 # Exact references: the depth-first enumeration that `build_basis`
@@ -446,8 +450,11 @@ class TestGroundState:
         # the levels apart, so this guards against any solver that stops
         # on an excited level
         tables = build_tables(solve_eta(pot_ref, lat6, N=10**4, beta=0.75))
-        for row in run_oracle(tables, mode_set(CLOSED_SET), [9, 24]):
+        for row in run_oracle(tables, mode_set(CLOSED_SET), [9, 24]).rows:
             assert row.rel_gaps[-1] <= 1e-12, row.name
+        # the sector solves see the whole basis's levels
+        assert_sector_matches_whole_space(
+            restrict_tables(tables, mode_set(CLOSED_SET)), 24)
 
     @pytest.mark.parametrize("name, n_max", [
         ("G0", 5), ("G0", 6), ("rotated", 5), ("rotated", 6), ("coupled", 5),
@@ -475,12 +482,17 @@ class TestGroundState:
 
 
 @pytest.fixture(scope="module")
-def rt_oracle():
-    """The oracle-fock coupling (kappa 1000, beta 0.75, R 0.25, K = 8 pi)
-    on the 18 modes |n|^2 <= 2."""
+def tables_oracle():
+    """The oracle-fock coupling: kappa 1000, beta 0.75, R 0.25, K = 8 pi."""
     sol = solve_eta(Potential(kappa=1000.0, R=0.25), enumerate_lattice(TWO_PI * 4),
                     N=3000, beta=0.75)
-    return restrict_tables(build_tables(sol), shell_modes(2))
+    return build_tables(sol)
+
+
+@pytest.fixture(scope="module")
+def rt_oracle(tables_oracle):
+    """The oracle-fock coupling on the 18 modes |n|^2 <= 2."""
+    return restrict_tables(tables_oracle, shell_modes(2))
 
 
 class TestRsPt2:
@@ -555,7 +567,7 @@ class TestRsPt2:
         basis = build_basis(rt_oracle.modes, n_max)
         g0 = build_G0(basis, rt_oracle.F, rt_oracle.G)
         gs, w = self.assert_matches_dense(g0, build_G1tilde(basis, rt_oracle))
-        comp = _components(g0)
+        comp = _components(g0.rows, g0.cols, g0.dim)
         reached = np.unique(comp[w != 0])
         assert len(reached) > 1
         assert comp[np.argmax(np.abs(gs))] not in reached
@@ -571,9 +583,186 @@ class TestRsPt2:
         g0 = SparseSymmetricOperator.from_dense(A)
         gs, w = self.assert_matches_dense(
             g0, SparseSymmetricOperator.from_dense(B + B.T))
-        comp = _components(g0)
+        comp = _components(g0.rows, g0.cols, g0.dim)
         assert np.array_equal(comp, label)
         assert np.array_equal(np.unique(comp[w != 0]), [0, 1, 2])
+
+EPS = np.finfo(float).eps
+
+
+def row_norm(op: SparseSymmetricOperator) -> float:
+    """max_i sum_j |A_ij|, at least the spectral norm of a symmetric A."""
+    return float(np.max(np.bincount(op.rows, np.abs(op.vals), minlength=op.dim)))
+
+
+def eig_gate(op: SparseSymmetricOperator) -> float:
+    """The residual bound `ground_state` guarantees on op."""
+    return fock._EIG_RTOL * max(1.0, float(np.max(np.abs(op.vals), initial=0.0)))
+
+
+def spectral_gap(op: SparseSymmetricOperator) -> float:
+    """The lowest level of op to its next, from every component's dense
+    spectrum."""
+    comp = _components(op.rows, op.cols, op.dim)
+    levels = np.sort(np.concatenate(
+        [fock._block(op, comp, c)[1] for c in range(comp.max() + 1)]))
+    return float(levels[1] - levels[0])
+
+
+def assert_sector_matches_whole_space(rt, n_max):
+    """`oracle._fock_values` (every solve in the trivial sector) against
+    the same four targets solved on the whole basis, within bounds that
+    follow from the solvers' gates alone.
+
+    `ground_state` guarantees |A v - lam v| <= r = _EIG_RTOL max(1,
+    max |A_ij|) for each operator A it solves, and `rs_pt2` guarantees
+    |(G0 - E0) y - w| <= rho = _PT2_RTOL max(1, |w|).  A sector vector u
+    lifts to v = P u, P's columns the orbit states; A P = P A_sector
+    when A commutes with the maps, so the lift keeps the norm and the
+    residual.  With Delta the gap from the lowest level of the whole
+    operator to its next, for the sector (s) and whole (w) solves:
+      - E0: each level lies within r of the lowest level, so the two
+        differ by at most r_s + r_w;
+      - each vector lies within e = sqrt(2) r / (Delta - r) of the ground
+        state (Davis-Kahan, signs aligned), so an expectation of B moves
+        by at most 2 b (e_s + e_w), with b = max_i sum_j |B_ij| >= |B|;
+      - rs_pt2: w = Q V v moves by at most 3 |V| |dv|, E0 by r, and the
+        reduced resolvent is at most 1/Delta, so each value lies within
+        |V|^2 (6 e / Delta + 2 r / Delta^2) + |V| rho / Delta of the
+        exact one, |w| <= |V| <= row_norm(V).
+    Rounding adds D eps |value's scale| to each of the two values: b for
+    an expectation, |V|^2 (2 row_norm(G0)) / Delta^2 for rs_pt2.
+    """
+    sector = _fock_values(rt, n_max)[0]
+    basis = build_basis(rt.modes, n_max)
+    D = len(basis)
+    g0 = build_G0(basis, rt.F, rt.G)
+    e0, gs = ground_state(g0)
+    g1 = build_G1tilde(basis, rt)
+    g2 = build_G2(basis, rt)
+    theta = rt.eta + rt.tau
+    gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
+    _, gsd = ground_state(gd)
+    whole = (e0, rs_pt2(g0, g1, e0, gs), float(gs @ (g2 @ gs)),
+             float(gsd @ (basis.occ.sum(axis=1) * gsd)))
+
+    r0 = [eig_gate(g0), eig_gate(g0.projected(basis.orbit))]
+    rd = [eig_gate(gd), eig_gate(gd.projected(basis.orbit))]
+    delta0, deltad = spectral_gap(g0), spectral_gap(gd)
+    e_0 = [np.sqrt(2.0) * r / (delta0 - r) for r in r0]
+    e_d = [np.sqrt(2.0) * r / (deltad - r) for r in rd]
+    V, b2 = row_norm(g1), row_norm(g2)
+    rho = fock._PT2_RTOL * max(1.0, V)
+    tol = (
+        sum(r0),
+        sum(V * V * (6.0 * e / delta0 + 2.0 * r / delta0**2) + V * rho / delta0
+            for e, r in zip(e_0, r0))
+        + 2 * D * EPS * V * V * 2.0 * row_norm(g0) / delta0**2,
+        2.0 * b2 * sum(e_0) + 2 * D * EPS * b2,
+        2.0 * n_max * sum(e_d) + 2 * D * EPS * n_max,
+    )
+    for name, s, w, t in zip(("E0", "pt2", "g2", "depletion"), sector, whole, tol):
+        assert abs(s - w) <= t, (name, s, w, t)
+
+
+class TestSector:
+    @pytest.mark.parametrize("vectors, count", [
+        ([], 1), ([(1, 0, 0), (-1, 0, 0)], 2), (NEGATION_ONLY_SET, 2),
+        (CLOSED_SET, 4), (shell_modes(1).vectors, 48),
+        (shell_modes(2).vectors, 48), (shell_modes(3).vectors, 48),
+    ], ids=["empty", "pair", "negation", "closed", "shell1", "shell2", "shell3"])
+    def test_maps_are_the_cubic_symmetries_of_the_set(self, vectors, count):
+        modes = mode_set(vectors)
+        vecs = modes.vectors
+        maps = fock._symmetry_maps(vecs)
+        assert len(maps) == count
+        assert maps[0].tolist() == list(range(len(modes)))
+        assert any(np.array_equal(g, modes.neg_index) for g in maps)
+        # every signed axis permutation, applied one vector at a time
+        where = {tuple(v): i for i, v in enumerate(vecs.tolist())}
+        induced = set()
+        for axes in itertools.permutations(range(3)):
+            for signs in itertools.product((1, -1), repeat=3):
+                image = [tuple(signs[k] * v[axes[k]] for k in range(3))
+                         for v in vecs.tolist()]
+                if all(t in where for t in image):
+                    induced.add(tuple(where[t] for t in image))
+        assert set(map(tuple, maps.tolist())) == induced
+        # the generators give back every map
+        group = {tuple(range(len(modes)))}
+        new = group
+        while new:
+            new = {tuple(np.asarray(a)[g]) for a in new
+                   for g in modes.generators.tolist()} - group
+            group |= new
+        assert group == set(map(tuple, maps.tolist()))
+
+    @pytest.mark.parametrize("vectors", [
+        [], NEGATION_ONLY_SET, CLOSED_SET, shell_modes(1).vectors,
+        shell_modes(2).vectors, shell_modes(3).vectors,
+    ], ids=["empty", "negation", "closed", "shell1", "shell2", "shell3"])
+    @pytest.mark.parametrize("n_max", [2, 4])
+    def test_generator_labels_match_all_maps(self, vectors, n_max):
+        basis = build_basis(mode_set(vectors), n_max)
+        D = len(basis)
+        # the least index over each state's images under every map
+        images = np.stack([basis.lookup(basis.occ[:, g])
+                           for g in fock._symmetry_maps(basis.modes.vectors)])
+        assert np.all(images >= 0)
+        least = images.min(axis=0)
+        first = np.full(basis.orbit.max() + 1, D)
+        np.minimum.at(first, basis.orbit, np.arange(D))
+        assert np.array_equal(first[basis.orbit], least)
+        # orbits are numbered in order of their first state
+        assert np.all(np.diff(first) > 0)
+
+    @pytest.mark.parametrize("vectors", [
+        NEGATION_ONLY_SET, CLOSED_SET, shell_modes(2).vectors,
+    ], ids=["negation", "closed", "shell2"])
+    def test_number_operator_constant_on_orbits(self, vectors):
+        basis = build_basis(mode_set(vectors), 6)
+        total = basis.occ.sum(axis=1, dtype=np.int64)
+        size = np.bincount(basis.orbit)
+        lo = np.full(len(size), 10**9)
+        hi = np.full(len(size), -1)
+        np.minimum.at(lo, basis.orbit, total)
+        np.maximum.at(hi, basis.orbit, total)
+        assert np.array_equal(lo, hi)
+
+    def test_projection_is_the_exactly_symmetric_compression(self):
+        # P^T A P with P's columns the normalized orbit indicators, on
+        # the quartic channel of synthetic tables; each entry sums at
+        # most s^2 terms (s the largest orbit), the dense product D
+        rt = synthetic_tables(CLOSED_SET)
+        basis = build_basis(rt.modes, 6)
+        op = build_G2(basis, rt)
+        proj = op.projected(basis.orbit)
+        size = np.bincount(basis.orbit)
+        P = np.zeros((len(basis), len(size)))
+        P[np.arange(len(basis)), basis.orbit] = 1.0 / np.sqrt(size[basis.orbit])
+        ref = P.T @ op.toarray() @ P
+        scale = P.T @ np.abs(op.toarray()) @ P
+        dense = proj.toarray()
+        assert np.array_equal(dense, dense.T)
+        assert np.all(np.abs(dense - ref)
+                      <= (len(basis) + size.max() ** 2) * EPS * scale)
+        assert proj.symmetry_defect() == 0.0
+        assert len(size) < len(basis)
+
+    @pytest.mark.parametrize("vectors, n_max", [
+        (shell_modes(2).vectors, 5), (shell_modes(2).vectors, 6),
+        (NEGATION_ONLY_SET, 6),
+    ], ids=["shell2-5", "shell2-6", "negation-6"])
+    def test_sector_equals_whole_space(self, tables_oracle, vectors, n_max):
+        rt = restrict_tables(tables_oracle, mode_set(vectors))
+        assert_sector_matches_whole_space(rt, n_max)
+
+    def test_run_oracle_traced_peak(self, tables_oracle):
+        # tracemalloc peak of the oracle-fock run (caps 5 and 6): 4.09 MB
+        # with every solve on the whole basis; most of what remains is
+        # the whole-basis build_G2 at cap 6.  Bound fixed beforehand.
+        peak = traced_peak(run_oracle, tables_oracle, shell_modes(2), [5, 6])
+        assert peak < 3.83e6
 
 
 class TestCubicChannel:
