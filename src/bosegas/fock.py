@@ -20,11 +20,12 @@ The tables hold one value per cubic orbit, so every signed axis
 permutation that maps the mode set onto itself (48 on a shell set)
 permutes the basis and commutes with each operator.  Each basis state
 carries its orbit under these maps (`FockBasis.orbit`), labelled from a
-generating subset of them, and `SparseSymmetricOperator.projected`
-restricts an operator to the trivial sector, one state per orbit.  The
-oracle's targets all lie in that sector, which is 14-16 times smaller
-than the basis on the 18 modes |n|^2 <= 2; the operators are still
-assembled on the whole basis.
+generating subset of them.  `_assemble` sums each entry it emits
+straight onto the orbit states, so every operator is built on the
+trivial sector, one state per orbit, where the oracle's targets all
+lie; it is 14-16 times smaller than the basis on the 18 modes
+|n|^2 <= 2.  With each state its own orbit (labels np.arange(D)) the
+same code builds the operators on the whole basis.
 
 Ground states come from the connected components of the operator's
 sparsity graph, visited in the order of their Gershgorin lower bounds:
@@ -66,8 +67,8 @@ DIM_LIMIT = 2_000_000
 # screened (class, state) pairs per assembly block: bounds the transient
 # arrays; on the 18-mode oracle at caps 5 and 6, run_oracle measured the
 # same from 2^14 to 2^18 (medians 82-87 ms, quartiles overlapping) at one
-# CLI peak RSS for every size; that run now peaks at 36.3 MB, in the
-# whole-basis build_G2 at cap 6
+# CLI peak RSS for every size; that run now peaks at 34.9 MB, in build_G2
+# at cap 6, whose entries are emitted per basis state
 _BLOCK = 1 << 16
 # residual bounds: ground_state's relative to max(1, max |A_ij|),
 # rs_pt2's relative to max(1, |Q V gs0|)
@@ -185,7 +186,8 @@ class FockBasis(NamedTuple):
     n_max: int
     occ: np.ndarray         # (D, m) uint8, lex order
     keys: np.ndarray        # _row_keys(occ), ascending
-    orbit: np.ndarray       # (D,) intp, each state's orbit: `_orbits`
+    orbit: np.ndarray       # (D,) intp, each state's orbit: `_orbits`;
+                            # np.arange(D) builds on the whole basis
 
     def __len__(self) -> int:
         return self.occ.shape[0]
@@ -344,29 +346,6 @@ class SparseSymmetricOperator:
         dense[self.rows, self.cols] = self.vals
         return dense
 
-    def projected(self, orbit: np.ndarray) -> SparseSymmetricOperator:
-        """The operator on the orbit states |O> = |O|^(-1/2) sum_{a in O} |a>,
-        for orbit ids 0, 1, ... per state: entry (O, O') is the sum of
-        A_ab over a in O and b in O', times 1/sqrt(|O| |O'|).  Each sum
-        with O <= O' is taken in row-major order and mirrored, so the
-        result is exactly symmetric; exact zeros are dropped.  On an
-        operator that every map of the orbits commutes with, this is the
-        operator on the trivial sector."""
-        size = np.bincount(orbit)
-        d = len(size)
-        r, c = orbit[self.rows], orbit[self.cols]
-        upper = r <= c
-        r, c, vals = _coalesce(r[upper], c[upper], self.vals[upper], d)
-        vals = vals / np.sqrt(size[r] * size[c])
-        keep = vals != 0.0
-        r, c, vals = r[keep], c[keep], vals[keep]
-        off = r != c
-        rows, cols, vals = _coalesce(
-            np.concatenate([r, c[off]]), np.concatenate([c, r[off]]),
-            np.concatenate([vals, vals[off]]), d,
-        )
-        return SparseSymmetricOperator(rows=rows, cols=cols, vals=vals, dim=d)
-
     def symmetry_defect(self) -> float:
         _, _, d = _coalesce(
             np.concatenate([self.rows, self.cols]),
@@ -377,25 +356,34 @@ class SparseSymmetricOperator:
         return float(np.max(np.abs(d), initial=0.0))
 
 
-def _symmetrized(D: int, rows, cols, vals) -> SparseSymmetricOperator:
-    """X + X^T from the entries of X, given as lists of coordinate arrays:
-    the entries are summed per position in the order given, then each
-    position of the result receives X_ij and X_ji, so it is exactly
-    symmetric (float addition commutes); exact zeros are dropped."""
+def _symmetrized(orbit, rows, cols, vals) -> SparseSymmetricOperator:
+    """S + S^T on the orbit states |O> = |O|^(-1/2) sum_{a in O} |a>, for
+    orbit ids 0, 1, ... per state, from the entries of X on the basis,
+    given as lists of coordinate arrays: S = P^T X P, P's columns the
+    orbit states.  Each entry moves to its (orbit, orbit) position, the
+    entries are summed per position in the order given and divided by
+    sqrt(|O| |O'|), then each position of the result receives S_ij and
+    S_ji, so it is exactly symmetric (float addition commutes); exact
+    zeros are dropped.  P^T (X + X^T) P = S + S^T, so when every map of
+    the orbits commutes with X + X^T this is that operator on the
+    trivial sector; with each state its own orbit it is X + X^T."""
+    size = np.bincount(orbit)
+    d = len(size)
     empty = np.zeros(0, dtype=np.intp)
     rows, cols, vals = _coalesce(
-        np.concatenate([empty, *rows]),
-        np.concatenate([empty, *cols]),
+        orbit[np.concatenate([empty, *rows])],
+        orbit[np.concatenate([empty, *cols])],
         np.concatenate([np.zeros(0), *vals]),
-        D,
+        d,
     )
+    vals = vals / np.sqrt(size[rows] * size[cols])
     rows, cols, vals = _coalesce(
         np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-        np.concatenate([vals, vals]), D,
+        np.concatenate([vals, vals]), d,
     )
     keep = vals != 0.0
     return SparseSymmetricOperator(
-        rows=rows[keep], cols=cols[keep], vals=vals[keep], dim=D
+        rows=rows[keep], cols=cols[keep], vals=vals[keep], dim=d
     )
 
 
@@ -438,7 +426,9 @@ def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
         coeff[t] a+_{create[t, 0]} a+_{create[t, 1]} ...
                  a_{annihilate[t, 0]} a_{annihilate[t, 1]} ... ,
 
-    with -1 marking an empty slot, plus diagonal / 2 on X's diagonal.
+    with -1 marking an empty slot, plus diagonal / 2 on X's diagonal, on
+    the orbit states of `basis.orbit` (`_symmetrized`): the trivial
+    sector for `build_basis`'s labels, the whole basis for np.arange(D).
     Each term is written once and its transpose supplies the h.c.; a
     self-adjoint sum is written once at half weight.
 
@@ -516,7 +506,7 @@ def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
         rows.append(tgt)
         cols.append(src)
         vals.append(amp)
-    return _symmetrized(D, rows, cols, vals)
+    return _symmetrized(basis.orbit, rows, cols, vals)
 
 
 def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricOperator:

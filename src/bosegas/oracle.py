@@ -72,23 +72,22 @@ def modes_from_config(cfg_oracle) -> ModeSet:
 
 def _fock_values(rt: RestrictedTables, n_max: int):
     """The Fock E0, e_pert_tilde, g2_expect and depletion at one cap, the
-    basis dimension and the sector dimension.  Each operator is
-    assembled on the whole basis and projected onto the trivial sector of
-    the mode set's maps, where every target lies; the number operator is
+    basis dimension and the sector dimension.  The builders sum each
+    operator onto the basis's orbit states, the trivial sector of the
+    mode set's maps, where every target lies; the number operator is
     constant on each orbit, so it becomes its orbit mean."""
     basis = build_basis(rt.modes, n_max)
-    orbit = basis.orbit
-    g0 = build_G0(basis, rt.F, rt.G).projected(orbit)
+    g0 = build_G0(basis, rt.F, rt.G)
     e0, gs = ground_state(g0)
-    pt2 = rs_pt2(g0, build_G1tilde(basis, rt).projected(orbit), e0, gs)
-    g2 = float(gs @ (build_G2(basis, rt).projected(orbit) @ gs))
+    pt2 = rs_pt2(g0, build_G1tilde(basis, rt), e0, gs)
+    g2 = float(gs @ (build_G2(basis, rt) @ gs))
     # the doubly-rotated vacuum is the ground state of the quadratic
     # form with unit gap and pairing -tanh(2(eta + tau))
     theta = rt.eta + rt.tau
     gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
-    _, gsd = ground_state(gd.projected(orbit))
-    size = np.bincount(orbit)
-    number = np.bincount(orbit, basis.occ.sum(axis=1)) / size
+    _, gsd = ground_state(gd)
+    size = np.bincount(basis.orbit)
+    number = np.bincount(basis.orbit, basis.occ.sum(axis=1)) / size
     values = (e0, pt2, g2, float(gsd @ (number * gsd)))
     return values, len(basis), len(size)
 

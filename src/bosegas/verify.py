@@ -48,6 +48,32 @@ def _tau_identity_eps(tables) -> float:
     return float(np.max(ratio))
 
 
+def _sinh_identity_eps(tables) -> float:
+    """Largest |2 st_p ct_p + G_p/e_p| (1 - g_p^2) / (eps |G_p/e_p|) over
+    the tables, g = G/F and eps = 2^-52; 0 where both are 0.
+
+    sinh(2 tau) = -G/e, as tanh(2 tau) = -G/F and e = sqrt(F^2 - G^2).
+    In eps units, with k = 4 as in `_tau_identity_eps`: tau carries
+    k + 1/2 from `tau_table` and 1/2 from rounding g, whose relative
+    condition in sinh(2 tau) = -g / sqrt(1 - g^2) is 1 / (1 - g^2); the
+    condition of sinh at x = 2|tau| is x coth x = atanh|g| / |g|, which
+    is at most 1 / (1 - g^2).  sinh and cosh add k each and the product
+    1/2 (the factor 2 is exact).  e = sqrt((F - G)(F + G)) is within
+    (3/2) / 2 + 1/2 = 5/4 and G/e within 7/4, and the final sum is exact
+    (Sterbenz).  So a correct table stays within 5 / (1 - g^2) + 10.25
+    eps |G/e|, and the ratio, scaled by 1 - g^2 <= 1, within 15.25; the
+    check allows 16, the rest for the second-order terms.  At |g| <= 1/2
+    the unscaled bound is at most 16.9 eps |G/e|.
+    """
+    g = tables.G / tables.F
+    ge = tables.G / tables.e
+    res = np.abs(2.0 * tables.st * tables.ct + ge) * (1.0 - g * g)
+    scale = np.finfo(float).eps * np.abs(ge)
+    ratio = np.divide(res, scale, out=np.where(res == 0.0, 0.0, np.inf),
+                      where=scale > 0.0)
+    return float(np.max(ratio))
+
+
 def run_verify(cfg: RunConfig) -> list[Check]:
     checks: list[Check] = []
     try:
@@ -76,6 +102,8 @@ def run_verify(cfg: RunConfig) -> list[Check]:
 
     tau_id = _tau_identity_eps(tables)
     checks.append(Check("tau_identity", tau_id <= 9.0, tau_id))
+    sinh_id = _sinh_identity_eps(tables)
+    checks.append(Check("sinh_identity", sinh_id <= 16.0, sinh_id))
 
     disp = float(np.min(tables.e / psq))
     checks.append(

@@ -446,6 +446,8 @@ MUTANTS = {
         {}, _tables_mutant(F=lambda t: 200.0 * (1.0 + t.table.at_zero) * t.F), False),
     "pairing_ratio": ({"kappa": 3e4}, None, True),
     "tau_identity": ({}, _tables_mutant(tau=lambda t: 2.0 * t.tau), False),
+    # a wrong st passes hyperbolic_identity at the reference point
+    "sinh_identity": ({}, _tables_mutant(st=lambda t: 2.0 * t.st), False),
     "dispersion_bound": ({}, _tables_mutant(e=lambda t: 0.5 * t.e), False),
     "e_pert_tilde_nonpositive": ({}, _positive_pair_sum, True),
     "corr_constant_positive": ({"kappa": 6e4}, None, False),

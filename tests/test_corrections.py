@@ -578,3 +578,45 @@ class TestReport:
             shell = c1_shell * (-rep.born2.value / (2.0 * N))
             rel.append(abs((rep.corr_minus_parts - shell) / rep.E_corr))
         assert rel[1] < rel[0]
+
+
+class TestClosureTruth:
+    """The continuum tails of `E01` and `e_pert_tilde` against a
+    lattice-converged truth: at N = 100, beta = 0.3 (kappa = 0.1,
+    R = 0.25, K = 40 pi) the squeezing scale N^beta / R = 15.9 lies well
+    inside K2 = 20 pi, so that run's tail is a small part of its value
+    and the value is the truth for the runs at K2 = 5 pi and 10 pi.
+    Each bound was fixed before the first run and is not to be widened;
+    a corrected tail must shrink its row's error.  The reference point
+    (N = 1e4, beta = 0.75) has K2 / (N^beta / R) = 0.016, beyond any
+    lattice, so this truth does not reach it."""
+
+    # K2 / pi -> (lowest, highest) signed error against the K2 = 20 pi value
+    EPT_ERROR = {5: (-0.115, 0.0), 10: (-0.030, 0.0)}
+    E01_ERROR = {5: (-0.0030, 0.0030), 10: (-0.0040, 0.0040)}
+
+    @pytest.fixture(scope="class")
+    def terms(self):
+        cfg = parse_config({"N": 100, "beta": 0.3, "kappa": 0.1, "R": 0.25,
+                            "cutoff_K_over_2pi": 20})
+        tables, _ = run_tables(cfg, cfg.N)
+        return {k: (e_pert_tilde(tables, k * math.pi), e01(tables, k * math.pi))
+                for k in (5, 10, 20)}
+
+    def test_tail_is_small_at_the_truth(self, terms):
+        for term in terms[20]:
+            assert abs(term.tail) <= 1e-4 * abs(term.value)
+
+    @pytest.mark.parametrize("k2", [5, 10])
+    def test_e_pert_tilde_error(self, terms, k2):
+        truth = terms[20][0].value
+        err = (terms[k2][0].value - truth) / truth
+        lo, hi = self.EPT_ERROR[k2]
+        assert lo <= err < hi
+
+    @pytest.mark.parametrize("k2", [5, 10])
+    def test_e01_error(self, terms, k2):
+        truth = terms[20][1].value
+        err = (terms[k2][1].value - truth) / truth
+        lo, hi = self.E01_ERROR[k2]
+        assert lo <= err <= hi

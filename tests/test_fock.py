@@ -14,6 +14,7 @@ from bosegas.errors import (
     MomentumViolation,
 )
 from bosegas.fock import (
+    FockBasis,
     RestrictedTables,
     SparseSymmetricOperator,
     _assemble,
@@ -64,6 +65,14 @@ CLOSED_SET = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 
 # no signed axis permutation but +-1 maps it onto itself: (2, 0, 0) pins
 # the x axis, (1, 1, 0) then pins y (z is 0 throughout); its triples close
 NEGATION_ONLY_SET = CLOSED_SET + [(2, 0, 0), (-2, 0, 0)]
+
+
+def whole_basis(modes, n_max):
+    """`build_basis` with each state its own orbit: the builders then
+    assemble on the whole basis.  (`_replace` would fail: `FockBasis`
+    defines `__len__` as its state count.)"""
+    b = build_basis(modes, n_max)
+    return FockBasis(b.modes, b.n_max, b.occ, b.keys, np.arange(len(b)))
 
 
 # Exact references: the depth-first enumeration that `build_basis`
@@ -137,7 +146,8 @@ class RefAssembler:
         self.vals.append(amp[alive])
 
     def build(self):
-        return _symmetrized(len(self.basis), self.rows, self.cols, self.vals)
+        return _symmetrized(np.arange(len(self.basis)), self.rows, self.cols,
+                            self.vals)
 
 
 def monomial_class(ops):
@@ -335,7 +345,7 @@ class TestBasis:
 class TestQuadratic:
     def test_diagonal_when_unpaired(self):
         modes = shell_modes(1)
-        b = build_basis(modes, 3)
+        b = whole_basis(modes, 3)
         F = 1.0 + np.arange(len(modes), dtype=float)
         g0 = build_G0(b, F, np.zeros(len(modes)))
         dense = g0.toarray()
@@ -344,12 +354,12 @@ class TestQuadratic:
 
     def test_vacuum_expectation_zero(self):
         modes = mode_set(CLOSED_SET)
-        b = build_basis(modes, 4)
+        b = whole_basis(modes, 4)
         g0 = build_G0(b, np.ones(len(modes)) * 2.0, np.ones(len(modes)) * 0.5)
         assert g0.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
 
     def test_two_mode_closed_form(self):
-        b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 40)
+        b = whole_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 40)
         g0 = build_G0(b, np.array([5.0, 5.0]), np.array([3.0, 3.0]))
         lam, vec = ground_state(g0)
         assert abs(lam - (-1.0)) <= 1e-10
@@ -360,14 +370,14 @@ class TestQuadratic:
         pair = mode_set([(1, 0, 0), (-1, 0, 0)])
         vals = []
         for n_max in (4, 8, 16, 32):
-            lam, _ = ground_state(build_G0(build_basis(pair, n_max), F, G))
+            lam, _ = ground_state(build_G0(whole_basis(pair, n_max), F, G))
             vals.append(lam)
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(v >= -1.0 - 1e-12 for v in vals)
 
     def test_exact_symmetry(self):
         modes = mode_set(CLOSED_SET)
-        b = build_basis(modes, 6)
+        b = whole_basis(modes, 6)
         rng = np.random.default_rng(2)
         F = 1.0 + rng.random(len(modes))
         G = rng.normal(size=len(modes)) * 0.4
@@ -463,7 +473,7 @@ class TestGroundState:
         # G0 and the rotated-vacuum form split into many components; the
         # coupled G0 + G1tilde + G2 is one block (345 states at cap 5)
         rt = rt_oracle
-        basis = build_basis(rt.modes, n_max)
+        basis = whole_basis(rt.modes, n_max)
         if name == "rotated":
             theta = rt.eta + rt.tau
             op = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
@@ -497,7 +507,7 @@ def rt_oracle(tables_oracle):
 
 class TestRsPt2:
     def test_zero_perturbation(self):
-        b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 6)
+        b = whole_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 6)
         g0 = build_G0(b, np.array([2.0, 2.0]), np.array([0.5, 0.5]))
         e0, gs = ground_state(g0)
         zero = SparseSymmetricOperator.from_dense(np.zeros((len(b), len(b))))
@@ -564,7 +574,7 @@ class TestRsPt2:
 
     @pytest.mark.parametrize("n_max", [5, 6])
     def test_matches_dense_at_oracle_coupling(self, rt_oracle, n_max):
-        basis = build_basis(rt_oracle.modes, n_max)
+        basis = whole_basis(rt_oracle.modes, n_max)
         g0 = build_G0(basis, rt_oracle.F, rt_oracle.G)
         gs, w = self.assert_matches_dense(g0, build_G1tilde(basis, rt_oracle))
         comp = _components(g0.rows, g0.cols, g0.dim)
@@ -634,20 +644,22 @@ def assert_sector_matches_whole_space(rt, n_max):
     an expectation, |V|^2 (2 row_norm(G0)) / Delta^2 for rs_pt2.
     """
     sector = _fock_values(rt, n_max)[0]
-    basis = build_basis(rt.modes, n_max)
+    labelled = build_basis(rt.modes, n_max)
+    basis = whole_basis(rt.modes, n_max)
     D = len(basis)
     g0 = build_G0(basis, rt.F, rt.G)
     e0, gs = ground_state(g0)
     g1 = build_G1tilde(basis, rt)
     g2 = build_G2(basis, rt)
     theta = rt.eta + rt.tau
-    gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
+    rotated = (np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
+    gd = build_G0(basis, *rotated)
     _, gsd = ground_state(gd)
     whole = (e0, rs_pt2(g0, g1, e0, gs), float(gs @ (g2 @ gs)),
              float(gsd @ (basis.occ.sum(axis=1) * gsd)))
 
-    r0 = [eig_gate(g0), eig_gate(g0.projected(basis.orbit))]
-    rd = [eig_gate(gd), eig_gate(gd.projected(basis.orbit))]
+    r0 = [eig_gate(g0), eig_gate(build_G0(labelled, rt.F, rt.G))]
+    rd = [eig_gate(gd), eig_gate(build_G0(labelled, *rotated))]
     delta0, deltad = spectral_gap(g0), spectral_gap(gd)
     e_0 = [np.sqrt(2.0) * r / (delta0 - r) for r in r0]
     e_d = [np.sqrt(2.0) * r / (deltad - r) for r in rd]
@@ -729,19 +741,24 @@ class TestSector:
         np.maximum.at(hi, basis.orbit, total)
         assert np.array_equal(lo, hi)
 
-    def test_projection_is_the_exactly_symmetric_compression(self):
-        # P^T A P with P's columns the normalized orbit indicators, on
-        # the quartic channel of synthetic tables; each entry sums at
-        # most s^2 terms (s the largest orbit), the dense product D
+    @pytest.mark.parametrize("build", [
+        lambda basis, rt: build_G0(basis, rt.F, rt.G), build_G1tilde, build_G2,
+    ], ids=["G0", "G1tilde", "G2"])
+    def test_projection_is_the_exactly_symmetric_compression(self, build):
+        # the sector build against P^T A P, A the whole-basis build and
+        # P's columns the normalized orbit indicators, on synthetic
+        # tables; each sector entry sums X's entries over at most s^2
+        # positions (s the largest orbit) and the transposed ones, the
+        # dense product D terms
         rt = synthetic_tables(CLOSED_SET)
         basis = build_basis(rt.modes, 6)
-        op = build_G2(basis, rt)
-        proj = op.projected(basis.orbit)
+        whole = build(whole_basis(rt.modes, 6), rt).toarray()
+        proj = build(basis, rt)
         size = np.bincount(basis.orbit)
         P = np.zeros((len(basis), len(size)))
         P[np.arange(len(basis)), basis.orbit] = 1.0 / np.sqrt(size[basis.orbit])
-        ref = P.T @ op.toarray() @ P
-        scale = P.T @ np.abs(op.toarray()) @ P
+        ref = P.T @ whole @ P
+        scale = P.T @ np.abs(whole) @ P
         dense = proj.toarray()
         assert np.array_equal(dense, dense.T)
         assert np.all(np.abs(dense - ref)
@@ -758,11 +775,12 @@ class TestSector:
         assert_sector_matches_whole_space(rt, n_max)
 
     def test_run_oracle_traced_peak(self, tables_oracle):
-        # tracemalloc peak of the oracle-fock run (caps 5 and 6): 4.09 MB
-        # with every solve on the whole basis; most of what remains is
-        # the whole-basis build_G2 at cap 6.  Bound fixed beforehand.
+        # tracemalloc peak of the oracle-fock run (caps 5 and 6): 2.32 MB
+        # with each operator summed straight onto the sector, 3.57 MB
+        # when assembled on the whole basis and projected, 4.09 MB with
+        # every solve on the whole basis.  Bound fixed beforehand.
         peak = traced_peak(run_oracle, tables_oracle, shell_modes(2), [5, 6])
-        assert peak < 3.83e6
+        assert peak < 2.6e6
 
 
 class TestCubicChannel:
@@ -773,20 +791,20 @@ class TestCubicChannel:
             ct=rt.ct, st=rt.st, F=rt.F, G=rt.G, e=rt.e, eta=rt.eta,
             tau=rt.tau, value_at=lambda t: np.zeros(np.asarray(t).shape[:-1]),
         )
-        b = build_basis(rt.modes, 5)
+        b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
         assert g1.nnz == 0
         assert build_G2(b, rt).nnz == 0
 
     def test_vacuum_diagonal_zero(self):
         rt = synthetic_tables(CLOSED_SET)
-        b = build_basis(rt.modes, 5)
+        b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
         assert g1.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
 
     def test_vacuum_column_pure_triples(self):
         rt = synthetic_tables(CLOSED_SET)
-        b = build_basis(rt.modes, 5)
+        b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
         col = g1.toarray()[:, b.vacuum_index]
         occ_tot = b.occ.sum(axis=1)
@@ -798,7 +816,7 @@ class TestCubicChannel:
         from bosegas.fock import _f_restricted
 
         rt = synthetic_tables(CLOSED_SET, tau_scale=0.0)
-        b = build_basis(rt.modes, 5)
+        b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
         col = g1.toarray()[:, b.vacuum_index]
         vecs = rt.modes.vectors.tolist()
@@ -815,7 +833,7 @@ class TestCubicChannel:
     def test_first_shell_has_no_triples(self):
         rt = synthetic_tables([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                                (0, 0, 1), (0, 0, -1)])
-        b = build_basis(rt.modes, 5)
+        b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
         assert g1.nnz == 0
         assert restricted_e_pert_tilde(rt) == 0.0
@@ -824,13 +842,13 @@ class TestCubicChannel:
 class TestQuarticChannel:
     def test_vacuum_expectation_zero(self):
         rt = synthetic_tables(CLOSED_SET)
-        b = build_basis(rt.modes, 5)
+        b = whole_basis(rt.modes, 5)
         g2 = build_G2(b, rt)
         assert g2.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
 
     def test_exact_symmetry(self):
         rt = synthetic_tables(CLOSED_SET)
-        b = build_basis(rt.modes, 6)
+        b = whole_basis(rt.modes, 6)
         assert build_G2(b, rt).symmetry_defect() == 0.0
         assert build_G1tilde(b, rt).symmetry_defect() == 0.0
 
@@ -839,7 +857,7 @@ class TestOperator:
     @pytest.mark.parametrize("channel", ["G0", "G1tilde", "G2"])
     def test_matvec_matches_dense(self, channel):
         rt = synthetic_tables(shell_modes(2).vectors.tolist())
-        b = build_basis(rt.modes, 6)
+        b = whole_basis(rt.modes, 6)
         op = {
             "G0": lambda: build_G0(b, rt.F, rt.G),
             "G1tilde": lambda: build_G1tilde(b, rt),
@@ -895,7 +913,7 @@ class TestAssemblyReference:
         if block is not None:
             monkeypatch.setattr(fock, "_BLOCK", block)
         rt = synthetic_tables(vectors)
-        b = build_basis(rt.modes, n_max)
+        b = whole_basis(rt.modes, n_max)
         self.assert_same(build_G0(b, rt.F, rt.G),
                          ref_G0(b, rt.F, rt.G, merged=True))
         self.assert_same(build_G1tilde(b, rt), ref_G1tilde(b, rt, merged=True))
@@ -916,7 +934,7 @@ class TestAssemblyReference:
     ], ids=["shell2-5", "shell2-6", "closed-9"])
     def test_term_by_term_within_rounding(self, vectors, n_max):
         rt = synthetic_tables(vectors)
-        b = build_basis(rt.modes, n_max)
+        b = whole_basis(rt.modes, n_max)
         D = len(b)
         diagonal = b.occ.astype(float) @ rt.F
         u = np.finfo(float).eps / 2
@@ -941,7 +959,7 @@ class TestAssemblyReference:
     def test_monomial_class_invariance(self):
         # dyadic coefficients sum exactly, so a monomial written as its slot
         # permutations and its transpose builds the operator of one term
-        b = build_basis(shell_modes(2), 4)
+        b = whole_basis(shell_modes(2), 4)
         at = {tuple(v): i for i, v in enumerate(b.modes.vectors.tolist())}
         x, y, z, w, xy, nx, ny = (at[v] for v in [
             (1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, 1), (1, 1, 0),
@@ -974,14 +992,14 @@ class TestAssemblyReference:
 
     def test_momentum_violation_raises(self):
         # a+_x a+_x takes the vacuum to total momentum 2x
-        b = build_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 4)
+        b = whole_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 4)
         x = int(np.nonzero(b.modes.vectors[:, 0] == 1)[0][0])
         with pytest.raises(MomentumViolation):
             _assemble(b, np.array([[x, x]]), np.zeros((1, 0), dtype=np.int64),
                       np.array([1.0]))
 
     def test_no_terms_build_the_zero_operator(self):
-        b = build_basis(mode_set(CLOSED_SET), 4)
+        b = whole_basis(mode_set(CLOSED_SET), 4)
         none = np.zeros((0, 2), dtype=np.int64)
         op = _assemble(b, none, none, np.zeros(0))
         assert op.dim == len(b) > 1
@@ -1001,7 +1019,7 @@ class TestCentralIdentity:
         target = restricted_e_pert_tilde(rt)
         gaps = []
         for n_max in (5, 7, 9, 11, 13):
-            b = build_basis(rt.modes, n_max)
+            b = whole_basis(rt.modes, n_max)
             g0 = build_G0(b, rt.F, rt.G)
             e0, gs = ground_state(g0)
             g1 = build_G1tilde(b, rt)
@@ -1014,7 +1032,7 @@ class TestCentralIdentity:
         target = restricted_g2_expectation(rt)
         gaps = []
         for n_max in (5, 9, 13):
-            b = build_basis(rt.modes, n_max)
+            b = whole_basis(rt.modes, n_max)
             g0 = build_G0(b, rt.F, rt.G)
             _, gs = ground_state(g0)
             g2 = build_G2(b, rt)
@@ -1024,7 +1042,7 @@ class TestCentralIdentity:
 
     def test_ground_energy_converges(self, rt):
         target = bogoliubov_ground_energy(rt)
-        b = build_basis(rt.modes, 13)
+        b = whole_basis(rt.modes, 13)
         lam, _ = ground_state(build_G0(b, rt.F, rt.G))
         assert abs(lam - target) <= 1e-7 * abs(target)
 
@@ -1034,7 +1052,7 @@ class TestCentralIdentity:
                               tau_scale=0.1)
         target = depletion(rt)
         theta = rt.eta + rt.tau
-        b = build_basis(rt.modes, 40)
+        b = whole_basis(rt.modes, 40)
         gd = build_G0(b, np.ones(2), -np.tanh(2.0 * theta))
         _, gs = ground_state(gd)
         nval = float(gs @ (b.occ.sum(axis=1) * gs))
