@@ -136,7 +136,7 @@ def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
     # q = p term is excluded, as in the scattering equation: its r = 0
     # interaction is the constant (N-1) vhat(0)/2 already carried by the
     # macroscopic term, so G's leading part is twice the solver defect.
-    conv = make_convolver(sol.table)(c * s)
+    conv = sol.convolve(c * s)
     F, G = coefficients_FG(sol.table, s, c, conv)
     tau = tau_table(F, G, sol.lattice, sol.table.N, sol.table.pot.kappa)
     e = dispersion(F, G)

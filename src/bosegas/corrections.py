@@ -87,16 +87,15 @@ class _PairContext:
     rejects K2 beyond the tables' cutoff); its lattice gives the points
     (`LatticeBall.points`: each orbit one run from its first member, at
     `starts`) and M2.  `orbit_fac` holds the rows (X, Y, P, Q, vX, vY) of
-    `vertex_factors` and the dispersion e per orbit of the K ball; `fac`
-    is its K2 part with each orbit's column repeated over its run, so in
-    point order, like `neg[i]`, the position of -p_i: negation reverses
-    lexicographic order and keeps the orbit, so -p_i mirrors p_i within
-    its run.  For p, q in the K2-ball, |p + q|^2 <= 4 max |n|^2(K2) lies
-    inside the K ball unless 2 K2 > K up to shells, which raises
-    InconsistentLattice: the gather would read wrong entries, not fail.
-    The K ball's dense grid `grid` maps p_i + q_j, at `base[i] + flat[j]`,
-    to its orbit in `orbit_fac`, and to -1 at j = neg[i]; -1 reads the
-    last orbit, a real one, and the row zeroes that term.
+    `vertex_factors` and the dispersion e per orbit of the K ball, then
+    one zero column; `fac` is its K2 part with each orbit's column
+    repeated over its run, so in point order.  For p, q in the K2-ball,
+    |p + q|^2 <= 4 max |n|^2(K2) lies inside the K ball unless 2 K2 > K
+    up to shells, which raises InconsistentLattice: the gather would read
+    wrong entries, not fail.  The K ball's dense grid `grid` maps
+    p_i + q_j, at `base[i] + flat[j]`, to its orbit in `orbit_fac`, and
+    to -1 at p + q = 0 only; -1 reads the zero column, so that term's
+    vertex is 0.
     """
 
     def __init__(self, tables: BogoliubovTables, K2: float):
@@ -111,14 +110,14 @@ class _PairContext:
             )
         size = sub_lat.size
         self.starts = np.cumsum(size) - size
-        self.neg = np.repeat(2 * self.starts + size - 1, size) - np.arange(self.M2)
-        self.orbit_fac = np.stack([
+        fac = np.stack([
             *vertex_factors(tables.table.values, tables.c, tables.s,
                             tables.ct, tables.st),
             tables.e,
         ])
+        self.orbit_fac = np.append(fac, np.zeros((7, 1)), axis=1)
         # the K2 orbits are the K ball's first ones
-        self.fac = np.repeat(self.orbit_fac[:, :len(size)], size, axis=1)
+        self.fac = np.repeat(fac[:, :len(size)], size, axis=1)
         self.grid = lat.grid
         side = 2 * lat.L + 1
         self.flat = sub_lat.points() @ np.array([side * side, side, 1], dtype=np.int64)
@@ -158,13 +157,10 @@ def symmetrized_vertex(fa, fb, fc):
 
 def _f_rows(ctx: _PairContext, i: int):
     """f(p, q) and e(p + q) for the point p at position i and every q from
-    position i on, f zero at q = -p.  The p + q slot gathers the K ball's
-    per-orbit factors."""
+    position i on, f and e(p + q) zero at q = -p.  The p + q slot gathers
+    the K ball's per-orbit factors."""
     pq = ctx.orbit_fac[:, ctx.grid[ctx.base[i] + ctx.flat[i:]]]
-    f = symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6, i:], pq[:6])
-    if ctx.neg[i] >= i:
-        f[ctx.neg[i] - i] = 0.0
-    return f, pq[6]
+    return symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6, i:], pq[:6]), pq[6]
 
 
 def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:

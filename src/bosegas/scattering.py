@@ -17,7 +17,8 @@ Keeping the q = p term would leave vhat(0) eta_p / N uncancelled in G.
 eta, like every table on the ball, is one value per cubic orbit
 (`LatticeBall`): the kernel is radial, so the equation maps orbit-constant
 tables to orbit-constant tables.  Every run convolves on one
-cosine-transform convolver per potential table (`make_convolver`); the
+cosine-transform convolver per potential table (`make_convolver`), the
+solve's kept on its solution for the tables built from it; the
 exact double loop `conv_direct` is kept as the reference the tests compare
 it against, as `dense_solve_eta` is for the solver, both per point.
 The solver iterates the fixed-point map from the first Born term; the
@@ -36,7 +37,6 @@ from .lattice_potential import (
     LatticeBall,
     Potential,
     ScaledPotentialTable,
-    _fold_axis,
     scaled_table,
 )
 from .sums import det_sum
@@ -84,9 +84,9 @@ class _OctantConvolver:
     transform three products with one matrix.
 
     The transform includes q = p; vhat(0) * values_p is subtracted after.
-    The output is averaged over each cubic orbit, its members summed in
-    lexicographic order (one `np.bincount` over the ball's grid cells in
-    flat order), which is below its 1e-12 budget against `conv_direct`.
+    The output is orbit-constant up to rounding, so each orbit reads it at
+    one octant cell, its sorted components (a, b, c) from `lattice.reps`,
+    within its 1e-12 budget against `conv_direct`.
     """
 
     def __init__(self, table: ScaledPotentialTable):
@@ -107,23 +107,17 @@ class _OctantConvolver:
         d2 = j * j
         kern = vals[d2[:, None, None] + d2[None, :, None] + d2[None, None, :]]
         self._kern_hat = _apply(kern, W) / float(4 * L) ** 3
-        grid = lat.grid.reshape(self.shape)
-        self._octant = grid[L:, L:, L:]
-        # every point of the ball in flat grid order: its orbit and octant cell
-        inside = grid >= 0
-        self._member_orbit = grid[inside].astype(np.intp)
-        ab = _fold_axis(L)
-        n = L + 1
-        self._member_cell = ((ab[:, None, None] * n + ab[:, None]) * n + ab)[inside]
+        self._octant = lat.grid.reshape(self.shape)[L:, L:, L:]
+        # each orbit's flat octant cell (a, b, c)
+        a, b, c = lat.reps.T
+        self._cell = (a * (L + 1) + b) * (L + 1) + c
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        lat = self.table.lattice
         # the octant's -1 cells (outside the ball, the origin) read the 0
         sig = np.append(values, 0.0)[self._octant]
         spec = _apply(sig, self._fwd) * self._kern_hat
-        out = _apply(spec, self._inv).reshape(-1)[self._member_cell]
-        sums = np.bincount(self._member_orbit, weights=out, minlength=len(values))
-        return sums / lat.size - self.table.at_zero * values
+        out = _apply(spec, self._inv).reshape(-1)[self._cell]
+        return out - self.table.at_zero * values
 
 
 def make_convolver(table: ScaledPotentialTable) -> _OctantConvolver:
@@ -144,12 +138,15 @@ class ScatteringSolution(NamedTuple):
 
     The zero mode is fixed to eta_0 = 0 by convention; beyond the cutoff
     the first Born term serves as the tail rule (see `eta_tail`).
+    `convolve` is the convolver of `table` the solve ran on, which the
+    tables built from the solution reuse.
     """
 
     table: ScaledPotentialTable
     eta: np.ndarray
     iterations: int
     residual_norm: float
+    convolve: _OctantConvolver
 
     @property
     def lattice(self) -> LatticeBall:
@@ -184,7 +181,9 @@ def solve_eta(
     floor = 64.0 * np.finfo(float).eps * max(table.at_zero, 1e-300)
     best_eta, best_res = eta, np.inf
     for it in range(1, MAX_ITER + 1):
-        defect = _defect(table, eta, convolve(eta))
+        # a diverging solve overflows here; the finiteness check stops it
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = _defect(table, eta, convolve(eta))
         res = float(np.max(np.abs(defect)))
         if not np.isfinite(res):
             break
@@ -200,14 +199,15 @@ def solve_eta(
     if best_res > TOL:
         raise NonConvergence(it, best_res)
     return ScatteringSolution(
-        table=table, eta=best_eta, iterations=it, residual_norm=best_res
+        table=table, eta=best_eta, iterations=it, residual_norm=best_res,
+        convolve=convolve,
     )
 
 
 def residual(sol: ScatteringSolution) -> float:
-    """Max-norm defect of the scattering equation, re-evaluated from scratch."""
-    convolve = make_convolver(sol.table)
-    return float(np.max(np.abs(_defect(sol.table, sol.eta, convolve(sol.eta)))))
+    """Max-norm defect of the scattering equation, re-evaluated on the
+    solve's convolver."""
+    return float(np.max(np.abs(_defect(sol.table, sol.eta, sol.convolve(sol.eta)))))
 
 
 def dense_solve_eta(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bosegas import scattering
+from bosegas import bogoliubov, scattering
 from bosegas.bogoliubov import (
     a_coefficient,
     bogoliubov_ground_energy,
@@ -15,8 +15,10 @@ from bosegas.bogoliubov import (
     sc_minus_eta,
     tau_table,
 )
+from bosegas.config import parse_config
 from bosegas.errors import DiagonalizationFailure
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
+from bosegas.pipeline import run_tables
 from bosegas.scattering import make_convolver, solve_eta
 from bosegas.sums import det_sum
 
@@ -81,6 +83,23 @@ class TestConvolutionCS:
                     continue
                 acc += float(table.value_at(pts[i] - pts[j])) * cs[j]
             assert cs_conv[i] == pytest.approx(acc, rel=1e-12, abs=1e-300)
+
+    def test_run_tables_builds_one_convolver(self, monkeypatch):
+        # the tables convolve c s on the convolver the solve built
+        real = scattering.make_convolver
+        built = []
+
+        def counting(table):
+            built.append(table)
+            return real(table)
+
+        monkeypatch.setattr(scattering, "make_convolver", counting)
+        monkeypatch.setattr(bogoliubov, "make_convolver", counting)
+        cfg = parse_config({"N": 500, "beta": 0.75, "kappa": 0.5, "R": 0.25,
+                            "cutoff_K_over_2pi": 6, "cutoff_K2_over_2pi": 3})
+        tables, _ = run_tables(cfg, cfg.N)
+        assert len(built) == 1
+        assert built[0] is tables.table
 
     def test_sup_bound_certificate(self, tables_small):
         tb = tables_small

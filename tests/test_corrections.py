@@ -132,7 +132,7 @@ class TestPairContext:
         # first member; every p + q lies in the radius-6 ball (all of it
         # at K2 = K/2, as at the reference point) and reads its orbit
         # there, -1 only at q = -p_i; a row gathers the ball's own orbit
-        # factors at those ids, the -1 included, and zeroes that term
+        # factors at those ids, and the -1 reads the zero column past them
         tb = tables_small
         lat = tb.lattice
         K2 = TWO_PI * k2_units
@@ -145,19 +145,21 @@ class TestPairContext:
         fac = np.stack([
             *vertex_factors(tb.table.values, tb.c, tb.s, tb.ct, tb.st), tb.e
         ])
-        assert np.array_equal(ctx.orbit_fac, fac)
+        assert np.array_equal(ctx.orbit_fac[:, :-1], fac)
+        assert np.array_equal(ctx.orbit_fac[:, -1], np.zeros(7))
         assert np.array_equal(ctx.fac, fac[:, o])
         for i in range(ctx.M2):
             idx = ctx.grid[ctx.base[i] + ctx.flat]
             assert np.array_equal(idx, lat.lookup(pts[i] + pts))
-            assert np.array_equal(np.flatnonzero(idx < 0), [ctx.neg[i]])
-            assert np.array_equal(pts[ctx.neg[i]], -pts[i])
+            neg = np.flatnonzero(idx < 0)
+            assert len(neg) == 1
+            assert np.array_equal(pts[neg[0]], -pts[i])
             k = idx[i:]
             f, epq = _f_rows(ctx, i)
             ref = symmetrized_vertex(fac[:6, o[i]], fac[:6, o[i:]], fac[:6, k])
             ref[k < 0] = 0.0
             assert np.array_equal(f, ref)
-            assert np.array_equal(epq, tb.e[k])
+            assert np.array_equal(epq, np.where(k < 0, 0.0, tb.e[k]))
 
 
 class TestVertex:
@@ -326,9 +328,9 @@ class TestEPertTildeMemory:
         assert traced_peak(e_pert_tilde, tables, K2) < bound
 
     def test_peak_below_row_bound(self, energy_ref_tables):
-        # what stays allocated is the pair context: `fac` (7 rows), `neg`,
-        # `flat` and `base`, 10 M2 values, the K ball's orbit factors
-        # (7 rows of one value per orbit, under M) and the sub-ball's
+        # what stays allocated is the pair context: `fac` (7 rows), `flat`
+        # and `base`, 9 M2 values, the K ball's orbit factors (7 rows of
+        # one value per orbit and a zero, under M) and the sub-ball's
         # dense grid, (2 L2 + 1)^3 ids.  On top of it runs one transient at
         # a time: the pair weight's K-ball temporaries (under 2 M), or a
         # row's index, gather, factors and vertex temporaries, or the
@@ -350,13 +352,12 @@ class TestPipelineMemory:
         # M = 33,400 points in 900 orbits), K2 = 20 pi.  Every table is one
         # value per orbit, so what a run holds is the ball (its int16 grid,
         # under side^3 / 4 values) and a convolver: the kernel spectrum
-        # (side^3) and the member index arrays (2 M).  On top of it runs
-        # one transient at a time: the kernel's build (its index cube, the
+        # (side^3) and one octant cell per orbit.  On top of it runs one
+        # transient at a time: the kernel's build (its index cube, the
         # kernel cube and a transform's input, transposed copy and result,
-        # under 4 side^3), the member arrays' octant-cell cube (side^3), a
-        # call's transforms (under 4 side^3, its output read at M points),
-        # or the pair sums (under 2 M + 24 M2, M2 = 4,168).  So the peak
-        # stays below 6 side^3 + 3 M values, 4.10 MB.
+        # under 4 side^3), a call's transforms (under 4 side^3), or the
+        # pair sums (under 2 M + 24 M2, M2 = 4,168).  So the peak stays
+        # below 6 side^3 + 3 M values, 4.10 MB.
         cfg = parse_config({"N": 10**4, "beta": 0.75, "kappa": 0.1, "R": 0.25,
                             "cutoff_K_over_2pi": 20, "cutoff_K2_over_2pi": 10})
         side, M = 41, 33_400

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from bosegas.scattering import (
     conv_direct,
     dense_solve_eta,
     eta_tail,
+    make_convolver,
     residual,
     scattering_length,
     solve_eta,
@@ -144,6 +146,23 @@ class TestConvolution:
         a = conv_direct(table, per_point(lat, vals))
         b = per_point(lat, conv(vals))
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+    def test_kept_memory_at_reference_k(self, pot_ref):
+        # at K = 40 pi (L = 20, M = 33,400 points in 900 orbits) the
+        # convolver keeps the kernel spectrum, 41^3 doubles (0.55 MB), the
+        # 41 x 41 transform matrix and one octant cell per orbit; an array
+        # of one entry per point (0.27 MB each) would cross the bound
+        lat = enumerate_lattice(TWO_PI * 20)
+        table = scaled_table(pot_ref, lat, 10**4, 0.75)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            conv = make_convolver(table)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert conv.shape == (41, 41, 41)
+        assert kept < 0.8e6
 
     def test_fft_solve_satisfies_exact_equation(self, pot_coupled, lat3):
         # the solve runs on the octant convolver; its eta must solve the
