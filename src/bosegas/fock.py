@@ -11,21 +11,22 @@ coordinate arrays) built with standard bosonic ladder rules.  The terms
 of one monomial class (slot permutations, and a monomial with its
 transpose) are merged first, so each class is applied once; one boolean
 screen per block of classes marks the (class, state) pairs that hold
-every annihilated mode and stay within the cap, and only those pairs
-meet the ladder operators.  The entries agree with a term-by-term loop
-over the whole basis to within the summation-rounding bound the tests
-keep.
+every lowered mode and stay within the cap, and only those pairs meet
+the ladder operators.  On the whole basis the entries agree with a
+term-by-term loop to within the summation-rounding bound the tests keep.
 
 The tables hold one value per cubic orbit, so every signed axis
 permutation that maps the mode set onto itself (48 on a shell set)
 permutes the basis and commutes with each operator.  Each basis state
 carries its orbit under these maps (`FockBasis.orbit`), labelled from a
-generating subset of them.  `_assemble` sums each entry it emits
-straight onto the orbit states, so every operator is built on the
-trivial sector, one state per orbit, where the oracle's targets all
-lie; it is 14-16 times smaller than the basis on the 18 modes
-|n|^2 <= 2.  With each state its own orbit (labels np.arange(D)) the
-same code builds the operators on the whole basis.
+generating subset of them.  Every operator is built on the trivial
+sector, one state per orbit, where the oracle's targets all lie; it is
+14-16 times smaller than the basis on the 18 modes |n|^2 <= 2.
+`_assemble` screens only each orbit's least state, the representative:
+a column of the sector operator is one representative's column of the
+whole operator, summed over the orbits of its rows and scaled (67 of
+1,040 states screened at cap 6).  With each state its own orbit (labels
+np.arange(D)) the same code builds the operators on the whole basis.
 
 Ground states come from the connected components of the operator's
 sparsity graph, visited in the order of their Gershgorin lower bounds:
@@ -64,11 +65,12 @@ from .sums import det_sum
 MAX_MODES = 30
 # most occupations either half of the modes, or the joined sector, may hold
 DIM_LIMIT = 2_000_000
-# screened (class, state) pairs per assembly block: bounds the transient
-# arrays; on the 18-mode oracle at caps 5 and 6, run_oracle measured the
-# same from 2^14 to 2^18 (medians 82-87 ms, quartiles overlapping) at one
-# CLI peak RSS for every size; that run now peaks at 34.9 MB, in build_G2
-# at cap 6, whose entries are emitted per basis state
+# screened (class, representative) pairs per assembly block: bounds the
+# transient arrays; on the 18-mode oracle at caps 5 and 6, run_oracle
+# measured the same from 2^14 to 2^18 (medians 82-87 ms, quartiles
+# overlapping) at one CLI peak RSS for every size, when every basis
+# state was screened; with the representatives alone at most 67 states
+# are, so one block holds every class there
 _BLOCK = 1 << 16
 # residual bounds: ground_state's relative to max(1, max |A_ij|),
 # rs_pt2's relative to max(1, |Q V gs0|)
@@ -292,9 +294,11 @@ def _orbits(occ: np.ndarray, keys: np.ndarray, generators) -> np.ndarray:
     return _components(np.repeat(np.arange(D), k), images.T.ravel(), D)
 
 
-def _coalesce(rows, cols, vals, dim: int):
-    """Row-major, duplicate-free coordinates: entries at one position are
-    summed in the order they were given."""
+def _coalesce(parts, dim: int):
+    """Row-major, duplicate-free coordinates of a list of (rows, cols,
+    vals) parts: entries at one position are summed in the order given."""
+    empty = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
+    rows, cols, vals = map(np.concatenate, zip(empty, *parts))
     keys = rows * dim + cols
     order = np.argsort(keys, kind="stable")
     first = np.flatnonzero(np.diff(keys[order], prepend=-1))
@@ -346,46 +350,6 @@ class SparseSymmetricOperator:
         dense[self.rows, self.cols] = self.vals
         return dense
 
-    def symmetry_defect(self) -> float:
-        _, _, d = _coalesce(
-            np.concatenate([self.rows, self.cols]),
-            np.concatenate([self.cols, self.rows]),
-            np.concatenate([self.vals, -self.vals]),
-            self.dim,
-        )
-        return float(np.max(np.abs(d), initial=0.0))
-
-
-def _symmetrized(orbit, rows, cols, vals) -> SparseSymmetricOperator:
-    """S + S^T on the orbit states |O> = |O|^(-1/2) sum_{a in O} |a>, for
-    orbit ids 0, 1, ... per state, from the entries of X on the basis,
-    given as lists of coordinate arrays: S = P^T X P, P's columns the
-    orbit states.  Each entry moves to its (orbit, orbit) position, the
-    entries are summed per position in the order given and divided by
-    sqrt(|O| |O'|), then each position of the result receives S_ij and
-    S_ji, so it is exactly symmetric (float addition commutes); exact
-    zeros are dropped.  P^T (X + X^T) P = S + S^T, so when every map of
-    the orbits commutes with X + X^T this is that operator on the
-    trivial sector; with each state its own orbit it is X + X^T."""
-    size = np.bincount(orbit)
-    d = len(size)
-    empty = np.zeros(0, dtype=np.intp)
-    rows, cols, vals = _coalesce(
-        orbit[np.concatenate([empty, *rows])],
-        orbit[np.concatenate([empty, *cols])],
-        np.concatenate([np.zeros(0), *vals]),
-        d,
-    )
-    vals = vals / np.sqrt(size[rows] * size[cols])
-    rows, cols, vals = _coalesce(
-        np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-        np.concatenate([vals, vals]), d,
-    )
-    keep = vals != 0.0
-    return SparseSymmetricOperator(
-        rows=rows[keep], cols=cols[keep], vals=vals[keep], dim=d
-    )
-
 
 def _monomial_classes(create, annihilate, coeff):
     """One row per distinct monomial of `_assemble`'s terms: (create,
@@ -420,73 +384,104 @@ def _monomial_classes(create, annihilate, coeff):
     return classes[:, :wc], classes[:, w : w + wa], total
 
 
+def _representatives(orbit: np.ndarray) -> np.ndarray:
+    """The least state of each orbit, in orbit order (`build_basis`
+    numbers the orbits by these states)."""
+    least = np.full(int(orbit.max()) + 1, len(orbit))
+    np.minimum.at(least, orbit, np.arange(len(orbit)))
+    return least
+
+
 def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
-    """The operator X + X^T of normal-ordered monomials, one per row t:
+    """The operator Y = X + X^T of normal-ordered monomials, one per row t:
 
         coeff[t] a+_{create[t, 0]} a+_{create[t, 1]} ...
                  a_{annihilate[t, 0]} a_{annihilate[t, 1]} ... ,
 
     with -1 marking an empty slot, plus diagonal / 2 on X's diagonal, on
-    the orbit states of `basis.orbit` (`_symmetrized`): the trivial
-    sector for `build_basis`'s labels, the whole basis for np.arange(D).
-    Each term is written once and its transpose supplies the h.c.; a
-    self-adjoint sum is written once at half weight.
+    the orbit states |O> = |O|^(-1/2) sum_{a in O} |a> of `basis.orbit`:
+    the trivial sector for `build_basis`'s labels, the whole basis for
+    np.arange(D).  Each term is written once and its transpose supplies
+    the h.c.; a self-adjoint sum is written once at half weight.
 
     Equal monomials are applied once, as one class: operators of one
     kind commute, so each term's creators and its annihilators are
     sorted, and a term with as many creators as annihilators shares its
-    class with its transpose, which X + X^T sees alike.  A class carries
-    its terms' coefficients summed in term order, and the classes are
+    class with its transpose, which Y sees alike.  A class carries its
+    terms' coefficients summed in term order, and the classes are
     applied in ascending order of their slots, after the diagonal.
 
-    Each block of classes screens every (class, state) pair at once: a
-    state survives a class when it holds each annihilated mode at least
-    as often as the class lowers it, and the net change keeps it within
-    the cap.  The screen is read class by class, each class's states in
-    source order; each amplitude is the coefficient times one sqrt per
-    operator in the order they act.
+    Y commutes with every map of the orbits (X need not: the classes
+    fold by mode index), so with b0 the least state of orbit O
+
+        S[O', O] = sqrt(|O| / |O'|) sum_{a in O'} Y[a, b0] ,
+
+    and only the representatives b0 are read.  The column pass applies
+    each class to b0, for X[a, b0]; the row pass applies the transposed
+    class to b0 to find each source a, then the class to a, for X[b0, a]
+    as a whole-basis build computes it.  Each pass is coalesced on the
+    sector in the order emitted, with half the diagonal in each; the two
+    are added and scaled, and the lower triangle is mirrored, so the
+    result is exactly symmetric.  Exact zeros are dropped.  With each
+    state its own orbit this is X + X^T as the whole basis sums it.
+
+    Each block of classes screens every (class, representative) pair at
+    once: b0 survives a class when it holds each mode the class (in the
+    row pass, its transpose) lowers at least as often as it lowers it,
+    and the net change keeps it within the cap.  The screen is read
+    class by class, each class's representatives in order; each
+    amplitude is the coefficient times one sqrt per operator in the
+    order they act.
     """
     create, annihilate, coeff = _monomial_classes(
         create, annihilate, np.asarray(coeff, dtype=float))
     live = np.nonzero(coeff != 0.0)[0]
-    occ = basis.occ
-    D, m = occ.shape
-    rows, cols, vals = [], [], []
-    if diagonal is not None:
-        rows.append(np.arange(D))
-        cols.append(np.arange(D))
-        vals.append(0.5 * np.asarray(diagonal, dtype=float))
+    reps = _representatives(basis.orbit)
+    occ = basis.occ[reps]
+    d, m = occ.shape
     n_ann = annihilate.shape[1]
     # the ladder operators in the order they act, annihilators first
     ops = np.concatenate([create[live], annihilate[live]], axis=1)[:, ::-1]
-    ann = ops[:, :n_ann]
-    # how often the term lowers each annihilated mode, 0 in an empty
-    # slot; a state within the cap afterwards has a total of at most
-    # room.  The narrow integer types keep the screen's compares cheap.
-    need = (ann[:, :, None] == ann[:, None, :]).sum(
-        axis=2, dtype=np.uint8) * (ann >= 0)
     net = np.count_nonzero(ops[:, n_ann:] >= 0, axis=1) - np.count_nonzero(
-        ann >= 0, axis=1)
-    room = (basis.n_max - net).astype(np.int16)
+        ops[:, :n_ann] >= 0, axis=1)
     used = occ.sum(axis=1, dtype=np.int16)
     root = np.sqrt(np.arange(basis.n_max + ops.shape[1] + 1, dtype=float))
-    per = max(1, _BLOCK // D)
+    per = max(1, _BLOCK // d)
 
-    def entries(lo):
-        """(target, source, amplitude) of the block of classes from lo;
-        its arrays are freed on return, before `_symmetrized` runs."""
+    def entries(lo, transposed):
+        """(sector row, b0's orbit, amplitude) of the block of classes
+        from lo: X[a, b0], or X[b0, a] when transposed; its arrays are
+        freed on return."""
         block = slice(lo, lo + per)
-        screen = used <= room[block, None]
-        for j in range(n_ann):
-            screen &= occ.T[ann[block, j]] >= need[block, j, None]
-        t, src = np.divmod(np.flatnonzero(screen), D)
+        lowered = ops[block, n_ann:] if transposed else ops[block, :n_ann]
+        # how often the class lowers each mode, 0 in an empty slot; b0
+        # is within the cap after the class when its total is at most
+        # room.  The narrow integer types keep the screen's compares cheap.
+        need = (lowered[:, :, None] == lowered[:, None, :]).sum(
+            axis=2, dtype=np.uint8) * (lowered >= 0)
+        room = basis.n_max + (net[block] if transposed else -net[block])
+        screen = used <= room.astype(np.int16)[:, None]
+        for j in range(lowered.shape[1]):
+            screen &= occ.T[lowered[:, j]] >= need[:, j, None]
+        t, col = np.divmod(np.flatnonzero(screen), d)
         t += lo
-        amp = coeff[live[t]]
-        target = occ[src]
-        flat = target.reshape(-1)
+        state = occ[col]
+        flat = state.reshape(-1)
         row = np.arange(0, len(t) * m, m)
+        ladder = ops[t].T
+        if transposed:
+            # the source: b0 with the creators lowered, the annihilators
+            # raised
+            for i, mode in enumerate(ladder):
+                at = (row + mode)[mode >= 0]
+                if i < n_ann:
+                    flat[at] += 1
+                else:
+                    flat[at] -= 1
+            other = basis.lookup(state)
+        amp = coeff[live[t]]
         # a lowers after its sqrt(n), a+ raises before it
-        for i, mode in enumerate(ops[t].T):
+        for i, mode in enumerate(ladder):
             on = mode >= 0
             at = (row + mode)[on]
             if i >= n_ann:
@@ -494,19 +489,32 @@ def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
             amp[on] *= root[flat[at]]
             if i < n_ann:
                 flat[at] -= 1
-        tgt = basis.lookup(target)
-        if np.any(tgt < 0):
+        if not transposed:
+            other = basis.lookup(state)
+        if np.any(other < 0):
             raise MomentumViolation(
                 "an operator term leaves the zero-momentum sector"
             )
-        return tgt, src, amp
+        return basis.orbit[other], col, amp
 
-    for lo in range(0, len(live), per):
-        tgt, src, amp = entries(lo)
-        rows.append(tgt)
-        cols.append(src)
-        vals.append(amp)
-    return _symmetrized(basis.orbit, rows, cols, vals)
+    half = []
+    if diagonal is not None:
+        half.append((np.arange(d), np.arange(d),
+                     0.5 * np.asarray(diagonal, dtype=float)[reps]))
+    rows, cols, vals = _coalesce([
+        _coalesce(half + [entries(lo, transposed)
+                          for lo in range(0, len(live), per)], d)
+        for transposed in (False, True)
+    ], d)
+    size = np.bincount(basis.orbit)
+    vals = vals * np.sqrt(size[cols] / size[rows])
+    low, mirror = rows >= cols, rows > cols
+    rows, cols, vals = _coalesce([(rows[low], cols[low], vals[low]),
+                                  (cols[mirror], rows[mirror], vals[mirror])], d)
+    keep = vals != 0.0
+    return SparseSymmetricOperator(
+        rows=rows[keep], cols=cols[keep], vals=vals[keep], dim=d
+    )
 
 
 def build_G0(basis: FockBasis, F: np.ndarray, G: np.ndarray) -> SparseSymmetricOperator:

@@ -24,6 +24,7 @@ from .errors import BasisTooLarge, RejectedConfig
 from .fock import (
     ModeSet,
     RestrictedTables,
+    _representatives,
     build_basis,
     build_G0,
     build_G1tilde,
@@ -72,10 +73,10 @@ def modes_from_config(cfg_oracle) -> ModeSet:
 
 def _fock_values(rt: RestrictedTables, n_max: int):
     """The Fock E0, e_pert_tilde, g2_expect and depletion at one cap, the
-    basis dimension and the sector dimension.  The builders sum each
-    operator onto the basis's orbit states, the trivial sector of the
+    basis dimension and the sector dimension.  The builders build each
+    operator on the basis's orbit states, the trivial sector of the
     mode set's maps, where every target lies; the number operator is
-    constant on each orbit, so it becomes its orbit mean."""
+    constant on each orbit, so it is read at each orbit's least state."""
     basis = build_basis(rt.modes, n_max)
     g0 = build_G0(basis, rt.F, rt.G)
     e0, gs = ground_state(g0)
@@ -86,10 +87,9 @@ def _fock_values(rt: RestrictedTables, n_max: int):
     theta = rt.eta + rt.tau
     gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
     _, gsd = ground_state(gd)
-    size = np.bincount(basis.orbit)
-    number = np.bincount(basis.orbit, basis.occ.sum(axis=1)) / size
+    number = basis.occ[_representatives(basis.orbit)].sum(axis=1)
     values = (e0, pt2, g2, float(gsd @ (number * gsd)))
-    return values, len(basis), len(size)
+    return values, len(basis), len(number)
 
 
 def run_oracle(tables: BogoliubovTables, modes: ModeSet, n_max_list) -> OracleRun:

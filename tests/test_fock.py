@@ -1,11 +1,14 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from bosegas.bogoliubov import bogoliubov_ground_energy, build_tables
+from bosegas.config import parse_config
 from bosegas.corrections import depletion
 from bosegas import fock
 from bosegas.errors import (
@@ -20,7 +23,6 @@ from bosegas.fock import (
     _assemble,
     _components,
     _row_ids,
-    _symmetrized,
     build_basis,
     build_G0,
     build_G1tilde,
@@ -35,6 +37,7 @@ from bosegas.fock import (
 )
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
 from bosegas.oracle import _fock_values, run_oracle
+from bosegas.pipeline import run_tables
 from bosegas.scattering import solve_eta
 from conftest import traced_peak
 
@@ -65,6 +68,14 @@ CLOSED_SET = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 
 # no signed axis permutation but +-1 maps it onto itself: (2, 0, 0) pins
 # the x axis, (1, 1, 0) then pins y (z is 0 throughout); its triples close
 NEGATION_ONLY_SET = CLOSED_SET + [(2, 0, 0), (-2, 0, 0)]
+
+
+def symmetry_defect(op: SparseSymmetricOperator) -> float:
+    """max |A_ij - A_ji| over the stored entries: 0.0 exactly when the
+    operator is symmetric bit for bit."""
+    _, _, d = fock._coalesce(
+        [(op.rows, op.cols, op.vals), (op.cols, op.rows, -op.vals)], op.dim)
+    return float(np.max(np.abs(d), initial=0.0))
 
 
 def whole_basis(modes, n_max):
@@ -146,8 +157,13 @@ class RefAssembler:
         self.vals.append(amp[alive])
 
     def build(self):
-        return _symmetrized(np.arange(len(self.basis)), self.rows, self.cols,
-                            self.vals)
+        """X's entries summed per position in the order collected, then
+        X_ij + X_ji at each position; exact zeros dropped."""
+        D = len(self.basis)
+        x = fock._coalesce(list(zip(self.rows, self.cols, self.vals)), D)
+        rows, cols, vals = fock._coalesce([x, (x[1], x[0], x[2])], D)
+        keep = vals != 0.0
+        return SparseSymmetricOperator(rows[keep], cols[keep], vals[keep], D)
 
 
 def monomial_class(ops):
@@ -385,7 +401,7 @@ class TestQuadratic:
         G = 0.5 * (G + G[modes.neg_index])
         F = 0.5 * (F + F[modes.neg_index])
         g0 = build_G0(b, F, G)
-        assert g0.symmetry_defect() == 0.0
+        assert symmetry_defect(g0) == 0.0
 
 
 class TestGroundState:
@@ -747,24 +763,72 @@ class TestSector:
     def test_projection_is_the_exactly_symmetric_compression(self, build):
         # the sector build against P^T A P, A the whole-basis build and
         # P's columns the normalized orbit indicators, on synthetic
-        # tables; each sector entry sums X's entries over at most s^2
-        # positions (s the largest orbit) and the transposed ones, the
-        # dense product D terms
-        rt = synthetic_tables(CLOSED_SET)
-        basis = build_basis(rt.modes, 6)
-        whole = build(whole_basis(rt.modes, 6), rt).toarray()
-        proj = build(basis, rt)
-        size = np.bincount(basis.orbit)
-        P = np.zeros((len(basis), len(size)))
-        P[np.arange(len(basis)), basis.orbit] = 1.0 / np.sqrt(size[basis.orbit])
-        ref = P.T @ whole @ P
-        scale = P.T @ np.abs(whole) @ P
-        dense = proj.toarray()
-        assert np.array_equal(dense, dense.T)
-        assert np.all(np.abs(dense - ref)
-                      <= (len(basis) + size.max() ** 2) * EPS * scale)
-        assert proj.symmetry_defect() == 0.0
-        assert len(size) < len(basis)
+        # tables at cap 6 of the closed set (4 maps), the negation-only
+        # set (2) and the 18-mode shell set (48); each sector entry sums
+        # X's entries over at most s^2 positions (s the largest orbit)
+        # and the transposed ones, the dense product D terms
+        for vectors in CLOSED_SET, NEGATION_ONLY_SET, shell_modes(2).vectors:
+            rt = synthetic_tables(vectors)
+            basis = build_basis(rt.modes, 6)
+            whole = build(whole_basis(rt.modes, 6), rt).toarray()
+            proj = build(basis, rt)
+            size = np.bincount(basis.orbit)
+            P = np.zeros((len(basis), len(size)))
+            P[np.arange(len(basis)), basis.orbit] = 1.0 / np.sqrt(
+                size[basis.orbit])
+            ref = P.T @ whole @ P
+            scale = P.T @ np.abs(whole) @ P
+            dense = proj.toarray()
+            assert np.array_equal(dense, dense.T)
+            assert np.all(np.abs(dense - ref)
+                          <= (len(basis) + size.max() ** 2) * EPS * scale)
+            assert symmetry_defect(proj) == 0.0
+            assert len(size) < len(basis)
+
+    # The representative build rests on Y = X + X^T commuting with every
+    # map g.  g permutes each builder's terms, and the coefficients of a
+    # term and of its image are bitwise equal: both tables are constant
+    # on each cubic orbit and each coefficient is one product in a fixed
+    # order.  So Y[g a, g b] and Y[a, b] round the same exact sum of
+    # contributions c_t sqrt(n_1) ... sqrt(n_q), and by
+    # `test_term_by_term_within_rounding`'s count each lies within
+    # gamma_{k+14} sum_t |c_t prod_t| of it.  G0's diagonal, occ @ F,
+    # is a dot product over m modes that g reorders, within gamma_m of
+    # occ @ |F| (F > 0).  With n = k + 16 + m, covering the rounding of
+    # the computed absolute sum as well, the two entries differ by at
+    # most 2 gamma_n times that sum.
+    @pytest.mark.parametrize("channel", ["G0", "G1tilde", "G2"])
+    @pytest.mark.parametrize("kind", ["oracle", "synthetic"])
+    def test_whole_basis_operators_commute_with_every_map(
+            self, tables_oracle, kind, channel):
+        modes = shell_modes(2)
+        rt = (restrict_tables(tables_oracle, modes) if kind == "oracle"
+              else synthetic_tables(modes.vectors))
+        b = whole_basis(modes, 6)
+        D, m = b.occ.shape
+        diag = None
+        if channel == "G0":
+            op, terms = build_G0(b, rt.F, rt.G), g0_terms(modes, rt.G)
+            diag = b.occ.astype(float) @ rt.F
+        elif channel == "G1tilde":
+            op, terms = build_G1tilde(b, rt), g1tilde_terms(rt)
+        else:
+            op, terms = build_G2(b, rt), g2_terms(rt)
+        asm = ref_assemble(b, [(ops, abs(c)) for ops, c in terms], diag)
+        rows, cols = np.concatenate(asm.rows), np.concatenate(asm.cols)
+        k = np.unique(np.concatenate([rows * D + cols, cols * D + rows]),
+                      return_counts=True)[1].max()
+        u = EPS / 2
+        n = k + 16 + m
+        bound = 2 * n * u / (1 - n * u) * asm.build().toarray()
+        dense = op.toarray()
+        assert op.nnz > 0
+        maps = fock._symmetry_maps(modes.vectors)
+        assert len(maps) == 48
+        for g in maps:
+            perm = b.lookup(b.occ[:, g])
+            assert np.array_equal(np.sort(perm), np.arange(D))
+            assert np.all(np.abs(dense[np.ix_(perm, perm)] - dense) <= bound)
 
     @pytest.mark.parametrize("vectors, n_max", [
         (shell_modes(2).vectors, 5), (shell_modes(2).vectors, 6),
@@ -775,12 +839,37 @@ class TestSector:
         assert_sector_matches_whole_space(rt, n_max)
 
     def test_run_oracle_traced_peak(self, tables_oracle):
-        # tracemalloc peak of the oracle-fock run (caps 5 and 6): 2.32 MB
-        # with each operator summed straight onto the sector, 3.57 MB
-        # when assembled on the whole basis and projected, 4.09 MB with
-        # every solve on the whole basis.  Bound fixed beforehand.
+        # tracemalloc peak of the oracle-fock run (caps 5 and 6): 1.22 MB
+        # with each operator built from one representative per orbit,
+        # 2.32 MB with every basis state's entries summed onto the
+        # sector, 3.57 MB when assembled on the whole basis and
+        # projected, 4.09 MB with every solve on the whole basis.  Bound
+        # fixed beforehand.
         peak = traced_peak(run_oracle, tables_oracle, shell_modes(2), [5, 6])
-        assert peak < 2.6e6
+        assert peak < 1.7e6
+
+    def test_build_G2_traced_peak(self, rt_oracle):
+        # build_G2 on the 67-state sector at cap 6: 0.62 MB when the 67
+        # representatives are screened, 2.26 MB when every one of the
+        # 1,040 basis states is.  Bound fixed beforehand.
+        basis = build_basis(rt_oracle.modes, 6)
+        assert traced_peak(build_G2, basis, rt_oracle) < 1.2e6
+
+    def test_oracle_sector_tool(self):
+        # `tools/oracle_sector.py` on its first row, the 18 modes at cap
+        # 5; ROADMAP's table records E0 and pt2 differences of 5.9e-16
+        # and 3.2e-16.  Bound fixed beforehand, a sector that missed a
+        # state would move E0 at the 1e-3 level
+        path = Path(__file__).resolve().parents[1] / "tools" / "oracle_sector.py"
+        spec = importlib.util.spec_from_file_location("oracle_sector", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        cfg = parse_config(tool.COUPLING)
+        tables, _ = run_tables(cfg, cfg.N)
+        row = tool.sector_row(restrict_tables(tables, shell_modes(2)), 5)
+        assert row[:3] == ["18, 5", "345", "25"]
+        for diff in row[3:5]:
+            assert float(diff) <= 1e-12
 
 
 class TestCubicChannel:
@@ -849,8 +938,8 @@ class TestQuarticChannel:
     def test_exact_symmetry(self):
         rt = synthetic_tables(CLOSED_SET)
         b = whole_basis(rt.modes, 6)
-        assert build_G2(b, rt).symmetry_defect() == 0.0
-        assert build_G1tilde(b, rt).symmetry_defect() == 0.0
+        assert symmetry_defect(build_G2(b, rt)) == 0.0
+        assert symmetry_defect(build_G1tilde(b, rt)) == 0.0
 
 
 class TestOperator:
@@ -878,11 +967,11 @@ class TestOperator:
         assert op.nnz == 6
         assert np.array_equal(op.toarray(), A)
         assert np.array_equal(op.diagonal(), np.diag(A))
-        assert op.symmetry_defect() == 0.0
+        assert symmetry_defect(op) == 0.0
 
     def test_symmetry_defect_of_a_nonsymmetric_matrix(self):
         A = np.array([[1.0, 0.5, 0.0], [0.25, 0.0, 0.0], [2.0, 0.0, 3.0]])
-        assert SparseSymmetricOperator.from_dense(A).symmetry_defect() == 2.0
+        assert symmetry_defect(SparseSymmetricOperator.from_dense(A)) == 2.0
 
 
 class TestAssemblyReference:
