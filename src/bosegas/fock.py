@@ -8,12 +8,12 @@ monomials) are matched by one lexicographic ranker, `_row_ids`.  Each of
 the quadratic, cubic and quartic channels is one `_assemble` call on its
 term list, which returns an explicit sparse symmetric matrix (row-major
 coordinate arrays) built with standard bosonic ladder rules.  The terms
-of one monomial class (slot permutations, and a monomial with its
-transpose) are merged first, so each class is applied once; one boolean
-screen per block of classes marks the (class, state) pairs that hold
-every lowered mode and stay within the cap, and only those pairs meet
-the ladder operators.  On the whole basis the entries agree with a
-term-by-term loop to within the summation-rounding bound the tests keep.
+of one monomial class (its slot permutations) are merged first, so each
+class is applied once; one boolean screen per block of classes marks
+the (class, state) pairs that hold every lowered mode and stay within
+the cap, and only those pairs meet the ladder operators.  On the whole
+basis the entries agree with a term-by-term loop to within the
+summation-rounding bound the tests keep.
 
 The tables hold one value per cubic orbit, so every signed axis
 permutation that maps the mode set onto itself (48 on a shell set)
@@ -22,11 +22,13 @@ carries its orbit under these maps (`FockBasis.orbit`), labelled from a
 generating subset of them.  Every operator is built on the trivial
 sector, one state per orbit, where the oracle's targets all lie; it is
 14-16 times smaller than the basis on the 18 modes |n|^2 <= 2.
-`_assemble` screens only each orbit's least state, the representative:
-a column of the sector operator is one representative's column of the
-whole operator, summed over the orbits of its rows and scaled (67 of
-1,040 states screened at cap 6).  With each state its own orbit (labels
-np.arange(D)) the same code builds the operators on the whole basis.
+Each map permutes the written terms, so X, their sum, commutes with
+it.  `_assemble` applies X once, to each orbit's least state, the
+representative: a column of X on the sector is one representative's
+column of X, summed over the orbits of its rows and scaled, and the
+operator is that plus its transpose (67 of 1,040 states screened at
+cap 6).  With each state its own orbit (labels np.arange(D)) the same
+code builds the operators on the whole basis.
 
 Ground states come from the connected components of the operator's
 sparsity graph, visited in the order of their Gershgorin lower bounds:
@@ -66,11 +68,9 @@ MAX_MODES = 30
 # most occupations either half of the modes, or the joined sector, may hold
 DIM_LIMIT = 2_000_000
 # screened (class, representative) pairs per assembly block: bounds the
-# transient arrays; on the 18-mode oracle at caps 5 and 6, run_oracle
-# measured the same from 2^14 to 2^18 (medians 82-87 ms, quartiles
-# overlapping) at one CLI peak RSS for every size, when every basis
-# state was screened; with the representatives alone at most 67 states
-# are, so one block holds every class there
+# transient arrays.  run_oracle on the 18-mode set at caps 5 and 6 (at
+# most 67 representatives) takes the same from 2^14 to 2^18 (medians
+# 15.0-15.2 ms, quartiles overlapping; 17.8 ms at 2^10)
 _BLOCK = 1 << 16
 # residual bounds: ground_state's relative to max(1, max |A_ij|),
 # rs_pt2's relative to max(1, |Q V gs0|)
@@ -352,36 +352,17 @@ class SparseSymmetricOperator:
 
 
 def _monomial_classes(create, annihilate, coeff):
-    """One row per distinct monomial of `_assemble`'s terms: (create,
-    annihilate, coeff) with the slots of each kind in descending order
-    (empty slots last), a monomial with as many creators as annihilators
-    written as the lesser of itself and its transpose, the rows ascending
-    and each row's coefficient the sum of its terms' in term order."""
-    wc, wa = create.shape[1], annihilate.shape[1]
-    w = max(wc, wa)
-
-    def slots(x):
-        padded = np.full((len(x), w), -1, dtype=np.int64)
-        padded[:, : x.shape[1]] = x
-        return -np.sort(-padded, axis=1)
-
-    cre, ann = slots(create), slots(annihilate)
-    key = np.concatenate([cre, ann], axis=1)
-    flip = np.concatenate([ann, cre], axis=1)
-    # flip < key where the rows first differ (nowhere if M = M^T)
-    first = np.argmax(key != flip, axis=1)
-    at = np.arange(len(key))
-    fold = (np.count_nonzero(cre >= 0, axis=1)
-            == np.count_nonzero(ann >= 0, axis=1))
-    fold &= flip[at, first] < key[at, first]
-    key[fold] = flip[fold]
+    """The distinct monomials of `_assemble`'s terms, ascending, each a
+    row of its creators then its annihilators with the slots of each
+    kind in descending order (empty slots last), and each one's
+    coefficient, the sum of its terms' in term order."""
+    key = np.concatenate([-np.sort(-create, axis=1),
+                          -np.sort(-annihilate, axis=1)], axis=1)
     ids = _row_ids(key)
     n = int(ids.max(initial=-1)) + 1
-    classes = np.empty((n, 2 * w), dtype=np.int64)
+    classes = np.empty((n, key.shape[1]), dtype=np.int64)
     classes[ids] = key
-    total = np.bincount(ids, weights=coeff, minlength=n)
-    # a folded row holds at most min(wc, wa) operators of each kind
-    return classes[:, :wc], classes[:, w : w + wa], total
+    return classes, np.bincount(ids, weights=coeff, minlength=n)
 
 
 def _representatives(orbit: np.ndarray) -> np.ndarray:
@@ -406,82 +387,66 @@ def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
 
     Equal monomials are applied once, as one class: operators of one
     kind commute, so each term's creators and its annihilators are
-    sorted, and a term with as many creators as annihilators shares its
-    class with its transpose, which Y sees alike.  A class carries its
-    terms' coefficients summed in term order, and the classes are
-    applied in ascending order of their slots, after the diagonal.
+    sorted.  A class carries its terms' coefficients summed in term
+    order, and the classes are applied in ascending order of their
+    slots, after the diagonal.
 
-    Y commutes with every map of the orbits (X need not: the classes
-    fold by mode index), so with b0 the least state of orbit O
+    Each map of the orbits permutes the terms, and so the classes, with
+    their coefficients, and fixes the diagonal; X then commutes with it,
+    and with b0 the least state of orbit O
 
-        S[O', O] = sqrt(|O| / |O'|) sum_{a in O'} Y[a, b0] ,
+        S[O', O] = sqrt(|O| / |O'|) sum_{a in O'} X[a, b0]
 
-    and only the representatives b0 are read.  The column pass applies
-    each class to b0, for X[a, b0]; the row pass applies the transposed
-    class to b0 to find each source a, then the class to a, for X[b0, a]
-    as a whole-basis build computes it.  Each pass is coalesced on the
-    sector in the order emitted, with half the diagonal in each; the two
-    are added and scaled, and the lower triangle is mirrored, so the
-    result is exactly symmetric.  Exact zeros are dropped.  With each
-    state its own orbit this is X + X^T as the whole basis sums it.
+    is X on the sector.  One pass applies each class to the
+    representatives b0 alone; its entries and the diagonal are coalesced
+    on the sector in the order emitted and scaled, and S + S^T is formed
+    at each position from the two summed entries, so the result is
+    exactly symmetric.  Exact zeros are dropped.  With each state its own
+    orbit this is X + X^T as the whole basis sums it.
 
     Each block of classes screens every (class, representative) pair at
-    once: b0 survives a class when it holds each mode the class (in the
-    row pass, its transpose) lowers at least as often as it lowers it,
-    and the net change keeps it within the cap.  The screen is read
-    class by class, each class's representatives in order; each
-    amplitude is the coefficient times one sqrt per operator in the
-    order they act.
+    once: b0 survives a class when it holds each mode the class lowers
+    at least as often as it lowers it, and the class keeps it within the
+    cap.  The screen is read class by class, each class's
+    representatives in order; each amplitude is the coefficient times
+    one sqrt per operator in the order they act.
     """
-    create, annihilate, coeff = _monomial_classes(
+    n_ann = annihilate.shape[1]
+    classes, coeff = _monomial_classes(
         create, annihilate, np.asarray(coeff, dtype=float))
     live = np.nonzero(coeff != 0.0)[0]
     reps = _representatives(basis.orbit)
     occ = basis.occ[reps]
     d, m = occ.shape
-    n_ann = annihilate.shape[1]
     # the ladder operators in the order they act, annihilators first
-    ops = np.concatenate([create[live], annihilate[live]], axis=1)[:, ::-1]
-    net = np.count_nonzero(ops[:, n_ann:] >= 0, axis=1) - np.count_nonzero(
-        ops[:, :n_ann] >= 0, axis=1)
+    ops = classes[live, ::-1]
+    # b0 is within the cap after a class when its total is at most room.
+    # The narrow integer types keep the screen's compares cheap.
+    room = (basis.n_max + np.count_nonzero(ops[:, :n_ann] >= 0, axis=1)
+            - np.count_nonzero(ops[:, n_ann:] >= 0, axis=1)).astype(np.int16)
     used = occ.sum(axis=1, dtype=np.int16)
     root = np.sqrt(np.arange(basis.n_max + ops.shape[1] + 1, dtype=float))
     per = max(1, _BLOCK // d)
 
-    def entries(lo, transposed):
-        """(sector row, b0's orbit, amplitude) of the block of classes
-        from lo: X[a, b0], or X[b0, a] when transposed; its arrays are
-        freed on return."""
+    def entries(lo):
+        """(sector row, b0's orbit, X[a, b0]) of the block of classes from
+        lo; its arrays are freed on return."""
         block = slice(lo, lo + per)
-        lowered = ops[block, n_ann:] if transposed else ops[block, :n_ann]
-        # how often the class lowers each mode, 0 in an empty slot; b0
-        # is within the cap after the class when its total is at most
-        # room.  The narrow integer types keep the screen's compares cheap.
+        lowered = ops[block, :n_ann]
+        # how often the class lowers each mode, 0 in an empty slot
         need = (lowered[:, :, None] == lowered[:, None, :]).sum(
             axis=2, dtype=np.uint8) * (lowered >= 0)
-        room = basis.n_max + (net[block] if transposed else -net[block])
-        screen = used <= room.astype(np.int16)[:, None]
-        for j in range(lowered.shape[1]):
+        screen = used <= room[block, None]
+        for j in range(n_ann):
             screen &= occ.T[lowered[:, j]] >= need[:, j, None]
         t, col = np.divmod(np.flatnonzero(screen), d)
         t += lo
         state = occ[col]
         flat = state.reshape(-1)
         row = np.arange(0, len(t) * m, m)
-        ladder = ops[t].T
-        if transposed:
-            # the source: b0 with the creators lowered, the annihilators
-            # raised
-            for i, mode in enumerate(ladder):
-                at = (row + mode)[mode >= 0]
-                if i < n_ann:
-                    flat[at] += 1
-                else:
-                    flat[at] -= 1
-            other = basis.lookup(state)
         amp = coeff[live[t]]
         # a lowers after its sqrt(n), a+ raises before it
-        for i, mode in enumerate(ladder):
+        for i, mode in enumerate(ops[t].T):
             on = mode >= 0
             at = (row + mode)[on]
             if i >= n_ann:
@@ -489,8 +454,7 @@ def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
             amp[on] *= root[flat[at]]
             if i < n_ann:
                 flat[at] -= 1
-        if not transposed:
-            other = basis.lookup(state)
+        other = basis.lookup(state)
         if np.any(other < 0):
             raise MomentumViolation(
                 "an operator term leaves the zero-momentum sector"
@@ -501,16 +465,11 @@ def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
     if diagonal is not None:
         half.append((np.arange(d), np.arange(d),
                      0.5 * np.asarray(diagonal, dtype=float)[reps]))
-    rows, cols, vals = _coalesce([
-        _coalesce(half + [entries(lo, transposed)
-                          for lo in range(0, len(live), per)], d)
-        for transposed in (False, True)
-    ], d)
+    rows, cols, vals = _coalesce(
+        half + [entries(lo) for lo in range(0, len(live), per)], d)
     size = np.bincount(basis.orbit)
     vals = vals * np.sqrt(size[cols] / size[rows])
-    low, mirror = rows >= cols, rows > cols
-    rows, cols, vals = _coalesce([(rows[low], cols[low], vals[low]),
-                                  (cols[mirror], rows[mirror], vals[mirror])], d)
+    rows, cols, vals = _coalesce([(rows, cols, vals), (cols, rows, vals)], d)
     keep = vals != 0.0
     return SparseSymmetricOperator(
         rows=rows[keep], cols=cols[keep], vals=vals[keep], dim=d

@@ -167,12 +167,9 @@ class RefAssembler:
 
 
 def monomial_class(ops):
-    """(creators, annihilators), each descending; with as many creators
-    as annihilators, the lesser of the monomial and its transpose."""
+    """(creators, annihilators), each descending."""
     cre = tuple(sorted((m for m, kind in ops if kind > 0), reverse=True))
     ann = tuple(sorted((m for m, kind in ops if kind < 0), reverse=True))
-    if len(cre) == len(ann):
-        return min((cre, ann), (ann, cre))
     return cre, ann
 
 
@@ -785,14 +782,58 @@ class TestSector:
             assert symmetry_defect(proj) == 0.0
             assert len(size) < len(basis)
 
-    # The representative build rests on Y = X + X^T commuting with every
-    # map g.  g permutes each builder's terms, and the coefficients of a
-    # term and of its image are bitwise equal: both tables are constant
-    # on each cubic orbit and each coefficient is one product in a fixed
-    # order.  So Y[g a, g b] and Y[a, b] round the same exact sum of
-    # contributions c_t sqrt(n_1) ... sqrt(n_q), and by
+    @pytest.mark.parametrize("nsq_max, counts", [
+        (2, [18, 240, 1_458]), (3, [26, 528, 4_970]),
+    ], ids=["shell2", "shell3"])
+    @pytest.mark.parametrize("kind", ["oracle", "synthetic"])
+    def test_term_lists_are_permuted_by_every_map(
+            self, tables_oracle, monkeypatch, kind, nsq_max, counts):
+        # The one assumption of `_assemble`'s single pass over the
+        # representatives: every map g of the orbits permutes the terms
+        # each builder writes, slot-sorted, with bitwise-equal
+        # coefficients, so X commutes with g.  G0's diagonal occ @ F
+        # needs F constant on the orbits.
+        modes = shell_modes(nsq_max)
+        rt = (restrict_tables(tables_oracle, modes) if kind == "oracle"
+              else synthetic_tables(modes.vectors))
+        calls = []
+        monkeypatch.setattr(fock, "_assemble",
+                            lambda basis, *terms, diagonal=None:
+                            calls.append(terms))
+        basis = build_basis(modes, 2)
+        build_G0(basis, rt.F, rt.G)
+        build_G1tilde(basis, rt)
+        build_G2(basis, rt)
+
+        def canonical(create, annihilate, coeff):
+            """The terms as sorted rows: creators and annihilators
+            descending, then the coefficient's bits."""
+            bits = np.ascontiguousarray(coeff, dtype=float).view(np.int64)
+            key = np.concatenate([-np.sort(-create, axis=1),
+                                  -np.sort(-annihilate, axis=1),
+                                  bits[:, None]], axis=1)
+            return key[np.lexsort(key.T[::-1])]
+
+        maps = fock._symmetry_maps(modes.vectors)
+        assert len(maps) == 48
+        for create, annihilate, coeff in calls:
+            terms = canonical(create, annihilate, coeff)
+            for g in maps:
+                image = [np.where(x >= 0, g[x], -1) for x in (create, annihilate)]
+                assert np.array_equal(canonical(*image, coeff), terms)
+        for g in maps:
+            assert np.array_equal(rt.F[g], rt.F)
+        assert [len(coeff) for *_, coeff in calls] == counts
+
+    # The representative build rests on X commuting with every map g, and
+    # so Y = X + X^T: g permutes each builder's terms, and the
+    # coefficients of a term and of its image are bitwise equal
+    # (`test_term_lists_are_permuted_by_every_map`): both tables are
+    # constant on each cubic orbit and each coefficient is one product in
+    # a fixed order.  So Y[g a, g b] and Y[a, b] round the same exact sum
+    # of contributions c_t sqrt(n_1) ... sqrt(n_q), and by
     # `test_term_by_term_within_rounding`'s count each lies within
-    # gamma_{k+14} sum_t |c_t prod_t| of it.  G0's diagonal, occ @ F,
+    # gamma_{k+12} sum_t |c_t prod_t| of it.  G0's diagonal, occ @ F,
     # is a dot product over m modes that g reorders, within gamma_m of
     # occ @ |F| (F > 0).  With n = k + 16 + m, covering the rounding of
     # the computed absolute sum as well, the two entries differ by at
@@ -857,8 +898,8 @@ class TestSector:
 
     def test_oracle_sector_tool(self):
         # `tools/oracle_sector.py` on its first row, the 18 modes at cap
-        # 5; ROADMAP's table records E0 and pt2 differences of 5.9e-16
-        # and 3.2e-16.  Bound fixed beforehand, a sector that missed a
+        # 5; ROADMAP's table records E0 and pt2 differences of 3.9e-16
+        # and 4.8e-16.  Bound fixed beforehand, a sector that missed a
         # state would move E0 at the 1e-3 level
         path = Path(__file__).resolve().parents[1] / "tools" / "oracle_sector.py"
         spec = importlib.util.spec_from_file_location("oracle_sector", path)
@@ -1010,12 +1051,12 @@ class TestAssemblyReference:
 
     # Both sides sum the same products c_t sqrt(n_1) ... sqrt(n_q), q <= 4,
     # in different orders.  Against the exact sum, a product carries 2q <= 8
-    # roundings, a merged class coefficient at most 7 additions (a class
-    # holds at most 8 terms: two slot swaps and the transpose), and a
-    # position of X + X^T at most k - 1 additions of its k contributions.
-    # So each side lies within gamma_{k+14} sum_t |c_t prod_t| of the
-    # exact value, gamma_n = n u / (1 - n u) with u = 2^-53; n = k + 16
-    # also covers the rounding of the computed absolute sum.
+    # roundings, a merged class coefficient at most 5 additions (a class
+    # holds at most 6 terms: the slot orders of a+ a+ a+), and a position
+    # of X + X^T at most k - 1 additions of its k contributions.  So each
+    # side lies within gamma_{k+12} sum_t |c_t prod_t| of the exact value,
+    # gamma_n = n u / (1 - n u) with u = 2^-53; n = k + 16 also covers the
+    # rounding of the computed absolute sum.
     @pytest.mark.parametrize("vectors,n_max", [
         (shell_modes(2).vectors.tolist(), 5),
         (shell_modes(2).vectors.tolist(), 6),

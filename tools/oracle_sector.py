@@ -12,13 +12,20 @@ energy of G0 + G1tilde + G2.  The whole basis is solved only where it
 holds at most WHOLE_LIMIT states; elsewhere the differences read "-".
 
 The coupling is that of the benchmark's `oracle_config(101)`: N = 2227,
-kappa = 1000, beta = 0.75, R = 0.25, K = 8 pi, K2 = 4 pi.
+kappa = 1000, beta = 0.75, R = 0.25, K = 8 pi, K2 = 4 pi.  OpenBLAS
+runs on one thread, as in the CLI: the differences' last digits move
+with its thread count.
 """
 
-import numpy as np
+import os
 
-from bosegas.config import parse_config
-from bosegas.fock import (
+# set before numpy loads, as `bosegas.cli` does
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from bosegas.config import parse_config  # noqa: E402
+from bosegas.fock import (  # noqa: E402
     FockBasis,
     SparseSymmetricOperator,
     build_basis,
@@ -30,7 +37,7 @@ from bosegas.fock import (
     rs_pt2,
     shell_modes,
 )
-from bosegas.pipeline import run_tables
+from bosegas.pipeline import run_tables  # noqa: E402
 
 COUPLING = {"N": 2227, "beta": 0.75, "kappa": 1000.0, "R": 0.25,
             "cutoff_K_over_2pi": 4, "cutoff_K2_over_2pi": 2}
