@@ -1,10 +1,10 @@
 """Brute-force truth source on a truncated excitation Fock space.
 
 A small momentum mode set (closed under negation) and an occupancy cap
-define a finite zero-total-momentum sector.  The sector is enumerated
-meet-in-the-middle: each half of the modes lists its occupations as
-arrays, and the halves join on opposite momenta.  Integer rows (momenta,
-monomials) are matched by one lexicographic ranker, `_row_ids`.  Each of
+define a finite zero-total-momentum sector, enumerated on integers: each
+half of the modes lists its occupations with one int64 momentum code
+each, the halves join on opposite codes, and each state's int64
+lexicographic rank (`_ranks`) orders and looks it up.  Each of
 the quadratic, cubic and quartic channels is one `_assemble` call on its
 term list, which returns an explicit sparse symmetric matrix (row-major
 coordinate arrays) built with standard bosonic ladder rules.  The terms
@@ -171,14 +171,22 @@ def shell_modes(nsq_max: int) -> ModeSet:
     return mode_set(enumerate_lattice(TWO_PI * math.sqrt(nsq_max)).points())
 
 
-def _row_keys(occupations: np.ndarray) -> np.ndarray:
-    """One void key per occupation row, ordered as the rows compare
-    lexicographically; a trailing zero byte keeps the key defined when
-    the mode set is empty."""
-    D, m = occupations.shape
-    padded = np.zeros((D, m + 1), dtype=np.uint8)
-    padded[:, :m] = occupations
-    return padded.view(np.dtype((np.void, m + 1))).ravel()
+def _ranks(occupations: np.ndarray, n_max: int) -> np.ndarray:
+    """Each occupation row's rank among all occupations of its m modes
+    with total <= n_max, in lexicographic order; -1 above the cap.
+    C(l + k, k + 1) occupations first exceed a row at mode j, for l the
+    cap it leaves after j and k the modes after j.  Ranks are below
+    C(n_max + m, m) <= (either half's count)^2 <= DIM_LIMIT^2 < 2^63."""
+    m = occupations.shape[1]
+    # after[l, k] = C(l + k, k + 1); row -1, a row past the cap, is 0
+    after = np.array([[math.comb(l + k, k + 1) for k in range(m)]
+                      for l in range(n_max + 1)] + [[0] * m], dtype=np.int64)
+    rank = np.full(len(occupations), math.comb(n_max + m, m) - 1)
+    left = np.full(len(occupations), n_max)
+    for j in range(m):
+        left = np.maximum(left - occupations[:, j], -1)
+        rank -= after[left, m - 1 - j]
+    return np.where(left < 0, -1, rank)
 
 
 class FockBasis(NamedTuple):
@@ -187,7 +195,7 @@ class FockBasis(NamedTuple):
     modes: ModeSet
     n_max: int
     occ: np.ndarray         # (D, m) uint8, lex order
-    keys: np.ndarray        # _row_keys(occ), ascending
+    keys: np.ndarray        # _ranks(occ, n_max), ascending
     orbit: np.ndarray       # (D,) intp, each state's orbit: `_orbits`;
                             # np.arange(D) builds on the whole basis
 
@@ -200,98 +208,90 @@ class FockBasis(NamedTuple):
 
     def lookup(self, occupations: np.ndarray) -> np.ndarray:
         """Vectorized occupation -> index; -1 where absent."""
-        return _lookup(self.keys, occupations)
+        rank = _ranks(occupations, self.n_max)
+        # the vacuum is always a basis state, so keys is never empty
+        pos = np.minimum(np.searchsorted(self.keys, rank), len(self) - 1)
+        return np.where(self.keys[pos] == rank, pos, -1)
 
 
-def _lookup(keys: np.ndarray, occupations: np.ndarray) -> np.ndarray:
-    """Index of each occupation row among the ascending keys of a basis;
-    -1 where absent."""
-    tv = _row_keys(occupations)
-    pos = np.searchsorted(keys, tv)
-    # the vacuum is always a basis state, so keys is never empty
-    hit = keys[np.minimum(pos, len(keys) - 1)] == tv
-    return np.where(hit, pos, -1)
-
-
-def _group_offsets(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each count c, concatenated."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
-
-
-def _half_sector(vecs: np.ndarray, n_max: int):
-    """Every occupation of the given modes with total <= n_max: (occ,
-    used, P) with occ (S, h) uint8, the totals and the momenta."""
+def _half_sector(codes: np.ndarray, n_max: int):
+    """Every occupation of h modes with total <= n_max, for the (h, 2)
+    momentum codes of the modes of both halves: (occ, used, code) with
+    occ (S, h) uint8, the totals and the (S, 2) codes in either half."""
     occ = np.zeros((1, 0), dtype=np.uint8)
     used = np.zeros(1, dtype=np.int64)
-    P = np.zeros((1, 3), dtype=np.int64)
-    for vec in vecs:
-        reps = n_max - used + 1
-        row = np.repeat(np.arange(len(used)), reps)
-        n = _group_offsets(reps)
+    code = np.zeros((1, 2), dtype=np.int64)
+    for c in codes:
+        row, n = np.nonzero(np.arange(n_max + 1) <= n_max - used[:, None])
         occ = np.concatenate([occ[row], n.astype(np.uint8)[:, None]], axis=1)
         used = used[row] + n
-        P = P[row] + n[:, None] * vec
-    return occ, used, P
+        code = code[row] + n[:, None] * c
+    return occ, used, code
+
+
+def _join(modes: ModeSet, n_max: int, radix: int) -> np.ndarray:
+    """The sector's occupations, unordered.  A mode set closed under
+    negation has an even number of modes; both halves list the same
+    occupations with total <= n_max, each with its momentum P's code
+    P @ (radix^2, radix, 1) in either half, and a left state joins every
+    right state of opposite code that fits the cap it leaves.  Only occ
+    is returned, so the join's arrays are freed before `_orbits` runs."""
+    codes = modes.vectors @ np.array([radix * radix, radix, 1])
+    occ, used, code = _half_sector(codes.reshape(2, -1).T, n_max)
+    span = n_max + 1
+    key_r = -code[:, 1] * span + used
+    order_r = np.argsort(key_r)
+    key_r = key_r[order_r]
+    base_l = code[:, 0] * span
+    lo = np.searchsorted(key_r, base_l)
+    hi = np.searchsorted(key_r, base_l + (n_max - used), side="right")
+    count = hi - lo
+    if int(count.sum()) > DIM_LIMIT:
+        raise BasisTooLarge(f"sector dimension exceeds the limit {DIM_LIMIT}")
+    left = np.repeat(np.arange(len(lo)), count)
+    # left state i's matches lo[i], ..., hi[i] - 1, at its places in left
+    right = np.arange(len(left)) + np.repeat(hi - np.cumsum(count), count)
+    return np.concatenate([occ[left], occ[order_r[right]]], axis=1)
 
 
 def build_basis(modes: ModeSet, n_max: int) -> FockBasis:
-    """Enumerate the constrained sector in deterministic lexicographic order.
-
-    Meet in the middle: the modes split into two halves, each half's
-    occupations with total <= n_max are enumerated as arrays, and a left
-    state joins every right state of opposite momentum whose total fits
-    the remaining cap.  One sort by the row key gives lexicographic order.
-    Raises BasisTooLarge, before anything is allocated, when either half
-    holds more than DIM_LIMIT occupations (C(n_max + h, h) for h modes),
-    and when the joined sector holds more than DIM_LIMIT states.
+    """Enumerate the constrained sector in lexicographic order: `_join`,
+    then one sort by `_ranks`.  Raises BasisTooLarge, before anything is
+    allocated, when a half holds more than DIM_LIMIT occupations
+    (C(n_max + h, h) for h modes) or a momentum code could overflow
+    int64, and when the joined sector holds more than DIM_LIMIT states.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > 255:
         raise BasisTooLarge("occupancy cap above the uint8 packing limit")
-    m = len(modes)
-    h = m // 2
-    for width in (h, m - h):
-        if math.comb(n_max + width, width) > DIM_LIMIT:
-            raise BasisTooLarge(
-                f"{width} modes at cap {n_max} hold more than {DIM_LIMIT} "
-                f"occupations"
-            )
-    occ_l, used_l, P_l = _half_sector(modes.vectors[:h], n_max)
-    occ_r, used_r, P_r = _half_sector(modes.vectors[h:], n_max)
-    # one integer per momentum, shared by P_left and -P_right
-    mom = _row_ids(np.concatenate([P_l, -P_r]))
-    span = n_max + 1
-    key_r = mom[len(P_l):] * span + used_r
-    order_r = np.argsort(key_r, kind="stable")
-    key_r = key_r[order_r]
-    base_l = mom[: len(P_l)] * span
-    lo = np.searchsorted(key_r, base_l)
-    hi = np.searchsorted(key_r, base_l + (n_max - used_l), side="right")
-    count = hi - lo
-    if int(count.sum()) > DIM_LIMIT:
-        raise BasisTooLarge(f"sector dimension exceeds the limit {DIM_LIMIT}")
-    left = np.repeat(np.arange(len(lo)), count)
-    right = order_r[np.repeat(lo, count) + _group_offsets(count)]
-    occ = np.concatenate([occ_l[left], occ_r[right]], axis=1)
-    keys = _row_keys(occ)
+    width = len(modes) // 2
+    if math.comb(n_max + width, width) > DIM_LIMIT:
+        raise BasisTooLarge(f"{width} modes at cap {n_max} hold more than "
+                            f"{DIM_LIMIT} occupations")
+    # a half's |P_c| <= n_max max|n_c| < radix / 2, so each code names one
+    # momentum; `_join` keys on code * (n_max + 1)
+    radix = 2 * int(n_max) * int(np.abs(modes.vectors).max(initial=0)) + 1
+    if radix ** 3 * (n_max + 1) >= 2 ** 63:
+        raise BasisTooLarge("the mode set's momentum codes overflow int64")
+    occ = _join(modes, n_max, radix)
+    keys = _ranks(occ, n_max)
     order = np.argsort(keys)
     occ, keys = occ[order], keys[order]
-    return FockBasis(modes=modes, n_max=int(n_max), occ=occ, keys=keys,
-                     orbit=_orbits(occ, keys, modes.generators))
+    basis = FockBasis(modes, int(n_max), occ, keys, None)
+    return FockBasis(modes, int(n_max), occ, keys, _orbits(basis))
 
 
-def _orbits(occ: np.ndarray, keys: np.ndarray, generators) -> np.ndarray:
+def _orbits(basis: FockBasis) -> np.ndarray:
     """The orbit of each state under the mode set's maps, numbered in
     order of each orbit's first state: the components of the graph that
     joins each state to its images under the generators, each looked up
     once.  occ[:, g] moves a state by g's inverse; the inverses generate
     the same group."""
-    D, k = occ.shape[0], len(generators)
-    images = np.array([_lookup(keys, occ[:, g]) for g in generators],
-                      dtype=np.intp).reshape(k, D)
-    return _components(np.repeat(np.arange(D), k), images.T.ravel(), D)
+    D, gens = len(basis), basis.modes.generators
+    images = np.array([basis.lookup(basis.occ[:, g]) for g in gens],
+                      dtype=np.intp).reshape(len(gens), D)
+    return _components(np.repeat(np.arange(D), len(gens)), images.T.ravel(), D)
 
 
 def _coalesce(parts, dim: int):

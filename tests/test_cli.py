@@ -682,31 +682,31 @@ class TestImports:
 
 
 class TestThreadDeterminism:
-    """Output under the one-thread cap equals output with two threads."""
+    """`energy` at the reference point and `oracle` at the oracle-fock
+    workload's seed-101 config print the same bytes under one and two
+    OpenBLAS threads, timing fields aside."""
 
     @staticmethod
-    def run_cli(tmp_path, command, blas_threads):
-        path = write_config(
-            tmp_path, cutoff_K_over_2pi=4, cutoff_K2_over_2pi=2,
-            oracle={"modes": {"nsq_max": 2}, "n_max": [3]},
-        )
+    def run_cli(tmp_path, command, config, blas_threads):
+        path = tmp_path / f"{command}-{blas_threads}.json"
+        path.write_text(json.dumps(config))
         res = subprocess.run(
-            [sys.executable, "-m", "bosegas.cli", command, "--config", path],
+            [sys.executable, "-m", "bosegas.cli", command, "--config", str(path)],
             env=child_env(blas_threads), capture_output=True, text=True,
             check=True,
         )
-        return res.stdout
+        return re.sub(r'"t_\w+_ms": "[^"]*"', '"t_ms"', res.stdout)
 
     def test_energy_report_bitwise(self, tmp_path):
-        one, two = (json.loads(self.run_cli(tmp_path, "energy", n))
-                    for n in (None, 2))
-        for doc in (one, two):
-            del doc["t_scatter_ms"], doc["t_sums_ms"]
+        config = _workloads()["energy_config"](101)
+        one, two = (self.run_cli(tmp_path, "energy", config, n) for n in (1, 2))
+        assert one.count('"t_ms"') == 2
         assert one == two
 
     def test_oracle_table_bytewise(self, tmp_path):
-        assert (self.run_cli(tmp_path, "oracle", None)
-                == self.run_cli(tmp_path, "oracle", 2))
+        config = _workloads()["oracle_config"](101)
+        assert (self.run_cli(tmp_path, "oracle", config, 1)
+                == self.run_cli(tmp_path, "oracle", config, 2))
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -716,6 +716,14 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 def _perfbench_source(name):
     with open(os.path.join(PERFBENCH, name), encoding="utf-8") as fh:
         return fh.read()
+
+
+def _workloads():
+    """The names `perfbench/workloads.py` defines, run from its text."""
+    scope = {"__name__": "workloads"}
+    exec(compile(_perfbench_source("workloads.py"), "workloads.py", "exec"),
+         scope)
+    return scope
 
 
 class TestBenchmarkInputs:
@@ -740,10 +748,7 @@ class TestBenchmarkInputs:
         assert names and missing == []
 
     def test_workload_configs_parse(self):
-        scope = {"__name__": "workloads"}
-        exec(compile(_perfbench_source("workloads.py"), "workloads.py", "exec"),
-             scope)
-        for _, make_config, _ in scope["WORKLOADS"].values():
+        for _, make_config, _ in _workloads()["WORKLOADS"].values():
             for seed in range(20):
                 parse_config(make_config(seed))
 

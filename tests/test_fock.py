@@ -330,6 +330,47 @@ class TestBasis:
         lead = diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)]
         assert np.all(lead > 0)
         assert np.array_equal(b.lookup(b.occ), np.arange(len(b)))
+        # the keys are int64 ranks below C(n_max + m, m), at most either
+        # half's count squared, so at most DIM_LIMIT^2 < 2^63
+        assert b.keys.dtype == np.int64
+        assert b.keys.max() < math.comb(46, 6) <= math.comb(43, 3) ** 2
+        assert math.comb(43, 3) <= fock.DIM_LIMIT and fock.DIM_LIMIT ** 2 < 2**63
+
+    def test_ranks_count_occupations_in_lexicographic_order(self):
+        for n_max in range(6):
+            rows = np.array([r for r in itertools.product(range(n_max + 1),
+                                                          repeat=4)
+                             if sum(r) <= n_max], dtype=np.uint8)
+            assert np.array_equal(fock._ranks(rows, n_max),
+                                  np.arange(math.comb(n_max + 4, 4)))
+
+    def test_lookup_misses_rows_above_the_cap(self):
+        # zero-momentum rows of totals 5 to 8, and every mode at 255: none
+        # is a state at cap 4, however the count past the cap wraps
+        modes = mode_set(CLOSED_SET)
+        above = build_basis(modes, 8).occ
+        rows = np.concatenate([above[above.sum(axis=1) > 4],
+                               np.full((1, len(modes)), 255, dtype=np.uint8)])
+        assert np.all(build_basis(modes, 4).lookup(rows) == -1)
+
+    def test_lookup_misses_rows_of_nonzero_momentum(self):
+        modes = mode_set(CLOSED_SET)
+        b = build_basis(modes, 4)
+        rows = np.array(list(itertools.product(range(5), repeat=len(modes))),
+                        dtype=np.uint8)
+        rows = rows[rows.sum(axis=1) <= 4]
+        moving = (rows.astype(np.int64) @ modes.vectors).any(axis=1)
+        assert np.all(b.lookup(rows[moving]) == -1)
+        assert np.array_equal(b.lookup(rows[~moving]), np.arange(len(b)))
+
+    def test_momentum_codes_cannot_overflow(self):
+        # the join's keys stay below radix^3 (n_max + 1) / 2, radix =
+        # 2 n_max max|n_c| + 1: at cap 4 within int64 for |n_c| = 2^17,
+        # not for 2^28
+        pair = mode_set([(2**17, 0, 0), (-2**17, 0, 0)])
+        assert build_basis(pair, 4).occ.tolist() == [[0, 0], [1, 1], [2, 2]]
+        with pytest.raises(BasisTooLarge):
+            build_basis(mode_set([(2**28, 0, 0), (-2**28, 0, 0)]), 4)
 
     def test_mode_cap(self):
         with pytest.raises(BasisTooLarge):
@@ -880,14 +921,22 @@ class TestSector:
         assert_sector_matches_whole_space(rt, n_max)
 
     def test_run_oracle_traced_peak(self, tables_oracle):
-        # tracemalloc peak of the oracle-fock run (caps 5 and 6): 1.22 MB
+        # tracemalloc peak of the oracle-fock run (caps 5 and 6): 0.67 MB
+        # with the basis enumerated on integer codes and ranks, 1.22 MB
         # with each operator built from one representative per orbit,
         # 2.32 MB with every basis state's entries summed onto the
         # sector, 3.57 MB when assembled on the whole basis and
         # projected, 4.09 MB with every solve on the whole basis.  Bound
         # fixed beforehand.
         peak = traced_peak(run_oracle, tables_oracle, shell_modes(2), [5, 6])
-        assert peak < 1.7e6
+        assert peak < 1.0e6
+
+    def test_build_basis_traced_peak(self):
+        # build_basis at cap 10 of the 18 modes (38,370 states): 9.58 MB
+        # on momentum codes and int64 ranks with one half-sector listing,
+        # 22.36 MB with (S, 3) momenta, void keys and the join's arrays
+        # alive while the orbits are labelled.  Bound fixed beforehand.
+        assert traced_peak(build_basis, shell_modes(2), 10) < 16e6
 
     def test_build_G2_traced_peak(self, rt_oracle):
         # build_G2 on the 67-state sector at cap 6: 0.62 MB when the 67
