@@ -231,17 +231,6 @@ def e00(vhat0: float, lattice: LatticeBall) -> ScalarWithTail:
     return ScalarWithTail(value, tail)
 
 
-def a_coefficient(tables: BogoliubovTables) -> np.ndarray:
-    """A_p = -(1/N) [2 vhat_p (vhat*cs)_p + (vhat*cs)_p^2 / N].
-
-    Satisfies F_p^2 - G_p^2 = p^4 + 2 p^2 vhat_p + A_p exactly.
-    """
-    v = tables.table.values
-    conv = tables.cs_conv
-    N = tables.N
-    return -(2.0 * v * conv + conv * conv / N) / N
-
-
 def e01(tables: BogoliubovTables, K2: float) -> Term:
     """Order-N^(beta-1) vacuum-energy term.
 

@@ -147,9 +147,13 @@ def _generators(maps: np.ndarray) -> np.ndarray:
 
 
 def mode_set(vectors) -> ModeSet:
-    vecs = np.asarray(sorted(set(tuple(int(c) for c in v) for v in vectors)))
-    vecs = vecs.astype(np.int64).reshape(-1, 3)
-    nsq = np.sum(vecs * vecs, axis=1)
+    vecs = sorted(set(tuple(int(c) for c in v) for v in vectors))
+    # components below 2^31 keep |n|^2 < 3 * 2^62 exact in uint64
+    for v in vecs:
+        if max(map(abs, v)) >= 2**31:
+            raise ValueError(f"mode {v} has a component of size 2^31 or more")
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 3)
+    nsq = np.sum(vecs * vecs, axis=1, dtype=np.uint64)
     if np.any(nsq == 0):
         raise ValueError("mode set must not contain the zero mode")
     order = np.lexsort((vecs[:, 2], vecs[:, 1], vecs[:, 0], nsq))

@@ -71,24 +71,6 @@ class Potential(NamedTuple):
         return self.kappa * (4.0 * np.pi * self.R**3 / 3.0) ** 2
 
 
-def vhat_oracle(pot: Potential, rho: float) -> float:
-    """Quadrature reference for the closed form (radial transform of the
-    ball indicator, squared).  Slow; used only by tests."""
-    from scipy.integrate import quad
-
-    if rho == 0.0:
-        return pot.vhat0
-    ball, _ = quad(
-        lambda r: 4.0 * np.pi * r * np.sin(rho * r) / rho,
-        0.0,
-        pot.R,
-        epsabs=1e-15,
-        epsrel=1e-13,
-        limit=200,
-    )
-    return pot.kappa * ball * ball
-
-
 class LatticeBall(NamedTuple):
     """Momenta p = 2*pi*n with 0 < |p| <= cutoff_K, one entry per cubic
     orbit.

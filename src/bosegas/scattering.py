@@ -18,9 +18,9 @@ eta, like every table on the ball, is one value per cubic orbit
 (`LatticeBall`): the kernel is radial, so the equation maps orbit-constant
 tables to orbit-constant tables.  Every run convolves on one
 cosine-transform convolver per potential table (`make_convolver`), the
-solve's kept on its solution for the tables built from it; the
-exact double loop `conv_direct` is kept as the reference the tests compare
-it against, as `dense_solve_eta` is for the solver, both per point.
+solve's kept on its solution for the tables built from it.  It keeps the
+kernel's spectrum, and a call transforms its input a few output
+frequencies at a time, never forming a spectrum of its own.
 The solver iterates the fixed-point map from the first Born term; the
 map contracts with a factor O(N^(beta-1)) in the targeted regime.
 """
@@ -39,34 +39,16 @@ from .lattice_potential import (
     ScaledPotentialTable,
     scaled_table,
 )
-from .sums import det_sum
 
 # the solver's target max-norm residual and iteration cap, read at call time
 TOL = 1e-11
 MAX_ITER = 200
 
 
-def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
-    """(vhat_N^beta * values)_p over q != p by explicit double loop, on
-    values at every point of `lattice.points()` and in that order.
-
-    The exact O(M^2) reference that tests hold the fast convolver to; no
-    run path calls it.
-    """
-    pts = table.lattice.points()
-    out = np.empty(len(pts), dtype=float)
-    for i in range(len(pts)):
-        kern = table.value_at(pts[i] - pts)
-        kern[i] = 0.0
-        out[i] = det_sum(kern * values)
-    return out
-
-
-def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Contract every axis of the 3-array x with the matrix m, in turn."""
-    for _ in range(3):
-        x = np.tensordot(x, m, axes=(0, 0))  # cycles the axes back in order
-    return x
+def _cycle(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Contract the first axis of the 3-array x with the matrix m and move
+    it last: one BLAS product on the transposed view, no copy."""
+    return (x.reshape(len(x), -1).T @ m).reshape(*x.shape[1:], -1)
 
 
 class _OctantConvolver:
@@ -78,15 +60,18 @@ class _OctantConvolver:
     one value per cubic orbit and the kernel is radial, so both are even
     along every axis and the period-4L DFT reduces per axis to the DCT-I
     X_k = sum_{j=0}^{2L} w_j x_j cos(2 pi jk / 4L), w = (1, 2, ..., 2, 1),
-    its own inverse up to 1/4L.  The input scatters onto (L+1)^3 through
-    the ball's octant of orbit ids, the kernel is transformed once on
-    (2L+1)^3 (`shape`), and the output is read back on (L+1)^3, each
-    transform three products with one matrix.
+    its own inverse up to 1/4L.  The kernel is transformed once on
+    (2L+1)^3 (`shape`), the one cube the convolver keeps.  A call scatters
+    the input onto (L+1)^3 through the ball's octant of orbit ids and
+    transforms two axes to (L+1, 2L+1, 2L+1).  Then, for a block of output
+    frequencies k0 at a time, it forms those spectral planes, multiplies
+    them by the kernel's and transforms them back to (L+1)^2; one product
+    over the 2L+1 stacked planes finishes the first axis.
 
     The transform includes q = p; vhat(0) * values_p is subtracted after.
     The output is orbit-constant up to rounding, so each orbit reads it at
     one octant cell, its sorted components (a, b, c) from `lattice.reps`,
-    within its 1e-12 budget against `conv_direct`.
+    within its 1e-12 budget against an exact double loop.
     """
 
     def __init__(self, table: ScaledPotentialTable):
@@ -101,23 +86,36 @@ class _OctantConvolver:
         W[1:-1] *= 2.0
         self._fwd = W[: L + 1]
         self._inv = W[:, : L + 1]
-        # the kernel at every integer |d|^2 up to 3 (2L)^2, once each
+        # the kernel at every integer |d|^2 up to 3 (2L)^2, once each,
+        # gathered onto the cube and transformed along each axis in turn
         nsq = np.arange(12 * L * L + 1, dtype=float)
         vals = table.pot.vhat_radial(TWO_PI * np.sqrt(nsq) / table.N**table.beta)
         d2 = j * j
-        kern = vals[d2[:, None, None] + d2[None, :, None] + d2[None, None, :]]
-        self._kern_hat = _apply(kern, W) / float(4 * L) ** 3
+        self._kern_hat = vals[d2[:, None, None] + d2[None, :, None] + d2]
+        for _ in range(3):
+            self._kern_hat = _cycle(self._kern_hat, W)
+        self._kern_hat /= float(4 * L) ** 3
+        # output frequencies in near-equal blocks of at most 8, each one gemm
+        nblk = -(-(2 * L + 1) // 8)
+        edges = (2 * L + 1) * np.arange(nblk + 1) // nblk
+        self._blocks = [slice(*e) for e in zip(edges[:-1], edges[1:])]
         self._octant = lat.grid.reshape(self.shape)[L:, L:, L:]
         # each orbit's flat octant cell (a, b, c)
         a, b, c = lat.reps.T
         self._cell = (a * (L + 1) + b) * (L + 1) + c
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        fwd, inv = self._fwd, self._inv
         # the octant's -1 cells (outside the ball, the origin) read the 0
-        sig = np.append(values, 0.0)[self._octant]
-        spec = _apply(sig, self._fwd) * self._kern_hat
-        out = _apply(spec, self._inv).reshape(-1)[self._cell]
-        return out - self.table.at_zero * values
+        half = _cycle(_cycle(np.append(values, 0.0)[self._octant], fwd), fwd)
+        half = half.reshape(len(half), -1)
+        planes = np.empty((len(inv), len(half), len(half)))
+        for k in self._blocks:
+            spec = (fwd[:, k].T @ half).reshape(-1, *self.shape[1:])
+            spec *= self._kern_hat[k]
+            planes[k] = inv.T @ spec @ inv
+        out = planes.reshape(len(inv), -1).T @ inv
+        return out.reshape(-1)[self._cell] - self.table.at_zero * values
 
 
 def make_convolver(table: ScaledPotentialTable) -> _OctantConvolver:
@@ -125,9 +123,9 @@ def make_convolver(table: ScaledPotentialTable) -> _OctantConvolver:
     q != p by the octant cosine transforms of `_OctantConvolver`, on one
     value per cubic orbit.
 
-    It is the only convolver of a run, at every ball size: the direct
-    double loop `conv_direct` is slower at every size, and tests hold this
-    one to it at 1e-12.
+    It is the only convolver of a run, at every ball size: an exact
+    double loop is slower at every size, and the tests hold this one to it
+    at 1e-12.
     """
     return _OctantConvolver(table)
 
@@ -137,7 +135,7 @@ class ScatteringSolution(NamedTuple):
     solver metadata.
 
     The zero mode is fixed to eta_0 = 0 by convention; beyond the cutoff
-    the first Born term serves as the tail rule (see `eta_tail`).
+    the first Born term -vhat(p/N^beta)/(2 p^2) serves as the tail rule.
     `convolve` is the convolver of `table` the solve ran on, which the
     tables built from the solution reuse.
     """
@@ -202,40 +200,6 @@ def solve_eta(
         table=table, eta=best_eta, iterations=it, residual_norm=best_res,
         convolve=convolve,
     )
-
-
-def residual(sol: ScatteringSolution) -> float:
-    """Max-norm defect of the scattering equation, re-evaluated on the
-    solve's convolver."""
-    return float(np.max(np.abs(_defect(sol.table, sol.eta, sol.convolve(sol.eta)))))
-
-
-def dense_solve_eta(
-    pot: Potential, lattice: LatticeBall, N: int, beta: float
-) -> np.ndarray:
-    """Direct dense linear solve of the same truncated equation (oracle).
-
-    The coupling matrix vhat(p-q)/(2N) has its diagonal set to zero (the
-    q = p term is excluded, as in the solver), leaving p^2 there.  The
-    solution is per point, at `lattice.points()` and in that order.
-    """
-    table = scaled_table(pot, lattice, N, beta)
-    pts = lattice.points()
-    M = len(pts)
-    A = np.zeros((M, M), dtype=float)
-    for i in range(M):
-        A[i, :] = table.value_at(pts[i] - pts) / (2.0 * N)
-    A[np.diag_indices(M)] = np.repeat(lattice.psq, lattice.size)
-    return np.linalg.solve(A, -0.5 * np.repeat(table.values, lattice.size))
-
-
-def eta_tail(pot: Potential, N: int, beta: float, p) -> float:
-    """First Born value, the closure used beyond the cutoff."""
-    p = np.asarray(p, dtype=float)
-    psq = float(np.dot(p, p))
-    if psq == 0.0:
-        raise ValueError("tail rule is defined only away from the zero mode")
-    return -float(pot.vhat_radial(np.sqrt(psq) / N**beta)) / (2.0 * psq)
 
 
 def scattering_length(sol: ScatteringSolution) -> float:

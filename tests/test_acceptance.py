@@ -28,8 +28,10 @@ from bosegas.fock import (
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
 from bosegas.oracle import run_oracle
 from bosegas.pipeline import run_pipeline
-from bosegas.scattering import dense_solve_eta, residual, scattering_length, solve_eta
+from bosegas.scattering import scattering_length, solve_eta
 from bosegas.verify import run_verify
+
+from reference import dense_solve_eta, residual
 
 REF_KAPPA = 0.1
 REF_R = 0.25

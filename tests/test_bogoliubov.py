@@ -5,7 +5,6 @@ import pytest
 
 from bosegas import bogoliubov, scattering
 from bosegas.bogoliubov import (
-    a_coefficient,
     bogoliubov_ground_energy,
     build_tables,
     constant_C,
@@ -23,6 +22,7 @@ from bosegas.scattering import make_convolver, solve_eta
 from bosegas.sums import det_sum
 
 from conftest import per_point
+from reference import a_coefficient
 
 
 @pytest.fixture(scope="module")

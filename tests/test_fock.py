@@ -372,6 +372,16 @@ class TestBasis:
         with pytest.raises(BasisTooLarge):
             build_basis(mode_set([(2**28, 0, 0), (-2**28, 0, 0)]), 4)
 
+    def test_huge_components_refused_by_name(self):
+        # int64 squares wrap above |n_c| = 2^31.5, so (2^40, 0, 0) would
+        # read as the zero mode, and 2^70 is no int64 at all
+        for c in (2**40, 2**70):
+            with pytest.raises(ValueError, match=f"mode \\(-{c}, 0, 0\\)"):
+                mode_set([(c, 0, 0), (-c, 0, 0)])
+        big = 2**31 - 1  # |n|^2 = 3 big^2 exceeds int64, not uint64
+        modes = mode_set([(big,) * 3, (-big,) * 3, (1, 0, 0), (-1, 0, 0)])
+        assert modes.vectors[:, 0].tolist() == [-1, 1, -big, big]
+
     def test_mode_cap(self):
         with pytest.raises(BasisTooLarge):
             shell_modes(6)  # 123 modes

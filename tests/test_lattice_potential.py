@@ -20,11 +20,11 @@ from bosegas.lattice_potential import (
     enumerate_lattice,
     quartic_shape_tail,
     scaled_table,
-    vhat_oracle,
 )
 from bosegas.sums import det_sum
 
 from conftest import brute_count, per_point, traced_peak
+from reference import vhat_oracle
 
 
 class TestEnumerate:

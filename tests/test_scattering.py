@@ -17,16 +17,13 @@ from bosegas.lattice_potential import (
 from bosegas.scattering import (
     _defect,
     _OctantConvolver,
-    conv_direct,
-    dense_solve_eta,
-    eta_tail,
     make_convolver,
-    residual,
     scattering_length,
     solve_eta,
 )
 
-from conftest import per_point
+from conftest import per_point, traced_peak
+from reference import conv_direct, dense_solve_eta, eta_tail, residual
 
 
 def orbit_starts(lat):
@@ -135,7 +132,7 @@ class TestConvolution:
     # period 4L is the shortest exact one: offsets of +-2L along an axis
     # share its index 2L, and the kernel is transformed on the (2L+1)^3
     # octant of that period
-    @pytest.mark.parametrize("L", [2, 6, 10])
+    @pytest.mark.parametrize("L", [1, 2, 3, 6, 10])
     def test_minimal_period_matches_direct(self, pot_coupled, L):
         lat = enumerate_lattice(TWO_PI * L)
         table = scaled_table(pot_coupled, lat, 1000, 0.75)
@@ -147,13 +144,16 @@ class TestConvolution:
         b = per_point(lat, conv(vals))
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
-    def test_kept_memory_at_reference_k(self, pot_ref):
-        # at K = 40 pi (L = 20, M = 33,400 points in 900 orbits) the
-        # convolver keeps the kernel spectrum, 41^3 doubles (0.55 MB), the
-        # 41 x 41 transform matrix and one octant cell per orbit; an array
-        # of one entry per point (0.27 MB each) would cross the bound
-        lat = enumerate_lattice(TWO_PI * 20)
-        table = scaled_table(pot_ref, lat, 10**4, 0.75)
+    @pytest.fixture(scope="class")
+    def ref_table(self, pot_ref):
+        # K = 40 pi: L = 20, M = 33,400 points in 900 orbits
+        return scaled_table(pot_ref, enumerate_lattice(TWO_PI * 20), 10**4, 0.75)
+
+    def test_kept_memory_at_reference_k(self, ref_table):
+        # the convolver keeps the kernel spectrum, 41^3 doubles (0.55 MB),
+        # the 41 x 41 transform matrix and one octant cell per orbit; an
+        # array of one entry per point (0.27 MB each) would cross the bound
+        table = ref_table
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -163,6 +163,22 @@ class TestConvolution:
             tracemalloc.stop()
         assert conv.shape == (41, 41, 41)
         assert kept < 0.8e6
+
+    def test_build_traced_peak(self, ref_table):
+        # the kept 0.57 MB, one working cube of 41^3 doubles (0.55 MB) that
+        # each axis's product writes while it reads the last; a third
+        # kernel-sized cube, such as its int64 index cube kept alive, or a
+        # copy made for the transform, would cross the bound
+        assert traced_peak(make_convolver, ref_table) < 1.45e6
+
+    def test_apply_traced_peak(self, ref_table):
+        # a call holds the signal half-transformed, 21 x 41 x 41 doubles
+        # (0.28 MB), the 41 stacked 21 x 21 output planes (0.14 MB) and one
+        # block of spectral planes; the full 41^3 spectrum (0.55 MB) would
+        # cross the bound
+        conv = make_convolver(ref_table)
+        vals = np.random.default_rng(3).normal(size=len(ref_table.lattice.nsq))
+        assert traced_peak(conv, vals) < 0.8e6
 
     def test_fft_solve_satisfies_exact_equation(self, pot_coupled, lat3):
         # the solve runs on the octant convolver; its eta must solve the
