@@ -14,6 +14,7 @@ its orbit size (`LatticeBall.total`), bitwise the sum over the points.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +90,9 @@ class BogoliubovTables(NamedTuple):
     of its lattice (`LatticeBall`), aligned with `lattice.reps`.
 
     Read a table at a point through `lattice.lookup`; sum it over the
-    ball with `total`.
+    ball with `total`.  No field refers to a convolver: `build_tables`
+    borrows its caller's, so the K ball's kernel spectrum is freed once
+    `pipeline.run_tables` returns.
     """
 
     sol: ScatteringSolution
@@ -129,14 +132,17 @@ class BogoliubovTables(NamedTuple):
         return self.sol.lattice.total(values)
 
 
-def build_tables(sol: ScatteringSolution) -> BogoliubovTables:
-    """All tables from a solution."""
+def build_tables(
+    sol: ScatteringSolution, convolve: Callable[[np.ndarray], np.ndarray]
+) -> BogoliubovTables:
+    """All tables from a solution and the convolver of its table, which
+    they do not keep."""
     s, c = np.sinh(sol.eta), np.cosh(sol.eta)
     # (vhat_N^beta * cs)_p = sum_{q != p} vhat((p-q)/N^beta) c_q s_q.  The
     # q = p term is excluded, as in the scattering equation: its r = 0
     # interaction is the constant (N-1) vhat(0)/2 already carried by the
     # macroscopic term, so G's leading part is twice the solver defect.
-    conv = sol.convolve(c * s)
+    conv = convolve(c * s)
     F, G = coefficients_FG(sol.table, s, c, conv)
     tau = tau_table(F, G, sol.lattice, sol.table.N, sol.table.pot.kappa)
     e = dispersion(F, G)

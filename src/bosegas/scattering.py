@@ -17,10 +17,13 @@ Keeping the q = p term would leave vhat(0) eta_p / N uncancelled in G.
 eta, like every table on the ball, is one value per cubic orbit
 (`LatticeBall`): the kernel is radial, so the equation maps orbit-constant
 tables to orbit-constant tables.  Every run convolves on one
-cosine-transform convolver per potential table (`make_convolver`), the
-solve's kept on its solution for the tables built from it.  It keeps the
-kernel's spectrum, and a call transforms its input a few output
-frequencies at a time, never forming a spectrum of its own.
+cosine-transform convolver per potential table (`make_convolver`), owned
+by its caller: `pipeline.run_tables` builds the K ball's, lends it to the
+solve and to `bogoliubov.build_tables` and drops it on return, so its
+kernel is freed before any energy term runs; each pair sum builds and
+drops its K2 sub-table's.  A convolver keeps one cube, the kernel's
+spectrum, built slab by slab, and a call transforms its input a few
+output frequencies at a time, never forming a spectrum of its own.
 The solver iterates the fixed-point map from the first Born term; the
 map contracts with a factor O(N^(beta-1)) in the targeted regime.
 """
@@ -32,23 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergence
-from .lattice_potential import (
-    TWO_PI,
-    LatticeBall,
-    Potential,
-    ScaledPotentialTable,
-    scaled_table,
-)
+from .lattice_potential import TWO_PI, LatticeBall, ScaledPotentialTable
 
 # the solver's target max-norm residual and iteration cap, read at call time
 TOL = 1e-11
 MAX_ITER = 200
-
-
-def _cycle(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Contract the first axis of the 3-array x with the matrix m and move
-    it last: one BLAS product on the transposed view, no copy."""
-    return (x.reshape(len(x), -1).T @ m).reshape(*x.shape[1:], -1)
 
 
 class _OctantConvolver:
@@ -60,13 +51,15 @@ class _OctantConvolver:
     one value per cubic orbit and the kernel is radial, so both are even
     along every axis and the period-4L DFT reduces per axis to the DCT-I
     X_k = sum_{j=0}^{2L} w_j x_j cos(2 pi jk / 4L), w = (1, 2, ..., 2, 1),
-    its own inverse up to 1/4L.  The kernel is transformed once on
-    (2L+1)^3 (`shape`), the one cube the convolver keeps.  A call scatters
-    the input onto (L+1)^3 through the ball's octant of orbit ids and
-    transforms two axes to (L+1, 2L+1, 2L+1).  Then, for a block of output
-    frequencies k0 at a time, it forms those spectral planes, multiplies
-    them by the kernel's and transforms them back to (L+1)^2; one product
-    over the 2L+1 stacked planes finishes the first axis.
+    its own inverse up to 1/4L.  The kernel is transformed once, in the
+    one (2L+1)^3 cube (`shape`) the convolver keeps: each j0 slab is
+    gathered and transformed on its last two axes, then the first axis in
+    place, a column at a time.  A call scatters the input onto (L+1)^3
+    through the ball's octant of orbit ids.  Then, for a block of output
+    frequencies k0 at a time, it transforms that signal's first axis to
+    those k0 and its other two axes, multiplies the block's spectral
+    planes by the kernel's, transforms them back to (L+1)^2 and adds the
+    block's first-axis inverse into the one (L+1)^3 output.
 
     The transform includes q = p; vhat(0) * values_p is subtracted after.
     The output is orbit-constant up to rounding, so each orbit reads it at
@@ -77,6 +70,8 @@ class _OctantConvolver:
     def __init__(self, table: ScaledPotentialTable):
         self.table = table
         lat = table.lattice
+        if len(lat) == 0:
+            raise ValueError("lattice is empty")
         L = lat.L
         self.shape = (2 * L + 1,) * 3
         j = np.arange(2 * L + 1)
@@ -86,16 +81,19 @@ class _OctantConvolver:
         W[1:-1] *= 2.0
         self._fwd = W[: L + 1]
         self._inv = W[:, : L + 1]
-        # the kernel at every integer |d|^2 up to 3 (2L)^2, once each,
-        # gathered onto the cube and transformed along each axis in turn
+        # the kernel at every integer |d|^2 up to 3 (2L)^2, once each; each
+        # j0 slab is gathered and transformed on its last two axes, then
+        # the first axis in place, one j1 column of the cube at a time
         nsq = np.arange(12 * L * L + 1, dtype=float)
         vals = table.pot.vhat_radial(TWO_PI * np.sqrt(nsq) / table.N**table.beta)
         d2 = j * j
-        self._kern_hat = vals[d2[:, None, None] + d2[None, :, None] + d2]
-        for _ in range(3):
-            self._kern_hat = _cycle(self._kern_hat, W)
+        self._kern_hat = np.empty(self.shape)
+        for j0 in j:
+            self._kern_hat[j0] = W.T @ vals[d2[j0] + d2[:, None] + d2] @ W
+        for j1 in j:
+            self._kern_hat[:, j1] = W.T @ self._kern_hat[:, j1]
         self._kern_hat /= float(4 * L) ** 3
-        # output frequencies in near-equal blocks of at most 8, each one gemm
+        # output frequencies in near-equal blocks of at most 8, a few gemms each
         nblk = -(-(2 * L + 1) // 8)
         edges = (2 * L + 1) * np.arange(nblk + 1) // nblk
         self._blocks = [slice(*e) for e in zip(edges[:-1], edges[1:])]
@@ -107,14 +105,16 @@ class _OctantConvolver:
     def __call__(self, values: np.ndarray) -> np.ndarray:
         fwd, inv = self._fwd, self._inv
         # the octant's -1 cells (outside the ball, the origin) read the 0
-        half = _cycle(_cycle(np.append(values, 0.0)[self._octant], fwd), fwd)
-        half = half.reshape(len(half), -1)
-        planes = np.empty((len(inv), len(half), len(half)))
+        x = np.append(values, 0.0)[self._octant]
+        plane = x.shape[1:]
+        x = x.reshape(len(x), -1)
+        out = np.zeros_like(x)
         for k in self._blocks:
-            spec = (fwd[:, k].T @ half).reshape(-1, *self.shape[1:])
+            spec = fwd.T @ (fwd[:, k].T @ x).reshape(-1, *plane) @ fwd
             spec *= self._kern_hat[k]
-            planes[k] = inv.T @ spec @ inv
-        out = planes.reshape(len(inv), -1).T @ inv
+            # back on the last two axes; rebinding frees the block's spectrum
+            spec = inv.T @ spec @ inv
+            out += inv[k].T @ spec.reshape(len(spec), -1)
         return out.reshape(-1)[self._cell] - self.table.at_zero * values
 
 
@@ -136,15 +136,13 @@ class ScatteringSolution(NamedTuple):
 
     The zero mode is fixed to eta_0 = 0 by convention; beyond the cutoff
     the first Born term -vhat(p/N^beta)/(2 p^2) serves as the tail rule.
-    `convolve` is the convolver of `table` the solve ran on, which the
-    tables built from the solution reuse.
+    It refers to no convolver: the solve's belongs to its caller.
     """
 
     table: ScaledPotentialTable
     eta: np.ndarray
     iterations: int
     residual_norm: float
-    convolve: _OctantConvolver
 
     @property
     def lattice(self) -> LatticeBall:
@@ -156,20 +154,16 @@ def _defect(table: ScaledPotentialTable, eta: np.ndarray, conv: np.ndarray):
     return psq * eta + conv / (2.0 * table.N) + 0.5 * table.values
 
 
-def solve_eta(
-    pot: Potential, lattice: LatticeBall, N: int, beta: float
-) -> ScatteringSolution:
-    """Damped fixed-point solution of the lattice scattering equation.
+def solve_eta(convolve: _OctantConvolver) -> ScatteringSolution:
+    """Damped fixed-point solution of the lattice scattering equation of
+    `convolve.table`, convolving on `convolve`.
 
     Iterates to a max-norm residual of at most `TOL` within `MAX_ITER`
     iterations; otherwise, or at the first non-finite residual of a
     diverging solve, raises NonConvergence with the smallest residual met.
     """
-    if len(lattice) == 0:
-        raise ValueError("lattice is empty")
-    table = scaled_table(pot, lattice, N, beta)
-    convolve = make_convolver(table)
-    psq = lattice.psq
+    table = convolve.table
+    psq = table.lattice.psq
     eta = -table.values / (2.0 * psq)
     damping = 1.0
     prev_res = np.inf
@@ -197,8 +191,7 @@ def solve_eta(
     if best_res > TOL:
         raise NonConvergence(it, best_res)
     return ScatteringSolution(
-        table=table, eta=best_eta, iterations=it, residual_norm=best_res,
-        convolve=convolve,
+        table=table, eta=best_eta, iterations=it, residual_norm=best_res
     )
 
 

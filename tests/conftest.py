@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from bosegas.bogoliubov import build_tables
-from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
-from bosegas.scattering import solve_eta
+from bosegas.lattice_potential import (
+    TWO_PI,
+    Potential,
+    enumerate_lattice,
+    scaled_table,
+)
+from bosegas.scattering import make_convolver, solve_eta
 
 
 @pytest.fixture(scope="session")
@@ -30,18 +35,28 @@ def lat3():
 
 @pytest.fixture(scope="session")
 def sol_small(pot_coupled, lat6):
-    return solve_eta(pot_coupled, lat6, N=500, beta=0.75)
+    return solve(pot_coupled, lat6, N=500, beta=0.75)
 
 
 @pytest.fixture(scope="session")
 def tables_small(sol_small):
-    return build_tables(sol_small)
+    return tables_of(sol_small)
 
 
 @pytest.fixture(scope="session")
 def tables_first_shell(pot_coupled, lat3):
-    sol = solve_eta(pot_coupled, lat3, N=200, beta=0.6)
-    return build_tables(sol)
+    return tables_of(solve(pot_coupled, lat3, N=200, beta=0.6))
+
+
+def solve(pot, lattice, N: int, beta: float):
+    """`solve_eta` on a convolver of the scaled table, built for it."""
+    return solve_eta(make_convolver(scaled_table(pot, lattice, N, beta)))
+
+
+def tables_of(sol):
+    """`build_tables` of a solution on a convolver of its table, built for
+    it."""
+    return build_tables(sol, make_convolver(sol.table))
 
 
 def brute_count(radius_n: float) -> int:

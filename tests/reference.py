@@ -13,7 +13,7 @@ from bosegas.lattice_potential import (
     ScaledPotentialTable,
     scaled_table,
 )
-from bosegas.scattering import ScatteringSolution, _defect
+from bosegas.scattering import ScatteringSolution, _defect, make_convolver
 from bosegas.sums import det_sum
 
 
@@ -51,9 +51,10 @@ def conv_direct(table: ScaledPotentialTable, values: np.ndarray) -> np.ndarray:
 
 
 def residual(sol: ScatteringSolution) -> float:
-    """Max-norm defect of the scattering equation, re-evaluated on the
-    solve's convolver."""
-    return float(np.max(np.abs(_defect(sol.table, sol.eta, sol.convolve(sol.eta)))))
+    """Max-norm defect of the scattering equation, re-evaluated on a
+    convolver of the solution's table."""
+    conv = make_convolver(sol.table)(sol.eta)
+    return float(np.max(np.abs(_defect(sol.table, sol.eta, conv))))
 
 
 def dense_solve_eta(

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from bosegas import scattering
-from bosegas.bogoliubov import build_tables
 from bosegas.config import parse_config
 from bosegas.corrections import assemble_report
 from bosegas.fock import (
@@ -28,9 +27,10 @@ from bosegas.fock import (
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
 from bosegas.oracle import run_oracle
 from bosegas.pipeline import run_pipeline
-from bosegas.scattering import scattering_length, solve_eta
+from bosegas.scattering import scattering_length
 from bosegas.verify import run_verify
 
+from conftest import solve, tables_of
 from reference import dense_solve_eta, residual
 
 REF_KAPPA = 0.1
@@ -62,13 +62,13 @@ def ref_lattice():
 @pytest.fixture(scope="module")
 def ref_solution(ref_pot, ref_lattice):
     t0 = time.perf_counter()
-    sol = solve_eta(ref_pot, ref_lattice, REF_N, REF_BETA)
+    sol = solve(ref_pot, ref_lattice, REF_N, REF_BETA)
     return sol, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def ref_tables(ref_solution):
-    return build_tables(ref_solution[0])
+    return tables_of(ref_solution[0])
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ def test_criterion_2_dense_equivalence(ref_pot):
         if len(lat) > 200:
             continue
         lattices += 1
-        sol = solve_eta(ref_pot, lat, REF_N, REF_BETA)
+        sol = solve(ref_pot, lat, REF_N, REF_BETA)
         dense = dense_solve_eta(ref_pot, lat, REF_N, REF_BETA)
         worst = max(worst, float(np.max(np.abs(np.repeat(sol.eta, lat.size) - dense))))
     elapsed = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def test_criterion_3_born2_scattering_length(ref_lattice):
     coef = {}
     for kappa in (1e-2, 1e-3):
         pot = Potential(kappa=kappa, R=REF_R)
-        sol = solve_eta(pot, ref_lattice, REF_N, REF_BETA)
+        sol = solve(pot, ref_lattice, REF_N, REF_BETA)
         a = scattering_length(sol)
         born2 = sol.lattice.total(sol.table.values**2 / sol.lattice.psq) / (2.0 * REF_N)
         coef[kappa] = (

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bosegas import bogoliubov, scattering
+from bosegas import bogoliubov, pipeline, scattering
 from bosegas.bogoliubov import (
     bogoliubov_ground_energy,
-    build_tables,
     constant_C,
     e00,
     e00_summand,
@@ -18,17 +17,17 @@ from bosegas.config import parse_config
 from bosegas.errors import DiagonalizationFailure
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
 from bosegas.pipeline import run_tables
-from bosegas.scattering import make_convolver, solve_eta
+from bosegas.scattering import make_convolver
 from bosegas.sums import det_sum
 
-from conftest import per_point
+from conftest import per_point, solve, tables_of
 from reference import a_coefficient
 
 
 @pytest.fixture(scope="module")
 def zero_tables(lat3):
-    sol = solve_eta(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
-    return build_tables(sol)
+    sol = solve(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
+    return tables_of(sol)
 
 
 class TestHyperbolics:
@@ -85,7 +84,8 @@ class TestConvolutionCS:
             assert cs_conv[i] == pytest.approx(acc, rel=1e-12, abs=1e-300)
 
     def test_run_tables_builds_one_convolver(self, monkeypatch):
-        # the tables convolve c s on the convolver the solve built
+        # run_tables builds the K ball's convolver once, for the solve and
+        # for the tables' c s convolution
         real = scattering.make_convolver
         built = []
 
@@ -95,6 +95,7 @@ class TestConvolutionCS:
 
         monkeypatch.setattr(scattering, "make_convolver", counting)
         monkeypatch.setattr(bogoliubov, "make_convolver", counting)
+        monkeypatch.setattr(pipeline, "make_convolver", counting)
         cfg = parse_config({"N": 500, "beta": 0.75, "kappa": 0.5, "R": 0.25,
                             "cutoff_K_over_2pi": 6, "cutoff_K2_over_2pi": 3})
         tables, _ = run_tables(cfg, cfg.N)
@@ -218,8 +219,8 @@ class TestConstantC:
         assert c.value == 0.0 and c.excess == 0.0
 
     def test_macroscopic_share(self, pot_ref, lat3):
-        sol = solve_eta(pot_ref, lat3, 10**6, 0.75)
-        tb = build_tables(sol)
+        sol = solve(pot_ref, lat3, 10**6, 0.75)
+        tb = tables_of(sol)
         c = constant_C(tb)
         assert abs(c.value / 10**6 - 0.5 * pot_ref.vhat0) <= 0.01 * 0.5 * pot_ref.vhat0
 

@@ -1,9 +1,13 @@
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import build_tables, e01, sc_minus_eta
+from bosegas import corrections
+from bosegas.bogoliubov import e01, sc_minus_eta
 from bosegas.config import parse_config
 from bosegas.corrections import (
     _f_rows,
@@ -21,10 +25,9 @@ from bosegas.corrections import (
 from bosegas.errors import CutoffTooSmall, InconsistentLattice
 from bosegas.lattice_potential import TWO_PI, Potential, born2_sum, enumerate_lattice
 from bosegas.pipeline import run_pipeline, run_tables
-from bosegas.scattering import solve_eta
 from bosegas.sums import det_sum
 
-from conftest import per_point, traced_peak
+from conftest import per_point, solve, tables_of, traced_peak
 
 # convolution pair sums against their explicit row loops: a few ulps of
 # FFT rounding, relative to the sum
@@ -35,8 +38,8 @@ U = 2.0**-53
 
 @pytest.fixture(scope="module")
 def zero_tables(lat3):
-    sol = solve_eta(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
-    return build_tables(sol)
+    sol = solve(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
+    return tables_of(sol)
 
 
 # (tables fixture, K2 in units of 2 pi), each at K2 = K/2, the largest
@@ -347,21 +350,75 @@ class TestEPertTildeMemory:
 
 
 class TestPipelineMemory:
+    """The benchmark's energy-ref point: K = 40 pi (L = 20, side = 41,
+    M = 33,400 points in 900 orbits), K2 = 20 pi."""
+
+    CFG = {"N": 10**4, "beta": 0.75, "kappa": 0.1, "R": 0.25,
+           "cutoff_K_over_2pi": 20, "cutoff_K2_over_2pi": 10}
+
     def test_energy_ref_peak_below_orbit_bound(self):
-        # the benchmark's energy-ref point: K = 40 pi (L = 20, side = 41,
-        # M = 33,400 points in 900 orbits), K2 = 20 pi.  Every table is one
-        # value per orbit, so what a run holds is the ball (its int16 grid,
-        # under side^3 / 4 values) and a convolver: the kernel spectrum
-        # (side^3) and one octant cell per orbit.  On top of it runs one
-        # transient at a time: the kernel's build (its index cube, the
-        # kernel cube and a transform's input, transposed copy and result,
-        # under 4 side^3), a call's transforms (under 4 side^3), or the
-        # pair sums (under 2 M + 24 M2, M2 = 4,168).  So the peak stays
-        # below 6 side^3 + 3 M values, 4.10 MB.
-        cfg = parse_config({"N": 10**4, "beta": 0.75, "kappa": 0.1, "R": 0.25,
-                            "cutoff_K_over_2pi": 20, "cutoff_K2_over_2pi": 10})
-        side, M = 41, 33_400
-        assert traced_peak(run_pipeline, cfg) < 8 * (6 * side**3 + 3 * M)
+        # What a run holds throughout is the ball (its int16 grid, under
+        # side^3 / 4 values) and one value per orbit for each table (under
+        # M / 2 in all).  The K ball's convolver lives only inside
+        # run_tables, adding its kernel spectrum (side^3) and, on top, one
+        # call's working set (under 3 (L+1)^3 + 16 side^2, as
+        # TestConvolution bounds it) or its build's smaller one.  The pair
+        # sums run after it is freed; their working set, 0.74 MB here
+        # (TestEPertTildeMemory), stays below the convolver's 0.99 MB.  So
+        # the peak stays below side^3 / 4 + M / 2 + side^3 + 3 (L+1)^3 +
+        # 16 side^2 values, 1.26 MB; the pair sums run on top of a kept
+        # kernel read 1.58 MB.
+        cfg = parse_config(self.CFG)
+        L, M = 20, 33_400
+        side = 2 * L + 1
+        bound = 8 * (side**3 // 4 + M // 2 + side**3 + 3 * (L + 1) ** 3
+                     + 16 * side**2)
+        assert traced_peak(run_pipeline, cfg) < bound
+
+    def test_run_tables_result_holds_no_kernel(self):
+        # what run_tables returns is the ball (its int16 grid, under
+        # side^3 / 4 values; reps, nsq and size, 5 values per orbit), the
+        # scaled table and the eleven tables of the solution (one value per
+        # orbit each): with the records themselves, under side^3 / 4 + 32
+        # values per orbit, 0.37 MB.  The K ball's kernel spectrum alone is
+        # side^3 values (0.55 MB), so a result that reaches the convolver
+        # crosses the bound.
+        cfg = parse_config(self.CFG)
+        side, orbits = 41, 900
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tables, _ = run_tables(cfg, cfg.N)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tables.eta) == orbits
+        assert held < 8 * (side**3 // 4 + 32 * orbits)
+
+    def test_stage_memory_tool(self):
+        # `tools/stage_memory.py` at K = 8 pi: one row per stage in the
+        # order of first call, every pair sum among them, the whole run
+        # last with the largest peak, and every stage function unwrapped
+        # again afterwards
+        path = Path(__file__).resolve().parents[1] / "tools" / "stage_memory.py"
+        spec = importlib.util.spec_from_file_location("stage_memory", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        staged = [getattr(mod, name) for mod, name in tool._stage_functions()]
+        cfg = parse_config(dict(self.CFG, cutoff_K_over_2pi=4,
+                                cutoff_K2_over_2pi=2))
+        rows = tool.stage_rows(cfg)
+        names = [row[0] for row in rows]
+        assert names[:5] == ["enumerate_lattice", "scaled_table",
+                             "make_convolver", "solve_eta", "build_tables"]
+        assert {"e01", "g2_expectation", "e_pert_tilde"} <= set(names)
+        assert names[-1] == "run_pipeline"
+        assert rows[-1][2] == max(row[2] for row in rows)
+        for _, calls, peak, held, hwm, _, _ in rows:
+            assert calls >= 1 and peak >= held >= 0.0 and hwm >= 0.0
+        assert staged == [getattr(mod, name)
+                          for mod, name in tool._stage_functions()]
+        assert corrections.e_pert_tilde is e_pert_tilde
 
 
 class TestG2Expectation:
@@ -413,8 +470,8 @@ class TestG2Expectation:
     def test_n_scaling_certificate(self, pot_coupled, lat3):
         vals = []
         for N in (10**3, 10**5):
-            sol = solve_eta(pot_coupled, lat3, N, 0.75)
-            tb = build_tables(sol)
+            sol = solve(pot_coupled, lat3, N, 0.75)
+            tb = tables_of(sol)
             vals.append(abs(g2_expectation(tb, TWO_PI * 3)) * N)
         assert max(vals) <= 5.0 * max(min(vals), 1e-300)
 
@@ -439,8 +496,8 @@ class TestCConstants:
         # w_q = 12 f(P, q) / (vhat_P + vhat_{P+q}) for |P| >> |q|; the
         # tables_small coupling on a ball of twice its radius, so that a
         # K2 = 6 ball holding P has every P + q in the tables
-        tb = build_tables(solve_eta(pot_coupled, enumerate_lattice(TWO_PI * 12),
-                                    N=500, beta=0.75))
+        tb = tables_of(solve(pot_coupled, enumerate_lattice(TWO_PI * 12),
+                             N=500, beta=0.75))
         lat = tb.lattice
         K2 = TWO_PI * 6
         w = np.sqrt(pair_weight(tb)) / 2.0
@@ -488,8 +545,8 @@ class TestDepletion:
     def test_fraction_shrinks_with_n(self, pot_coupled, lat3):
         fr = []
         for N in (10**2, 10**4):
-            sol = solve_eta(pot_coupled, lat3, N, 0.75)
-            tb = build_tables(sol)
+            sol = solve(pot_coupled, lat3, N, 0.75)
+            tb = tables_of(sol)
             fr.append(depletion(tb) / N)
         assert fr[1] < fr[0]
 
@@ -569,7 +626,7 @@ class TestReport:
         M2 = len(lat.sub_ball(K2))
         rel = []
         for N in (10**3, 10**5):
-            tb = build_tables(solve_eta(pot_ref, lat, N, 0.8))
+            tb = tables_of(solve(pot_ref, lat, N, 0.8))
             rep = assemble_report(tb, K2)
             v0 = tb.table.at_zero
             c1_shell = det_sum(per_point(lat, sc_minus_eta(tb.eta))[M2:]) + (

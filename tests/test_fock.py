@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bosegas.bogoliubov import bogoliubov_ground_energy, build_tables
+from bosegas.bogoliubov import bogoliubov_ground_energy
 from bosegas.config import parse_config
 from bosegas.corrections import depletion
 from bosegas import fock
@@ -38,8 +38,7 @@ from bosegas.fock import (
 from bosegas.lattice_potential import TWO_PI, Potential, enumerate_lattice
 from bosegas.oracle import _fock_values, run_oracle
 from bosegas.pipeline import run_tables
-from bosegas.scattering import solve_eta
-from conftest import traced_peak
+from conftest import solve, tables_of, traced_peak
 
 
 def synthetic_tables(vectors, eta_scale=0.25, tau_scale=0.15, N=64):
@@ -523,7 +522,7 @@ class TestGroundState:
         # with a residual that passes: a residual check alone cannot tell
         # the levels apart, so this guards against any solver that stops
         # on an excited level
-        tables = build_tables(solve_eta(pot_ref, lat6, N=10**4, beta=0.75))
+        tables = tables_of(solve(pot_ref, lat6, N=10**4, beta=0.75))
         for row in run_oracle(tables, mode_set(CLOSED_SET), [9, 24]).rows:
             assert row.rel_gaps[-1] <= 1e-12, row.name
         # the sector solves see the whole basis's levels
@@ -558,9 +557,9 @@ class TestGroundState:
 @pytest.fixture(scope="module")
 def tables_oracle():
     """The oracle-fock coupling: kappa 1000, beta 0.75, R 0.25, K = 8 pi."""
-    sol = solve_eta(Potential(kappa=1000.0, R=0.25), enumerate_lattice(TWO_PI * 4),
-                    N=3000, beta=0.75)
-    return build_tables(sol)
+    sol = solve(Potential(kappa=1000.0, R=0.25), enumerate_lattice(TWO_PI * 4),
+                N=3000, beta=0.75)
+    return tables_of(sol)
 
 
 @pytest.fixture(scope="module")

@@ -19,10 +19,9 @@ from bosegas.scattering import (
     _OctantConvolver,
     make_convolver,
     scattering_length,
-    solve_eta,
 )
 
-from conftest import per_point, traced_peak
+from conftest import per_point, solve, traced_peak
 from reference import conv_direct, dense_solve_eta, eta_tail, residual
 
 
@@ -33,7 +32,7 @@ def orbit_starts(lat):
 
 class TestSolver:
     def test_zero_coupling_one_iteration(self, lat3):
-        sol = solve_eta(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
+        sol = solve(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
         assert sol.iterations == 1
         assert np.all(sol.eta == 0.0)
         assert sol.residual_norm == 0.0
@@ -41,7 +40,7 @@ class TestSolver:
     def test_six_by_six_dense_oracle(self):
         pot = Potential(kappa=0.5, R=0.2)
         lat = enumerate_lattice(TWO_PI)
-        sol = solve_eta(pot, lat, N=100, beta=0.6)
+        sol = solve(pot, lat, N=100, beta=0.6)
         dense = dense_solve_eta(pot, lat, 100, 0.6)
         assert np.max(np.abs(per_point(lat, sol.eta) - dense)) <= 1e-12
 
@@ -52,7 +51,7 @@ class TestSolver:
         pot = Potential(kappa=0.1, R=0.25)
         lat = enumerate_lattice(TWO_PI * n_over)
         assert len(lat) <= 200
-        sol = solve_eta(pot, lat, N=10**4, beta=0.75)
+        sol = solve(pot, lat, N=10**4, beta=0.75)
         dense = dense_solve_eta(pot, lat, 10**4, 0.75)
         assert np.max(np.abs(per_point(lat, sol.eta) - dense)) <= 10.0 * scattering.TOL
 
@@ -71,7 +70,7 @@ class TestSolver:
         monkeypatch.setattr(scattering, "MAX_ITER", 3)
         pot = Potential(kappa=0.5, R=0.2)
         with pytest.raises(NonConvergence) as exc:
-            solve_eta(pot, lat3, N=100, beta=0.6)
+            solve(pot, lat3, N=100, beta=0.6)
         assert exc.value.iterations == 3
         assert exc.value.best_residual > 0
 
@@ -82,14 +81,14 @@ class TestSolver:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonConvergence) as exc:
-                solve_eta(Potential(kappa=1e8, R=0.25), lat, N=10, beta=0.5)
+                solve(Potential(kappa=1e8, R=0.25), lat, N=10, beta=0.5)
         assert exc.value.iterations < scattering.MAX_ITER
         assert math.isfinite(exc.value.best_residual)
 
 
 class TestResidual:
     def test_zero_eta_zero_coupling(self, lat3):
-        sol = solve_eta(Potential(kappa=0.0, R=0.2), lat3, 50, 0.6)
+        sol = solve(Potential(kappa=0.0, R=0.2), lat3, 50, 0.6)
         assert residual(sol) == 0.0
 
     def test_born_defect_matches_double_loop(self, pot_coupled, lat3):
@@ -165,25 +164,38 @@ class TestConvolution:
         assert kept < 0.8e6
 
     def test_build_traced_peak(self, ref_table):
-        # the kept 0.57 MB, one working cube of 41^3 doubles (0.55 MB) that
-        # each axis's product writes while it reads the last; a third
-        # kernel-sized cube, such as its int64 index cube kept alive, or a
-        # copy made for the transform, would cross the bound
-        assert traced_peak(make_convolver, ref_table) < 1.45e6
+        # the build writes the kernel spectrum into the one cube it keeps
+        # (side^3 doubles, side = 41: 0.55 MB); beside it live the kernel
+        # at every integer |d|^2 (12 L^2 + 1 doubles) and one slab's
+        # gather and transforms or one column's product, a few side^2
+        # each.  So it stays below side^3 + 12 L^2 + 16 side^2 doubles,
+        # 0.80 MB; a second kernel-sized cube, such as the gather's int64
+        # index cube or a transform's result beside its input, would
+        # cross the bound
+        L = ref_table.lattice.L
+        side = 2 * L + 1
+        bound = 8 * (side**3 + 12 * L * L + 16 * side**2)
+        assert traced_peak(make_convolver, ref_table) < bound
 
     def test_apply_traced_peak(self, ref_table):
-        # a call holds the signal half-transformed, 21 x 41 x 41 doubles
-        # (0.28 MB), the 41 stacked 21 x 21 output planes (0.14 MB) and one
-        # block of spectral planes; the full 41^3 spectrum (0.55 MB) would
-        # cross the bound
+        # a call holds the octant signal and the output, (L+1)^3 doubles
+        # each (74 KB), and one block of at most 8 output frequencies at
+        # a time: its spectral planes, 8 side^2 doubles (0.11 MB), beside
+        # the block's partial transforms, 8 side (L+1) or 8 (L+1)^2 each,
+        # and one (L+1)^3 product to add.  So it stays below
+        # 3 (L+1)^3 + 16 side^2 doubles, 0.44 MB; the half-transformed
+        # signal, (L+1) side^2 doubles (0.28 MB), or the full spectrum
+        # (0.55 MB) would cross the bound
+        L = ref_table.lattice.L
+        side = 2 * L + 1
         conv = make_convolver(ref_table)
         vals = np.random.default_rng(3).normal(size=len(ref_table.lattice.nsq))
-        assert traced_peak(conv, vals) < 0.8e6
+        assert traced_peak(conv, vals) < 8 * (3 * (L + 1) ** 3 + 16 * side**2)
 
     def test_fft_solve_satisfies_exact_equation(self, pot_coupled, lat3):
         # the solve runs on the octant convolver; its eta must solve the
         # equation with the exact convolution as well
-        sol = solve_eta(pot_coupled, lat3, 400, 0.7)
+        sol = solve(pot_coupled, lat3, 400, 0.7)
         exact = conv_direct(sol.table, per_point(lat3, sol.eta))[orbit_starts(lat3)]
         assert np.max(np.abs(_defect(sol.table, sol.eta, exact))) <= scattering.TOL
 
@@ -202,7 +214,7 @@ class TestTailRule:
         # solved table vs tail rule at the outermost shell
         N, beta = 10**4, 0.75
         lat = enumerate_lattice(TWO_PI * 6)
-        sol = solve_eta(pot_ref, lat, N, beta)
+        sol = solve(pot_ref, lat, N, beta)
         start = int(np.searchsorted(lat.nsq, lat.nsq[-1]))
         for i in range(start, len(lat.nsq)):
             p = TWO_PI * lat.reps[i].astype(float)
@@ -213,7 +225,7 @@ class TestTailRule:
 
 class TestScatteringLength:
     def test_zero_coupling(self, lat3):
-        sol = solve_eta(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
+        sol = solve(Potential(kappa=0.0, R=0.2), lat3, 100, 0.6)
         assert scattering_length(sol) == 0.0
 
     def test_below_zeroth_born(self, sol_small):
@@ -226,7 +238,7 @@ class TestScatteringLength:
         coefs = {}
         for kappa in (1e-2, 1e-3):
             pot = Potential(kappa=kappa, R=0.25)
-            sol = solve_eta(pot, lat6, N, beta)
+            sol = solve(pot, lat6, N, beta)
             a = scattering_length(sol)
             born2 = sol.lattice.total(sol.table.values**2 / sol.lattice.psq) / (2.0 * N)
             coefs[kappa] = (
@@ -241,8 +253,8 @@ class TestScatteringLength:
 
     def test_monotone_truncation(self, pot_ref):
         N, beta = 500, 0.75
-        small = solve_eta(pot_ref, enumerate_lattice(TWO_PI * 4), N, beta)
-        big = solve_eta(pot_ref, enumerate_lattice(TWO_PI * 8), N, beta)
+        small = solve(pot_ref, enumerate_lattice(TWO_PI * 4), N, beta)
+        big = solve(pot_ref, enumerate_lattice(TWO_PI * 8), N, beta)
         # the report's a_tail_bound, formed on the small ball
         tail_bound = 2.0 * born2_sum(small.table).tail / N / (8.0 * math.pi)
         assert abs(scattering_length(big) - scattering_length(small)) <= tail_bound
