@@ -30,7 +30,7 @@ from .bogoliubov import (
 from .errors import InconsistentLattice
 from .lattice_potential import _nsq_max, born2_sum
 from .scattering import make_convolver, scattering_length
-from .sums import Term, det_rows, det_sum
+from .sums import Term, det_rows, det_sum, weighted_sum
 
 
 def c1_resolvent_summand(psq, vhat0: float):
@@ -196,7 +196,7 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
         return det_sum(t)
 
     rows = det_rows(row, len(sizes))
-    ball = -(6.0 / tables.N) * det_sum(np.repeat(rows, sizes))
+    ball = -(6.0 / tables.N) * weighted_sum(rows, sizes)
     t2x = born2_sum(ctx.sub).tail
     tail = tables.total(pair_weight(tables)) * (-t2x / (2.0 * tables.N))
     return Term(ball, tail)

@@ -30,6 +30,10 @@ operator is that plus its transpose (67 of 1,040 states screened at
 cap 6).  With each state its own orbit (labels np.arange(D)) the same
 code builds the operators on the whole basis.
 
+Every ordering here is numpy's stable one, a stable argsort or
+`np.lexsort`, and nothing calls `np.unique`: the oracle's run is start-up
+bound, and each further sort kernel would map more code into it.
+
 Ground states come from the connected components of the operator's
 sparsity graph, visited in the order of their Gershgorin lower bounds:
 each visited block is diagonalized whole by one dense LAPACK
@@ -244,7 +248,7 @@ def _join(modes: ModeSet, n_max: int, radix: int) -> np.ndarray:
     occ, used, code = _half_sector(codes.reshape(2, -1).T, n_max)
     span = n_max + 1
     key_r = -code[:, 1] * span + used
-    order_r = np.argsort(key_r)
+    order_r = np.argsort(key_r, kind="stable")
     key_r = key_r[order_r]
     base_l = code[:, 0] * span
     lo = np.searchsorted(key_r, base_l)
@@ -280,7 +284,7 @@ def build_basis(modes: ModeSet, n_max: int) -> FockBasis:
         raise BasisTooLarge("the mode set's momentum codes overflow int64")
     occ = _join(modes, n_max, radix)
     keys = _ranks(occ, n_max)
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     occ, keys = occ[order], keys[order]
     basis = FockBasis(modes, int(n_max), occ, keys, None)
     return FockBasis(modes, int(n_max), occ, keys, _orbits(basis))
@@ -355,13 +359,25 @@ class SparseSymmetricOperator:
         return dense
 
 
+def _descending(slots: np.ndarray) -> np.ndarray:
+    """Each row of a few integer slots in descending order, by one
+    compare-exchange pass per slot: the int64 maximum and minimum loops
+    the basis already runs, no sort kernel."""
+    out = np.array(slots, dtype=np.int64)
+    for end in range(out.shape[1] - 1, 0, -1):
+        for j in range(end):
+            a, b = out[:, j], out[:, j + 1]
+            out[:, j], out[:, j + 1] = np.maximum(a, b), np.minimum(a, b)
+    return out
+
+
 def _monomial_classes(create, annihilate, coeff):
     """The distinct monomials of `_assemble`'s terms, ascending, each a
     row of its creators then its annihilators with the slots of each
     kind in descending order (empty slots last), and each one's
     coefficient, the sum of its terms' in term order."""
-    key = np.concatenate([-np.sort(-create, axis=1),
-                          -np.sort(-annihilate, axis=1)], axis=1)
+    key = np.concatenate([_descending(create), _descending(annihilate)],
+                         axis=1)
     ids = _row_ids(key)
     n = int(ids.max(initial=-1)) + 1
     classes = np.empty((n, key.shape[1]), dtype=np.int64)
@@ -370,11 +386,10 @@ def _monomial_classes(create, annihilate, coeff):
 
 
 def _representatives(orbit: np.ndarray) -> np.ndarray:
-    """The least state of each orbit, in orbit order (`build_basis`
-    numbers the orbits by these states)."""
-    least = np.full(int(orbit.max()) + 1, len(orbit))
-    np.minimum.at(least, orbit, np.arange(len(orbit)))
-    return least
+    """The least state of each orbit, in orbit order: `build_basis`
+    numbers the orbits in the order of these states, so the running
+    maximum of the labels first reaches k at orbit k's least state."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(orbit), prepend=-1))
 
 
 def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
@@ -424,11 +439,10 @@ def _assemble(basis: FockBasis, create, annihilate, coeff, diagonal=None):
     d, m = occ.shape
     # the ladder operators in the order they act, annihilators first
     ops = classes[live, ::-1]
-    # b0 is within the cap after a class when its total is at most room.
-    # The narrow integer types keep the screen's compares cheap.
+    # b0 is within the cap after a class when its total is at most room
     room = (basis.n_max + np.count_nonzero(ops[:, :n_ann] >= 0, axis=1)
-            - np.count_nonzero(ops[:, n_ann:] >= 0, axis=1)).astype(np.int16)
-    used = occ.sum(axis=1, dtype=np.int16)
+            - np.count_nonzero(ops[:, n_ann:] >= 0, axis=1))
+    used = occ.sum(axis=1, dtype=np.int64)
     root = np.sqrt(np.arange(basis.n_max + ops.shape[1] + 1, dtype=float))
     per = max(1, _BLOCK // d)
 
@@ -627,7 +641,8 @@ def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
         if np.array_equal(low, label):
             break
         label = low
-    return np.unique(label, return_inverse=True)[1]
+    # each label is its component's least node, a root
+    return (np.cumsum(label == np.arange(dim)) - 1)[label]
 
 
 def _block(op: SparseSymmetricOperator, comp: np.ndarray, c: int):

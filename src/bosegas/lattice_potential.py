@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BetaOutOfRange, CutoffTooSmall, InconsistentLattice
-from .sums import Term, det_sum
+from .sums import Term, det_sum, weighted_sum
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,10 +113,10 @@ class LatticeBall(NamedTuple):
         return TWO_PI * TWO_PI * self.nsq.astype(float)
 
     def total(self, values: np.ndarray) -> float:
-        """Exact sum over the points of an orbit table: each value repeated
-        by its orbit size, so bitwise the sum over every point (`det_sum`
-        is correctly rounded; a sum of size * value is not)."""
-        return det_sum(np.repeat(values, self.size))
+        """Exact sum over the points of an orbit table: bitwise the
+        `det_sum` of each value repeated by its orbit size, so of every
+        point (`weighted_sum`; a rounded sum of size * value is not)."""
+        return weighted_sum(values, self.size)
 
     def points(self) -> np.ndarray:
         """(M, 3) points by orbit, each orbit's members in lexicographic

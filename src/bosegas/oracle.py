@@ -22,6 +22,7 @@ from .bogoliubov import BogoliubovTables, bogoliubov_ground_energy
 from .corrections import depletion
 from .errors import BasisTooLarge, RejectedConfig
 from .fock import (
+    FockBasis,
     ModeSet,
     RestrictedTables,
     _representatives,
@@ -71,25 +72,30 @@ def modes_from_config(cfg_oracle) -> ModeSet:
         raise RejectedConfig(f"bad oracle mode set: {exc}") from exc
 
 
+def _rotated_depletion(basis: FockBasis, rt: RestrictedTables) -> float:
+    """The number of excitations in the doubly-rotated vacuum, the ground
+    state of the quadratic form with unit gap and pairing
+    -tanh(2(eta + tau)).  The number operator is constant on each orbit,
+    so it is read at each orbit's least state."""
+    theta = rt.eta + rt.tau
+    gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
+    _, gsd = ground_state(gd)
+    number = basis.occ[_representatives(basis.orbit)].sum(axis=1)
+    return float(gsd @ (number * gsd))
+
+
 def _fock_values(rt: RestrictedTables, n_max: int):
     """The Fock E0, e_pert_tilde, g2_expect and depletion at one cap, the
     basis dimension and the sector dimension.  The builders build each
     operator on the basis's orbit states, the trivial sector of the
-    mode set's maps, where every target lies; the number operator is
-    constant on each orbit, so it is read at each orbit's least state."""
+    mode set's maps, where every target lies."""
     basis = build_basis(rt.modes, n_max)
     g0 = build_G0(basis, rt.F, rt.G)
     e0, gs = ground_state(g0)
     pt2 = rs_pt2(g0, build_G1tilde(basis, rt), e0, gs)
     g2 = float(gs @ (build_G2(basis, rt) @ gs))
-    # the doubly-rotated vacuum is the ground state of the quadratic
-    # form with unit gap and pairing -tanh(2(eta + tau))
-    theta = rt.eta + rt.tau
-    gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
-    _, gsd = ground_state(gd)
-    number = basis.occ[_representatives(basis.orbit)].sum(axis=1)
-    values = (e0, pt2, g2, float(gsd @ (number * gsd)))
-    return values, len(basis), len(number)
+    values = (e0, pt2, g2, _rotated_depletion(basis, rt))
+    return values, len(basis), len(gs)
 
 
 def run_oracle(tables: BogoliubovTables, modes: ModeSet, n_max_list) -> OracleRun:

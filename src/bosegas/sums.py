@@ -43,6 +43,35 @@ def det_sum(values: Iterable[float]) -> float:
         raise NonFiniteSum(f"{exc}; coupling out of regime") from None
 
 
+def weighted_sum(values: np.ndarray, counts: np.ndarray) -> float:
+    """`det_sum` of each value repeated by its count, bitwise, for counts
+    below 64 (a cubic orbit holds at most 48 points), without forming
+    the repeated values.
+
+    A Veltkamp split with factor 2^6 + 1 writes each value v as hi + lo,
+    hi with at most 47 significant bits and lo with at most 6, so hi * n
+    and lo * n are exact for n < 64: their exact sum is that of the
+    repeated values, and `det_sum` rounds it once.  Where the split sum
+    is zero, not finite, or raises, the repeated values are summed
+    instead, so the sign of zero, a non-finite sum and NonFiniteSum are
+    theirs.  The two can differ only in whether a partial sum just below
+    the overflow threshold overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = 65.0 * values
+        hi = g - (g - values)
+        # float counts: a mixed-type multiply would allocate cast buffers
+        n = np.asarray(counts, dtype=float)
+        parts = np.concatenate([hi * n, (values - hi) * n])
+    try:
+        total = det_sum(parts)
+    except NonFiniteSum:
+        total = math.nan
+    # a zero falls back too, so its sign is the repeated values' own
+    if math.isfinite(total) and total != 0.0:
+        return total
+    return det_sum(np.repeat(values, counts))
+
+
 def det_rows(func: Callable[[int], float], n: int) -> np.ndarray:
     """Evaluate func(i) for i in range(n) into an (n,) array; reduce it
     with det_sum afterwards for a fully deterministic double sum."""

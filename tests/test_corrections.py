@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosegas import corrections
+from bosegas import corrections, oracle
 from bosegas.bogoliubov import e01, sc_minus_eta
 from bosegas.config import parse_config
 from bosegas.corrections import (
@@ -395,6 +395,26 @@ class TestPipelineMemory:
         assert len(tables.eta) == orbits
         assert held < 8 * (side**3 // 4 + 32 * orbits)
 
+    def test_e_pert_tilde_peak_grows_by_orbits(self):
+        # e_pert_tilde reads the K ball only through arrays of one value
+        # per orbit: the context's 7 factor rows with a zero column, held
+        # throughout (7 (O + 1)), and on top of them either their build
+        # (the six vertex factors and e, stacked: under 13 O) or the pair
+        # weight and its exact per-orbit total (under 8 O).  The rows, the
+        # K2 ball's factors and the sub-table are the same at every K >=
+        # 2 K2.  So from K = 40 pi (O = 900) to 60 pi (O = 2,804, M =
+        # 113,080) at K2 = 20 pi the peak grows by under 22 values per
+        # orbit gained, 0.34 MB; one per-point array of the K ball alone
+        # grows by 0.64 MB.
+        peaks, orbits = [], []
+        for half_k in (20, 30):
+            cfg = parse_config(dict(self.CFG, cutoff_K_over_2pi=half_k))
+            tables, _ = run_tables(cfg, cfg.N)
+            orbits.append(len(tables.lattice.size))
+            peaks.append(traced_peak(e_pert_tilde, tables, cfg.cutoff_K2))
+        assert orbits == [900, 2804]
+        assert peaks[1] - peaks[0] < 8 * 22 * (orbits[1] - orbits[0])
+
     def test_stage_memory_tool(self):
         # `tools/stage_memory.py` at K = 8 pi: one row per stage in the
         # order of first call, every pair sum among them, the whole run
@@ -418,6 +438,29 @@ class TestPipelineMemory:
             assert calls >= 1 and peak >= held >= 0.0 and hwm >= 0.0
         assert staged == [getattr(mod, name)
                           for mod, name in tool._stage_functions()]
+
+        # the `oracle` command on the 18 modes at caps 2 and 3: the mode
+        # set, the tables, `restrict_tables` and the closed forms, each
+        # cap's seven stages, the whole run last, and every staged
+        # function of the `oracle` module unwrapped again afterwards
+        names = tool.ORACLE_STAGES + ("_fock_values",)
+        staged = [getattr(oracle, name) for name in names]
+        cfg = parse_config(dict(self.CFG, cutoff_K_over_2pi=4,
+                                cutoff_K2_over_2pi=2,
+                                oracle={"modes": {"nsq_max": 2},
+                                        "n_max": [2, 3]}))
+        rows = tool.oracle_rows(cfg)
+        per_cap = ["build_basis", "build_G0", "ground_state", "build_G1tilde",
+                   "rs_pt2", "build_G2", "rotated vacuum"]
+        assert [row[0] for row in rows] == (
+            ["mode set", "tables", "restrict_tables",
+             "bogoliubov_ground_energy", "restricted_e_pert_tilde",
+             "restricted_g2_expectation", "depletion"]
+            + [f"{stage} n={n}" for n in (2, 3) for stage in per_cap]
+            + ["oracle"])
+        assert all(len(row) == 4 and row[1] >= 0.0 for row in rows)
+        assert rows[-1][1] >= max(row[1] for row in rows[:-1])
+        assert staged == [getattr(oracle, name) for name in names]
         assert corrections.e_pert_tilde is e_pert_tilde
 
 

@@ -660,6 +660,49 @@ class TestRsPt2:
         assert np.array_equal(comp, label)
         assert np.array_equal(np.unique(comp[w != 0]), [0, 1, 2])
 
+def components_reference(rows, cols, dim):
+    """Each node's component, numbered by np.unique over the least node
+    of each, by union-find with the lesser root kept."""
+    root = list(range(dim))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        a, b = find(r), find(c)
+        root[max(a, b)] = min(a, b)
+    return np.unique([find(i) for i in range(dim)], return_inverse=True)[1]
+
+
+class TestComponents:
+    @pytest.mark.parametrize("dim, edges", [
+        (1, 0), (1, 1), (9, 4), (40, 25), (40, 60), (300, 200), (300, 900),
+    ])
+    def test_random_symmetric_graphs(self, dim, edges):
+        # self-loops, repeated edges and isolated nodes included
+        rng = np.random.default_rng(dim * 1000 + edges)
+        i, j = rng.integers(0, dim, size=(2, edges))
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        assert np.array_equal(_components(rows, cols, dim),
+                              components_reference(rows, cols, dim))
+
+    @pytest.mark.parametrize("dim, gens", [(1, 1), (12, 1), (200, 1), (200, 2),
+                                           (500, 3)])
+    def test_permutation_graphs(self, dim, gens):
+        # each node joined to its images under a few permutations, as
+        # `_orbits` joins each state to its images under the generators
+        rng = np.random.default_rng(dim + gens)
+        images = np.stack([rng.permutation(dim) for _ in range(gens)])
+        rows = np.repeat(np.arange(dim), gens)
+        cols = images.T.ravel()
+        assert np.array_equal(_components(rows, cols, dim),
+                              components_reference(rows, cols, dim))
+
+
 EPS = np.finfo(float).eps
 
 
@@ -953,6 +996,29 @@ class TestSector:
         # 1,040 basis states is.  Bound fixed beforehand.
         basis = build_basis(rt_oracle.modes, 6)
         assert traced_peak(build_G2, basis, rt_oracle) < 1.2e6
+
+    def test_orderings_are_stable(self, monkeypatch):
+        # every ordering in the Fock basis and its operators is numpy's
+        # stable one (np.lexsort is stable): the oracle at the oracle-fock
+        # seed-101 coupling, 18 modes at caps 5 and 6, with np.unique,
+        # np.sort and np.argsort raising unless kind="stable", equals the
+        # unpatched run
+        cfg = parse_config({"N": 2227, "beta": 0.75, "kappa": 1000.0,
+                            "R": 0.25, "cutoff_K_over_2pi": 4,
+                            "cutoff_K2_over_2pi": 2})
+        tables, _ = run_tables(cfg, cfg.N)
+        expected = run_oracle(tables, shell_modes(2), [5, 6])
+
+        def stable_only(fn):
+            def ordered(*args, **kwargs):
+                if kwargs.get("kind") != "stable":
+                    raise AssertionError(f"np.{fn.__name__} without a stable kind")
+                return fn(*args, **kwargs)
+            return ordered
+
+        for name in ("unique", "sort", "argsort"):
+            monkeypatch.setattr(np, name, stable_only(getattr(np, name)))
+        assert run_oracle(tables, shell_modes(2), [5, 6]) == expected
 
     def test_oracle_sector_tool(self):
         # `tools/oracle_sector.py` on its first row, the 18 modes at cap

@@ -21,7 +21,7 @@ from bosegas.lattice_potential import (
     quartic_shape_tail,
     scaled_table,
 )
-from bosegas.sums import det_sum
+from bosegas.sums import det_sum, weighted_sum
 
 from conftest import brute_count, per_point, traced_peak
 from reference import vhat_oracle
@@ -336,3 +336,51 @@ def test_det_sum_matches_fsum():
 def test_det_sum_bitwise_fsum_of_list(x):
     # the same floats reach fsum as from tolist, signs of zero included
     assert det_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+def _outcome(fn, *args):
+    """fn(*args) bitwise as float.hex, or the NonFiniteSum it raises."""
+    try:
+        return fn(*args).hex()
+    except NonFiniteSum as exc:
+        return ("NonFiniteSum", str(exc))
+
+
+def _weighted_cases():
+    rng = np.random.default_rng(48)
+    n = 400
+    signs = rng.choice([-1.0, 1.0], size=n)
+    counts = rng.integers(1, 49, size=n)
+    full = rng.uniform(1.0, 2.0, size=n) * 2.0 ** rng.integers(-1074, 1000, size=n)
+    sub = rng.integers(1, 2**52, size=n) * 2.0**-1074
+    tiny = rng.uniform(1.0, 2.0, size=n) * 2.0 ** rng.integers(-1074, -1000, size=n)
+    huge = rng.uniform(-1.0, 1.0, size=n) * 1e306
+    return {
+        "all_counts": (rng.normal(size=48) * 1e3, np.arange(1, 49)),
+        "wide_exponents": (signs * full, counts),
+        "cancelling": (np.concatenate([full, -full * (1 + 2**-52)]),
+                       np.concatenate([counts, counts])),
+        "subnormal": (signs * sub, counts),
+        "subnormal_and_tiny": (np.concatenate([sub, -sub[::-1] * 3.0, signs * tiny]),
+                               np.concatenate([counts, counts, counts])),
+        "huge": (huge[:40], counts[:40]),
+        "overflowing": (np.array([1e307, 2.0]), np.array([48, 3])),
+        "overflow_cancelling": (np.array([1e308, -1e308]), np.array([2, 2])),
+        "overflow_one_each": (np.array([1e308, 1e308, -1e308]), np.ones(3, dtype=np.int64)),
+        "inf": (np.array([1.0, math.inf]), np.array([3, 2])),
+        "inf_minus_inf": (np.array([math.inf, 5.0, -math.inf]), np.array([1, 2, 3])),
+        "nan": (np.array([math.nan, 1.0]), np.array([4, 1])),
+        "neg_zeros": (np.array([-0.0, -0.0]), np.array([3, 48])),
+        "mixed_zeros": (np.array([-0.0, 0.0]), np.array([3, 1])),
+        "empty": (np.zeros(0), np.zeros(0, dtype=np.int64)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_weighted_cases()))
+def test_weighted_sum_bitwise_repeated_sum(case):
+    # the exact per-orbit sum is bitwise det_sum of the values repeated
+    # by their counts, and raises where that raises, with its message
+    values, counts = _weighted_cases()[case]
+    expected = _outcome(lambda: det_sum(np.repeat(values, counts)))
+    assert _outcome(weighted_sum, values, counts) == expected
+
