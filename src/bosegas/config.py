@@ -20,7 +20,8 @@ Keys (defaults in parentheses):
                       ball (the smaller of 10 and K / (4 pi))
   oracle              {"modes": {"nsq_max": int >= 1} or
                                 {"vectors": [[i,j,k], ...]} (first shell),
-                       "n_max": [5, 7, 9]}; each vector n has |2 pi n| <= K
+                       "n_max": [5, 7, 9]}; |2 pi n| <= K for each vector
+                       n, and for |n|^2 = nsq_max
 
 Every block rejects unknown keys.  The `oracle` block also accepts, and
 ignores, `rel_tol_pert` and `rel_tol_g2`: the benchmark's oracle configs
@@ -192,13 +193,12 @@ def parse_config(raw: dict) -> RunConfig:
     ob = _block(raw.get("oracle", {}), "oracle",
                 ("modes", "n_max", "rel_tol_pert", "rel_tol_g2"))
     nsq_max, vectors = _oracle_modes(ob)
-    # the oracle reads its modes' tables from the K ball; shells need no
-    # such check, as the mode cap keeps them to |n|^2 <= 3 and K >= 4 pi
-    # holds |n|^2 <= 4
-    if vectors and max(i * i + j * j + k * k for i, j, k in vectors) > _nsq_max(K):
-        raise RejectedConfig(
-            f"oracle.modes.vectors leave the ball |n| <= cutoff_K_over_2pi = {x}"
-        )
+    # the oracle reads its modes' tables from the K ball
+    largest = max((i * i + j * j + k * k for i, j, k in vectors), default=nsq_max)
+    if largest > _nsq_max(K):
+        what = "vectors" if vectors else "nsq_max"
+        raise RejectedConfig(f"oracle.modes.{what} out of the ball |n| <= "
+                             f"cutoff_K_over_2pi = {x}")
     n_max = ob.get("n_max", [5, 7, 9])
     if not isinstance(n_max, list) or not n_max:
         raise RejectedConfig("oracle.n_max must be a non-empty list")

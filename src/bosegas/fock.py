@@ -36,12 +36,13 @@ bound, and each further sort kernel would map more code into it.
 
 Ground states come from the connected components of the operator's
 sparsity graph, visited in the order of their Gershgorin lower bounds:
-each visited block is diagonalized whole by one dense LAPACK
-eigensolve.  Second-order perturbation theory sums the projected
-resolvent over the same dense block spectra, one per component the
-perturbed state reaches.  Everything runs on numpy alone, and each
-solver has one path at every basis dimension.  None of it reuses the
-closed-form route it is meant to check.
+each visited block is diagonalized whole by one dense LAPACK eigensolve,
+and `ground_state` returns the labels and these spectra with the ground
+pair (`GroundState`).  Second-order perturbation theory (`rs_pt2`) sums
+the projected resolvent over the block spectra the perturbed state
+reaches, solving only the blocks not yet solved.  Everything runs on
+numpy alone, and each solver has one path at every basis dimension.
+None of it reuses the closed-form route it is meant to check.
 
 Its targets (`oracle.run_oracle`) are the report's own `E0` and
 `depletion` functions on the `RestrictedTables` of the mode set, and the
@@ -66,10 +67,8 @@ from .errors import (
 from .lattice_potential import TWO_PI, enumerate_lattice
 from .sums import det_sum
 
-# bounds build_G2's (m, m, m, 3) candidate array, which DIM_LIMIT does
-# not: at cap 2 the basis holds only m/2 + 1 states
-MAX_MODES = 30
-# most occupations either half of the modes, or the joined sector, may hold
+# most occupations either half of the modes, or the joined sector, may
+# hold, and most triples in build_G2's candidate array: m^3, so m <= 125
 DIM_LIMIT = 2_000_000
 # screened (class, representative) pairs per assembly block: bounds the
 # transient arrays.  run_oracle on the 18-mode set at caps 5 and 6 (at
@@ -162,8 +161,8 @@ def mode_set(vectors) -> ModeSet:
         raise ValueError("mode set must not contain the zero mode")
     order = np.lexsort((vecs[:, 2], vecs[:, 1], vecs[:, 0], nsq))
     vecs = vecs[order]
-    if len(vecs) > MAX_MODES:
-        raise BasisTooLarge(f"{len(vecs)} modes exceeds the cap {MAX_MODES}")
+    if len(vecs) ** 3 > DIM_LIMIT:
+        raise BasisTooLarge(f"{len(vecs)} modes: {len(vecs)}^3 > {DIM_LIMIT}")
     neg = _index_of(vecs, -vecs)
     if np.any(neg < 0):
         raise ValueError("mode set is not closed under negation")
@@ -173,9 +172,6 @@ def mode_set(vectors) -> ModeSet:
 
 def shell_modes(nsq_max: int) -> ModeSet:
     """All lattice points with 0 < |n|^2 <= nsq_max."""
-    L = math.isqrt(nsq_max)
-    if 6 * L > MAX_MODES:  # the axis points alone exceed the cap
-        raise BasisTooLarge(f"|n|^2 <= {nsq_max} holds more than {MAX_MODES} modes")
     return mode_set(enumerate_lattice(TWO_PI * math.sqrt(nsq_max)).points())
 
 
@@ -209,10 +205,6 @@ class FockBasis(NamedTuple):
 
     def __len__(self) -> int:
         return self.occ.shape[0]
-
-    @property
-    def vacuum_index(self) -> int:
-        return 0  # all-zero occupation sorts first
 
     def lookup(self, occupations: np.ndarray) -> np.ndarray:
         """Vectorized occupation -> index; -1 where absent."""
@@ -660,7 +652,18 @@ def _block(op: SparseSymmetricOperator, comp: np.ndarray, c: int):
     return states, levels, vectors
 
 
-def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
+class GroundState(NamedTuple):
+    """The lowest eigenpair of op, its `_components` labels and the
+    `_block` spectrum of each component the search visited, by label."""
+
+    energy: float
+    vector: np.ndarray
+    op: SparseSymmetricOperator
+    comp: np.ndarray
+    blocks: dict
+
+
+def ground_state(op: SparseSymmetricOperator) -> GroundState:
     """Smallest eigenpair, residual-verified, by one path at every size.
 
     The operator splits into the connected components of its sparsity
@@ -671,8 +674,8 @@ def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
     stops once the next bound is above the lowest eigenvalue found.
 
     Each visited component's block is diagonalized whole by LAPACK
-    (`_block`), and its lowest eigenpair is taken, so no level of the
-    block can be missed.  The cost grows as b^3 in the block size b (one
+    (`_block`) and kept for `rs_pt2`, and its lowest eigenpair is taken,
+    so no level of the block can be missed.  The cost grows as b^3 in the block size b (one
     OpenBLAS thread, 2-vCPU Xeon).  The oracle solves in the trivial
     sector: at cap 6 of the 18 modes |n|^2 <= 2 its 67 states form 15
     components, and one block is visited, the vacuum's 29 states
@@ -692,11 +695,11 @@ def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
     lower = np.full(comp.max() + 1, np.inf)
     np.minimum.at(lower, comp, diag - radius)
 
-    best, v = math.inf, None
+    blocks, best, v = {}, math.inf, None
     for c in np.argsort(lower, kind="stable"):
         if lower[c] > best:
             break
-        states, levels, vectors = _block(op, comp, c)
+        states, levels, vectors = blocks[c] = _block(op, comp, c)
         if levels[0] < best:
             best = float(levels[0])
             v = np.zeros(D)
@@ -710,38 +713,34 @@ def ground_state(op: SparseSymmetricOperator) -> tuple[float, np.ndarray]:
             f"residual {resid:.3e} above tolerance {_EIG_RTOL:.1e} "
             f"(scale {scale:.3g})"
         )
-    return lam0, v
+    return GroundState(lam0, v, op, comp, blocks)
 
 
-def rs_pt2(
-    g0_op: SparseSymmetricOperator,
-    v_op: SparseSymmetricOperator,
-    e0: float,
-    gs0: np.ndarray,
-) -> float:
-    """Second-order correction <V gs0, (E0 - G0)^(-1) Q V gs0>, for
-    (e0, gs0) = `ground_state(g0_op)`.
+def rs_pt2(ground: GroundState, v_op: SparseSymmetricOperator) -> float:
+    """Second-order correction <V gs0, (E0 - G0)^(-1) Q V gs0> about
+    `ground`, the `ground_state` of G0 with its pair (E0, gs0).
 
     On each connected component of G0 that w = Q V gs0 reaches, the
-    dense block spectrum `ground_state` takes (`_block`) gives
-    y = sum_k v_k <v_k, w> / (lambda_k - E0), with gs0's own level, the
-    lowest of its component, dropped.  A remaining level at or below E0,
-    or a residual |(G0 - E0) y - w| above 1e-11 max(1, |w|), raises
+    dense block spectrum gives y = sum_k v_k <v_k, w> / (lambda_k - E0),
+    with gs0's own level, the lowest of its component, dropped.  A block
+    the ground solve visited is read from `ground.blocks`; only the
+    others are diagonalized (`_block`).  A remaining level at or below
+    E0, or a residual |(G0 - E0) y - w| above 1e-11 max(1, |w|), raises
     EigenNonConvergence.  The value -<w, y> is nonpositive whenever
     V gs0 has weight off the ground state.
     """
+    e0, gs0, g0_op, comp, blocks = ground
     w = v_op @ gs0
     w = w - (gs0 @ w) * gs0
     wn = np.linalg.norm(w)
     if wn == 0.0:
         return 0.0
-    comp = _components(g0_op.rows, g0_op.cols, g0_op.dim)
     home = comp[np.argmax(np.abs(gs0))]
     y = np.zeros_like(w)
     # the components w reaches, ascending (np.unique's hash path costs
     # 0.8 MB of peak RSS on the oracle-fock run)
     for c in np.flatnonzero(np.bincount(comp[w != 0])):
-        states, levels, vectors = _block(g0_op, comp, c)
+        states, levels, vectors = blocks.get(c) or _block(g0_op, comp, c)
         if c == home:
             levels, vectors = levels[1:], vectors[:, 1:]
         if not np.all(levels > e0):

@@ -79,7 +79,7 @@ def _rotated_depletion(basis: FockBasis, rt: RestrictedTables) -> float:
     so it is read at each orbit's least state."""
     theta = rt.eta + rt.tau
     gd = build_G0(basis, np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
-    _, gsd = ground_state(gd)
+    gsd = ground_state(gd).vector
     number = basis.occ[_representatives(basis.orbit)].sum(axis=1)
     return float(gsd @ (number * gsd))
 
@@ -90,11 +90,11 @@ def _fock_values(rt: RestrictedTables, n_max: int):
     operator on the basis's orbit states, the trivial sector of the
     mode set's maps, where every target lies."""
     basis = build_basis(rt.modes, n_max)
-    g0 = build_G0(basis, rt.F, rt.G)
-    e0, gs = ground_state(g0)
-    pt2 = rs_pt2(g0, build_G1tilde(basis, rt), e0, gs)
+    ground = ground_state(build_G0(basis, rt.F, rt.G))
+    gs = ground.vector
+    pt2 = rs_pt2(ground, build_G1tilde(basis, rt))
     g2 = float(gs @ (build_G2(basis, rt) @ gs))
-    values = (e0, pt2, g2, _rotated_depletion(basis, rt))
+    values = (ground.energy, pt2, g2, _rotated_depletion(basis, rt))
     return values, len(basis), len(gs)
 
 

@@ -584,16 +584,27 @@ class TestOracle:
         # on the ball's edge the vectors are accepted
         assert parse_config(dict(BASE, oracle={"modes": vectors}))
 
-    @pytest.mark.parametrize("nsq_max", [4, 10**6, 10**400])
+    @pytest.mark.parametrize("nsq_max", [10, 10**6, 10**400])
     def test_mode_shells_over_the_cap_exit_2(self, tmp_path, capsys, nsq_max):
-        # 10**6 would be a 2001^3 enumeration if the cap were checked after it
+        # K = 6 pi holds |n|^2 <= 9, and the shells are checked against it
+        # before any enumeration: 10**6 would be a 2001^3 one
         path = write_config(
             tmp_path, oracle={"modes": {"nsq_max": nsq_max}, "n_max": [3]}
         )
         t0 = time.perf_counter()
         assert main(["oracle", "--config", path]) == 2
         assert time.perf_counter() - t0 < 5.0
-        assert "modes" in capsys.readouterr().err
+        assert "oracle.modes.nsq_max" in capsys.readouterr().err
+
+    def test_32_mode_shells_run(self, tmp_path, capsys):
+        # the 32 modes |n|^2 <= 4, above the former cap of 30 modes
+        path = write_config(
+            tmp_path, oracle={"modes": {"nsq_max": 4}, "n_max": [3, 4, 5]}
+        )
+        assert main(["oracle", "--config", path]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(
+            "  modes=32  n_max=[3, 4, 5]  dim=[91, 543, 2775]  "
+            "sector=[11, 46, 132]")
 
 
 HAS_PROC_TASKS = os.path.isdir("/proc/self/task")

@@ -317,6 +317,7 @@ class TestBasis:
             assert b.occ.dtype == np.uint8
             assert np.array_equal(b.occ, ref), n_max
             assert np.array_equal(b.lookup(ref), np.arange(len(ref)))
+            assert not b.occ[0].any()  # the vacuum sorts first
 
     def test_closed_set_at_cap_40(self):
         b = build_basis(mode_set(CLOSED_SET), 40)
@@ -381,9 +382,20 @@ class TestBasis:
         modes = mode_set([(big,) * 3, (-big,) * 3, (1, 0, 0), (-1, 0, 0)])
         assert modes.vectors[:, 0].tolist() == [-1, 1, -big, big]
 
-    def test_mode_cap(self):
+    def test_mode_cap(self, monkeypatch):
+        # build_G2's candidate array holds m^3 triples, at most DIM_LIMIT:
+        # the 18 modes |n|^2 <= 2 hold 5,832
+        monkeypatch.setattr(fock, "DIM_LIMIT", 18**3)
+        assert len(shell_modes(2)) == 18
+        monkeypatch.setattr(fock, "DIM_LIMIT", 18**3 - 1)
         with pytest.raises(BasisTooLarge):
-            shell_modes(6)  # 123 modes
+            shell_modes(2)
+        # at the default, 125 modes: the shells through |n|^2 <= 9 (122
+        # modes), not the 146 modes |n|^2 <= 10
+        monkeypatch.undo()
+        assert [len(shell_modes(s)) for s in (4, 5, 6, 9)] == [32, 56, 80, 122]
+        with pytest.raises(BasisTooLarge):
+            shell_modes(10)
 
     def test_deterministic_order(self):
         a = build_basis(mode_set(CLOSED_SET), 6)
@@ -419,13 +431,12 @@ class TestQuadratic:
         modes = mode_set(CLOSED_SET)
         b = whole_basis(modes, 4)
         g0 = build_G0(b, np.ones(len(modes)) * 2.0, np.ones(len(modes)) * 0.5)
-        assert g0.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
+        assert g0.toarray()[0, 0] == 0.0
 
     def test_two_mode_closed_form(self):
         b = whole_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 40)
         g0 = build_G0(b, np.array([5.0, 5.0]), np.array([3.0, 3.0]))
-        lam, vec = ground_state(g0)
-        assert abs(lam - (-1.0)) <= 1e-10
+        assert abs(ground_state(g0).energy - (-1.0)) <= 1e-10
 
     def test_two_mode_monotone_from_above(self):
         F = np.array([5.0, 5.0])
@@ -433,8 +444,8 @@ class TestQuadratic:
         pair = mode_set([(1, 0, 0), (-1, 0, 0)])
         vals = []
         for n_max in (4, 8, 16, 32):
-            lam, _ = ground_state(build_G0(whole_basis(pair, n_max), F, G))
-            vals.append(lam)
+            vals.append(ground_state(
+                build_G0(whole_basis(pair, n_max), F, G)).energy)
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(v >= -1.0 - 1e-12 for v in vals)
 
@@ -454,21 +465,20 @@ class TestQuadratic:
 class TestGroundState:
     def test_diagonal(self):
         op = SparseSymmetricOperator.from_dense(np.diag([3.0, -2.0, 7.0]))
-        lam, vec = ground_state(op)
+        lam, vec = ground_state(op)[:2]
         assert lam == pytest.approx(-2.0, abs=1e-14)
         assert abs(vec[1]) == pytest.approx(1.0)
 
     def test_offdiagonal_2x2(self):
         op = SparseSymmetricOperator.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        lam, _ = ground_state(op)
-        assert lam == pytest.approx(-1.0, abs=1e-14)
+        assert ground_state(op).energy == pytest.approx(-1.0, abs=1e-14)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(40, 40))
         A = (A + A.T) / 2
         op = SparseSymmetricOperator.from_dense(A)
-        lam, vec = ground_state(op)
+        lam, vec = ground_state(op)[:2]
         scale = np.max(np.abs(A))
         assert np.linalg.norm(A @ vec - lam * vec) <= 1e-12 * scale
         assert lam == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-12 * scale)
@@ -485,7 +495,7 @@ class TestGroundState:
             ground_state(op)
 
     def test_one_by_one(self):
-        lam, vec = ground_state(SparseSymmetricOperator.from_dense([[2.5]]))
+        lam, vec = ground_state(SparseSymmetricOperator.from_dense([[2.5]]))[:2]
         assert lam == 2.5
         assert vec.tolist() == [1.0]
 
@@ -506,7 +516,7 @@ class TestGroundState:
         # interleave the states so no component is a contiguous range
         perm = np.array([4, 0, 2, 5, 1, 3, 6])
         A = A[np.ix_(perm, perm)]
-        lam, vec = ground_state(SparseSymmetricOperator.from_dense(A))
+        lam, vec = ground_state(SparseSymmetricOperator.from_dense(A))[:2]
         ref = np.linalg.eigvalsh(A)
         assert lam == pytest.approx(ref[0], abs=1e-14)
         assert np.linalg.norm(A @ vec - lam * vec) <= 1e-13
@@ -548,7 +558,7 @@ class TestGroundState:
                 + build_G2(basis, rt).toarray())
         dense = op.toarray()
         scale = max(1.0, np.max(np.abs(dense)))
-        lam, vec = ground_state(op)
+        lam, vec = ground_state(op)[:2]
         assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0],
                                     abs=1e-12 * scale)
         assert np.linalg.norm(dense @ vec - lam * vec) <= 1e-12 * scale
@@ -572,16 +582,15 @@ class TestRsPt2:
     def test_zero_perturbation(self):
         b = whole_basis(mode_set([(1, 0, 0), (-1, 0, 0)]), 6)
         g0 = build_G0(b, np.array([2.0, 2.0]), np.array([0.5, 0.5]))
-        e0, gs = ground_state(g0)
         zero = SparseSymmetricOperator.from_dense(np.zeros((len(b), len(b))))
-        assert rs_pt2(g0, zero, e0, gs) == 0.0
+        assert rs_pt2(ground_state(g0), zero) == 0.0
 
     def test_two_level_textbook(self):
         delta, g = 1.7, 0.23
         g0 = SparseSymmetricOperator.from_dense(np.diag([0.0, delta]))
         v = SparseSymmetricOperator.from_dense(np.array([[0.0, g], [g, 0.0]]))
-        e0, gs = ground_state(g0)
-        assert rs_pt2(g0, v, e0, gs) == pytest.approx(-g * g / delta, rel=1e-12)
+        pt2 = rs_pt2(ground_state(g0), v)
+        assert pt2 == pytest.approx(-g * g / delta, rel=1e-12)
 
     def test_always_nonpositive(self):
         rng = np.random.default_rng(9)
@@ -592,26 +601,25 @@ class TestRsPt2:
             B = B + B.T
             g0 = SparseSymmetricOperator.from_dense(A)
             v = SparseSymmetricOperator.from_dense(B)
-            e0, gs = ground_state(g0)
-            assert rs_pt2(g0, v, e0, gs) <= 0.0
+            assert rs_pt2(ground_state(g0), v) <= 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_level_at_e0_raises(self):
         # the second state is its own component, with the ground energy
         g0 = SparseSymmetricOperator.from_dense(np.diag([0.0, 0.0]))
         v = SparseSymmetricOperator.from_dense(np.array([[0.0, 0.3], [0.3, 0.0]]))
-        e0, gs = ground_state(g0)
+        ground = ground_state(g0)
         with pytest.raises(EigenNonConvergence):
-            rs_pt2(g0, v, e0, gs)
+            rs_pt2(ground, v)
 
     @pytest.mark.filterwarnings("error")
     def test_nan_perturbation_raises(self):
         g0 = SparseSymmetricOperator.from_dense(np.diag([0.0, 1.7]))
         v = SparseSymmetricOperator.from_dense(
             np.array([[0.0, np.nan], [np.nan, 0.0]]))
-        e0, gs = ground_state(g0)
+        ground = ground_state(g0)
         with pytest.raises(EigenNonConvergence):
-            rs_pt2(g0, v, e0, gs)
+            rs_pt2(ground, v)
 
     @staticmethod
     def assert_matches_dense(g0, v):
@@ -619,8 +627,9 @@ class TestRsPt2:
         one eigh of the whole dense G0.  The bound is the residual gate's,
         |w| rtol max(1, |w|) / (smallest kept gap), plus the reference's
         rounding, D eps (spread / gap) sum |terms|."""
-        e0, gs = ground_state(g0)
-        val = rs_pt2(g0, v, e0, gs)
+        ground = ground_state(g0)
+        e0, gs = ground[:2]
+        val = rs_pt2(ground, v)
         w = v @ gs
         w = w - (gs @ w) * gs
         lam, U = np.linalg.eigh(g0.toarray())
@@ -634,6 +643,30 @@ class TestRsPt2:
             gap.max() / gap.min()) * np.abs(terms).sum()
         assert abs(val - ref) <= bound
         return gs, w
+
+    def test_matches_dense_for_an_even_perturbation(self, rt_oracle):
+        # G2 keeps the particle number's parity, so Q V gs0 reaches gs0's
+        # own component, the block `ground_state` diagonalized
+        basis = whole_basis(rt_oracle.modes, 6)
+        g0 = build_G0(basis, rt_oracle.F, rt_oracle.G)
+        gs, w = self.assert_matches_dense(g0, build_G2(basis, rt_oracle))
+        comp = _components(g0.rows, g0.cols, g0.dim)
+        assert comp[np.argmax(np.abs(gs))] in comp[w != 0]
+
+    def test_ground_block_diagonalized_once(self, rt_oracle, monkeypatch):
+        # G2 about G0's ground state on the 67-state sector at cap 6: Q V
+        # gs0 reaches the vacuum's 29-state block, which the ground solve
+        # diagonalized and `rs_pt2` reads, and three blocks of 5, 7 and 7
+        # states, each diagonalized once
+        factored = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: factored.append(len(a)) or eigh(a))
+        basis = build_basis(rt_oracle.modes, 6)
+        ground = ground_state(build_G0(basis, rt_oracle.F, rt_oracle.G))
+        assert factored == [29]
+        assert rs_pt2(ground, build_G2(basis, rt_oracle)) < 0.0
+        assert factored == [29, 5, 7, 7]
 
     @pytest.mark.parametrize("n_max", [5, 6])
     def test_matches_dense_at_oracle_coupling(self, rt_oracle, n_max):
@@ -754,14 +787,15 @@ def assert_sector_matches_whole_space(rt, n_max):
     basis = whole_basis(rt.modes, n_max)
     D = len(basis)
     g0 = build_G0(basis, rt.F, rt.G)
-    e0, gs = ground_state(g0)
+    ground = ground_state(g0)
+    e0, gs = ground[:2]
     g1 = build_G1tilde(basis, rt)
     g2 = build_G2(basis, rt)
     theta = rt.eta + rt.tau
     rotated = (np.ones(len(rt.modes)), -np.tanh(2.0 * theta))
     gd = build_G0(basis, *rotated)
-    _, gsd = ground_state(gd)
-    whole = (e0, rs_pt2(g0, g1, e0, gs), float(gs @ (g2 @ gs)),
+    gsd = ground_state(gd).vector
+    whole = (e0, rs_pt2(ground, g1), float(gs @ (g2 @ gs)),
              float(gsd @ (basis.occ.sum(axis=1) * gsd)))
 
     r0 = [eig_gate(g0), eig_gate(build_G0(labelled, rt.F, rt.G))]
@@ -972,6 +1006,30 @@ class TestSector:
         rt = restrict_tables(tables_oracle, mode_set(vectors))
         assert_sector_matches_whole_space(rt, n_max)
 
+    def test_fock_values_label_components_three_times_per_cap(
+            self, rt_oracle, monkeypatch):
+        # per cap: the orbits, G0 (read again by `rs_pt2`) and the rotated
+        # vacuum's quadratic form
+        labelled = []
+        components = fock._components
+        monkeypatch.setattr(fock, "_components",
+                            lambda *a: labelled.append(a[2]) or components(*a))
+        for n_max in (5, 6):
+            _fock_values(rt_oracle, n_max)
+        assert labelled == [345, 25, 25, 1040, 67, 67]
+
+    def test_run_oracle_on_32_modes(self, tables_oracle):
+        # the 32 modes |n|^2 <= 4, above the former cap of 30 modes, at
+        # caps 3 to 5: every gap falls, and at cap 5 E0, e_pert_tilde and
+        # g2_expect are within the oracle-fock workload's gates
+        run = run_oracle(tables_oracle, shell_modes(4), [3, 4, 5])
+        assert run.dims == (91, 543, 2775)
+        assert run.sector_dims == (11, 46, 132)
+        for row in run.rows:
+            assert row.rel_gaps[0] > row.rel_gaps[2], row.name
+        for row, tol in zip(run.rows[:3], (1e-5, 1e-5, 1e-6)):
+            assert row.final_gap <= tol, row.name
+
     def test_run_oracle_traced_peak(self, tables_oracle):
         # tracemalloc peak of the oracle-fock run (caps 5 and 6): 0.67 MB
         # with the basis enumerated on integer codes and ranks, 1.22 MB
@@ -1054,13 +1112,13 @@ class TestCubicChannel:
         rt = synthetic_tables(CLOSED_SET)
         b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        assert g1.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
+        assert g1.toarray()[0, 0] == 0.0
 
     def test_vacuum_column_pure_triples(self):
         rt = synthetic_tables(CLOSED_SET)
         b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        col = g1.toarray()[:, b.vacuum_index]
+        col = g1.toarray()[:, 0]
         occ_tot = b.occ.sum(axis=1)
         assert np.all(occ_tot[np.nonzero(col)[0]] == 3)
 
@@ -1072,7 +1130,7 @@ class TestCubicChannel:
         rt = synthetic_tables(CLOSED_SET, tau_scale=0.0)
         b = whole_basis(rt.modes, 5)
         g1 = build_G1tilde(b, rt)
-        col = g1.toarray()[:, b.vacuum_index]
+        col = g1.toarray()[:, 0]
         vecs = rt.modes.vectors.tolist()
         i_p, i_q, i_k = vecs.index([1, 0, 0]), vecs.index([0, 1, 0]), vecs.index([1, 1, 0])
         occ = np.zeros(len(rt.modes), dtype=np.uint8)
@@ -1098,7 +1156,7 @@ class TestQuarticChannel:
         rt = synthetic_tables(CLOSED_SET)
         b = whole_basis(rt.modes, 5)
         g2 = build_G2(b, rt)
-        assert g2.toarray()[b.vacuum_index, b.vacuum_index] == 0.0
+        assert g2.toarray()[0, 0] == 0.0
 
     def test_exact_symmetry(self):
         rt = synthetic_tables(CLOSED_SET)
@@ -1274,10 +1332,8 @@ class TestCentralIdentity:
         gaps = []
         for n_max in (5, 7, 9, 11, 13):
             b = whole_basis(rt.modes, n_max)
-            g0 = build_G0(b, rt.F, rt.G)
-            e0, gs = ground_state(g0)
-            g1 = build_G1tilde(b, rt)
-            val = rs_pt2(g0, g1, e0, gs)
+            ground = ground_state(build_G0(b, rt.F, rt.G))
+            val = rs_pt2(ground, build_G1tilde(b, rt))
             gaps.append(abs(val - target) / abs(target))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-6
@@ -1287,8 +1343,7 @@ class TestCentralIdentity:
         gaps = []
         for n_max in (5, 9, 13):
             b = whole_basis(rt.modes, n_max)
-            g0 = build_G0(b, rt.F, rt.G)
-            _, gs = ground_state(g0)
+            gs = ground_state(build_G0(b, rt.F, rt.G)).vector
             g2 = build_G2(b, rt)
             gaps.append(abs(float(gs @ (g2 @ gs)) - target) / abs(target))
         assert gaps[-1] < gaps[0]
@@ -1297,7 +1352,7 @@ class TestCentralIdentity:
     def test_ground_energy_converges(self, rt):
         target = bogoliubov_ground_energy(rt)
         b = whole_basis(rt.modes, 13)
-        lam, _ = ground_state(build_G0(b, rt.F, rt.G))
+        lam = ground_state(build_G0(b, rt.F, rt.G)).energy
         assert abs(lam - target) <= 1e-7 * abs(target)
 
     def test_depletion_single_pair_oracle(self):
@@ -1308,7 +1363,7 @@ class TestCentralIdentity:
         theta = rt.eta + rt.tau
         b = whole_basis(rt.modes, 40)
         gd = build_G0(b, np.ones(2), -np.tanh(2.0 * theta))
-        _, gs = ground_state(gd)
+        gs = ground_state(gd).vector
         nval = float(gs @ (b.occ.sum(axis=1) * gs))
         assert abs(nval - target) <= 1e-9
 

@@ -54,19 +54,18 @@ def sector_row(rt, n_max: int) -> list[str]:
     basis = build_basis(rt.modes, n_max)
     g0 = build_G0(basis, rt.F, rt.G)
     g1 = build_G1tilde(basis, rt)
-    e0, gs = ground_state(g0)
-    pt2 = rs_pt2(g0, g1, e0, gs)
-    coupled, _ = ground_state(SparseSymmetricOperator.from_dense(
-        g0.toarray() + g1.toarray() + build_G2(basis, rt).toarray()))
+    ground = ground_state(g0)
+    pt2 = rs_pt2(ground, g1)
+    coupled = ground_state(SparseSymmetricOperator.from_dense(
+        g0.toarray() + g1.toarray() + build_G2(basis, rt).toarray())).energy
     diffs = ["-", "-"]
     if len(basis) <= WHOLE_LIMIT:
         # each state its own orbit: the operators on the whole basis
         whole = FockBasis(basis.modes, basis.n_max, basis.occ, basis.keys,
                           np.arange(len(basis)))
-        w0 = build_G0(whole, rt.F, rt.G)
-        e0w, wgs = ground_state(w0)
-        diffs = [_rel(e0, e0w),
-                 _rel(pt2, rs_pt2(w0, build_G1tilde(whole, rt), e0w, wgs))]
+        wground = ground_state(build_G0(whole, rt.F, rt.G))
+        diffs = [_rel(ground.energy, wground.energy),
+                 _rel(pt2, rs_pt2(wground, build_G1tilde(whole, rt)))]
     return [f"{len(rt.modes)}, {n_max}", f"{len(basis):,}", f"{g0.dim:,}",
             *diffs, f"{coupled:.12e}"]
 
