@@ -20,12 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiagonalizationFailure
-from .lattice_potential import (
-    LatticeBall,
-    ScaledPotentialTable,
-    born2_sum,
-)
-from .scattering import ScatteringSolution, make_convolver
+from .lattice_potential import LatticeBall, ScaledPotentialTable
+from .scattering import ScatteringSolution, _OctantConvolver
 from .sums import Term, det_sum
 
 _SC_SERIES_RADIUS = 1e-3
@@ -237,7 +233,8 @@ def e00(vhat0: float, lattice: LatticeBall) -> ScalarWithTail:
     return ScalarWithTail(value, tail)
 
 
-def e01(tables: BogoliubovTables, K2: float) -> Term:
+def e01(tables: BogoliubovTables, convolve: _OctantConvolver,
+        born2_tail: float) -> Term:
     """Order-N^(beta-1) vacuum-energy term.
 
     Two double sums over the K2-ball with the p = q diagonal excluded:
@@ -246,17 +243,17 @@ def e01(tables: BogoliubovTables, K2: float) -> Term:
       +(1/N)  sum_{p!=q} vhat_p^2 vhat(p-q) s_q c_q / (S_p (p^2 + S_p)) .
 
     Each q-sum is a convolution over q != p, evaluated for all p at once
-    on the convolver of the K2 sub-table (`ScaledPotentialTable.sub_table`),
-    whose transform grid fits K2 rather than the full cutoff; the p-sums
-    are exact.  The result agrees with the explicit pair loop to a few ulps
-    relative.
+    on `convolve`, the convolver of the K2 sub-table that
+    `corrections.assemble_report` cuts and lends, whose transform grid
+    fits K2 rather than the full cutoff; the p-sums are exact.  The
+    result agrees with the explicit pair loop to a few ulps relative.
 
     The q-sums grow like N^beta through momenta beyond any practical ball;
     their continuum tails factor against the p-sums (Born closure for
-    s_q c_q, nearest-argument closure for vhat(p-q)) and make the tail.
+    s_q c_q, nearest-argument closure for vhat(p-q)) and make the tail,
+    with `born2_tail` the tail of `born2_sum` on the sub-table.
     """
-    sub = tables.table.sub_table(K2)
-    convolve = make_convolver(sub)
+    sub = convolve.table
     N = tables.N
     n2 = len(sub.values)
     lat = sub.lattice
@@ -276,6 +273,5 @@ def e01(tables: BogoliubovTables, K2: float) -> Term:
     )
 
     # factored q-tail: bracket -> vhat_q/(2 q^2), vhat(p-q) -> vhat(q)
-    t2x = born2_sum(sub).tail
-    tail = (lat.total(scm) + 2.0 * lat.total(w2)) * (-t2x / (2.0 * N))
+    tail = (lat.total(scm) + 2.0 * lat.total(w2)) * (-born2_tail / (2.0 * N))
     return Term(ball, tail)

@@ -28,8 +28,8 @@ from .bogoliubov import (
     sc_minus_eta,
 )
 from .errors import InconsistentLattice
-from .lattice_potential import _nsq_max, born2_sum
-from .scattering import make_convolver, scattering_length
+from .lattice_potential import ScaledPotentialTable, _nsq_max, born2_sum
+from .scattering import _OctantConvolver, make_convolver, scattering_length
 from .sums import Term, det_rows, det_sum, weighted_sum
 
 
@@ -83,30 +83,29 @@ class _PairContext:
     """The K2-ball of the cubic pair sum, its points by cubic orbit, with
     each p + q read through the K ball's own grid.
 
-    `sub` is the K2 sub-table (`ScaledPotentialTable.sub_table`, which
-    rejects K2 beyond the tables' cutoff); its lattice gives the points
-    (`LatticeBall.points`: each orbit one run from its first member, at
-    `starts`) and M2.  `orbit_fac` holds the rows (X, Y, P, Q, vX, vY) of
-    `vertex_factors` and the dispersion e per orbit of the K ball, then
-    one zero column; `fac` is its K2 part with each orbit's column
-    repeated over its run, so in point order.  For p, q in the K2-ball,
-    |p + q|^2 <= 4 max |n|^2(K2) lies inside the K ball unless 2 K2 > K
-    up to shells, which raises InconsistentLattice: the gather would read
-    wrong entries, not fail.  The K ball's dense grid `grid` maps
-    p_i + q_j, at `base[i] + flat[j]`, to its orbit in `orbit_fac`, and
-    to -1 at p + q = 0 only; -1 reads the zero column, so that term's
-    vertex is 0.
+    `sub` is the K2 sub-table that `assemble_report` cuts
+    (`ScaledPotentialTable.sub_table`, which rejects K2 beyond the
+    tables' cutoff); its lattice gives the points (`LatticeBall.points`:
+    each orbit one run from its first member, at `starts`) and M2.
+    `orbit_fac` holds the rows (X, Y, P, Q, vX, vY) of `vertex_factors`
+    and the dispersion e per orbit of the K ball, then one zero column;
+    `fac` is its K2 part with each orbit's column repeated over its run,
+    so in point order.  For p, q in the K2-ball, |p + q|^2 <= 4 max
+    |n|^2(K2) lies inside the K ball unless 2 K2 > K up to shells, which
+    raises InconsistentLattice: the gather would read wrong entries, not
+    fail.  The K ball's dense grid `grid` maps p_i + q_j, at `base[i] +
+    flat[j]`, to its orbit in `orbit_fac`, and to -1 at p + q = 0 only;
+    -1 reads the zero column, so that term's vertex is 0.
     """
 
-    def __init__(self, tables: BogoliubovTables, K2: float):
+    def __init__(self, tables: BogoliubovTables, sub: ScaledPotentialTable):
         lat = tables.lattice
-        self.sub = tables.table.sub_table(K2)
-        sub_lat = self.sub.lattice
+        sub_lat = sub.lattice
         self.M2 = len(sub_lat)
-        if 4 * _nsq_max(K2) > _nsq_max(lat.cutoff_K):
+        if 4 * _nsq_max(sub_lat.cutoff_K) > _nsq_max(lat.cutoff_K):
             raise InconsistentLattice(
-                f"pair sums at K2 = {K2} reach |p + q| = 2 K2 beyond the "
-                f"cutoff {lat.cutoff_K}"
+                f"pair sums at K2 = {sub_lat.cutoff_K} reach |p + q| = 2 K2 "
+                f"beyond the cutoff {lat.cutoff_K}"
             )
         size = sub_lat.size
         self.starts = np.cumsum(size) - size
@@ -159,19 +158,20 @@ def _f_rows(ctx: _PairContext, i: int):
     """f(p, q) and e(p + q) for the point p at position i and every q from
     position i on, f and e(p + q) zero at q = -p.  The p + q slot gathers
     the K ball's per-orbit factors."""
-    pq = ctx.orbit_fac[:, ctx.grid[ctx.base[i] + ctx.flat[i:]]]
+    pq = ctx.orbit_fac.take(ctx.grid[ctx.base[i] + ctx.flat[i:]], axis=1)
     return symmetrized_vertex(ctx.fac[:6, i], ctx.fac[:6, i:], pq[:6]), pq[6]
 
 
-def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
+def e_pert_tilde(tables: BogoliubovTables, sub: ScaledPotentialTable,
+                 C2: float, born2_tail: float) -> Term:
     """Second-order energy of the cubic channel:
 
         -(6/N) sum_{p,q, p+q != 0} f(p,q)^2 / (e(p+q) + e(p) + e(q)) .
 
-    Pair sum over the K2-ball; each row reads its p+q from the K ball's
-    tables through `_PairContext`, so the sum needs 2 K2 <= K.  The
-    |p| > K2 continuum tail factors through the reduced pair weight C2
-    (`c_constant`).
+    Pair sum over the K2-ball of `sub`; each row reads its p+q from the
+    K ball's tables through `_PairContext`, so the sum needs 2 K2 <= K.
+    The |p| > K2 continuum tail factors through the reduced pair weight
+    C2 (`c_constant`) and the tail `born2_tail` of `born2_sum(sub)`.
 
     The tables are one value per cubic orbit and the K2-ball is a union of
     whole orbits, so the q-sum of row p depends on p's orbit only, and the
@@ -184,8 +184,8 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
     are rounded once and the computed summand is symmetric only up to its
     own rounding.
     """
-    ctx = _PairContext(tables, K2)
-    sizes = ctx.sub.lattice.size
+    ctx = _PairContext(tables, sub)
+    sizes = sub.lattice.size
     e = ctx.fac[6]
 
     def row(k: int) -> float:
@@ -197,12 +197,10 @@ def e_pert_tilde(tables: BogoliubovTables, K2: float) -> Term:
 
     rows = det_rows(row, len(sizes))
     ball = -(6.0 / tables.N) * weighted_sum(rows, sizes)
-    t2x = born2_sum(ctx.sub).tail
-    tail = tables.total(pair_weight(tables)) * (-t2x / (2.0 * tables.N))
-    return Term(ball, tail)
+    return Term(ball, C2 * (-born2_tail / (2.0 * tables.N)))
 
 
-def g2_expectation(tables: BogoliubovTables, K2: float) -> float:
+def g2_expectation(tables: BogoliubovTables, convolve: _OctantConvolver) -> float:
     """Quartic-channel vacuum expectation:
 
         (1/2N) sum_{p, r, p+r != 0} vhat_r c_{p+r}^2 c_p^2 st_{p+r} st_p
@@ -212,13 +210,12 @@ def g2_expectation(tables: BogoliubovTables, K2: float) -> float:
     weight st vanishes under the tail policy, so the pair form is the
     whole sum).  With q = p+r it is (1/2N) sum_p [w_p (vhat * w)_p +
     w2_p (vhat * w2)_p], w = c^2 st ct and w2 = c^2 st^2, the
-    convolutions over q != p running on the convolver of the K2
-    sub-table (`ScaledPotentialTable.sub_table`) and the p-sums exactly.  The second Wick pairing,
-    quartic in the squeezing, is negligible at physical couplings but
-    kept for exactness against the Fock oracle.
+    convolutions over q != p running on `convolve`, the convolver of the
+    K2 sub-table that `assemble_report` lends, and the p-sums exactly.
+    The second Wick pairing, quartic in the squeezing, is negligible at
+    physical couplings but kept for exactness against the Fock oracle.
     """
-    sub = tables.table.sub_table(K2)
-    convolve = make_convolver(sub)
+    sub = convolve.table
     n2 = len(sub.values)
     c, st, ct = tables.c[:n2], tables.st[:n2], tables.ct[:n2]
     w = c * c * st * ct
@@ -329,13 +326,18 @@ def assemble_report(tables: BogoliubovTables, K2: float) -> EnergyReport:
         tables.table.values * sol.eta
     )
     e00_res = e00(tables.table.at_zero, lat)
-    e01_res = e01(tables, K2)
+    # one K2 cut for the three pair sums; its convolver goes before the rows
+    sub = tables.table.sub_table(K2)
+    born2_k2 = born2_sum(sub).tail
+    convolve = make_convolver(sub)
+    e01_res = e01(tables, convolve, born2_k2)
+    g2 = g2_expectation(tables, convolve)
+    del convolve
     cc = c_constant(tables)
     born2 = born2_sum(tables.table)
     # E_corr = C_{N,beta} * ( -(1/2N) sum_p vhat_p^2/(2p^2) )
     e_corr = cc.value * (-born2.value / (2.0 * N))
-    g2 = g2_expectation(tables, K2)
-    ept = e_pert_tilde(tables, K2)
+    ept = e_pert_tilde(tables, sub, cc.C2, born2_k2)
     e0 = bogoliubov_ground_energy(tables)
     big_c = constant_C(tables)
     depl = depletion(tables)

@@ -20,8 +20,9 @@ tables to orbit-constant tables.  Every run convolves on one
 cosine-transform convolver per potential table (`make_convolver`), owned
 by its caller: `pipeline.run_tables` builds the K ball's, lends it to the
 solve and to `bogoliubov.build_tables` and drops it on return, so its
-kernel is freed before any energy term runs; each pair sum builds and
-drops its K2 sub-table's.  A convolver keeps one cube, the kernel's
+kernel is freed before any energy term runs; `assemble_report` does the
+same with the K2 sub-table's for `e01` and `g2_expectation`, before the
+cubic pair rows run.  A convolver keeps one cube, the kernel's
 spectrum, built slab by slab, and a call transforms its input a few
 output frequencies at a time, never forming a spectrum of its own.
 The solver iterates the fixed-point map from the first Born term; the

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import build_tables
+from bosegas.bogoliubov import build_tables, e01
+from bosegas.corrections import c_constant, e_pert_tilde, g2_expectation
 from bosegas.lattice_potential import (
     TWO_PI,
     Potential,
+    born2_sum,
     enumerate_lattice,
     scaled_table,
 )
@@ -57,6 +59,30 @@ def tables_of(sol):
     """`build_tables` of a solution on a convolver of its table, built for
     it."""
     return build_tables(sol, make_convolver(sol.table))
+
+
+def e01_at(tables, K2: float):
+    """`e01` at the inner cutoff K2, on the pieces `assemble_report` cuts:
+    the K2 sub-table's convolver and born2 tail."""
+    sub = tables.table.sub_table(K2)
+    return e01(tables, make_convolver(sub), born2_sum(sub).tail)
+
+
+def g2_at(tables, K2: float):
+    """`g2_expectation` on the convolver of the K2 sub-table."""
+    return g2_expectation(tables, make_convolver(tables.table.sub_table(K2)))
+
+
+def ept_args(tables, K2: float) -> tuple:
+    """`e_pert_tilde`'s arguments at the inner cutoff K2, as
+    `assemble_report` passes them."""
+    sub = tables.table.sub_table(K2)
+    return tables, sub, c_constant(tables).C2, born2_sum(sub).tail
+
+
+def ept_at(tables, K2: float):
+    """`e_pert_tilde` at the inner cutoff K2."""
+    return e_pert_tilde(*ept_args(tables, K2))
 
 
 def brute_count(radius_n: float) -> int:

@@ -388,8 +388,8 @@ def _positive_pair_sum(monkeypatch):
     # e_pert_tilde's ball sum loses the sign of its -(6/N) prefactor
     real = bosegas.corrections.e_pert_tilde
 
-    def flipped(tables, K2):
-        term = real(tables, K2)
+    def flipped(*args):
+        term = real(*args)
         return term._replace(ball=-term.ball)
 
     monkeypatch.setattr("bosegas.corrections.e_pert_tilde", flipped)

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from bosegas import corrections, oracle
-from bosegas.bogoliubov import e01, sc_minus_eta
+from bosegas.bogoliubov import sc_minus_eta
 from bosegas.config import parse_config
 from bosegas.corrections import (
     _f_rows,
@@ -17,17 +18,38 @@ from bosegas.corrections import (
     c_constant,
     depletion,
     e_pert_tilde,
-    g2_expectation,
     pair_weight,
     symmetrized_vertex,
     vertex_factors,
 )
 from bosegas.errors import CutoffTooSmall, InconsistentLattice
-from bosegas.lattice_potential import TWO_PI, Potential, born2_sum, enumerate_lattice
+from bosegas.fock import (
+    restrict_tables,
+    restricted_e_pert_tilde,
+    restricted_g2_expectation,
+    shell_modes,
+)
+from bosegas.lattice_potential import (
+    TWO_PI,
+    Potential,
+    ScaledPotentialTable,
+    born2_sum,
+    enumerate_lattice,
+)
 from bosegas.pipeline import run_pipeline, run_tables
-from bosegas.sums import det_sum
+from bosegas.scattering import make_convolver
+from bosegas.sums import det_sum, weighted_sum
 
-from conftest import per_point, solve, tables_of, traced_peak
+from conftest import (
+    e01_at,
+    ept_args,
+    ept_at,
+    g2_at,
+    per_point,
+    solve,
+    tables_of,
+    traced_peak,
+)
 
 # convolution pair sums against their explicit row loops: a few ulps of
 # FFT rounding, relative to the sum
@@ -81,8 +103,9 @@ def f_pq(tb, K2, p, q):
     """The vertex f(p, q) for p, q in the K2-ball, read from a `_f_rows`
     row, the code that e_pert_tilde runs.  A row holds the q from its own
     position on, so a q before p is read in the row of q, as f(q, p)."""
-    ctx = _PairContext(tb, K2)
-    pts = ctx.sub.lattice.points()
+    sub = tb.table.sub_table(K2)
+    ctx = _PairContext(tb, sub)
+    pts = sub.lattice.points()
     ip, iq = (int(np.flatnonzero(np.all(pts == x, axis=1))[0]) for x in (p, q))
     ip, iq = min(ip, iq), max(ip, iq)
     f, _ = _f_rows(ctx, int(ip))
@@ -139,7 +162,7 @@ class TestPairContext:
         tb = tables_small
         lat = tb.lattice
         K2 = TWO_PI * k2_units
-        ctx = _PairContext(tb, K2)
+        ctx = _PairContext(tb, tb.table.sub_table(K2))
         sub = lat.sub_ball(K2)
         pts = sub.points()
         o = lat.lookup(pts)
@@ -248,11 +271,11 @@ class TestVertex:
 
 class TestEPertTilde:
     def test_zero_coupling(self, zero_tables):
-        res = e_pert_tilde(zero_tables, zero_tables.lattice.cutoff_K / 2.0)
+        res = ept_at(zero_tables, zero_tables.lattice.cutoff_K / 2.0)
         assert res.value == 0.0
 
     def test_nonpositive(self, tables_small):
-        res = e_pert_tilde(tables_small, TWO_PI * 3)
+        res = ept_at(tables_small, TWO_PI * 3)
         assert res.value < 0.0 and res.ball < 0.0 and res.tail < 0.0
 
     def test_first_shell_brute_loop(self, tables_first_shell):
@@ -274,7 +297,7 @@ class TestEPertTilde:
                 epq = tb.e[lat.lookup(s)]
                 acc += f * f / (epq + e[i] + e[j])
         expected = -6.0 / tb.N * acc
-        res = e_pert_tilde(tb, K2)
+        res = ept_at(tb, K2)
         assert res.ball == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("fixture, k2_units", PAIR_CASES)
@@ -298,7 +321,7 @@ class TestEPertTilde:
         asym = math.fsum(np.abs(terms - terms.T).ravel()) / 2.0
         bound = abs(scale) * (6.0 * U * (total + asym) + asym)
         exact = scale * total
-        assert abs(e_pert_tilde(tb, K2).ball - exact) <= bound
+        assert abs(ept_at(tb, K2).ball - exact) <= bound
         row_loop = scale * det_sum([det_sum(row) for row in terms])
         assert abs(row_loop - exact) <= bound
 
@@ -328,25 +351,26 @@ class TestEPertTildeMemory:
         M4 = len(tables.lattice)
         M2 = len(tables.lattice.sub_ball(K2))
         bound = 8 * (2 * 7 * (M4 + 1) + 24 * M2)
-        assert traced_peak(e_pert_tilde, tables, K2) < bound
+        assert traced_peak(e_pert_tilde, *ept_args(tables, K2)) < bound
 
     def test_peak_below_row_bound(self, energy_ref_tables):
         # what stays allocated is the pair context: `fac` (7 rows), `flat`
         # and `base`, 9 M2 values, the K ball's orbit factors (7 rows of
-        # one value per orbit and a zero, under M) and the sub-ball's
-        # dense grid, (2 L2 + 1)^3 ids.  On top of it runs one transient at
-        # a time: the pair weight's K-ball temporaries (under 2 M), or a
-        # row's index, gather, factors and vertex temporaries, or the
-        # context's own build, its point expansion included (each under
-        # 24 M2).  So the peak stays below 12 M2 + (2 L2 + 1)^3 +
-        # max(2 M, 24 M2) values: 1.27 MB at M = 33,400, M2 = 4,168 and
-        # L2 = 10.
+        # one value per orbit and a zero, under M) and, while the sum cut
+        # its own sub-table, the sub-ball's dense grid, (2 L2 + 1)^3 ids.
+        # On top of it runs one transient at a time: a row's index,
+        # gather, factors and vertex temporaries, or the context's own
+        # build, its point expansion included (each under 24 M2), or,
+        # while the sum took C2 itself, the pair weight's K-ball
+        # temporaries (under 2 M).  So the peak stays below 12 M2 +
+        # (2 L2 + 1)^3 + max(2 M, 24 M2) values: 1.27 MB at M = 33,400,
+        # M2 = 4,168 and L2 = 10.
         tables, K2 = energy_ref_tables
         M = len(tables.lattice)
         sub = tables.lattice.sub_ball(K2)
         M2 = len(sub)
         bound = 8 * (12 * M2 + (2 * sub.L + 1) ** 3 + max(2 * M, 24 * M2))
-        assert traced_peak(e_pert_tilde, tables, K2) < bound
+        assert traced_peak(e_pert_tilde, *ept_args(tables, K2)) < bound
 
 
 class TestPipelineMemory:
@@ -398,20 +422,21 @@ class TestPipelineMemory:
     def test_e_pert_tilde_peak_grows_by_orbits(self):
         # e_pert_tilde reads the K ball only through arrays of one value
         # per orbit: the context's 7 factor rows with a zero column, held
-        # throughout (7 (O + 1)), and on top of them either their build
-        # (the six vertex factors and e, stacked: under 13 O) or the pair
-        # weight and its exact per-orbit total (under 8 O).  The rows, the
-        # K2 ball's factors and the sub-table are the same at every K >=
-        # 2 K2.  So from K = 40 pi (O = 900) to 60 pi (O = 2,804, M =
-        # 113,080) at K2 = 20 pi the peak grows by under 22 values per
-        # orbit gained, 0.34 MB; one per-point array of the K ball alone
-        # grows by 0.64 MB.
+        # throughout (7 (O + 1)), and on top of them their build (the six
+        # vertex factors and e, stacked: under 13 O); C2, the pair
+        # weight's total (under 8 O while the sum took it itself), comes
+        # from its caller.  The rows, the K2 ball's factors and the
+        # sub-table are the same at every K >= 2 K2.  So from K = 40 pi
+        # (O = 900) to 60 pi (O = 2,804, M = 113,080) at K2 = 20 pi the
+        # peak grows by under 22 values per orbit gained, 0.34 MB; one
+        # per-point array of the K ball alone grows by 0.64 MB.
         peaks, orbits = [], []
         for half_k in (20, 30):
             cfg = parse_config(dict(self.CFG, cutoff_K_over_2pi=half_k))
             tables, _ = run_tables(cfg, cfg.N)
             orbits.append(len(tables.lattice.size))
-            peaks.append(traced_peak(e_pert_tilde, tables, cfg.cutoff_K2))
+            peaks.append(traced_peak(e_pert_tilde,
+                                     *ept_args(tables, cfg.cutoff_K2)))
         assert orbits == [900, 2804]
         assert peaks[1] - peaks[0] < 8 * 22 * (orbits[1] - orbits[0])
 
@@ -432,6 +457,10 @@ class TestPipelineMemory:
         assert names[:5] == ["enumerate_lattice", "scaled_table",
                              "make_convolver", "solve_eta", "build_tables"]
         assert {"e01", "g2_expectation", "e_pert_tilde"} <= set(names)
+        # one row per convolver: the K ball's, then the K2 sub-table's
+        calls = {row[0]: row[1] for row in rows}
+        assert calls["make_convolver"] == 1
+        assert calls["make_convolver (corrections)"] == 1
         assert names[-1] == "run_pipeline"
         assert rows[-1][2] == max(row[2] for row in rows)
         for _, calls, peak, held, hwm, _, _ in rows:
@@ -466,7 +495,7 @@ class TestPipelineMemory:
 
 class TestG2Expectation:
     def test_zero_squeezing(self, zero_tables):
-        assert g2_expectation(zero_tables, zero_tables.lattice.cutoff_K) == 0.0
+        assert g2_at(zero_tables, zero_tables.lattice.cutoff_K) == 0.0
 
     def test_brute_loop(self, tables_first_shell):
         tb = tables_first_shell
@@ -488,7 +517,7 @@ class TestG2Expectation:
                     + st[i] ** 2 * st[j] ** 2
                 )
         expected = acc / (2.0 * tb.N)
-        got = g2_expectation(tb, K2)
+        got = g2_at(tb, K2)
         assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("fixture, k2_units", G2_CASES)
@@ -507,7 +536,7 @@ class TestG2Expectation:
             vr[i] = 0.0
             rows.append(w[i] * det_sum(vr * w) + w2[i] * det_sum(vr * w2))
         expected = det_sum(rows) / (2.0 * tb.N)
-        got = g2_expectation(tb, K2)
+        got = g2_at(tb, K2)
         assert abs(got - expected) <= CONV_RTOL * abs(expected)
 
     def test_n_scaling_certificate(self, pot_coupled, lat3):
@@ -515,7 +544,7 @@ class TestG2Expectation:
         for N in (10**3, 10**5):
             sol = solve(pot_coupled, lat3, N, 0.75)
             tb = tables_of(sol)
-            vals.append(abs(g2_expectation(tb, TWO_PI * 3)) * N)
+            vals.append(abs(g2_at(tb, TWO_PI * 3)) * N)
         assert max(vals) <= 5.0 * max(min(vals), 1e-300)
 
 
@@ -605,21 +634,53 @@ class TestReport:
 
     @pytest.mark.parametrize("pair_sum, k2_over_k, match", [
         (assemble_report, 2.0, "sub-ball"),
-        (e01, 2.0, "sub-ball"),
-        (g2_expectation, 2.0, "sub-ball"),
-        (e_pert_tilde, 2.0, "sub-ball"),
+        (e01_at, 2.0, "sub-ball"),
+        (g2_at, 2.0, "sub-ball"),
+        (ept_at, 2.0, "sub-ball"),
         # the cubic pair sum reads every p + q, up to |n|^2 = 4 * 10 > 36,
         # in the tables of the radius-6 ball
-        (e_pert_tilde, math.sqrt(10.0) / 6.0, "2 K2"),
+        (ept_at, math.sqrt(10.0) / 6.0, "2 K2"),
     ], ids=["assemble_report", "e01", "g2_expectation", "e_pert_tilde",
             "e_pert_tilde_2K2_above_K"])
     def test_inconsistent_lattice(self, tables_small, pair_sum, k2_over_k, match):
-        # every K2 sum cuts its sub-table through the one sub_ball check,
-        # which also rejects a K2 below the first shell
+        # every K2 sum runs on the one cut of the K2 sub-table, whose
+        # sub_ball check also rejects a K2 below the first shell
         with pytest.raises(InconsistentLattice, match=match):
             pair_sum(tables_small, tables_small.lattice.cutoff_K * k2_over_k)
         with pytest.raises(CutoffTooSmall):
             pair_sum(tables_small, 0.5 * TWO_PI)
+
+    def test_one_k2_cut_per_report(self, monkeypatch):
+        # a run_pipeline cuts the K2 sub-table once, in assemble_report,
+        # builds two convolvers (the K ball's and the K2 sub-table's),
+        # takes born2_sum on each ball once and sums the pair weight once,
+        # for C2; each function is counted in every bosegas module that
+        # holds it
+        cutters, calls = [], {}
+        real_sub_table = ScaledPotentialTable.sub_table
+
+        def sub_table(table, K):
+            cutters.append(sys._getframe(1).f_code.co_name)
+            return real_sub_table(table, K)
+
+        def counting(fn):
+            def counted(*args):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(ScaledPotentialTable, "sub_table", sub_table)
+        for fn in (make_convolver, born2_sum, pair_weight):
+            wrapped = counting(fn)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("bosegas.") and getattr(
+                        mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, wrapped)
+        cfg = parse_config({"N": 500, "beta": 0.75, "kappa": 0.5, "R": 0.25,
+                            "cutoff_K_over_2pi": 6, "cutoff_K2_over_2pi": 3})
+        run_pipeline(cfg)
+        assert cutters == ["assemble_report"]
+        assert calls == {"make_convolver": 2, "born2_sum": 2, "pair_weight": 1}
 
     def test_cutoff_between_shells(self, tables_small):
         # no point has |n|^2 = 7, so K2 = 2 pi sqrt 7 holds the same sub-ball
@@ -627,10 +688,10 @@ class TestReport:
         # continuum tails start at K2 itself
         tb = tables_small
         lo, hi = TWO_PI * math.sqrt(6.0), TWO_PI * math.sqrt(7.0)
-        e01_lo, e01_hi = e01(tb, lo), e01(tb, hi)
+        e01_lo, e01_hi = e01_at(tb, lo), e01_at(tb, hi)
         assert e01_hi.ball == e01_lo.ball
-        assert g2_expectation(tb, hi) == g2_expectation(tb, lo)
-        assert e_pert_tilde(tb, hi).ball == e_pert_tilde(tb, lo).ball
+        assert g2_at(tb, hi) == g2_at(tb, lo)
+        assert ept_at(tb, hi).ball == ept_at(tb, lo).ball
         tail_ratio = (born2_sum(tb.table.sub_table(hi)).tail
                       / born2_sum(tb.table.sub_table(lo)).tail)
         assert tail_ratio < 1.0
@@ -640,8 +701,8 @@ class TestReport:
         # components are pure; reassembly reproduces the report bitwise
         K2 = TWO_PI * 3
         rep1 = assemble_report(tables_small, K2)
-        g2 = g2_expectation(tables_small, K2)
-        ept = e_pert_tilde(tables_small, K2)
+        g2 = g2_at(tables_small, K2)
+        ept = ept_at(tables_small, K2)
         cc = c_constant(tables_small)
         rep2 = assemble_report(tables_small, K2)
         assert rep1.g2_expect == g2
@@ -701,7 +762,7 @@ class TestClosureTruth:
         cfg = parse_config({"N": 100, "beta": 0.3, "kappa": 0.1, "R": 0.25,
                             "cutoff_K_over_2pi": 20})
         tables, _ = run_tables(cfg, cfg.N)
-        return {k: (e_pert_tilde(tables, k * math.pi), e01(tables, k * math.pi))
+        return {k: (ept_at(tables, k * math.pi), e01_at(tables, k * math.pi))
                 for k in (5, 10, 20)}
 
     def test_tail_is_small_at_the_truth(self, terms):
@@ -721,3 +782,67 @@ class TestClosureTruth:
         err = (terms[k2][1].value - truth) / truth
         lo, hi = self.E01_ERROR[k2]
         assert lo <= err <= hi
+
+
+class TestOracleClosedForms:
+    """The report's pair-sum kernels against the oracle's closed forms on
+    the shells |n|^2 <= s, at K2 = 2 pi sqrt(s) and the coupling of the
+    benchmark's `oracle_config(101)` (N = 2227, beta = 0.75, kappa =
+    1000, R = 0.25, K = 8 pi).  The closed forms sum over the mode set
+    alone, so the K2 ball is that set; the cubic rows keep p + q in it."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        cfg = parse_config({"N": 2227, "beta": 0.75, "kappa": 1000.0,
+                            "R": 0.25, "cutoff_K_over_2pi": 4})
+        return run_tables(cfg, cfg.N)[0]
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_g2_expectation(self, tables, s):
+        # the closed form is the explicit row loop of the convolution, so
+        # the convolver's bound against it applies
+        K2 = TWO_PI * math.sqrt(s)
+        rt = restrict_tables(tables, shell_modes(s))
+        got = g2_at(tables, K2)
+        target = restricted_g2_expectation(rt)
+        assert target != 0.0
+        assert abs(got - target) <= CONV_RTOL * abs(target)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_pair_rows_with_p_plus_q_in_the_set(self, tables, s):
+        # e_pert_tilde's rows with each p + q outside the K2 ball masked
+        # through the context's grid.  Both sides sum the same summands:
+        # the closed form all ordered in-set pairs, exactly rounded and
+        # scaled (2u E); the rows those of orbit pairs folded, within
+        # (6/N) (6u (E + A) + A) of the exact sum, as in
+        # `test_orbit_rows_within_rounding_of_exact_sum`
+        tb = tables
+        K2 = TWO_PI * math.sqrt(s)
+        sub = tb.table.sub_table(K2)
+        ctx = _PairContext(tb, sub)
+        sizes = sub.lattice.size
+        n2 = len(sizes)
+        e = ctx.fac[6]
+        rows = []
+        for k in range(n2):
+            i = int(ctx.starts[k])
+            f, epq = _f_rows(ctx, i)
+            t = f * f / (epq + e[i] + e[i:])
+            t[sizes[k]:] *= 2.0
+            t[ctx.grid[ctx.base[i] + ctx.flat[i:]] >= n2] = 0.0
+            rows.append(det_sum(t))
+        scale = -(6.0 / tb.N)
+        got = scale * weighted_sum(np.array(rows), sizes)
+
+        modes = shell_modes(s)
+        assert len(modes) == ctx.M2
+        target = restricted_e_pert_tilde(restrict_tables(tb, modes))
+        lat = tb.lattice
+        pts = sub.lattice.points()
+        terms = pair_terms(tb, K2)
+        terms[lat.lookup(pts[:, None] + pts[None]) >= n2] = 0.0
+        total = math.fsum(terms.ravel())
+        asym = math.fsum(np.abs(terms - terms.T).ravel()) / 2.0
+        bound = abs(scale) * (8.0 * U * (total + asym) + asym)
+        assert target < 0.0
+        assert abs(got - target) <= bound

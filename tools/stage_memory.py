@@ -8,15 +8,16 @@ A config file with an `oracle` block stages the `oracle` command, any
 other the `energy` run, `run_pipeline` on the config's first N.
 
 Each `energy` stage is one function the pipeline calls: the lattice
-enumeration, the scaled table, the convolver, the scattering solve and
-`build_tables`, then each term `assemble_report` computes, in the order
-of their first call.  A call made inside another stage belongs to that
-stage.  Columns per stage: its calls; tracemalloc's peak during it and
-what is still traced after it, both counted from the start of the run;
-and the steps of VmHWM, RssAnon and RssFile in /proc/self/status across
-it, summed over its calls (Linux only).  The last row is the whole run.
-Tracemalloc's own tables are part of the resident set, so the RSS steps
-read higher than in an untraced run.
+enumeration, the scaled table, the K ball's convolver, the scattering
+solve and `build_tables`, then each piece `assemble_report` computes, in
+the order of their first call: the K2 sub-table's convolver is the row
+`make_convolver (corrections)`.  A call made inside another stage
+belongs to that stage.  Columns per stage: its calls; tracemalloc's
+peak during it and what is still traced after it, both counted from
+the start of the run; and the steps of VmHWM, RssAnon and RssFile in
+/proc/self/status across it, summed over its calls (Linux only).  The
+last row is the whole run.  Tracemalloc's own tables are part of the
+resident set, so the RSS steps read higher than in an untraced run.
 
 The `oracle` stages are the mode set, the tables, `restrict_tables` and
 the four closed forms, then for each cap `build_basis`, `build_G0`,
@@ -107,8 +108,13 @@ def stage_rows(cfg) -> list[list]:
 
     originals = _stage_functions()
     saved = [(mod, name, getattr(mod, name)) for mod, name in originals]
+    seen = set()
     for mod, name, fn in saved:
-        setattr(mod, name, wrap(name, fn))
+        # a name both namespaces hold gets a row per namespace
+        label = (f"{name} ({mod.__name__.rpartition('.')[2]})"
+                 if name in seen else name)
+        seen.add(name)
+        setattr(mod, name, wrap(label, fn))
     tracemalloc.start()
     try:
         start = _status()
